@@ -1,9 +1,11 @@
 """Four self-attention mechanisms behind one multi-head interface.
 
 All variants consume and produce (F x T) feature maps (features on axis 0,
-positions on the last axis). Queries/keys/values are produced by shared
-projection weights; each head runs a variant-specific core and the heads
-are concatenated and recombined by an output matrix.
+positions on the last axis), or (F x B x L) batches of B independent
+length-L sequences. Queries/keys/values are produced by shared projection
+weights; each head runs a variant-specific core, batched over the
+sequences, and the heads are concatenated and recombined by an output
+matrix.
 
 Variants:
 
@@ -172,13 +174,44 @@ def positional_encoding(length, d_model):
 
 # ---------------------------------------------------------------------------
 # per-head cores
+#
+# Each core receives one head's (dk, B*L) slices of Q/K/V, holding B
+# independent length-L sequences side by side, and returns the head's
+# (dk, B*L) output. Work that mixes positions runs batched over the
+# sequences with bmm.
 
-def _full_head(q, k, v, scale, details):
-    scores = nd.scale(nd.matmul(nd.transpose(q), k), scale)
-    a = nd.softmax_rows(scores)
+def _per_sequence(x, batch, length, axes):
+    """(rows, B*L) -> the (rows, B, L) view permuted by ``axes``."""
+    return nd.permute(nd.reshape(x, (-1, batch, length)), axes)
+
+
+def _positions_last(x, batch, length):
+    return _per_sequence(x, batch, length, (1, 0, 2))     # (B, rows, L)
+
+
+def _features_last(x, batch, length):
+    return _per_sequence(x, batch, length, (1, 2, 0))     # (B, L, rows)
+
+
+def _flat_head(x):
+    """(B, L, dk) per-sequence head output -> the flat (dk, B*L) map."""
+    return nd.reshape(nd.permute(x, (2, 0, 1)), (x.shape[2], -1))
+
+
+def _softmax_last(x):
+    """Softmax over the last axis of a rank-3 tensor."""
+    return nd.reshape(nd.softmax_rows(nd.reshape(x, (-1, x.shape[-1]))),
+                      x.shape)
+
+
+def _full_head(q, k, v, scale, batch, length, details):
+    scores = nd.scale(nd.bmm(_features_last(q, batch, length),
+                             _positions_last(k, batch, length)), scale)
+    a = _softmax_last(scores)                             # (B, L, L)
     if details is not None:
         details["map"] = a.data.copy()
-    return nd.matmul(v, nd.transpose(a))
+    out = nd.bmm(a, _features_last(v, batch, length))     # (B, L, dk)
+    return _flat_head(out)
 
 
 def longformer_allowed(length, window, global_stride):
@@ -210,74 +243,91 @@ def _longformer_masks(length, window, global_stride):
     return half, src_clipped, band_mask, globals_idx
 
 
-def _longformer_head(q, k, v, scale, spec, length, masks, details):
+def _longformer_head(q, k, v, scale, spec, batch, length, masks, details):
     half, _, band_mask, gidx = masks
     w = spec.window
     ng = len(gidx)
+    n = batch * length
 
-    kp = nd.pad_cols(k, half, half)
-    kwin = nd.frame(kp, w, 1)                             # (dk, w, T)
-    q3 = nd.reshape(nd.transpose(q), (length, -1, 1))     # (T, dk, 1)
-    loc = nd.bmm(nd.permute(kwin, (2, 1, 0)), q3)         # (T, w, 1)
-    loc = nd.add(nd.reshape(nd.scale(loc, scale), (length, w)),
-                 Tensor(band_mask))
+    def windows(x, axes):
+        # the w-wide band around every position of every sequence
+        xp = nd.pad_cols(nd.reshape(x, (-1, length)), half, half)
+        win = nd.reshape(nd.frame(xp, w, 1), (-1, batch, w, length))
+        win = nd.permute(win, axes)                       # (B, L, ., .)
+        return nd.reshape(win, (n,) + win.shape[2:])
+
+    def globals_of(x):
+        cols = nd.gather_cols(nd.reshape(x, (-1, length)), gidx)
+        return nd.permute(nd.reshape(cols, (-1, batch, ng)), (1, 0, 2))
+
+    qt = _features_last(q, batch, length)                 # (B, L, dk)
+    loc = nd.bmm(windows(k, (1, 3, 2, 0)),                # (B*L, w, dk)
+                 nd.reshape(qt, (n, -1, 1)))              # (B*L, w, 1)
+    loc = nd.add(nd.reshape(nd.scale(loc, scale), (n, w)),
+                 Tensor(np.tile(band_mask, (batch, 1))))
     if ng:
-        kg = nd.gather_cols(k, gidx)
-        sg = nd.scale(nd.matmul(nd.transpose(q), kg), scale)  # (T, g)
-        scores = nd.concat([loc, sg], axis=1)
+        sg = nd.scale(nd.bmm(qt, globals_of(k)), scale)   # (B, L, g)
+        scores = nd.concat([loc, nd.reshape(sg, (n, ng))], axis=1)
     else:
         scores = loc
-    a = nd.softmax_rows(scores)                           # (T, w [+ g])
+    a = nd.softmax_rows(scores)                           # (B*L, w [+ g])
 
-    vp = nd.pad_cols(v, half, half)
-    vwin = nd.frame(vp, w, 1)                             # (dk, w, T)
-    a_loc3 = nd.reshape(nd.slice_cols(a, 0, w), (length, w, 1))
-    out = nd.bmm(nd.permute(vwin, (2, 0, 1)), a_loc3)     # (T, dk, 1)
-    out = nd.transpose(nd.reshape(out, (length, -1)))     # (dk, T)
+    a_loc3 = nd.reshape(nd.slice_cols(a, 0, w), (n, w, 1))
+    out = nd.bmm(windows(v, (1, 3, 0, 2)), a_loc3)        # (B*L, dk, 1)
+    out = nd.permute(nd.reshape(out, (batch, length, -1)), (2, 0, 1))
     if details is not None:
-        details["map"] = a.data.copy()
+        details["map"] = a.data.reshape(batch, length, -1).copy()
     if ng:
-        ag = nd.slice_cols(a, w, w + ng)                  # (T, g)
-        out = nd.add(out, nd.matmul(nd.gather_cols(v, gidx), nd.transpose(ag)))
+        ag = nd.permute(nd.reshape(nd.slice_cols(a, w, w + ng),
+                                   (batch, length, ng)), (0, 2, 1))
+        out = nd.add(out, nd.permute(nd.bmm(globals_of(v), ag), (1, 0, 2)))
         # rows at global positions instead attend to everything
-        sgr = nd.scale(nd.matmul(nd.transpose(nd.gather_cols(q, gidx)), k),
-                       scale)                             # (g, T)
-        agr = nd.softmax_rows(sgr)
-        outg = nd.matmul(v, nd.transpose(agr))            # (dk, g)
+        sgr = nd.scale(nd.bmm(nd.permute(globals_of(q), (0, 2, 1)),
+                              _positions_last(k, batch, length)),
+                       scale)                             # (B, g, L)
+        agr = _softmax_last(sgr)
+        outg = nd.bmm(agr, _features_last(v, batch, length))  # (B, g, dk)
+        outg = nd.reshape(nd.permute(outg, (2, 0, 1)), (-1, ng))
+        outg = nd.reshape(nd.scatter_cols(outg, gidx, length), out.shape)
         keep = np.ones(length)
         keep[gidx] = 0.0
-        out = nd.add(nd.scale_cols(out, Tensor(keep)),
-                     nd.scatter_cols(outg, gidx, length))
+        out = nd.add(nd.scale_cols(out, Tensor(keep)), outg)
         if details is not None:
             details["global_rows"] = agr.data.copy()
-    return out
+    return nd.reshape(out, (-1, n))
 
 
-def _linformer_head(q, k, v, scale, spec, length, weights, details):
-    kproj = nd.slice_rows(weights.proj_p, 0, length)      # (T, k)
-    vproj = nd.slice_rows(weights.proj_f, 0, length)
-    kp = nd.matmul(k, kproj)                              # (dk, k)
-    scores = nd.scale(nd.matmul(nd.transpose(q), kp), scale)  # (T, k)
-    a = nd.softmax_rows(scores)
+def _linformer_head(q, k, v, scale, spec, batch, length, weights, details):
+    def project(x, proj, axes):
+        # each sequence's length-L rows onto the proj_len slots
+        p = nd.matmul(nd.reshape(x, (-1, length)), nd.slice_rows(proj, 0,
+                                                                 length))
+        return nd.permute(nd.reshape(p, (-1, batch, spec.proj_len)), axes)
+
+    scores = nd.scale(nd.bmm(_features_last(q, batch, length),
+                             project(k, weights.proj_p, (1, 0, 2))),
+                      scale)                              # (B, L, k)
+    a = _softmax_last(scores)
     if details is not None:
         details["map"] = a.data.copy()
-    vf = nd.matmul(v, vproj)                              # (dk, k)
-    return nd.matmul(vf, nd.transpose(a))
+    out = nd.bmm(a, project(v, weights.proj_f, (1, 2, 0)))  # (B, L, dk)
+    return _flat_head(out)
 
 
 def hash_buckets(vectors, n_buckets, rotation):
     """Angular LSH: bucket ids for unit column vectors under one rotation.
 
-    ``vectors`` is (d, T); ``rotation`` is (d, n_buckets / 2). The bucket is
-    the argmax over the concatenated [proj, -proj] coordinates.
+    ``vectors`` is (d, T) and ``rotation`` (d, n_buckets / 2), or both
+    carry a leading batch axis (a batch of one rotation is shared). The
+    bucket is the argmax over the concatenated [proj, -proj] coordinates.
     """
-    proj = vectors.T @ rotation                           # (T, nb/2)
-    both = np.concatenate([proj, -proj], axis=1)
-    assert both.shape[1] == n_buckets
-    return np.argmax(both, axis=1)
+    proj = np.swapaxes(vectors, -1, -2) @ rotation        # (..., T, nb/2)
+    both = np.concatenate([proj, -proj], axis=-1)
+    assert both.shape[-1] == n_buckets
+    return np.argmax(both, axis=-1)
 
 
-def _reformer_round_mask(order, n_chunks, m, length):
+def _reformer_round_mask(n_chunks, m, length):
     """Additive mask for chunked shared-QK attention in sorted coordinates.
 
     Keys beyond the real sequence (padding) and the missing look-back of
@@ -294,58 +344,77 @@ def _reformer_round_mask(order, n_chunks, m, length):
                     np.where(self_slot, _SOFT_MASK, 0.0))
 
 
-def _reformer_head(q, v, scale, spec, length, rotations, details):
+def _previous_chunk(x):
+    """(B, nch, ...) chunks -> each chunk's predecessor in its own
+    sequence, zeros before the first."""
+    b, n_chunks = x.shape[:2]
+    per = x.size // (b * n_chunks)
+    flat = nd.slice_cols(nd.reshape(x, (b, n_chunks * per)), 0,
+                         (n_chunks - 1) * per)
+    return nd.reshape(nd.pad_cols(flat, per, 0), x.shape)
+
+
+def _reformer_head(q, v, scale, spec, batch, length, rotations, details):
     dk = spec.d_head
     m = spec.bucket_chunk
     n_chunks = -(-length // m)
     padded = n_chunks * m
+    n = batch * length
     kq = nd.unit_columns(q)
+    mask = Tensor(np.tile(_reformer_round_mask(n_chunks, m, length),
+                          (batch, 1, 1)))
+    starts = np.arange(batch)[:, None] * length           # sequence offsets
 
     round_outs = []
     round_lses = []
     for r in range(spec.n_rounds):
-        buckets = hash_buckets(kq.data, spec.n_buckets, rotations[r])
-        order = np.lexsort((np.arange(length), buckets))
-        qs = nd.pad_cols(nd.gather_cols(q, order), 0, padded - length)
-        ks = nd.pad_cols(nd.gather_cols(kq, order), 0, padded - length)
-        vs = nd.pad_cols(nd.gather_cols(v, order), 0, padded - length)
+        buckets = hash_buckets(kq.data.reshape(dk, batch, length)
+                               .transpose(1, 0, 2), spec.n_buckets,
+                               rotations[r])              # (B, L)
+        order = np.argsort(buckets, axis=1, kind="stable")
+        flat_order = (starts + order).reshape(-1)
 
-        qc = nd.permute(nd.reshape(qs, (dk, n_chunks, m)), (1, 2, 0))
-        kc = nd.permute(nd.reshape(ks, (dk, n_chunks, m)), (1, 0, 2))
-        vc = nd.permute(nd.reshape(vs, (dk, n_chunks, m)), (1, 2, 0))
-        zero_k = Tensor(np.zeros((1, dk, m)))
-        zero_v = Tensor(np.zeros((1, m, dk)))
-        k_prev = nd.concat([zero_k, nd.slice_rows(kc, 0, n_chunks - 1)], 0)
-        v_prev = nd.concat([zero_v, nd.slice_rows(vc, 0, n_chunks - 1)], 0)
-        kcc = nd.concat([k_prev, kc], axis=2)             # (nch, dk, 2m)
-        vcc = nd.concat([v_prev, vc], axis=1)             # (nch, 2m, dk)
+        def sorted_chunks(x, axes):
+            # each sequence in bucket order, padded to whole chunks
+            xs = nd.reshape(nd.gather_cols(x, flat_order), (dk, batch, length))
+            xs = nd.pad_cols(xs, 0, padded - length)
+            return nd.permute(nd.reshape(xs, (dk, batch, n_chunks, m)), axes)
 
-        mask = _reformer_round_mask(order, n_chunks, m, length)
-        scores = nd.add(nd.scale(nd.bmm(qc, kcc), scale), Tensor(mask))
-        flat = nd.reshape(scores, (n_chunks * m, 2 * m))
+        def unsort(x):
+            # (rows, B, padded) sorted -> (rows, B*L) in position order
+            x = nd.reshape(nd.slice_cols(x, 0, length), (x.shape[0], n))
+            return nd.scatter_cols(x, flat_order, n)
+
+        qc = nd.reshape(sorted_chunks(q, (1, 2, 3, 0)),
+                        (batch * n_chunks, m, dk))
+        kc = sorted_chunks(kq, (1, 2, 0, 3))              # (B, nch, dk, m)
+        vc = sorted_chunks(v, (1, 2, 3, 0))               # (B, nch, m, dk)
+        kcc = nd.reshape(nd.concat([_previous_chunk(kc), kc], axis=3),
+                         (batch * n_chunks, dk, 2 * m))
+        vcc = nd.reshape(nd.concat([_previous_chunk(vc), vc], axis=2),
+                         (batch * n_chunks, 2 * m, dk))
+
+        scores = nd.add(nd.scale(nd.bmm(qc, kcc), scale), mask)
+        flat = nd.reshape(scores, (batch * padded, 2 * m))
         a = nd.softmax_rows(flat)
-        lse = nd.logsumexp_rows(flat)                     # (nch*m,)
-        outc = nd.bmm(nd.reshape(a, (n_chunks, m, 2 * m)), vcc)
-        outs = nd.reshape(nd.permute(outc, (2, 0, 1)), (dk, padded))
-        out_r = nd.scatter_cols(nd.slice_cols(outs, 0, length), order, length)
-        lse_row = nd.scatter_cols(
-            nd.slice_cols(nd.reshape(lse, (1, padded)), 0, length),
-            order, length)
-        round_outs.append(out_r)
-        round_lses.append(lse_row)
+        lse = nd.logsumexp_rows(flat)                     # (B*padded,)
+        outc = nd.bmm(nd.reshape(a, (batch * n_chunks, m, 2 * m)), vcc)
+        outs = nd.permute(nd.reshape(outc, (batch, padded, dk)), (2, 0, 1))
+        round_outs.append(unsort(outs))
+        round_lses.append(unsort(nd.reshape(lse, (1, batch, padded))))
         if details is not None:
             details.setdefault("rounds", []).append({
                 "buckets": buckets.copy(),
-                "map": a.data.reshape(n_chunks, m, 2 * m).copy(),
+                "map": a.data.reshape(batch, n_chunks, m, 2 * m).copy(),
             })
 
     if spec.n_rounds == 1:
         return round_outs[0]
-    lses = nd.concat(round_lses, axis=0)                  # (R, T)
+    lses = nd.concat(round_lses, axis=0)                  # (R, B*L)
     weights = nd.transpose(nd.softmax_rows(nd.transpose(lses)))
     out = None
     for r in range(spec.n_rounds):
-        wr = nd.reshape(nd.slice_rows(weights, r, r + 1), (length,))
+        wr = nd.reshape(nd.slice_rows(weights, r, r + 1), (n,))
         term = nd.scale_cols(round_outs[r], wr)
         out = term if out is None else nd.add(out, term)
     return out
@@ -354,18 +423,45 @@ def _reformer_head(q, v, scale, spec, length, rotations, details):
 # ---------------------------------------------------------------------------
 # dispatch
 
+def _reformer_rotations(seed, spec):
+    """One (d_head, n_buckets / 2) rotation per hash round, from ``seed``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [rng.standard_normal((spec.d_head, spec.n_buckets // 2))
+            for _ in range(spec.n_rounds)]
+
+
+def _unbatched(details):
+    """Per-head diagnostics of a batch of one, without the batch axis."""
+    if isinstance(details, dict):
+        return {key: _unbatched(value) for key, value in details.items()}
+    if isinstance(details, list):
+        return [_unbatched(value) for value in details]
+    return details[0]
+
+
 def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     """Project, run the variant core per head, concatenate, recombine.
 
-    ``seed`` only matters for the reformer, whose LSH rotations are drawn
-    per call from it; equal seeds give bit-identical outputs. When
-    ``details`` is a dict it is filled with per-head diagnostics
-    (attention maps, bucket assignments).
+    ``x`` is one (F, T) map or a batch (F, B, L) of B independent length-L
+    sequences, and the output has the same layout. The projections run
+    once over all positions; each head's core runs batched over the
+    sequences. ``seed`` only matters for the reformer, whose LSH rotations
+    are drawn per call from it: one int shared by every sequence, or one
+    per sequence. Equal seeds give bit-identical outputs. When ``details``
+    is a dict it is filled with per-head diagnostics (attention maps,
+    bucket assignments), which lead with the sequence axis for batched
+    input.
     """
     x = nd.as_tensor(x)
-    if x.data.ndim != 2:
-        raise nd.ShapeError("attention expects (F, T), got %r" % (x.shape,))
-    length = x.shape[1]
+    if x.data.ndim == 2:
+        batch, length = 1, x.shape[1]
+        flat = x
+    elif x.data.ndim == 3:
+        batch, length = x.shape[1], x.shape[2]
+        flat = nd.reshape(x, (x.shape[0], batch * length))
+    else:
+        raise nd.ShapeError("attention expects (F, T) or (F, B, L), got %r"
+                            % (x.shape,))
     dk = spec.d_head
     scale = 1.0 / math.sqrt(dk)
 
@@ -374,18 +470,21 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
             "sequence length %d exceeds projection size %d"
             % (length, spec.max_len))
 
-    q = nd.matmul(weights.wq, x)
-    v = nd.matmul(weights.wv, x)
-    k = nd.matmul(weights.wk, x) if weights.wk is not None else None
+    q = nd.matmul(weights.wq, flat)
+    v = nd.matmul(weights.wv, flat)
+    k = nd.matmul(weights.wk, flat) if weights.wk is not None else None
 
     masks = None
     if spec.variant == "longformer":
         masks = _longformer_masks(length, spec.window, spec.global_stride)
     rotations = None
     if spec.variant == "reformer":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        rotations = [rng.standard_normal((dk, spec.n_buckets // 2))
-                     for _ in range(spec.n_rounds)]
+        seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+        if len(seeds) not in (1, batch):
+            raise ValueError("%d seeds for %d sequences"
+                             % (len(seeds), batch))
+        per_seq = [_reformer_rotations(s, spec) for s in seeds]
+        rotations = [np.stack(rounds) for rounds in zip(*per_seq)]
 
     heads = []
     head_details = [] if details is not None else None
@@ -395,22 +494,26 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
         ki = nd.slice_rows(k, i * dk, (i + 1) * dk) if k is not None else None
         hd = {} if details is not None else None
         if spec.variant == "full":
-            head = _full_head(qi, ki, vi, scale, hd)
+            head = _full_head(qi, ki, vi, scale, batch, length, hd)
         elif spec.variant == "longformer":
-            head = _longformer_head(qi, ki, vi, scale, spec, length, masks, hd)
+            head = _longformer_head(qi, ki, vi, scale, spec, batch, length,
+                                    masks, hd)
         elif spec.variant == "linformer":
-            head = _linformer_head(qi, ki, vi, scale, spec, length,
+            head = _linformer_head(qi, ki, vi, scale, spec, batch, length,
                                    weights, hd)
         else:
-            head = _reformer_head(qi, vi, scale, spec, length, rotations, hd)
+            head = _reformer_head(qi, vi, scale, spec, batch, length,
+                                  rotations, hd)
         heads.append(head)
         if head_details is not None:
-            head_details.append(hd)
+            head_details.append(hd if x.data.ndim == 3 else _unbatched(hd))
 
     cat = heads[0] if spec.heads == 1 else nd.concat(heads, axis=0)
     out = nd.matmul(weights.wo, cat)
     if details is not None:
         details["heads"] = head_details
+    if x.data.ndim == 3:
+        out = nd.reshape(out, (out.shape[0], batch, length))
     return out
 
 

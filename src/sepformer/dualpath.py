@@ -4,9 +4,11 @@ within-chunk and across-chunk transformer stacks, overlap-add inversion.
 A feature map (F, T') becomes a (F, C, Nc) chunk tensor whose frames start
 every C/2 positions. The intra stack treats each chunk as a length-C
 sequence; the inter stack treats each within-chunk offset as a length-Nc
-sequence across chunks. Overlap-add sums frames at their offsets, divides
-by coverage, and trims the padding, which makes chunk -> overlap_add an
-exact identity.
+sequence across chunks. Each stack runs on a batch of those sequences at
+once, in groups of whole sequences holding at most ``_GROUP_POSITIONS``
+positions, which bounds the memory a call holds. Overlap-add sums frames
+at their offsets, divides by coverage, and trims the padding, which makes
+chunk -> overlap_add an exact identity.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ __all__ = [
     "SepformerBlockParams", "init_sepformer_block", "sepformer_block",
     "padded_chunk_geometry",
 ]
+
+# Most positions one batched stack call holds. Sequences are grouped up to
+# it and never split, so a longer sequence runs alone.
+_GROUP_POSITIONS = 1024
 
 
 class InvalidChunkSizeError(ValueError):
@@ -85,9 +91,9 @@ def overlap_add(chunks):
     n = chunks.n_chunks
     padded = c + (n - 1) * hop
     summed = nd.overlap_sum(chunks.data, hop, padded)
-    coverage = np.zeros(padded)
-    for j in range(n):
-        coverage[j * hop:j * hop + c] += 1.0
+    starts = hop * np.arange(n)[:, None]
+    coverage = np.bincount((starts + np.arange(c)).reshape(-1),
+                           minlength=padded).astype(np.float64)
     out = nd.scale_cols(summed, Tensor(1.0 / coverage))
     return nd.slice_cols(out, 0, chunks.original_length)
 
@@ -130,26 +136,47 @@ def init_sepformer_block(intra_spec, inter_spec, feat_dim, ffw_dim,
     return SepformerBlockParams(intra_spec, inter_spec, intra, inter)
 
 
+def _stack_over(x, stack, spec, seed, repeat, axis):
+    """Run ``stack`` on every sequence of the (F, B, L) batch ``x``, one
+    call per group of whole sequences."""
+    feat, batch, length = x.shape
+    # only the reformer draws from its seed; other variants share one
+    seeds = None
+    if spec.variant == "reformer":
+        seeds = [derive_seed(seed, repeat, axis, j) for j in range(batch)]
+    per_group = max(1, _GROUP_POSITIONS // length)
+    if per_group >= batch:
+        return transformer_stack(x, stack, spec,
+                                 seed=seed if seeds is None else seeds)
+    flat = nd.reshape(x, (feat, batch * length))
+    outs = []
+    for start in range(0, batch, per_group):
+        stop = min(start + per_group, batch)
+        group = nd.reshape(nd.slice_cols(flat, start * length, stop * length),
+                           (feat, stop - start, length))
+        outs.append(transformer_stack(
+            group, stack, spec,
+            seed=seed if seeds is None else seeds[start:stop]))
+    return nd.concat(outs, axis=1)
+
+
 def sepformer_block(chunks, params, seed=0):
     """Apply N repeats of intra-chunk then inter-chunk modeling.
 
     Each chunk is an independent length-C sequence for the intra stack
     (block-diagonal attention); each within-chunk offset is an independent
-    length-Nc sequence for the inter stack (strided attention). Chunks are
-    processed sequentially so the result is deterministic.
+    length-Nc sequence for the inter stack (strided attention). The intra
+    stack runs on the chunk map permuted to (F, Nc, C), the inter stack on
+    (F, C, Nc), each as one batched call per group of whole sequences
+    holding at most ``_GROUP_POSITIONS`` positions. Sequence j of axis a
+    (0 intra, 1 inter) in repeat r is seeded by
+    ``derive_seed(seed, r, a, j)``, so the grouping does not change which
+    LSH rotations a sequence sees, and the result is deterministic.
     """
-    x = chunks.data
+    x = chunks.data                                       # (F, C, Nc)
     for r in range(params.n_repeats):
-        n_chunks = x.shape[2]
-        cols = [transformer_stack(nd.take_index(x, 2, j),
-                                  params.intra_stacks[r], params.intra_spec,
-                                  seed=derive_seed(seed, r, 0, j))
-                for j in range(n_chunks)]
-        x = nd.stack_along(cols, axis=2)
-        c = x.shape[1]
-        rows = [transformer_stack(nd.take_index(x, 1, p),
-                                  params.inter_stacks[r], params.inter_spec,
-                                  seed=derive_seed(seed, r, 1, p))
-                for p in range(c)]
-        x = nd.stack_along(rows, axis=1)
+        x = _stack_over(nd.permute(x, (0, 2, 1)), params.intra_stacks[r],
+                        params.intra_spec, seed, r, 0)    # (F, Nc, C)
+        x = _stack_over(nd.permute(x, (0, 2, 1)), params.inter_stacks[r],
+                        params.inter_spec, seed, r, 1)    # (F, C, Nc)
     return ChunkTensor(x, chunks.original_length, chunks.chunk_size)

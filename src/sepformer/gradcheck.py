@@ -126,9 +126,6 @@ def _ndkernel_suite():
                          (3, 2), (3, 3)),
         "slice_rows": unary(lambda x: nd.slice_rows(x, 1, 3), r, 4, 3),
         "slice_cols": unary(lambda x: nd.slice_cols(x, 1, 4), r, 3, 5),
-        "take_index": unary(lambda x: nd.take_index(x, 1, 2), r, 2, 4, 3),
-        "stack_along": binary(lambda a, b: nd.stack_along([a, b], axis=1),
-                              (3, 4), (3, 4)),
         "gather_cols": unary(lambda x: nd.gather_cols(x, idx_g)),
         "scatter_cols": unary(lambda x: nd.scatter_cols(x, idx_s, 6),
                               r, 3, 3),

@@ -30,7 +30,7 @@ __all__ = [
     "set_debug_checks", "track_memory", "AllocationArena",
     "record_macs", "MacCounter", "DIFFERENTIABLE_OPS",
     "matmul", "bmm", "transpose", "permute", "reshape", "concat",
-    "slice_rows", "slice_cols", "take_index", "stack_along",
+    "slice_rows", "slice_cols",
     "gather_cols", "scatter_cols", "pad_cols", "frame", "overlap_sum",
     "add", "add_bias", "add_scalar", "sub", "neg", "mul", "divide",
     "scale", "scale_by", "scale_cols", "relu", "prelu", "exp", "log",
@@ -238,7 +238,7 @@ def as_tensor(x):
 # suite must cover each exactly once.
 DIFFERENTIABLE_OPS = (
     "matmul", "bmm", "transpose", "permute", "reshape", "concat",
-    "slice_rows", "slice_cols", "take_index", "stack_along",
+    "slice_rows", "slice_cols",
     "gather_cols", "scatter_cols", "pad_cols", "frame", "overlap_sum",
     "add", "add_bias", "add_scalar", "sub", "neg", "mul", "divide",
     "scale", "scale_by", "scale_cols", "relu", "prelu", "exp", "log",
@@ -362,35 +362,6 @@ def slice_cols(x, start, stop):
     return out
 
 
-def take_index(x, axis, index):
-    """Select one index along ``axis``, dropping that axis."""
-    x = as_tensor(x)
-    shape = x.shape
-    out = Tensor(np.ascontiguousarray(np.take(x.data, index, axis=axis)))
-    sel = tuple(index if i == axis else slice(None) for i in range(len(shape)))
-
-    def backward(g):
-        gx = np.zeros(shape)
-        gx[sel] = g
-        return (gx,)
-
-    _record(out, (x,), backward)
-    return out
-
-
-def stack_along(tensors, axis):
-    """Stack equal-shape tensors along a new axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
-
-    def backward(g):
-        return tuple(np.ascontiguousarray(np.take(g, i, axis=axis))
-                     for i in range(len(tensors)))
-
-    _record(out, tuple(tensors), backward)
-    return out
-
-
 def gather_cols(x, idx):
     """Select columns by index array; duplicates allowed."""
     x = as_tensor(x)
@@ -439,6 +410,33 @@ def pad_cols(x, before, after):
     return out
 
 
+def _frames(x, size, hop):
+    """(F, T) -> contiguous (F, size, n) windows starting every ``hop``."""
+    view = np.lib.stride_tricks.sliding_window_view(x, size, axis=1)
+    return np.ascontiguousarray(view[:, ::hop].transpose(0, 2, 1))
+
+
+def _overlap_frames(x, hop, length):
+    """Sum (F, size, n) windows at their hop offsets into (F, length).
+
+    Each window is cut into hop-wide pieces (the last one zero-filled), and
+    piece q of window j lands on hop block j + q. Adding the pieces from
+    the last to the first gives every position its windows in increasing
+    order, the order of a loop over windows.
+    """
+    f, size, n = x.shape
+    r = -(-size // hop)
+    pieces = x
+    if r * hop != size:
+        pieces = np.zeros((f, r * hop, n))
+        pieces[:, :size] = x
+    pieces = pieces.reshape(f, r, hop, n)
+    blocks = np.zeros((f, n + r - 1, hop))
+    for q in reversed(range(r)):
+        blocks[:, q:q + n] += pieces[:, q].transpose(0, 2, 1)
+    return blocks.reshape(f, -1)[:, :length]
+
+
 def frame(x, size, hop):
     """Split (F,T) into overlapping windows -> (F, size, n_frames).
 
@@ -449,19 +447,8 @@ def frame(x, size, hop):
     if t < size or (t - size) % hop != 0:
         raise ShapeError("cannot frame length %d into size %d hop %d"
                          % (t, size, hop))
-    n = 1 + (t - size) // hop
-    buf = np.empty((f, size, n))
-    for j in range(n):
-        buf[:, :, j] = x.data[:, j * hop:j * hop + size]
-    out = Tensor(buf)
-
-    def backward(g):
-        gx = np.zeros((f, t))
-        for j in range(n):
-            gx[:, j * hop:j * hop + size] += g[:, :, j]
-        return (gx,)
-
-    _record(out, (x,), backward)
+    out = Tensor(_frames(x.data, size, hop))
+    _record(out, (x,), lambda g: (_overlap_frames(g, hop, t),))
     return out
 
 
@@ -475,18 +462,8 @@ def overlap_sum(x, hop, length):
     if length != size + (n - 1) * hop:
         raise ShapeError("overlap_sum length %d inconsistent with "
                          "size %d hop %d frames %d" % (length, size, hop, n))
-    buf = np.zeros((f, length))
-    for j in range(n):
-        buf[:, j * hop:j * hop + size] += x.data[:, :, j]
-    out = Tensor(buf)
-
-    def backward(g):
-        gx = np.empty((f, size, n))
-        for j in range(n):
-            gx[:, :, j] = g[:, j * hop:j * hop + size]
-        return (gx,)
-
-    _record(out, (x,), backward)
+    out = Tensor(_overlap_frames(x.data, hop, length))
+    _record(out, (x,), lambda g: (_frames(g, size, hop),))
     return out
 
 

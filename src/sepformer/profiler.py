@@ -16,6 +16,8 @@ matmul-like ops count, matching the instrumented counter in ndkernel):
         attention cores         see attention_core_macs (per variant)
         feed-forward            2 * F*d_ff*L
     dual path, per repeat       intra_layers*Nc*layer(C) + inter_layers*C*layer(Nc)
+                                (the Nc chunks and the C offsets run as
+                                batched groups; grouping adds no MACs)
     no chunking, per repeat     intra_layers*layer(T')
     masknet output linear       (Ns*F)*F*positions
     mask feed-forward pair      Ns * 2 * F*F*T'
@@ -83,10 +85,11 @@ class MacsBreakdown:
             + self.ffw
 
 
-def _layer_macs(spec, feat_dim, ffw_dim, length, out):
-    out.projection += projection_macs(spec, feat_dim, length)
-    out.attention += attention_core_macs(spec, length)
-    out.ffw += 2 * feat_dim * ffw_dim * length
+def _add_layers(out, count, spec, feat_dim, ffw_dim, length):
+    """Add ``count`` layer passes over one length-``length`` sequence."""
+    out.projection += count * projection_macs(spec, feat_dim, length)
+    out.attention += count * attention_core_macs(spec, length)
+    out.ffw += count * 2 * feat_dim * ffw_dim * length
 
 
 def count_macs_detailed(cfg, n_samples):
@@ -100,19 +103,14 @@ def count_macs_detailed(cfg, n_samples):
         c = cfg.chunk_size
         _, n_chunks = padded_chunk_geometry(tp, c)
         positions = c * n_chunks
-        for _ in range(cfg.n_repeats):
-            for _ in range(cfg.intra_layers):
-                for _ in range(n_chunks):
-                    _layer_macs(cfg.intra_attention, f, cfg.ffw_dim, c, out)
-            for _ in range(cfg.inter_layers):
-                for _ in range(c):
-                    _layer_macs(cfg.inter_attention, f, cfg.ffw_dim,
-                                n_chunks, out)
+        _add_layers(out, cfg.n_repeats * cfg.intra_layers * n_chunks,
+                    cfg.intra_attention, f, cfg.ffw_dim, c)
+        _add_layers(out, cfg.n_repeats * cfg.inter_layers * c,
+                    cfg.inter_attention, f, cfg.ffw_dim, n_chunks)
     else:
         positions = tp
-        for _ in range(cfg.n_repeats):
-            for _ in range(cfg.intra_layers):
-                _layer_macs(cfg.intra_attention, f, cfg.ffw_dim, tp, out)
+        _add_layers(out, cfg.n_repeats * cfg.intra_layers,
+                    cfg.intra_attention, f, cfg.ffw_dim, tp)
     out.linear += (cfg.n_sources * f) * f * positions        # output linear
     out.linear += cfg.n_sources * 2 * f * f * tp             # mask ffw pair
     out.conv += cfg.n_sources * f * cfg.kernel_size * tp     # decoder

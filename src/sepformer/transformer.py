@@ -12,7 +12,9 @@ layer plus an outer residual around the whole stack,
 
     stack(z) = layers(z + e) + z.
 
-No final normalization after the stack, no dropout.
+No final normalization after the stack, no dropout. Layer and stack also
+take an (F, B, L) batch of B independent length-L sequences, the form the
+dual path feeds them.
 """
 
 from __future__ import annotations
@@ -103,9 +105,19 @@ def init_transformer_stack(spec, feat_dim, ffw_dim, depth, rng,
     return TransformerStackParams(layers, use_positional_encoding)
 
 
-def transformer_layer(z, params, spec, seed=0, internals=None):
-    """One encoder layer on an (F, T) map; features normalized per position.
+def _layer_seed(seed, index):
+    if np.ndim(seed) == 0:
+        return derive_seed(seed, index)
+    return [derive_seed(s, index) for s in seed]
 
+
+def transformer_layer(z, params, spec, seed=0, internals=None):
+    """One encoder layer on an (F, T) map or on an (F, B, L) batch of B
+    independent length-L sequences; features normalized per position.
+
+    Norms, projections, feed-forward and residuals run once over all
+    positions; only the attention cores see sequence boundaries. ``seed``
+    is an int or one per sequence (it only matters for the reformer).
     When ``internals`` is a dict it receives the attention branch output
     and the feed-forward branch output, so the residual wiring can be
     audited bit-for-bit: out == ffw_branch + attn_branch + input.
@@ -117,9 +129,13 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
     res = nd.add(mid, z)
     ln2 = nd.layer_norm(res, params.ln2_gain, params.ln2_bias,
                         eps=LAYER_NORM_EPS, axis=0)
+    if ln2.data.ndim == 3:
+        ln2 = nd.reshape(ln2, (ln2.shape[0], -1))        # (F, B*L)
     hid = nd.relu(nd.add_bias(nd.matmul(nd.transpose(params.w1), ln2),
                               params.b1))
     ffw = nd.add_bias(nd.matmul(nd.transpose(params.w2), hid), params.b2)
+    if ffw.shape != z.shape:
+        ffw = nd.reshape(ffw, z.shape)
     out = nd.add(nd.add(ffw, mid), z)
     if internals is not None:
         internals["attn_branch"] = mid
@@ -128,12 +144,21 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
 
 
 def transformer_stack(z, params, spec, seed=0):
-    """K layers with a single position-table injection and outer residual."""
+    """K layers with a single position-table injection and outer residual.
+
+    ``z`` is one (F, T) map or an (F, B, L) batch of B independent
+    length-L sequences, each given positions 0..L-1. ``seed`` is an int or
+    one per sequence; layer i of a sequence with seed s uses
+    ``derive_seed(s, i)``.
+    """
     z = nd.as_tensor(z)
-    feat, length = z.shape
+    feat, length = z.shape[0], z.shape[-1]
     x = z
     if params.use_positional_encoding:
-        x = nd.add(z, nd.transpose(positional_encoding(length, feat)))
+        table = positional_encoding(length, feat).data.T
+        if z.data.ndim == 3:
+            table = table[:, None, :]
+        x = nd.add(z, Tensor(np.broadcast_to(table, z.shape)))
     for i, layer in enumerate(params.layers):
-        x = transformer_layer(x, layer, spec, seed=derive_seed(seed, i))
+        x = transformer_layer(x, layer, spec, seed=_layer_seed(seed, i))
     return nd.add(x, z)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from sepformer.attention import AttentionSpec, positional_encoding
+from sepformer import dualpath
+from sepformer.attention import (AttentionSpec, derive_seed,
+                                 positional_encoding)
 from sepformer.dualpath import (ChunkTensor, InvalidChunkSizeError, chunk,
                                 init_sepformer_block, overlap_add,
                                 padded_chunk_geometry, sepformer_block)
 from sepformer.ndkernel import Tensor
+from sepformer.transformer import transformer_stack
 
 
 def zero_stacks(stacks):
@@ -15,10 +18,12 @@ def zero_stacks(stacks):
 
 
 def make_block(intra_variant="full", inter_variant="full", feat=6,
-               ffw=8, repeats=1, intra_layers=1, inter_layers=1, seed=0):
-    kwargs = {"longformer": dict(window=3, global_stride=None),
-              "linformer": dict(proj_len=4, max_len=64),
-              "reformer": dict(n_buckets=4, n_rounds=1, bucket_chunk=4)}
+               ffw=8, repeats=1, intra_layers=1, inter_layers=1, seed=0,
+               kwargs=None):
+    kwargs = kwargs or {"longformer": dict(window=3, global_stride=None),
+                        "linformer": dict(proj_len=4, max_len=64),
+                        "reformer": dict(n_buckets=4, n_rounds=1,
+                                         bucket_chunk=4)}
     intra = AttentionSpec(intra_variant, heads=2, d_model=feat,
                           **kwargs.get(intra_variant, {}))
     inter = AttentionSpec(inter_variant, heads=2, d_model=feat,
@@ -165,3 +170,57 @@ class TestSepformerBlock:
         out_a = sepformer_block(x, params, seed=5).data.data
         out_b = sepformer_block(x, params, seed=5).data.data
         np.testing.assert_array_equal(out_a, out_b)
+
+
+def per_chunk_reference(chunks, params, seed):
+    """The dual path one sequence at a time: a 2-D stack call per chunk,
+    then one per within-chunk offset, each with its own derived seed."""
+    x = chunks.data.data
+    for r in range(params.n_repeats):
+        x = np.stack([transformer_stack(
+            Tensor(x[:, :, j]), params.intra_stacks[r], params.intra_spec,
+            seed=derive_seed(seed, r, 0, j)).data
+            for j in range(x.shape[2])], axis=2)
+        x = np.stack([transformer_stack(
+            Tensor(x[:, p, :]), params.inter_stacks[r], params.inter_spec,
+            seed=derive_seed(seed, r, 1, p)).data
+            for p in range(x.shape[1])], axis=1)
+    return x
+
+
+class TestBatchedMatchesPerChunk:
+    # every variant once as intra and once as inter
+    PAIRS = [("full", "longformer"), ("longformer", "linformer"),
+             ("linformer", "reformer"), ("reformer", "full")]
+    KWARGS = {"longformer": dict(window=5, global_stride=7),
+              "linformer": dict(proj_len=4, max_len=256),
+              "reformer": dict(n_buckets=4, n_rounds=2, bucket_chunk=4)}
+    # (T', C): 3 chunks of 8, one group per axis; 34 chunks of 64, whose
+    # 2,176 positions the group bound splits on both axes
+    INPUTS = [(20, 8), (1100, 64)]
+
+    @pytest.mark.parametrize("intra,inter", PAIRS)
+    @pytest.mark.parametrize("length,size", INPUTS)
+    def test_matches_per_chunk_loop(self, monkeypatch, intra, inter,
+                                    length, size):
+        params = make_block(intra, inter, repeats=2, kwargs=self.KWARGS)
+        x = np.random.default_rng(length).standard_normal((6, length))
+        chunks = chunk(Tensor(x), size)
+        bound = dualpath._GROUP_POSITIONS
+        groups = []
+
+        def counting_stack(z, stack, spec, seed=0):
+            groups.append(z.shape[1])
+            return transformer_stack(z, stack, spec, seed=seed)
+
+        monkeypatch.setattr(dualpath, "transformer_stack", counting_stack)
+        out = sepformer_block(chunks, params, seed=11).data.data
+        expected = per_chunk_reference(chunks, params, seed=11)
+        scale = np.abs(expected).max()
+        assert np.abs(out - expected).max() <= 1e-9 * scale
+        n_chunks = chunks.n_chunks
+        intra_groups = -(-n_chunks // (bound // size))
+        inter_groups = -(-size // (bound // n_chunks))
+        assert len(groups) == 2 * (intra_groups + inter_groups)
+        split = intra_groups > 1 and inter_groups > 1
+        assert split == (size * n_chunks > bound)

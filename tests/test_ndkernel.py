@@ -221,6 +221,57 @@ class TestFrameOverlap:
             nd.frame(Tensor(np.zeros((2, 9))), 4, 2)
 
 
+def loop_frame(x, size, hop):
+    """Reference: one window per loop step."""
+    f, t = x.shape
+    n = 1 + (t - size) // hop
+    buf = np.empty((f, size, n))
+    for j in range(n):
+        buf[:, :, j] = x[:, j * hop:j * hop + size]
+    return buf
+
+
+def loop_overlap_sum(x, hop, length):
+    """Reference: windows added one at a time, in window order."""
+    f, size, n = x.shape
+    buf = np.zeros((f, length))
+    for j in range(n):
+        buf[:, j * hop:j * hop + size] += x[:, :, j]
+    return buf
+
+
+class TestFramingMatchesLoops:
+    # (size, hop): chunking (hop = size/2), longformer bands (hop 1), a hop
+    # that does not divide the window, a hop wider than the window
+    GEOMETRIES = [(8, 4), (250, 125), (5, 1), (101, 1), (6, 4), (3, 5),
+                  (4, 4), (7, 7)]
+
+    @pytest.mark.parametrize("size,hop", GEOMETRIES)
+    def test_forward_and_backward_equal_loops_exactly(self, rng, size, hop):
+        # both vectorized ops add each position's windows in window order,
+        # so the sums match the loops bit for bit
+        for n in (1, 2, 9):
+            length = size + (n - 1) * hop
+            x = rng.standard_normal((3, length))
+            frames = rng.standard_normal((3, size, n))
+            g_frames = rng.standard_normal((3, size, n))
+            g_signal = rng.standard_normal((3, length))
+            with Tape() as tape:
+                xt, ft = Tensor(x), Tensor(frames)
+                framed = nd.frame(xt, size, hop)
+                summed = nd.overlap_sum(ft, hop, length)
+                loss = nd.add(nd.dot(framed, Tensor(g_frames)),
+                              nd.dot(summed, Tensor(g_signal)))
+                gx, gf = tape.gradient(loss, [xt, ft])
+            np.testing.assert_array_equal(framed.data,
+                                          loop_frame(x, size, hop))
+            np.testing.assert_array_equal(
+                summed.data, loop_overlap_sum(frames, hop, length))
+            np.testing.assert_array_equal(
+                gx, loop_overlap_sum(g_frames, hop, length))
+            np.testing.assert_array_equal(gf, loop_frame(g_signal, size, hop))
+
+
 def test_full_op_gradient_suite_under_tolerance():
     results = run_suite("ndkernel")
     assert len(results) == len(nd.DIFFERENTIABLE_OPS)

@@ -41,6 +41,10 @@ class TestAnalyticalVsInstrumented:
         ("longformer", 8, 131), ("longformer", None, 88),
         ("linformer", 10, 144), ("reformer", 6, 100),
         ("reformer", None, 157),
+        # T' = 599 in 149 chunks of 8: 1,192 positions, more than one
+        # batched group holds, so both the intra and the inter stacks run
+        # in several groups
+        ("full", 8, 1200), ("reformer", 8, 1200),
     ]
 
     @pytest.mark.parametrize("variant,chunk,samples", CASES)
