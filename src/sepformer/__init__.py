@@ -2,8 +2,7 @@
 efficient self-attention (full, sliding-window/global, low-rank projected,
 and LSH-bucketed), plus the cost profiler that checks their complexity."""
 
-from .attention import (AttentionSpec, AttentionWeights,
-                        SequenceTooLongError, full_attention,
+from .attention import (AttentionSpec, SequenceTooLongError, full_attention,
                         linformer_attention, longformer_attention,
                         multi_head_dispatch, positional_encoding,
                         reformer_attention)

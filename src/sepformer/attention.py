@@ -23,19 +23,20 @@ Variants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import ndkernel as nd
 from .ndkernel import Tensor
+from .params import Params, uniform
 
 __all__ = [
-    "VARIANTS", "AttentionSpec", "AttentionWeights", "SequenceTooLongError",
+    "VARIANTS", "AttentionSpec", "FieldError", "SequenceTooLongError",
     "positional_encoding", "multi_head_dispatch", "full_attention",
     "longformer_attention", "linformer_attention", "reformer_attention",
-    "init_attention_weights", "hash_buckets", "longformer_allowed",
-    "attention_core_macs", "derive_seed",
+    "attention_tensors", "init_attention_weights", "hash_buckets",
+    "longformer_allowed", "attention_core_macs", "derive_seed",
 ]
 
 VARIANTS = ("full", "longformer", "linformer", "reformer")
@@ -49,6 +50,15 @@ _SOFT_MASK = -1e5
 
 class SequenceTooLongError(ValueError):
     """Input longer than the projection length the weights were built for."""
+
+
+class FieldError(ValueError):
+    """A configuration field holds a value outside its range; ``field``
+    names it and ``reason`` says what it must be."""
+
+    def __init__(self, field, reason):
+        super().__init__("%s %s" % (field, reason))
+        self.field, self.reason = field, reason
 
 
 @dataclass(frozen=True)
@@ -74,79 +84,48 @@ class AttentionSpec:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError("unknown attention variant %r" % (self.variant,))
-        if self.heads < 1 or self.d_model < 1:
-            raise ValueError("heads and d_model must be positive")
-        if self.d_model % self.heads != 0:
-            raise ValueError("d_model %d not divisible by heads %d"
+            raise FieldError("variant", "must be one of %s, got %r"
+                             % (", ".join(VARIANTS), self.variant))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, int) and value < 1:
+                raise FieldError(f.name, "must be >= 1, got %d" % value)
+        if self.d_model % self.heads:
+            raise FieldError("heads", "must divide the model width %d, got %d"
                              % (self.d_model, self.heads))
-        if self.variant == "longformer":
-            if self.window < 1 or self.window % 2 == 0:
-                raise ValueError("window must be odd and positive, got %d"
-                                 % self.window)
-            if self.global_stride is not None and self.global_stride < 1:
-                raise ValueError("global_stride must be positive or None")
-        if self.variant == "linformer":
-            if not (1 <= self.proj_len <= self.max_len):
-                raise ValueError("need 1 <= proj_len <= max_len, got %d > %d"
-                                 % (self.proj_len, self.max_len))
-        if self.variant == "reformer":
-            nb = self.n_buckets
-            if nb < 2 or (nb & (nb - 1)) != 0:
-                raise ValueError("n_buckets must be a power of two >= 2")
-            if self.n_rounds < 1 or self.bucket_chunk < 1:
-                raise ValueError("n_rounds and bucket_chunk must be positive")
+        if self.window % 2 == 0:
+            raise FieldError("window", "must be odd, got %d" % self.window)
+        if self.proj_len > self.max_len:
+            raise FieldError("proj_len", "must be <= max_len %d, got %d"
+                             % (self.max_len, self.proj_len))
+        if self.n_buckets < 2 or self.n_buckets & (self.n_buckets - 1):
+            raise FieldError("n_buckets", "must be a power of two >= 2, "
+                             "got %d" % self.n_buckets)
 
     @property
     def d_head(self):
         return self.d_model // self.heads
 
 
-@dataclass
-class AttentionWeights:
-    """Projection matrices for one multi-head attention instance.
+def attention_tensors(spec, feat_dim):
+    """One attention's projections as (name, shape, init), in draw order.
 
-    ``wk`` is absent for the reformer (shared-QK: keys are the queries
-    normalized to unit length); ``proj_p``/``proj_f`` exist only for the
-    linformer.
+    The reformer has no ``wk`` (shared-QK: keys are the queries normalized
+    to unit length); only the linformer has ``proj_p``/``proj_f``.
     """
-
-    wq: Tensor
-    wv: Tensor
-    wo: Tensor
-    wk: Tensor | None = None
-    proj_p: Tensor | None = None
-    proj_f: Tensor | None = None
-
-    def named(self, prefix):
-        out = {prefix + ".wq": self.wq, prefix + ".wv": self.wv,
-               prefix + ".wo": self.wo}
-        if self.wk is not None:
-            out[prefix + ".wk"] = self.wk
-        if self.proj_p is not None:
-            out[prefix + ".proj_p"] = self.proj_p
-            out[prefix + ".proj_f"] = self.proj_f
-        return out
-
-
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape))
+    d = spec.d_model
+    yield "wq", (d, feat_dim), uniform(feat_dim)
+    yield "wv", (d, feat_dim), uniform(feat_dim)
+    yield "wo", (d, d), uniform(d)
+    if spec.variant != "reformer":
+        yield "wk", (d, feat_dim), uniform(feat_dim)
+    if spec.variant == "linformer":
+        yield "proj_p", (spec.max_len, spec.proj_len), uniform(spec.max_len)
+        yield "proj_f", (spec.max_len, spec.proj_len), uniform(spec.max_len)
 
 
 def init_attention_weights(spec, feat_dim, rng):
-    d = spec.d_model
-    w = AttentionWeights(
-        wq=_uniform(rng, (d, feat_dim), feat_dim),
-        wv=_uniform(rng, (d, feat_dim), feat_dim),
-        wo=_uniform(rng, (d, d), d),
-    )
-    if spec.variant != "reformer":
-        w.wk = _uniform(rng, (d, feat_dim), feat_dim)
-    if spec.variant == "linformer":
-        w.proj_p = _uniform(rng, (spec.max_len, spec.proj_len), spec.max_len)
-        w.proj_f = _uniform(rng, (spec.max_len, spec.proj_len), spec.max_len)
-    return w
+    return Params(attention_tensors(spec, feat_dim), rng)
 
 
 def derive_seed(base, *indices):
@@ -472,7 +451,8 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
 
     q = nd.matmul(weights.wq, flat)
     v = nd.matmul(weights.wv, flat)
-    k = nd.matmul(weights.wk, flat) if weights.wk is not None else None
+    wk = getattr(weights, "wk", None)
+    k = nd.matmul(wk, flat) if wk is not None else None
 
     masks = None
     if spec.variant == "longformer":

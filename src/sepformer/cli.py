@@ -8,25 +8,28 @@ Subcommands:
 * ``gradcheck`` -- finite-difference audit of the gradient machinery
 
 Configuration is a flat key=value file (UTF-8, ``#`` comments); precedence
-is flag > file > built-in defaults. Exit codes: 0 success, 1 usage or
+is flag > file > built-in defaults. Each key sets a field of
+``SepformerConfig`` or ``AttentionSpec`` (whose defaults are the built-in
+ones) or a run option, and every key is range-checked: a bad value exits 1
+with a message naming the key. Checkpoints store the config as one
+``key=value`` line per dataclass field. Exit codes: 0 success, 1 usage or
 configuration error, 2 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
-import numpy as np
-
-from .attention import AttentionSpec, SequenceTooLongError
+from .attention import AttentionSpec, FieldError, SequenceTooLongError
 from .datagen import MixSpec, Signal, WavFormatError, dynamic_mix, \
     synth_sources, wav_read, wav_write
 from .gradcheck import TOLERANCE, run_suite
 from .model import CheckpointError, Sepformer, SepformerConfig, \
-    load_checkpoint, save_checkpoint
+    load_checkpoint, parse_field, save_checkpoint
 from .objectives import TrainingDivergedError, si_snr_improvement, \
     train_toy, write_trace
 from .profiler import bench_baseline, bench_forward, render_csv, \
@@ -49,17 +52,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError("%s: %s" % (self.prog, message))
 
 
-# Built-in full-size defaults; the shipped toy.cfg mirrors TOY_DEFAULTS.
-PAPER_DEFAULTS = {
-    "filters": "256", "kernel": "16", "stride": "8", "chunk": "250",
-    "repeats": "2", "intra_layers": "8", "inter_layers": "8", "heads": "8",
-    "ffw": "1024", "sources": "2", "sample_rate": "8000",
-    "attention": "full", "inter_attention": "same",
-    "window": "101", "global_stride": "100", "proj_len": "128",
-    "max_len": "8000", "n_buckets": "16", "n_rounds": "2",
-    "bucket_chunk": "64",
-    "seed": "0", "lr": "0.00015", "steps": "2000", "duration": "1.0",
+# Each config key that sets a dataclass field -> that field. "spec." fields
+# go to the intra attention spec, and to the inter one when
+# inter_attention=same; every spec takes heads and d_model from n_heads and
+# n_filters. Defaults are the dataclass defaults.
+_FIELD_KEYS = {
+    "filters": "n_filters", "kernel": "kernel_size", "stride": "stride",
+    "chunk": "chunk_size", "repeats": "n_repeats",
+    "intra_layers": "intra_layers", "inter_layers": "inter_layers",
+    "heads": "n_heads", "ffw": "ffw_dim", "sources": "n_sources",
+    "sample_rate": "sample_rate", "attention": "spec.variant",
+    "window": "spec.window", "global_stride": "spec.global_stride",
+    "proj_len": "spec.proj_len", "max_len": "spec.max_len",
+    "n_buckets": "spec.n_buckets", "n_rounds": "spec.n_rounds",
+    "bucket_chunk": "spec.bucket_chunk",
 }
+# Run options: key -> (type, default). Integers must be >= 0, numbers
+# positive and finite.
+_RUN_KEYS = {"seed": (int, "0"), "lr": (float, "0.00015"),
+             "steps": (int, "2000"), "duration": (float, "1.0")}
+
+_FIELDS = {**{f.name: f for f in fields(SepformerConfig)},
+           **{"spec." + f.name: f for f in fields(AttentionSpec)}}
+# field name -> config key; config and spec field names are disjoint
+_KEY_OF = {target.rpartition(".")[2]: key
+           for key, target in _FIELD_KEYS.items()}
+_KEY_OF.update(heads="heads", d_model="filters")
+
+# Built-in full-size defaults; the shipped toy.cfg mirrors TOY_DEFAULTS.
+PAPER_DEFAULTS = {key: str(_FIELDS[target].default)
+                  for key, target in _FIELD_KEYS.items()}
+PAPER_DEFAULTS["inter_attention"] = "same"
+PAPER_DEFAULTS.update((key, default) for key, (_, default)
+                      in _RUN_KEYS.items())
 
 TOY_DEFAULTS = dict(PAPER_DEFAULTS)
 TOY_DEFAULTS.update({
@@ -69,12 +94,6 @@ TOY_DEFAULTS.update({
 })
 
 _KNOWN_KEYS = frozenset(PAPER_DEFAULTS)
-_VARIANT_KEYS = {
-    "window": ("window", int), "global_stride": ("global_stride", "intnone"),
-    "proj_len": ("proj_len", int), "max_len": ("max_len", int),
-    "n_buckets": ("n_buckets", int), "n_rounds": ("n_rounds", int),
-    "bucket_chunk": ("bucket_chunk", int),
-}
 
 
 def parse_config_file(path):
@@ -97,66 +116,48 @@ def parse_config_file(path):
     return values
 
 
-def _int_or_none(text, key):
-    if text.lower() == "none":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError("key %r wants an integer or 'none', got %r"
-                          % (key, text)) from None
+def _run_options(values):
+    run = {}
+    for key, (kind, _) in _RUN_KEYS.items():
+        try:
+            value = kind(values[key])
+        except ValueError:
+            value = None
+        if value is None or not (value >= 0 if kind is int
+                                 else 0 < value < math.inf):
+            raise ConfigError("key %r wants %s, got %r" % (
+                key, "an integer >= 0" if kind is int
+                else "a positive finite number", values[key]))
+        run[key] = value
+    return run
 
 
 def build_run_config(values):
     """Merged key=value strings -> (SepformerConfig, run options dict)."""
-    def geti(key):
+    cfg_kwargs, spec_kwargs = {}, {}
+    for key, target in _FIELD_KEYS.items():
+        owner, _, name = target.rpartition(".")
         try:
-            return int(values[key])
-        except ValueError:
-            raise ConfigError("key %r wants an integer, got %r"
-                              % (key, values[key])) from None
-
-    def getf(key):
-        try:
-            return float(values[key])
-        except ValueError:
-            raise ConfigError("key %r wants a number, got %r"
-                              % (key, values[key])) from None
-
-    heads, filters = geti("heads"), geti("filters")
-    spec_kwargs = {"heads": heads, "d_model": filters}
-    for key, (attr, kind) in _VARIANT_KEYS.items():
-        spec_kwargs[attr] = (_int_or_none(values[key], key)
-                             if kind == "intnone" else int(values[key]))
-    variant = values["attention"]
-    try:
-        intra = AttentionSpec(variant, **spec_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+            value = parse_field(_FIELDS[target], values[key])
+        except FieldError as exc:
+            raise ConfigError("key %r %s" % (key, exc.reason)) from None
+        (spec_kwargs if owner else cfg_kwargs)[name] = value
+    spec_kwargs.update(heads=cfg_kwargs["n_heads"],
+                       d_model=cfg_kwargs["n_filters"])
     inter_mode = values["inter_attention"]
-    if inter_mode == "same":
-        inter = replace(intra)
-    elif inter_mode == "full":
-        inter = AttentionSpec("full", heads=heads, d_model=filters)
-    else:
-        raise ConfigError("inter_attention must be 'same' or 'full', got %r"
-                          % inter_mode)
+    if inter_mode not in ("same", "full"):
+        raise ConfigError("key 'inter_attention' must be 'same' or 'full', "
+                          "got %r" % inter_mode)
     try:
-        cfg = SepformerConfig(
-            n_filters=filters, kernel_size=geti("kernel"),
-            stride=geti("stride"),
-            chunk_size=_int_or_none(values["chunk"], "chunk"),
-            n_repeats=geti("repeats"), intra_layers=geti("intra_layers"),
-            inter_layers=geti("inter_layers"), n_heads=heads,
-            ffw_dim=geti("ffw"), n_sources=geti("sources"),
-            sample_rate=geti("sample_rate"),
-            intra_attention=intra, inter_attention=inter,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    run = {"seed": geti("seed"), "lr": getf("lr"), "steps": geti("steps"),
-           "duration": getf("duration")}
-    return cfg, run
+        intra = AttentionSpec(**spec_kwargs)
+        inter = intra if inter_mode == "same" else AttentionSpec(
+            "full", heads=intra.heads, d_model=intra.d_model)
+        cfg = SepformerConfig(**cfg_kwargs, intra_attention=intra,
+                              inter_attention=inter)
+    except FieldError as exc:
+        raise ConfigError("key %r %s" % (_KEY_OF.get(exc.field, exc.field),
+                                         exc.reason)) from None
+    return cfg, _run_options(values)
 
 
 def _merge(defaults, config_path, flag_values):

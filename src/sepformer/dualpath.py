@@ -13,19 +13,20 @@ chunk -> overlap_add an exact identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ndkernel as nd
 from .attention import AttentionSpec, derive_seed
 from .ndkernel import Tensor
-from .transformer import init_transformer_stack, transformer_stack
+from .params import Params
+from .transformer import stack_tensors, transformer_stack
 
 __all__ = [
     "ChunkTensor", "InvalidChunkSizeError", "chunk", "overlap_add",
-    "SepformerBlockParams", "init_sepformer_block", "sepformer_block",
-    "padded_chunk_geometry",
+    "SepformerBlockParams", "block_tensors", "block_params",
+    "init_sepformer_block", "sepformer_block", "padded_chunk_geometry",
 ]
 
 # Most positions one batched stack call holds. Sequences are grouped up to
@@ -108,32 +109,39 @@ class SepformerBlockParams:
 
     intra_spec: AttentionSpec
     inter_spec: AttentionSpec
-    intra_stacks: list = field(default_factory=list)
-    inter_stacks: list = field(default_factory=list)
+    intra_stacks: list
+    inter_stacks: list
 
     @property
     def n_repeats(self):
         return len(self.intra_stacks)
 
-    def named(self, prefix):
-        out = {}
-        for r in range(self.n_repeats):
-            out.update(self.intra_stacks[r].named(
-                "%s.rep%d.intra" % (prefix, r)))
-            out.update(self.inter_stacks[r].named(
-                "%s.rep%d.inter" % (prefix, r)))
-        return out
+
+def block_tensors(intra_spec, inter_spec, feat_dim, ffw_dim, n_repeats,
+                  intra_layers, inter_layers):
+    """The block's stacks as entries in draw order: every repeat's intra
+    stack, then every repeat's inter stack (none when ``inter_spec`` is
+    None, as on the unchunked path)."""
+    axes = [("intra", intra_spec, intra_layers)]
+    if inter_spec is not None:
+        axes.append(("inter", inter_spec, inter_layers))
+    return [("rep%d.%s" % (r, axis),
+             stack_tensors(spec, feat_dim, ffw_dim, depth))
+            for axis, spec, depth in axes for r in range(n_repeats)]
+
+
+def block_params(params, intra_spec, inter_spec, n_repeats):
+    """The built :func:`block_tensors` stacks as a block."""
+    stacks = params.children
+    return SepformerBlockParams(intra_spec, inter_spec, stacks[:n_repeats],
+                                stacks[n_repeats:])
 
 
 def init_sepformer_block(intra_spec, inter_spec, feat_dim, ffw_dim,
                          n_repeats, intra_layers, inter_layers, rng):
-    intra = [init_transformer_stack(intra_spec, feat_dim, ffw_dim,
-                                    intra_layers, rng)
-             for _ in range(n_repeats)]
-    inter = [init_transformer_stack(inter_spec, feat_dim, ffw_dim,
-                                    inter_layers, rng)
-             for _ in range(n_repeats)]
-    return SepformerBlockParams(intra_spec, inter_spec, intra, inter)
+    built = Params(block_tensors(intra_spec, inter_spec, feat_dim, ffw_dim,
+                                 n_repeats, intra_layers, inter_layers), rng)
+    return block_params(built, intra_spec, inter_spec, n_repeats)
 
 
 def _stack_over(x, stack, spec, seed, repeat, axis):

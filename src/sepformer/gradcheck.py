@@ -186,7 +186,7 @@ def _attention_check(variant, **spec_kwargs):
         feat, length = 6, 11
         weights = init_attention_weights(spec, feat, rng)
         x = Tensor(rng.uniform(-1, 1, size=(feat, length)))
-        tensors = [x] + list(weights.named("w").values())
+        tensors = [x] + list(weights.parameters().values())
         return check_gradients(
             lambda: multi_head_dispatch(x, weights, spec, seed=7), tensors)
     return run
@@ -220,7 +220,7 @@ def _check_transformer_layer(rng):
     spec = AttentionSpec("full", heads=2, d_model=8)
     params = init_transformer_layer(spec, 8, 12, rng)
     x = Tensor(rng.uniform(-1, 1, size=(8, 6)))
-    tensors = [x] + list(params.named("p").values())
+    tensors = [x] + list(params.parameters().values())
     return check_gradients(lambda: transformer_layer(x, params, spec),
                            tensors)
 

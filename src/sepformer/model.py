@@ -17,22 +17,21 @@ from __future__ import annotations
 
 import io
 import struct
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import ndkernel as nd
-from .attention import AttentionSpec, derive_seed
-from .dualpath import ChunkTensor, chunk, init_sepformer_block, \
+from .attention import AttentionSpec, FieldError, derive_seed
+from .dualpath import ChunkTensor, block_params, block_tensors, chunk, \
     overlap_add, sepformer_block
-from .ndkernel import Tensor
-from .transformer import init_transformer_stack, transformer_stack
+from .params import ONES, ZEROS, Params, declared_shapes, fill, uniform
+from .transformer import transformer_stack
 
 __all__ = [
     "SepformerConfig", "Sepformer", "SeparationOutput", "CheckpointError",
-    "parameter_shapes", "parameter_census", "save_checkpoint",
-    "load_checkpoint", "encoded_length",
+    "parameter_tensors", "parameter_shapes", "parameter_census",
+    "parse_field", "save_checkpoint", "load_checkpoint", "encoded_length",
 ]
 
 CHECKPOINT_MAGIC = b"SPFK"
@@ -45,7 +44,12 @@ class CheckpointError(ValueError):
 
 @dataclass
 class SepformerConfig:
-    """Architecture hyperparameters; the defaults are the full-size model."""
+    """Architecture hyperparameters; the defaults are the full-size model.
+
+    The fields are the schema: the checkpoint writes one ``key=value``
+    line per field (attention spec fields under their ``prefix``), and
+    ``__post_init__`` range-checks each one.
+    """
 
     n_filters: int = 256
     kernel_size: int = 16
@@ -58,10 +62,20 @@ class SepformerConfig:
     ffw_dim: int = 1024
     n_sources: int = 2
     sample_rate: int = 8000
-    intra_attention: AttentionSpec | None = None
-    inter_attention: AttentionSpec | None = None
+    intra_attention: AttentionSpec | None = field(
+        default=None, metadata={"prefix": "intra"})
+    inter_attention: AttentionSpec | None = field(
+        default=None, metadata={"prefix": "inter"})
 
     def __post_init__(self):
+        if self.chunk_size is not None and (self.chunk_size < 2
+                                            or self.chunk_size % 2):
+            raise FieldError("chunk_size", "must be even and >= 2 (or none),"
+                             " got %d" % self.chunk_size)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, int) and value < 1:
+                raise FieldError(f.name, "must be >= 1, got %d" % value)
         if self.intra_attention is None:
             self.intra_attention = AttentionSpec(
                 "full", heads=self.n_heads, d_model=self.n_filters)
@@ -73,11 +87,6 @@ class SepformerConfig:
                 raise ValueError(
                     "%s attention d_model %d must equal n_filters %d"
                     % (name, spec.d_model, self.n_filters))
-        if self.n_sources < 1:
-            raise ValueError("n_sources must be >= 1")
-        if self.chunk_size is not None and (self.chunk_size < 2
-                                            or self.chunk_size % 2):
-            raise ValueError("chunk_size must be even and >= 2 (or None)")
 
 
 def encoded_length(cfg, n_samples):
@@ -96,62 +105,40 @@ class SeparationOutput:
 
 
 # ---------------------------------------------------------------------------
-# parameter bookkeeping
+# parameters
 
-def _attention_shapes(spec, feat_dim, prefix):
-    d = spec.d_model
-    yield prefix + ".wq", (d, feat_dim)
-    yield prefix + ".wv", (d, feat_dim)
-    yield prefix + ".wo", (d, d)
-    if spec.variant != "reformer":
-        yield prefix + ".wk", (d, feat_dim)
-    if spec.variant == "linformer":
-        yield prefix + ".proj_p", (spec.max_len, spec.proj_len)
-        yield prefix + ".proj_f", (spec.max_len, spec.proj_len)
-
-
-def _layer_shapes(spec, feat_dim, ffw_dim, prefix):
-    yield from _attention_shapes(spec, feat_dim, prefix + ".attn")
-    yield prefix + ".ln1.gain", (feat_dim,)
-    yield prefix + ".ln1.bias", (feat_dim,)
-    yield prefix + ".ln2.gain", (feat_dim,)
-    yield prefix + ".ln2.bias", (feat_dim,)
-    yield prefix + ".ffw.w1", (feat_dim, ffw_dim)
-    yield prefix + ".ffw.b1", (ffw_dim,)
-    yield prefix + ".ffw.w2", (ffw_dim, feat_dim)
-    yield prefix + ".ffw.b2", (feat_dim,)
+def _masknet_tensors(cfg):
+    f, ns = cfg.n_filters, cfg.n_sources
+    yield "norm.gain", (f,), ONES
+    yield "norm.bias", (f,), ZEROS
+    yield "input_linear.weight", (f, f), uniform(f)
+    yield "input_linear.bias", (f,), ZEROS
+    # unchunked, only the intra stacks run, directly on the sequence
+    inter = cfg.inter_attention if cfg.chunk_size is not None else None
+    yield "dual", block_tensors(cfg.intra_attention, inter, f, cfg.ffw_dim,
+                                cfg.n_repeats, cfg.intra_layers,
+                                cfg.inter_layers)
+    yield "prelu.slope", (f,), fill(0.25)
+    yield "output_linear.weight", (ns * f, f), uniform(f)
+    yield "output_linear.bias", (ns * f,), ZEROS
+    yield "mask_ffw1.weight", (f, f), uniform(f)
+    yield "mask_ffw1.bias", (f,), ZEROS
+    yield "mask_ffw2.weight", (f, f), uniform(f)
+    yield "mask_ffw2.bias", (f,), ZEROS
 
 
-def _stack_shapes(spec, feat_dim, ffw_dim, depth, prefix):
-    for k in range(depth):
-        yield from _layer_shapes(spec, feat_dim, ffw_dim,
-                                 "%s.layer%d" % (prefix, k))
+def parameter_tensors(cfg):
+    """Every learnable tensor as (name, shape, init) entries, in the order
+    they draw from the RNG."""
+    f, kw = cfg.n_filters, cfg.kernel_size
+    yield "encoder.filters", (f, 1, kw), uniform(kw)
+    yield "masknet", _masknet_tensors(cfg)
+    yield "decoder.filters", (f, 1, kw), uniform(kw)
 
 
 def parameter_shapes(cfg):
-    """Name -> shape for every learnable tensor, mirroring construction."""
-    f, kw = cfg.n_filters, cfg.kernel_size
-    yield "encoder.filters", (f, 1, kw)
-    yield "masknet.norm.gain", (f,)
-    yield "masknet.norm.bias", (f,)
-    yield "masknet.input_linear.weight", (f, f)
-    yield "masknet.input_linear.bias", (f,)
-    for r in range(cfg.n_repeats):
-        yield from _stack_shapes(cfg.intra_attention, f, cfg.ffw_dim,
-                                 cfg.intra_layers,
-                                 "masknet.dual.rep%d.intra" % r)
-        if cfg.chunk_size is not None:
-            yield from _stack_shapes(cfg.inter_attention, f, cfg.ffw_dim,
-                                     cfg.inter_layers,
-                                     "masknet.dual.rep%d.inter" % r)
-    yield "masknet.prelu.slope", (f,)
-    yield "masknet.output_linear.weight", (cfg.n_sources * f, f)
-    yield "masknet.output_linear.bias", (cfg.n_sources * f,)
-    yield "masknet.mask_ffw1.weight", (f, f)
-    yield "masknet.mask_ffw1.bias", (f,)
-    yield "masknet.mask_ffw2.weight", (f, f)
-    yield "masknet.mask_ffw2.bias", (f,)
-    yield "decoder.filters", (f, 1, kw)
+    """Name -> shape for every learnable tensor, without building any."""
+    return declared_shapes(parameter_tensors(cfg))
 
 
 def parameter_census(cfg):
@@ -162,69 +149,18 @@ def parameter_census(cfg):
 # ---------------------------------------------------------------------------
 # model
 
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape))
-
-
-class Sepformer:
+class Sepformer(Params):
     """A constructed separator; immutable during inference, single-owner
-    during a training step."""
+    during a training step. Its tensors are those of
+    :func:`parameter_tensors`, drawn from ``seed``."""
 
     def __init__(self, cfg, seed=0):
         self.cfg = cfg
         self.seed = int(seed)
-        rng = np.random.default_rng(self.seed)
-        f, kw = cfg.n_filters, cfg.kernel_size
-        ns = cfg.n_sources
-
-        self.encoder_filters = _uniform(rng, (f, 1, kw), kw)
-        self.norm_gain = Tensor(np.ones(f))
-        self.norm_bias = Tensor(np.zeros(f))
-        self.input_w = _uniform(rng, (f, f), f)
-        self.input_b = Tensor(np.zeros(f))
-        if cfg.chunk_size is not None:
-            self.dual = init_sepformer_block(
-                cfg.intra_attention, cfg.inter_attention, f, cfg.ffw_dim,
-                cfg.n_repeats, cfg.intra_layers, cfg.inter_layers, rng)
-            self.intra_only = None
-        else:
-            self.dual = None
-            self.intra_only = [
-                init_transformer_stack(cfg.intra_attention, f, cfg.ffw_dim,
-                                       cfg.intra_layers, rng)
-                for _ in range(cfg.n_repeats)]
-        self.prelu_slope = Tensor(np.full(f, 0.25))
-        self.output_w = _uniform(rng, (ns * f, f), f)
-        self.output_b = Tensor(np.zeros(ns * f))
-        self.mask_w1 = _uniform(rng, (f, f), f)
-        self.mask_b1 = Tensor(np.zeros(f))
-        self.mask_w2 = _uniform(rng, (f, f), f)
-        self.mask_b2 = Tensor(np.zeros(f))
-        self.decoder_filters = _uniform(rng, (f, 1, kw), kw)
-
-    def parameters(self):
-        """Stable name -> tensor map covering every learnable scalar."""
-        params = OrderedDict()
-        params["encoder.filters"] = self.encoder_filters
-        params["masknet.norm.gain"] = self.norm_gain
-        params["masknet.norm.bias"] = self.norm_bias
-        params["masknet.input_linear.weight"] = self.input_w
-        params["masknet.input_linear.bias"] = self.input_b
-        if self.dual is not None:
-            params.update(self.dual.named("masknet.dual"))
-        else:
-            for r, stack in enumerate(self.intra_only):
-                params.update(stack.named("masknet.dual.rep%d.intra" % r))
-        params["masknet.prelu.slope"] = self.prelu_slope
-        params["masknet.output_linear.weight"] = self.output_w
-        params["masknet.output_linear.bias"] = self.output_b
-        params["masknet.mask_ffw1.weight"] = self.mask_w1
-        params["masknet.mask_ffw1.bias"] = self.mask_b1
-        params["masknet.mask_ffw2.weight"] = self.mask_w2
-        params["masknet.mask_ffw2.bias"] = self.mask_b2
-        params["decoder.filters"] = self.decoder_filters
-        return params
+        super().__init__(parameter_tensors(cfg),
+                         np.random.default_rng(self.seed))
+        self.block = block_params(self.masknet.dual, cfg.intra_attention,
+                                  cfg.inter_attention, cfg.n_repeats)
 
     # -- forward ------------------------------------------------------
 
@@ -238,33 +174,34 @@ class Sepformer:
         cfg = self.cfg
         f = cfg.n_filters
         length = latent.shape[1]
-        normed = nd.layer_norm(latent, self.norm_gain, self.norm_bias,
-                               axis=0)
-        hbar = nd.add_bias(nd.matmul(self.input_w, normed), self.input_b)
+        m = self.masknet
+        normed = nd.layer_norm(latent, m.norm_gain, m.norm_bias, axis=0)
+        hbar = nd.add_bias(nd.matmul(m.input_linear_weight, normed),
+                           m.input_linear_bias)
 
         if cfg.chunk_size is not None:
             chunked = chunk(hbar, cfg.chunk_size)
-            processed = sepformer_block(chunked, self.dual,
+            processed = sepformer_block(chunked, self.block,
                                         seed=derive_seed(self.seed, 101))
             if details is not None:
                 details["chunked"] = chunked.data
                 details["dual_out"] = processed.data
-            activated = nd.prelu(processed.data, self.prelu_slope)
+            activated = nd.prelu(processed.data, m.prelu_slope)
             c, n_chunks = activated.shape[1], activated.shape[2]
             positions = c * n_chunks
             flat = nd.reshape(activated, (f, positions))
         else:
             x = hbar
-            for r, stack in enumerate(self.intra_only):
+            for r, stack in enumerate(self.block.intra_stacks):
                 x = transformer_stack(x, stack, cfg.intra_attention,
                                       seed=derive_seed(self.seed, 101, r))
             if details is not None:
                 details["dual_out"] = x
-            flat = nd.prelu(x, self.prelu_slope)
+            flat = nd.prelu(x, m.prelu_slope)
             positions = length
 
-        expanded = nd.add_bias(nd.matmul(self.output_w, flat),
-                               self.output_b)      # (Ns*F, positions)
+        expanded = nd.add_bias(nd.matmul(m.output_linear_weight, flat),
+                               m.output_linear_bias)  # (Ns*F, positions)
         if details is not None and cfg.chunk_size is not None:
             details["expanded"] = nd.reshape(
                 expanded, (cfg.n_sources * f, c, n_chunks))
@@ -278,11 +215,11 @@ class Sepformer:
                     nd.reshape(mk, (f, c, n_chunks)), length,
                     cfg.chunk_size))
             per_source.append(mk)
-            m = nd.relu(nd.add_bias(nd.matmul(self.mask_w1, mk),
-                                    self.mask_b1))
-            m = nd.relu(nd.add_bias(nd.matmul(self.mask_w2, m),
-                                    self.mask_b2))
-            masks.append(m)
+            mask = nd.relu(nd.add_bias(nd.matmul(m.mask_ffw1_weight, mk),
+                                       m.mask_ffw1_bias))
+            mask = nd.relu(nd.add_bias(nd.matmul(m.mask_ffw2_weight, mask),
+                                       m.mask_ffw2_bias))
+            masks.append(mask)
         if details is not None:
             details["per_source"] = np.stack(
                 [t.data for t in per_source], axis=1)  # (F, Ns, T')
@@ -314,66 +251,65 @@ class Sepformer:
 # ---------------------------------------------------------------------------
 # checkpoint container
 
-_SPEC_KEYS = ("variant", "heads", "d_model", "window", "global_stride",
-              "proj_len", "max_len", "n_buckets", "n_rounds", "bucket_chunk")
-_CFG_KEYS = ("n_filters", "kernel_size", "stride", "chunk_size", "n_repeats",
-             "intra_layers", "inter_layers", "n_heads", "ffw_dim",
-             "n_sources", "sample_rate")
+def _config_fields(cfg):
+    """(key, value) per config field as the checkpoint spells it, in field
+    order; attention spec fields go under their field's ``prefix``."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if "prefix" in f.metadata:
+            prefix = f.metadata["prefix"] + "."
+            for g in fields(value):
+                yield prefix + g.name, getattr(value, g.name)
+        else:
+            yield f.name, value
 
 
-def _config_lines(cfg, seed):
-    lines = []
-    for key in _CFG_KEYS:
-        lines.append("%s=%s" % (key, getattr(cfg, key)))
-    for tag, spec in (("intra", cfg.intra_attention),
-                      ("inter", cfg.inter_attention)):
-        for key in _SPEC_KEYS:
-            lines.append("%s.%s=%s" % (tag, key, getattr(spec, key)))
-    lines.append("seed=%d" % seed)
-    return "\n".join(lines) + "\n"
+def _config_text(cfg, seed):
+    return "".join("%s=%s\n" % kv for kv in _config_fields(cfg)) \
+        + "seed=%d\n" % seed
 
 
-def _parse_int_or_none(text):
-    return None if text == "None" else int(text)
+def parse_field(f, text):
+    """The value of config field ``f`` from its text; ``none`` is None."""
+    if f.type == "str":
+        return text
+    nullable = f.type == "int | None"
+    if nullable and text.lower() == "none":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise FieldError(f.name, "wants an integer%s, got %r" % (
+            " or 'none'" if nullable else "", text)) from None
 
 
-def _config_from_lines(text):
-    kv = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        kv[key] = value
-    specs = {}
-    for tag in ("intra", "inter"):
-        specs[tag] = AttentionSpec(
-            variant=kv["%s.variant" % tag],
-            heads=int(kv["%s.heads" % tag]),
-            d_model=int(kv["%s.d_model" % tag]),
-            window=int(kv["%s.window" % tag]),
-            global_stride=_parse_int_or_none(kv["%s.global_stride" % tag]),
-            proj_len=int(kv["%s.proj_len" % tag]),
-            max_len=int(kv["%s.max_len" % tag]),
-            n_buckets=int(kv["%s.n_buckets" % tag]),
-            n_rounds=int(kv["%s.n_rounds" % tag]),
-            bucket_chunk=int(kv["%s.bucket_chunk" % tag]),
-        )
-    cfg = SepformerConfig(
-        n_filters=int(kv["n_filters"]),
-        kernel_size=int(kv["kernel_size"]),
-        stride=int(kv["stride"]),
-        chunk_size=_parse_int_or_none(kv["chunk_size"]),
-        n_repeats=int(kv["n_repeats"]),
-        intra_layers=int(kv["intra_layers"]),
-        inter_layers=int(kv["inter_layers"]),
-        n_heads=int(kv["n_heads"]),
-        ffw_dim=int(kv["ffw_dim"]),
-        n_sources=int(kv["n_sources"]),
-        sample_rate=int(kv["sample_rate"]),
-        intra_attention=specs["intra"],
-        inter_attention=specs["inter"],
-    )
-    return cfg, int(kv["seed"])
+def _config_from_text(text):
+    """Inverse of :func:`_config_text`; a FieldError names the bad key."""
+    kv = dict(line.partition("=")[::2] for line in text.splitlines()
+              if line.strip())
+
+    def build(cls, prefix):
+        kwargs = {}
+        try:
+            for f in fields(cls):
+                if "prefix" in f.metadata:
+                    kwargs[f.name] = build(AttentionSpec,
+                                           f.metadata["prefix"] + ".")
+                elif prefix + f.name not in kv:
+                    raise FieldError(f.name, "is missing")
+                else:
+                    kwargs[f.name] = parse_field(f, kv.pop(prefix + f.name))
+            return cls(**kwargs)
+        except FieldError as exc:
+            raise FieldError(prefix + exc.field, exc.reason) from None
+
+    cfg = build(SepformerConfig, "")
+    seed = kv.pop("seed", None)
+    if seed is None or not seed.isdecimal():
+        raise FieldError("seed", "wants an integer >= 0, got %r" % (seed,))
+    if kv:
+        raise FieldError(min(kv), "is not a config key")
+    return cfg, int(seed)
 
 
 def save_checkpoint(path, model):
@@ -383,7 +319,7 @@ def save_checkpoint(path, model):
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    config = _config_lines(model.cfg, model.seed).encode("utf-8")
+    config = _config_text(model.cfg, model.seed).encode("utf-8")
     buf.write(struct.pack("<I", len(config)))
     buf.write(config)
     buf.write(struct.pack("<I", len(params)))
@@ -414,8 +350,11 @@ def load_checkpoint(path):
         raise CheckpointError("unsupported checkpoint version %d" % version)
     (config_len,) = struct.unpack_from("<I", view, offset)
     offset += 4
-    cfg, seed = _config_from_lines(
-        bytes(view[offset:offset + config_len]).decode("utf-8"))
+    try:
+        cfg, seed = _config_from_text(
+            bytes(view[offset:offset + config_len]).decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError("bad config in %s: %s" % (path, exc)) from None
     offset += config_len
     (n_params,) = struct.unpack_from("<I", view, offset)
     offset += 4

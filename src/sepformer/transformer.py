@@ -19,90 +19,50 @@ dual path feeds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import ndkernel as nd
-from .attention import (AttentionWeights, derive_seed,
-                        init_attention_weights, multi_head_dispatch,
+from .attention import (attention_tensors, derive_seed, multi_head_dispatch,
                         positional_encoding)
 from .ndkernel import Tensor
+from .params import ONES, ZEROS, Params, uniform
 
 __all__ = [
-    "TransformerLayerParams", "TransformerStackParams",
-    "init_transformer_layer", "init_transformer_stack",
-    "transformer_layer", "transformer_stack", "LAYER_NORM_EPS",
+    "layer_tensors", "stack_tensors", "init_transformer_layer",
+    "init_transformer_stack", "transformer_layer", "transformer_stack",
+    "LAYER_NORM_EPS",
 ]
 
 LAYER_NORM_EPS = 1e-5
 
 
-@dataclass
-class TransformerLayerParams:
-    attn: AttentionWeights
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-    w1: Tensor   # (F, d_ff)
-    b1: Tensor   # (d_ff,)
-    w2: Tensor   # (d_ff, F)
-    b2: Tensor   # (F,)
-
-    def named(self, prefix):
-        out = self.attn.named(prefix + ".attn")
-        out.update({
-            prefix + ".ln1.gain": self.ln1_gain,
-            prefix + ".ln1.bias": self.ln1_bias,
-            prefix + ".ln2.gain": self.ln2_gain,
-            prefix + ".ln2.bias": self.ln2_bias,
-            prefix + ".ffw.w1": self.w1,
-            prefix + ".ffw.b1": self.b1,
-            prefix + ".ffw.w2": self.w2,
-            prefix + ".ffw.b2": self.b2,
-        })
-        return out
+def layer_tensors(spec, feat_dim, ffw_dim):
+    """One encoder layer as (name, shape, init) entries, in draw order."""
+    yield "attn", attention_tensors(spec, feat_dim)
+    yield "ln1.gain", (feat_dim,), ONES
+    yield "ln1.bias", (feat_dim,), ZEROS
+    yield "ln2.gain", (feat_dim,), ONES
+    yield "ln2.bias", (feat_dim,), ZEROS
+    yield "ffw.w1", (feat_dim, ffw_dim), uniform(feat_dim)
+    yield "ffw.b1", (ffw_dim,), ZEROS
+    yield "ffw.w2", (ffw_dim, feat_dim), uniform(ffw_dim)
+    yield "ffw.b2", (feat_dim,), ZEROS
 
 
-@dataclass
-class TransformerStackParams:
-    layers: list = field(default_factory=list)
-    use_positional_encoding: bool = True
-
-    def named(self, prefix):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.named("%s.layer%d" % (prefix, i)))
-        return out
-
-
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape))
+def stack_tensors(spec, feat_dim, ffw_dim, depth):
+    """``depth`` layers, named ``layer0`` on, in draw order."""
+    if depth < 1:
+        raise ValueError("stack depth must be >= 1")
+    return [("layer%d" % k, layer_tensors(spec, feat_dim, ffw_dim))
+            for k in range(depth)]
 
 
 def init_transformer_layer(spec, feat_dim, ffw_dim, rng):
-    return TransformerLayerParams(
-        attn=init_attention_weights(spec, feat_dim, rng),
-        ln1_gain=Tensor(np.ones(feat_dim)),
-        ln1_bias=Tensor(np.zeros(feat_dim)),
-        ln2_gain=Tensor(np.ones(feat_dim)),
-        ln2_bias=Tensor(np.zeros(feat_dim)),
-        w1=_uniform(rng, (feat_dim, ffw_dim), feat_dim),
-        b1=Tensor(np.zeros(ffw_dim)),
-        w2=_uniform(rng, (ffw_dim, feat_dim), ffw_dim),
-        b2=Tensor(np.zeros(feat_dim)),
-    )
+    return Params(layer_tensors(spec, feat_dim, ffw_dim), rng)
 
 
-def init_transformer_stack(spec, feat_dim, ffw_dim, depth, rng,
-                           use_positional_encoding=True):
-    if depth < 1:
-        raise ValueError("stack depth must be >= 1")
-    layers = [init_transformer_layer(spec, feat_dim, ffw_dim, rng)
-              for _ in range(depth)]
-    return TransformerStackParams(layers, use_positional_encoding)
+def init_transformer_stack(spec, feat_dim, ffw_dim, depth, rng):
+    return Params(stack_tensors(spec, feat_dim, ffw_dim, depth), rng)
 
 
 def _layer_seed(seed, index):
@@ -131,9 +91,10 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
                         eps=LAYER_NORM_EPS, axis=0)
     if ln2.data.ndim == 3:
         ln2 = nd.reshape(ln2, (ln2.shape[0], -1))        # (F, B*L)
-    hid = nd.relu(nd.add_bias(nd.matmul(nd.transpose(params.w1), ln2),
-                              params.b1))
-    ffw = nd.add_bias(nd.matmul(nd.transpose(params.w2), hid), params.b2)
+    hid = nd.relu(nd.add_bias(nd.matmul(nd.transpose(params.ffw_w1), ln2),
+                              params.ffw_b1))
+    ffw = nd.add_bias(nd.matmul(nd.transpose(params.ffw_w2), hid),
+                      params.ffw_b2)
     if ffw.shape != z.shape:
         ffw = nd.reshape(ffw, z.shape)
     out = nd.add(nd.add(ffw, mid), z)
@@ -143,22 +104,23 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
     return out
 
 
-def transformer_stack(z, params, spec, seed=0):
+def transformer_stack(z, params, spec, seed=0, use_positional_encoding=True):
     """K layers with a single position-table injection and outer residual.
 
     ``z`` is one (F, T) map or an (F, B, L) batch of B independent
     length-L sequences, each given positions 0..L-1. ``seed`` is an int or
     one per sequence; layer i of a sequence with seed s uses
-    ``derive_seed(s, i)``.
+    ``derive_seed(s, i)``. ``use_positional_encoding=False`` skips the
+    position table.
     """
     z = nd.as_tensor(z)
     feat, length = z.shape[0], z.shape[-1]
     x = z
-    if params.use_positional_encoding:
+    if use_positional_encoding:
         table = positional_encoding(length, feat).data.T
         if z.data.ndim == 3:
             table = table[:, None, :]
         x = nd.add(z, Tensor(np.broadcast_to(table, z.shape)))
-    for i, layer in enumerate(params.layers):
+    for i, layer in enumerate(params.children):
         x = transformer_layer(x, layer, spec, seed=_layer_seed(seed, i))
     return nd.add(x, z)

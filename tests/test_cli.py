@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
-from sepformer.cli import (TOY_DEFAULTS, build_run_config, main,
-                           parse_config_file)
+from sepformer.cli import (PAPER_DEFAULTS, TOY_DEFAULTS, build_run_config,
+                           main, parse_config_file)
 from sepformer.datagen import Signal, wav_read, wav_write
-from sepformer.model import Sepformer, load_checkpoint
+from sepformer.model import CheckpointError, Sepformer, SepformerConfig, \
+    load_checkpoint, save_checkpoint
 
 
 def tiny_cfg_file(tmp_path, **extra):
@@ -232,3 +234,95 @@ class TestGradcheck:
     def test_attention_suite_exit_zero(self, capsys):
         assert main(["gradcheck", "--module", "attention"]) == 0
         assert "all gradients within" in capsys.readouterr().out
+
+
+class TestSchema:
+    def test_default_tables_keep_their_values(self):
+        assert PAPER_DEFAULTS == {
+            "filters": "256", "kernel": "16", "stride": "8", "chunk": "250",
+            "repeats": "2", "intra_layers": "8", "inter_layers": "8",
+            "heads": "8", "ffw": "1024", "sources": "2",
+            "sample_rate": "8000", "attention": "full",
+            "inter_attention": "same", "window": "101",
+            "global_stride": "100", "proj_len": "128", "max_len": "8000",
+            "n_buckets": "16", "n_rounds": "2", "bucket_chunk": "64",
+            "seed": "0", "lr": "0.00015", "steps": "2000",
+            "duration": "1.0",
+        }
+        assert TOY_DEFAULTS == dict(
+            PAPER_DEFAULTS, filters="32", chunk="50", repeats="1",
+            intra_layers="1", inter_layers="1", heads="4", ffw="64",
+            lr="0.001", duration="0.25")
+
+    def test_paper_defaults_build_the_default_config(self):
+        cfg, run = build_run_config(dict(PAPER_DEFAULTS))
+        assert cfg == SepformerConfig()
+        assert run == {"seed": 0, "lr": 0.00015, "steps": 2000,
+                       "duration": 1.0}
+
+    @pytest.mark.parametrize("key", sorted(PAPER_DEFAULTS))
+    def test_non_numeric_value_exits_one_naming_key(self, tmp_path, capsys,
+                                                    key):
+        cfg = tiny_cfg_file(tmp_path, **{key: "x"})
+        assert main(["train-toy", "--config", cfg,
+                     "--out", str(tmp_path / "x.ckpt")]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("stride", "0"), ("kernel", "0"), ("ffw", "0"), ("repeats", "0"),
+        ("duration", "0"), ("sample_rate", "-8000"), ("seed", "-1"),
+        ("heads", "3"), ("chunk", "5"), ("window", "4"), ("lr", "inf")])
+    def test_out_of_range_value_exits_one_naming_key(self, tmp_path, capsys,
+                                                     key, value):
+        cfg = tiny_cfg_file(tmp_path, **{key: value})
+        assert main(["train-toy", "--config", cfg,
+                     "--out", str(tmp_path / "x.ckpt")]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--steps", "-5"), ("--lr", "-1"), ("--lr", "nan"),
+        ("--seed", "-1"), ("--duration", "0")])
+    def test_out_of_range_flag_exits_one_naming_key(self, tmp_path, capsys,
+                                                    flag, value):
+        assert main(["train-toy", "--config", tiny_cfg_file(tmp_path),
+                     flag, value, "--out", str(tmp_path / "x.ckpt")]) == 1
+        assert repr(flag[2:]) in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+
+def rewrite_config(path, edit):
+    """Apply ``edit`` to a checkpoint's config text, fixing its length."""
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[8:12], "little")
+    text = edit(raw[12:12 + n].decode("utf-8")).encode("utf-8")
+    path.write_bytes(raw[:8] + len(text).to_bytes(4, "little") + text
+                     + raw[12 + n:])
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda t: t.replace("stride=2\n", ""), "stride"),
+    (lambda t: t + "bogus=1\n", "bogus"),
+    (lambda t: t.replace("\nseed=1", "\nseed=one"), "seed"),
+    (lambda t: t.replace("inter.window=101", "inter.window=x"),
+     "inter.window"),
+    (lambda t: t.replace("chunk_size=6", "chunk_size=x"), "chunk_size"),
+    (lambda t: t.replace("stride=2", "stride=0"), "stride"),
+    (lambda t: t.replace("intra.n_buckets=16", "intra.n_buckets=3"),
+     "intra.n_buckets"),
+])
+def test_bad_checkpoint_config_exits_one_naming_key(tmp_path, capsys, edit,
+                                                    key):
+    cfg = SepformerConfig(n_filters=8, kernel_size=4, stride=2, chunk_size=6,
+                          n_repeats=1, intra_layers=1, inter_layers=1,
+                          n_heads=2, ffw_dim=16)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, Sepformer(cfg, seed=1))
+    rewrite_config(ckpt, edit)
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(ckpt)
+    wav = tmp_path / "mix.wav"
+    wav_write(wav, Signal(np.zeros(100) + 0.1, 8000))
+    assert main(["separate", "--model", str(ckpt), "--in", str(wav),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and str(ckpt) in err

@@ -13,7 +13,7 @@ from sepformer.transformer import transformer_stack
 
 def zero_stacks(stacks):
     for stack in stacks:
-        for t in stack.named("x").values():
+        for t in stack.parameters().values():
             t.data[...] = 0.0
 
 
@@ -160,8 +160,8 @@ class TestSepformerBlock:
 
     def test_repeats_apply_distinct_parameters(self, rng):
         params = make_block(repeats=2)
-        a = params.intra_stacks[0].layers[0].attn.wq.data
-        b = params.intra_stacks[1].layers[0].attn.wq.data
+        a = params.intra_stacks[0].layer0.attn.wq.data
+        b = params.intra_stacks[1].layer0.attn.wq.data
         assert not np.array_equal(a, b)
 
     def test_block_is_deterministic(self, rng):

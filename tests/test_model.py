@@ -1,7 +1,10 @@
+import hashlib
+import pathlib
+
 import numpy as np
 import pytest
 
-from sepformer.attention import AttentionSpec
+from sepformer.attention import AttentionSpec, FieldError
 from sepformer.model import (CheckpointError, Sepformer, SepformerConfig,
                              encoded_length, load_checkpoint,
                              parameter_census, parameter_shapes,
@@ -239,3 +242,88 @@ def test_enhancement_mode_single_source(rng):
     model = Sepformer(small_config(n_sources=1), seed=0)
     out = model.separate(rng.standard_normal(64))
     assert len(out.estimates) == 1 and len(out.masks) == 1
+
+
+def parameter_digest(model):
+    """SHA-256 over every (name, float64 LE bytes), in sorted name order."""
+    params = model.parameters()
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode("utf-8"))
+        h.update(np.ascontiguousarray(params[name].data, "<f8").tobytes())
+    return h.hexdigest()
+
+
+def config_block(raw):
+    n = int.from_bytes(raw[8:12], "little")
+    return raw[12:12 + n]
+
+
+class TestParentCompatibility:
+    """Weights and checkpoints pinned to the v1 format's first writer.
+
+    The fixture and the digests were produced by the code that wrote v1
+    checkpoints before the tensor registry: ``fixture_config()`` at seed 7,
+    every tensor t replaced by 1 - t before saving.
+    """
+
+    FIXTURE = pathlib.Path(__file__).parent / "data" / \
+        "v1_reformer_r2_seed7.ckpt"
+    FIXTURE_DIGEST = ("40463f70b0b829814233fb04fc4092df"
+                      "75f59eeb2c9c33bea6634e0fa6258b51")
+
+    @staticmethod
+    def fixture_config():
+        return small_config(
+            n_repeats=2,
+            intra_attention=AttentionSpec("reformer", heads=2, d_model=8,
+                                          n_buckets=4, bucket_chunk=4),
+            inter_attention=AttentionSpec("full", heads=2, d_model=8))
+
+    def test_v1_checkpoint_loads_bit_exactly(self):
+        model = load_checkpoint(self.FIXTURE)
+        assert model.cfg == self.fixture_config()
+        assert model.seed == 7
+        assert parameter_digest(model) == self.FIXTURE_DIGEST
+        fresh = Sepformer(self.fixture_config(), seed=7).parameters()
+        loaded = model.parameters()
+        assert sorted(loaded) == sorted(fresh)
+        for name, t in fresh.items():
+            assert loaded[name].data.tobytes() == (1.0 - t.data).tobytes()
+
+    def test_rewritten_checkpoint_keeps_config_text_bytes(self, tmp_path):
+        path = tmp_path / "again.ckpt"
+        save_checkpoint(path, load_checkpoint(self.FIXTURE))
+        assert config_block(path.read_bytes()) == \
+            config_block(self.FIXTURE.read_bytes())
+
+    @pytest.mark.parametrize("overrides,census,digest", [
+        ({}, 25577472,
+         "294034df91cbe38733b120f0912e2405cc3458447bd2bd0d384e1f142ecfccd2"),
+        ({"chunk_size": None, "intra_attention": AttentionSpec("reformer")},
+         11909120,
+         "dd1cc3729fb440418ec84185f82c1eb21d0b2df9211c3e176a3125e2ac52c6a8"),
+    ])
+    def test_full_size_weights_match_recorded_digest(self, overrides, census,
+                                                     digest):
+        cfg = SepformerConfig(**overrides)
+        assert parameter_census(cfg) == census
+        assert parameter_digest(Sepformer(cfg, seed=0)) == digest
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("field", [
+        "n_filters", "kernel_size", "stride", "n_repeats", "intra_layers",
+        "inter_layers", "n_heads", "ffw_dim", "n_sources", "sample_rate"])
+    def test_every_count_must_be_positive(self, field):
+        with pytest.raises(FieldError, match=field):
+            SepformerConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field,value", [
+        ("heads", 0), ("d_model", 0), ("window", 4), ("global_stride", 0),
+        ("proj_len", 9000), ("max_len", 0), ("n_buckets", 12),
+        ("n_rounds", 0), ("bucket_chunk", 0), ("variant", "sparse")])
+    def test_every_spec_field_is_checked_for_any_variant(self, field, value):
+        with pytest.raises(FieldError) as info:
+            AttentionSpec(**{"variant": "full", field: value})
+        assert info.value.field == field

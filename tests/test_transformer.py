@@ -10,7 +10,7 @@ from sepformer.transformer import (init_transformer_layer,
 
 
 def zero_params(params):
-    for t in params.named("x").values():
+    for t in params.parameters().values():
         t.data[...] = 0.0
     return params
 
@@ -53,7 +53,7 @@ class TestLayer:
         rng = np.random.default_rng(3)
         params = init_transformer_layer(spec, 8, 12, rng)
         z = Tensor(rng.uniform(-1, 1, (8, 6)))
-        tensors = [z] + list(params.named("p").values())
+        tensors = [z] + list(params.parameters().values())
         err = check_gradients(lambda: transformer_layer(z, params, spec),
                               tensors)
         assert err < 1e-4
@@ -71,11 +71,11 @@ class TestStack:
 
     def test_positional_encoding_can_be_disabled(self, spec, rng):
         params = init_transformer_stack(spec, 8, 12, 2,
-                                        np.random.default_rng(0),
-                                        use_positional_encoding=False)
+                                        np.random.default_rng(0))
         zero_params(params)
         z = rng.standard_normal((8, 5))
-        out = transformer_stack(Tensor(z), params, spec)
+        out = transformer_stack(Tensor(z), params, spec,
+                                use_positional_encoding=False)
         np.testing.assert_array_equal(out.data, 2 * z)
 
     def test_disabling_positions_changes_real_output(self, spec, rng):
@@ -85,8 +85,8 @@ class TestStack:
                                       np.random.default_rng(4)), spec)
         without_pe = transformer_stack(
             z, init_transformer_stack(spec, 8, 12, 2,
-                                      np.random.default_rng(4),
-                                      use_positional_encoding=False), spec)
+                                      np.random.default_rng(4)), spec,
+            use_positional_encoding=False)
         assert not np.allclose(with_pe.data, without_pe.data)
 
     @pytest.mark.parametrize("depth", [1, 4, 8])
@@ -116,7 +116,7 @@ def test_layer_parameter_count_formula():
     spec = AttentionSpec("full", heads=8, d_model=256)
     params = init_transformer_layer(spec, 256, 1024,
                                     np.random.default_rng(0))
-    total = sum(t.size for t in params.named("p").values())
+    total = sum(t.size for t in params.parameters().values())
     expected = 3 * 256 * 256 + 256 * 256 + 4 * 256 \
         + 256 * 1024 + 1024 + 1024 * 256 + 256
     assert total == expected == 788736
