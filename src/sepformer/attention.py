@@ -18,6 +18,12 @@ Variants:
 * ``reformer``   -- shared-QK attention restricted to LSH buckets,
                     computed chunkwise over the bucket-sorted sequence with
                     one look-back chunk, averaged over hash rounds.
+
+Constant masks are built once per :func:`multi_head_dispatch` call and
+shared by the heads. The reformer gathers its chunk operands by index in
+one pass per round and takes the masked softmax and log-sum-exp together
+(``ndkernel.softmax_lse_rows``); the 1/sqrt(dk) scale rides on its
+queries rather than on the score map.
 """
 
 from __future__ import annotations
@@ -306,43 +312,78 @@ def hash_buckets(vectors, n_buckets, rotation):
     return np.argmax(both, axis=-1)
 
 
-def _reformer_round_mask(n_chunks, m, length):
-    """Additive mask for chunked shared-QK attention in sorted coordinates.
+def _reformer_mask(batch, length, m):
+    """Additive (B*padded, 2m) mask of the chunked shared-QK scores, in
+    bucket-sorted coordinates; it does not depend on the bucket order.
 
     Keys beyond the real sequence (padding) and the missing look-back of
     chunk 0 are removed outright; a position's own slot is soft-masked so
     it only wins when nothing else is attendable.
     """
+    n_chunks = -(-length // m)
     csel = np.arange(n_chunks)[:, None, None]
     qpos = csel * m + np.arange(m)[None, :, None]          # (nch, m, 1)
     kpos = np.concatenate([(csel - 1) * m + np.arange(m)[None, None, :],
                            csel * m + np.arange(m)[None, None, :]], axis=2)
     valid = (kpos >= 0) & (kpos < length)
     self_slot = kpos == qpos
-    return np.where(~valid, _HARD_MASK,
-                    np.where(self_slot, _SOFT_MASK, 0.0))
+    mask = np.where(~valid, _HARD_MASK, np.where(self_slot, _SOFT_MASK, 0.0))
+    return np.tile(mask.reshape(n_chunks * m, 2 * m), (batch, 1))
 
 
-def _previous_chunk(x):
-    """(B, nch, ...) chunks -> each chunk's predecessor in its own
-    sequence, zeros before the first."""
-    b, n_chunks = x.shape[:2]
-    per = x.size // (b * n_chunks)
-    flat = nd.slice_cols(nd.reshape(x, (b, n_chunks * per)), 0,
-                         (n_chunks - 1) * per)
-    return nd.reshape(nd.pad_cols(flat, per, 0), x.shape)
+def _round_indices(buckets, m):
+    """Gather indices of one hash round over the flat B*L positions.
+
+    Returns ``q_idx`` (B*padded,): each sequence's positions in bucket
+    order, padding pointing at row B*L (a zero query); ``kv_idx``
+    (B, nch, 2m): every chunk's look-back chunk then the chunk itself,
+    where padding and chunk 0's missing look-back point at real positions
+    that the mask removes; and ``inv`` (B*L,): the padded sorted row of
+    every position.
+    """
+    batch, length = buckets.shape
+    n_chunks = -(-length // m)
+    padded = n_chunks * m
+    order = np.argsort(buckets, axis=1, kind="stable")
+    rows = np.empty((batch, padded), dtype=np.intp)
+    rows[:, :length] = order + np.arange(batch)[:, None] * length
+    rows[:, length:] = batch * length
+    q_idx = rows.reshape(-1).copy()
+    rows[:, length:] = rows[:, :1]
+    chunks = rows.reshape(batch, n_chunks, m)
+    prev = np.concatenate([chunks[:, :1], chunks[:, :-1]], axis=1)
+    kv_idx = np.concatenate([prev, chunks], axis=2)
+    inv = np.empty(batch * length, dtype=np.intp)
+    inv[rows[:, :length]] = (np.arange(batch)[:, None] * padded
+                             + np.arange(length))
+    return q_idx, kv_idx, inv
 
 
-def _reformer_head(q, v, scale, spec, batch, length, rotations, details):
+def _reformer_head(q, v, scale, spec, batch, length, rotations, mask,
+                   details):
+    """Shared-QK LSH attention of one head, one pass per hash round.
+
+    Each round sorts every sequence by bucket and gathers, by index and
+    positions-major, the queries of each m-wide chunk and the keys and
+    values of its look-back chunk plus itself, so the (B*nch, m, dk) and
+    (B*nch, 2m, dk) operands are plain reshapes (the keys are turned to
+    (dk, 2m) for the score bmm). One op takes the masked row softmax and
+    its log-sum-exp; the output rows and the lse are gathered back into
+    position order by the inverse index. Rounds are combined with weights
+    softmax(lse) per position. ``mask`` is the call's ``_reformer_mask``.
+    """
     dk = spec.d_head
     m = spec.bucket_chunk
     n_chunks = -(-length // m)
-    padded = n_chunks * m
+    bc = batch * n_chunks
+    rows = bc * m
     n = batch * length
     kq = nd.unit_columns(q)
-    mask = Tensor(np.tile(_reformer_round_mask(n_chunks, m, length),
-                          (batch, 1, 1)))
-    starts = np.arange(batch)[:, None] * length           # sequence offsets
+    # 1/sqrt(dk) rides on the queries; the extra zero row is the query of
+    # every padding slot
+    qt = nd.transpose(nd.pad_cols(nd.scale(q, scale), 0, 1))   # (n+1, dk)
+    kt = nd.transpose(kq)                                 # (n, dk)
+    vt = nd.transpose(v)
 
     round_outs = []
     round_lses = []
@@ -350,37 +391,17 @@ def _reformer_head(q, v, scale, spec, batch, length, rotations, details):
         buckets = hash_buckets(kq.data.reshape(dk, batch, length)
                                .transpose(1, 0, 2), spec.n_buckets,
                                rotations[r])              # (B, L)
-        order = np.argsort(buckets, axis=1, kind="stable")
-        flat_order = (starts + order).reshape(-1)
+        q_idx, kv_idx, inv = _round_indices(buckets, m)
+        qc = nd.reshape(nd.gather_rows(qt, q_idx), (bc, m, dk))
+        kcc = nd.permute(nd.reshape(nd.gather_rows(kt, kv_idx),
+                                    (bc, 2 * m, dk)), (0, 2, 1))
+        vcc = nd.reshape(nd.gather_rows(vt, kv_idx), (bc, 2 * m, dk))
 
-        def sorted_chunks(x, axes):
-            # each sequence in bucket order, padded to whole chunks
-            xs = nd.reshape(nd.gather_cols(x, flat_order), (dk, batch, length))
-            xs = nd.pad_cols(xs, 0, padded - length)
-            return nd.permute(nd.reshape(xs, (dk, batch, n_chunks, m)), axes)
-
-        def unsort(x):
-            # (rows, B, padded) sorted -> (rows, B*L) in position order
-            x = nd.reshape(nd.slice_cols(x, 0, length), (x.shape[0], n))
-            return nd.scatter_cols(x, flat_order, n)
-
-        qc = nd.reshape(sorted_chunks(q, (1, 2, 3, 0)),
-                        (batch * n_chunks, m, dk))
-        kc = sorted_chunks(kq, (1, 2, 0, 3))              # (B, nch, dk, m)
-        vc = sorted_chunks(v, (1, 2, 3, 0))               # (B, nch, m, dk)
-        kcc = nd.reshape(nd.concat([_previous_chunk(kc), kc], axis=3),
-                         (batch * n_chunks, dk, 2 * m))
-        vcc = nd.reshape(nd.concat([_previous_chunk(vc), vc], axis=2),
-                         (batch * n_chunks, 2 * m, dk))
-
-        scores = nd.add(nd.scale(nd.bmm(qc, kcc), scale), mask)
-        flat = nd.reshape(scores, (batch * padded, 2 * m))
-        a = nd.softmax_rows(flat)
-        lse = nd.logsumexp_rows(flat)                     # (B*padded,)
-        outc = nd.bmm(nd.reshape(a, (batch * n_chunks, m, 2 * m)), vcc)
-        outs = nd.permute(nd.reshape(outc, (batch, padded, dk)), (2, 0, 1))
-        round_outs.append(unsort(outs))
-        round_lses.append(unsort(nd.reshape(lse, (1, batch, padded))))
+        a, lse = nd.softmax_lse_rows(
+            nd.reshape(nd.bmm(qc, kcc), (rows, 2 * m)), mask)
+        outc = nd.bmm(nd.reshape(a, (bc, m, 2 * m)), vcc)  # (B*nch, m, dk)
+        round_outs.append(nd.gather_rows(nd.reshape(outc, (rows, dk)), inv))
+        round_lses.append(nd.gather_rows(lse, inv))       # (B*L,)
         if details is not None:
             details.setdefault("rounds", []).append({
                 "buckets": buckets.copy(),
@@ -388,13 +409,13 @@ def _reformer_head(q, v, scale, spec, batch, length, rotations, details):
             })
 
     if spec.n_rounds == 1:
-        return round_outs[0]
-    lses = nd.concat(round_lses, axis=0)                  # (R, B*L)
+        return nd.transpose(round_outs[0])
+    lses = nd.reshape(nd.concat(round_lses, axis=0), (spec.n_rounds, n))
     weights = nd.transpose(nd.softmax_rows(nd.transpose(lses)))
     out = None
     for r in range(spec.n_rounds):
         wr = nd.reshape(nd.slice_rows(weights, r, r + 1), (n,))
-        term = nd.scale_cols(round_outs[r], wr)
+        term = nd.scale_cols(nd.transpose(round_outs[r]), wr)
         out = term if out is None else nd.add(out, term)
     return out
 
@@ -454,17 +475,17 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     wk = getattr(weights, "wk", None)
     k = nd.matmul(wk, flat) if wk is not None else None
 
-    masks = None
+    masks = rotations = None
     if spec.variant == "longformer":
         masks = _longformer_masks(length, spec.window, spec.global_stride)
-    rotations = None
-    if spec.variant == "reformer":
+    elif spec.variant == "reformer":
         seeds = [seed] if np.ndim(seed) == 0 else list(seed)
         if len(seeds) not in (1, batch):
             raise ValueError("%d seeds for %d sequences"
                              % (len(seeds), batch))
         per_seq = [_reformer_rotations(s, spec) for s in seeds]
         rotations = [np.stack(rounds) for rounds in zip(*per_seq)]
+        masks = _reformer_mask(batch, length, spec.bucket_chunk)
 
     heads = []
     head_details = [] if details is not None else None
@@ -483,7 +504,7 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
                                    weights, hd)
         else:
             head = _reformer_head(qi, vi, scale, spec, batch, length,
-                                  rotations, hd)
+                                  rotations, masks, hd)
         heads.append(head)
         if head_details is not None:
             head_details.append(hd if x.data.ndim == 3 else _unbatched(hd))

@@ -157,7 +157,18 @@ def build_run_config(values):
     except FieldError as exc:
         raise ConfigError("key %r %s" % (_KEY_OF.get(exc.field, exc.field),
                                          exc.reason)) from None
-    return cfg, _run_options(values)
+    run = _run_options(values)
+    # the toy mixture is `duration` long before speed perturbation shortens
+    # it by up to the fastest factor; the encoder needs one whole kernel
+    samples = int(round(run["duration"] * cfg.sample_rate))
+    shortest = int(round(samples / MixSpec().speed_range[1]))
+    if shortest < cfg.kernel_size:
+        raise ConfigError(
+            "key 'duration' %r gives %d samples at %d Hz (%d after speed "
+            "perturbation), fewer than key 'kernel' %d"
+            % (values["duration"], samples, cfg.sample_rate, shortest,
+               cfg.kernel_size))
+    return cfg, run
 
 
 def _merge(defaults, config_path, flag_values):

@@ -114,7 +114,16 @@ def _ndkernel_suite():
         return run
 
     idx_g = np.array([3, 0, 0, 2])
+    idx_r = np.array([[3, 0], [0, 2], [1, 1]])
     idx_s = np.array([4, 1, 2])
+    # one removed slot per row and a mild bias on the rest
+    lse_mask = np.where(np.eye(4, 5, 1) > 0, -1e30,
+                        np.linspace(-0.5, 0.5, 20).reshape(4, 5))
+
+    def softmax_lse(x):
+        # both outputs feed the projected sum, so both backward rules run
+        soft, lse = nd.softmax_lse_rows(x, lse_mask)
+        return nd.concat([soft, nd.reshape(lse, (-1, 1))], axis=1)
 
     return {
         "matmul": binary(nd.matmul, (4, 3), (3, 5)),
@@ -127,6 +136,7 @@ def _ndkernel_suite():
         "slice_rows": unary(lambda x: nd.slice_rows(x, 1, 3), r, 4, 3),
         "slice_cols": unary(lambda x: nd.slice_cols(x, 1, 4), r, 3, 5),
         "gather_cols": unary(lambda x: nd.gather_cols(x, idx_g)),
+        "gather_rows": unary(lambda x: nd.gather_rows(x, idx_r), r, 4, 3),
         "scatter_cols": unary(lambda x: nd.scatter_cols(x, idx_s, 6),
                               r, 3, 3),
         "pad_cols": unary(lambda x: nd.pad_cols(x, 2, 3)),
@@ -148,7 +158,7 @@ def _ndkernel_suite():
         "exp": unary(nd.exp),
         "log": unary(lambda x: nd.log(x), r, 3, 4, low=0.2, high=2.0),
         "softmax_rows": unary(nd.softmax_rows, r, 4, 5),
-        "logsumexp_rows": unary(nd.logsumexp_rows, r, 4, 5),
+        "softmax_lse_rows": unary(softmax_lse, r, 4, 5),
         "layer_norm": (lambda rng: (lambda x, g, b: check_gradients(
             lambda: nd.layer_norm(x, g, b, axis=0), [x, g, b]))(
                 r(rng, 5, 4), r(rng, 5, low=0.5, high=1.5), r(rng, 5))),

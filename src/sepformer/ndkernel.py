@@ -31,10 +31,11 @@ __all__ = [
     "record_macs", "MacCounter", "DIFFERENTIABLE_OPS",
     "matmul", "bmm", "transpose", "permute", "reshape", "concat",
     "slice_rows", "slice_cols",
-    "gather_cols", "scatter_cols", "pad_cols", "frame", "overlap_sum",
+    "gather_cols", "gather_rows", "scatter_cols", "pad_cols", "frame",
+    "overlap_sum",
     "add", "add_bias", "add_scalar", "sub", "neg", "mul", "divide",
     "scale", "scale_by", "scale_cols", "relu", "prelu", "exp", "log",
-    "softmax_rows", "logsumexp_rows", "layer_norm", "unit_columns",
+    "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
     "conv1d", "conv1d_transpose", "sum_all", "mean_all", "dot",
 ]
 
@@ -239,10 +240,11 @@ def as_tensor(x):
 DIFFERENTIABLE_OPS = (
     "matmul", "bmm", "transpose", "permute", "reshape", "concat",
     "slice_rows", "slice_cols",
-    "gather_cols", "scatter_cols", "pad_cols", "frame", "overlap_sum",
+    "gather_cols", "gather_rows", "scatter_cols", "pad_cols", "frame",
+    "overlap_sum",
     "add", "add_bias", "add_scalar", "sub", "neg", "mul", "divide",
     "scale", "scale_by", "scale_cols", "relu", "prelu", "exp", "log",
-    "softmax_rows", "logsumexp_rows", "layer_norm", "unit_columns",
+    "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
     "conv1d", "conv1d_transpose", "sum_all", "mean_all",
 )
 
@@ -367,11 +369,28 @@ def gather_cols(x, idx):
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
     shape = x.shape
-    out = Tensor(x.data[:, idx])
+    out = Tensor(np.take(x.data, idx, axis=1))
 
     def backward(g):
         gx = np.zeros(shape)
         np.add.at(gx, (slice(None), idx), g)
+        return (gx,)
+
+    _record(out, (x,), backward)
+    return out
+
+
+def gather_rows(x, idx):
+    """Select entries along axis 0 by an index array of any shape ->
+    ``idx.shape + x.shape[1:]``; duplicates allowed."""
+    x = as_tensor(x)
+    idx = np.asarray(idx, dtype=np.intp)
+    shape = x.shape
+    out = Tensor(np.take(x.data, idx, axis=0))
+
+    def backward(g):
+        gx = np.zeros(shape)
+        np.add.at(gx, idx.reshape(-1), g.reshape((-1,) + shape[1:]))
         return (gx,)
 
     _record(out, (x,), backward)
@@ -620,6 +639,31 @@ def log(x):
     return out
 
 
+def _softmax_parts(x, mask=None):
+    """Row softmax of a rank-2 array (plus a constant ``mask``) in one
+    buffer, with the row sums and maxima it was normalized by."""
+    if x.ndim != 2:
+        raise ShapeError("row softmax expects rank 2, got %r" % (x.shape,))
+    if mask is None:
+        m = x.max(axis=1, keepdims=True)
+        y = x - m
+    else:
+        y = x + mask
+        m = y.max(axis=1, keepdims=True)
+        y -= m
+    np.exp(y, out=y)
+    s = y.sum(axis=1, keepdims=True)
+    y /= s
+    return y, s, m
+
+
+def _softmax_backward(y):
+    def backward(g):
+        dot = (g * y).sum(axis=1, keepdims=True)
+        return (y * (g - dot),)
+    return backward
+
+
 def softmax_rows(x):
     """Row-wise softmax of a rank-2 tensor, stabilized by per-row max.
 
@@ -627,37 +671,30 @@ def softmax_rows(x):
     unchanged.
     """
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError("softmax_rows expects rank 2, got %r" % (x.shape,))
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y, _, _ = _softmax_parts(x.data)
     out = Tensor(y)
-
-    def backward(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - dot),)
-
-    _record(out, (x,), backward)
+    _record(out, (x,), _softmax_backward(y))
     return out
 
 
-def logsumexp_rows(x):
-    """Per-row log(sum(exp(x))) of a rank-2 tensor -> shape (rows,)."""
+def softmax_lse_rows(x, mask=None):
+    """Row softmax and row log-sum-exp of ``x + mask`` from one pass.
+
+    ``x`` is rank 2; ``mask`` is a constant array of its shape (no
+    gradient), for example large negative logits that remove slots.
+    Returns ``(softmax, lse)`` with lse of shape (rows,). Each output gets
+    its own tape record; both read the same softmax buffer.
+    """
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError("logsumexp_rows expects rank 2, got %r" % (x.shape,))
-    m = x.data.max(axis=1, keepdims=True)
-    e = np.exp(x.data - m)
-    s = e.sum(axis=1, keepdims=True)
-    out = Tensor((np.log(s) + m).reshape(-1))
-    soft = e / s
-
-    def backward(g):
-        return (soft * g[:, None],)
-
-    _record(out, (x,), backward)
-    return out
+    if mask is not None and mask.shape != x.shape:
+        raise ShapeError("mask %r does not match scores %r"
+                         % (mask.shape, x.shape))
+    y, s, m = _softmax_parts(x.data, mask)
+    soft = Tensor(y)
+    lse = Tensor((np.log(s) + m).reshape(-1))
+    _record(soft, (x,), _softmax_backward(y))
+    _record(lse, (x,), lambda g: (y * g[:, None],))
+    return soft, lse
 
 
 def layer_norm(x, gain, bias, eps=1e-5, axis=-1):

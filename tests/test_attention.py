@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sepformer import attention
 from sepformer import ndkernel as nd
 from sepformer.attention import (AttentionSpec,
                                  SequenceTooLongError, full_attention,
@@ -10,7 +11,7 @@ from sepformer.attention import (AttentionSpec,
                                  linformer_attention, longformer_allowed,
                                  longformer_attention, multi_head_dispatch,
                                  positional_encoding, reformer_attention)
-from sepformer.ndkernel import Tensor
+from sepformer.ndkernel import Tape, Tensor
 
 
 def make_weights(spec, feat_dim, seed=0):
@@ -351,6 +352,178 @@ class TestReformer:
                     k = int((cluster == b).sum())
                     same += k * (k - 1) // 2
         assert same / total >= 0.95
+
+
+# The per-round reformer core as it was before the chunk operands were
+# gathered by index: sort, pad and permute each operand, build the
+# look-back chunk by shifting, and take softmax and log-sum-exp apart.
+# Kept as the reference the index-gathered core must reproduce.
+
+def reference_round_mask(n_chunks, m, length):
+    csel = np.arange(n_chunks)[:, None, None]
+    qpos = csel * m + np.arange(m)[None, :, None]
+    kpos = np.concatenate([(csel - 1) * m + np.arange(m)[None, None, :],
+                           csel * m + np.arange(m)[None, None, :]], axis=2)
+    valid = (kpos >= 0) & (kpos < length)
+    self_slot = kpos == qpos
+    return np.where(~valid, -1e30, np.where(self_slot, -1e5, 0.0))
+
+
+def reference_previous_chunk(x):
+    b, n_chunks = x.shape[:2]
+    per = x.size // (b * n_chunks)
+    flat = nd.slice_cols(nd.reshape(x, (b, n_chunks * per)), 0,
+                         (n_chunks - 1) * per)
+    return nd.reshape(nd.pad_cols(flat, per, 0), x.shape)
+
+
+def reference_logsumexp_rows(x):
+    # log of the row sums of exp(x - c), plus c; the row max c is a
+    # constant, so the tape gradient is the row softmax
+    c = x.data.max(axis=1, keepdims=True)
+    e = nd.exp(nd.sub(x, Tensor(np.broadcast_to(c, x.shape))))
+    s = nd.matmul(e, Tensor(np.ones((x.shape[1], 1))))
+    return nd.add(nd.reshape(nd.log(s), (-1,)), Tensor(c.reshape(-1)))
+
+
+def reference_reformer_head(q, v, scale, spec, batch, length, rotations,
+                            details):
+    dk = spec.d_head
+    m = spec.bucket_chunk
+    n_chunks = -(-length // m)
+    padded = n_chunks * m
+    n = batch * length
+    kq = nd.unit_columns(q)
+    mask = Tensor(np.tile(reference_round_mask(n_chunks, m, length),
+                          (batch, 1, 1)))
+    starts = np.arange(batch)[:, None] * length
+
+    round_outs = []
+    round_lses = []
+    for r in range(spec.n_rounds):
+        buckets = hash_buckets(kq.data.reshape(dk, batch, length)
+                               .transpose(1, 0, 2), spec.n_buckets,
+                               rotations[r])
+        order = np.argsort(buckets, axis=1, kind="stable")
+        flat_order = (starts + order).reshape(-1)
+
+        def sorted_chunks(x, axes):
+            xs = nd.reshape(nd.gather_cols(x, flat_order), (dk, batch, length))
+            xs = nd.pad_cols(xs, 0, padded - length)
+            return nd.permute(nd.reshape(xs, (dk, batch, n_chunks, m)), axes)
+
+        def unsort(x):
+            x = nd.reshape(nd.slice_cols(x, 0, length), (x.shape[0], n))
+            return nd.scatter_cols(x, flat_order, n)
+
+        qc = nd.reshape(sorted_chunks(q, (1, 2, 3, 0)),
+                        (batch * n_chunks, m, dk))
+        kc = sorted_chunks(kq, (1, 2, 0, 3))
+        vc = sorted_chunks(v, (1, 2, 3, 0))
+        kcc = nd.reshape(nd.concat([reference_previous_chunk(kc), kc], axis=3),
+                         (batch * n_chunks, dk, 2 * m))
+        vcc = nd.reshape(nd.concat([reference_previous_chunk(vc), vc], axis=2),
+                         (batch * n_chunks, 2 * m, dk))
+
+        scores = nd.add(nd.scale(nd.bmm(qc, kcc), scale), mask)
+        flat = nd.reshape(scores, (batch * padded, 2 * m))
+        a = nd.softmax_rows(flat)
+        lse = reference_logsumexp_rows(flat)
+        outc = nd.bmm(nd.reshape(a, (batch * n_chunks, m, 2 * m)), vcc)
+        outs = nd.permute(nd.reshape(outc, (batch, padded, dk)), (2, 0, 1))
+        round_outs.append(unsort(outs))
+        round_lses.append(unsort(nd.reshape(lse, (1, batch, padded))))
+        if details is not None:
+            details.setdefault("rounds", []).append({
+                "buckets": buckets.copy(),
+                "map": a.data.reshape(batch, n_chunks, m, 2 * m).copy(),
+            })
+
+    if spec.n_rounds == 1:
+        return round_outs[0]
+    lses = nd.concat(round_lses, axis=0)
+    weights = nd.transpose(nd.softmax_rows(nd.transpose(lses)))
+    out = None
+    for r in range(spec.n_rounds):
+        wr = nd.reshape(nd.slice_rows(weights, r, r + 1), (n,))
+        term = nd.scale_cols(round_outs[r], wr)
+        out = term if out is None else nd.add(out, term)
+    return out
+
+
+def use_reference_reformer(monkeypatch):
+    def head(q, v, scale, spec, batch, length, rotations, mask, details):
+        return reference_reformer_head(q, v, scale, spec, batch, length,
+                                       rotations, details)
+    monkeypatch.setattr(attention, "_reformer_head", head)
+
+
+class TestReformerMatchesReference:
+    # bucket_chunk 8: lengths 24 (whole chunks), 21 (a padded last chunk)
+    # and 5 (shorter than one chunk)
+    @pytest.mark.parametrize("n_rounds", [1, 3])
+    @pytest.mark.parametrize("length", [24, 21, 5])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_outputs_buckets_and_maps(self, monkeypatch, batch, length,
+                                      n_rounds):
+        spec = AttentionSpec("reformer", heads=2, d_model=8, n_buckets=4,
+                             n_rounds=n_rounds, bucket_chunk=8)
+        w = make_weights(spec, 6, seed=length)
+        rng = np.random.default_rng(length + n_rounds)
+        if batch is None:
+            x, seed = rng.standard_normal((6, length)), 13
+        else:
+            x, seed = rng.standard_normal((6, batch, length)), [13, 4, 27]
+        got, want = {}, {}
+        out = multi_head_dispatch(Tensor(x), w, spec, seed=seed,
+                                  details=got).data
+        use_reference_reformer(monkeypatch)
+        expected = multi_head_dispatch(Tensor(x), w, spec, seed=seed,
+                                       details=want).data
+        assert np.abs(out - expected).max() <= 1e-9 * np.abs(expected).max()
+        for head, ref in zip(got["heads"], want["heads"]):
+            assert len(head["rounds"]) == len(ref["rounds"]) == n_rounds
+            for rnd, ref_rnd in zip(head["rounds"], ref["rounds"]):
+                np.testing.assert_array_equal(rnd["buckets"],
+                                              ref_rnd["buckets"])
+                assert rnd["map"].shape == ref_rnd["map"].shape
+                assert np.abs(rnd["map"] - ref_rnd["map"]).max() <= 1e-12
+
+    def test_mask_built_once_per_call(self, monkeypatch, rng):
+        calls = []
+        build = attention._reformer_mask
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(attention, "_reformer_mask", counting)
+        spec = AttentionSpec("reformer", heads=4, d_model=8, n_buckets=4,
+                             n_rounds=2, bucket_chunk=4)
+        multi_head_dispatch(Tensor(rng.standard_normal((6, 2, 9))),
+                            make_weights(spec, 6), spec, seed=[1, 2])
+        assert calls == [(2, 9, 4)]
+
+    @pytest.mark.parametrize("n_rounds", [1, 3])
+    def test_tape_gradients_agree(self, monkeypatch, n_rounds):
+        spec = AttentionSpec("reformer", heads=2, d_model=8, n_buckets=4,
+                             n_rounds=n_rounds, bucket_chunk=4)
+        w = make_weights(spec, 6, seed=1)
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.standard_normal((6, 2, 11)))
+        probe = Tensor(rng.standard_normal((8, 2, 11)))
+        sources = [x] + list(w.parameters().values())
+
+        def grads():
+            with Tape() as tape:
+                out = multi_head_dispatch(x, w, spec, seed=[5, 9])
+                return tape.gradient(nd.dot(out, probe), sources)
+
+        got = grads()
+        use_reference_reformer(monkeypatch)
+        want = grads()
+        for g, ref in zip(got, want):
+            assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 class TestDispatch:

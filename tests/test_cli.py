@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from sepformer.cli import (PAPER_DEFAULTS, TOY_DEFAULTS, build_run_config,
 from sepformer.datagen import Signal, wav_read, wav_write
 from sepformer.model import CheckpointError, Sepformer, SepformerConfig, \
     load_checkpoint, save_checkpoint
+
+SHIPPED_TOY_CFG = pathlib.Path(__file__).resolve().parent.parent / "toy.cfg"
 
 
 def tiny_cfg_file(tmp_path, **extra):
@@ -32,9 +36,7 @@ def train_tiny(tmp_path, name="model.ckpt", steps="2", seed="1",
 
 class TestConfigFile:
     def test_shipped_toy_config_matches_builtin_defaults(self):
-        import pathlib
-        shipped = pathlib.Path(__file__).resolve().parent.parent / "toy.cfg"
-        values = parse_config_file(str(shipped))
+        values = parse_config_file(str(SHIPPED_TOY_CFG))
         for key, value in values.items():
             assert TOY_DEFAULTS[key] == value
 
@@ -288,6 +290,27 @@ class TestSchema:
                      flag, value, "--out", str(tmp_path / "x.ckpt")]) == 1
         assert repr(flag[2:]) in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
+
+
+    @pytest.mark.parametrize("duration", ["0.001", "0.002"])
+    def test_duration_shorter_than_kernel_exits_one_naming_both(
+            self, tmp_path, capsys, duration):
+        # 0.002 s is 16 samples, one kernel, until speed perturbation
+        # shortens the mixture to 15 for some seeds
+        for seed in ("1", "4"):
+            assert main(["train-toy", "--config", str(SHIPPED_TOY_CFG), "--steps", "1",
+                         "--seed", seed, "--duration", duration,
+                         "--out", str(tmp_path / "x.ckpt")]) == 1
+            err = capsys.readouterr().err
+            assert "'duration'" in err and "'kernel'" in err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_shortest_accepted_duration_trains(self, tmp_path):
+        # 17 samples stay >= 16 after the fastest speed factor
+        for seed in ("1", "4"):
+            assert main(["train-toy", "--config", str(SHIPPED_TOY_CFG), "--steps", "1",
+                         "--seed", seed, "--duration", "0.002125",
+                         "--out", str(tmp_path / "x.ckpt")]) == 0
 
 
 def rewrite_config(path, edit):
