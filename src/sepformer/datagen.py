@@ -94,7 +94,7 @@ def wav_read(path):
         if cid == b"fmt ":
             fmt = body
         elif cid == b"data":
-            data = body
+            data, data_size = body, size
         offset += 8 + size + (size & 1)
     if fmt is None or len(fmt) < 16:
         raise WavFormatError("missing fmt chunk")
@@ -109,6 +109,12 @@ def wav_read(path):
         raise WavFormatError("channel count %d (mono required)" % channels)
     if bits != 16:
         raise WavFormatError("bit depth %d (16-bit required)" % bits)
+    if data_size > len(data):
+        raise WavFormatError("data chunk size %d exceeds the %d bytes left "
+                             "in %s" % (data_size, len(data), path))
+    if data_size % 2:
+        raise WavFormatError("data chunk size %d is not a whole number of "
+                             "16-bit samples" % data_size)
     ints = np.frombuffer(data, dtype="<i2")
     return Signal(ints.astype(np.float64) / 32768.0, rate)
 

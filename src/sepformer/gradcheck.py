@@ -146,15 +146,13 @@ def _ndkernel_suite():
         "add_bias": binary(nd.add_bias, (3, 4), (3,)),
         "add_scalar": scalar_arg(nd.add_scalar),
         "sub": binary(nd.sub, (3, 4), (3, 4)),
-        "neg": unary(nd.neg),
         "mul": binary(nd.mul, (3, 4), (3, 4)),
         "divide": binary(nd.divide, (3, 4), (3, 4), make_b=nonzero),
         "scale": unary(lambda x: nd.scale(x, 0.37)),
         "scale_by": scalar_arg(nd.scale_by),
         "scale_cols": binary(nd.scale_cols, (3, 4), (4,)),
         "relu": unary(nd.relu, nonzero),
-        "prelu": binary(nd.prelu, (3, 4), (3,),
-                        make_b=lambda rng, *s: r(rng, *s, low=0.1, high=0.5)),
+        "prelu": _prelu_check,
         "exp": unary(nd.exp),
         "log": unary(lambda x: nd.log(x), r, 3, 4, low=0.2, high=2.0),
         "softmax_rows": unary(nd.softmax_rows, r, 4, 5),
@@ -171,16 +169,12 @@ def _ndkernel_suite():
             lambda: nd.conv1d_transpose(x, w, 2), [x, w]))(
                 r(rng, 3, 7), r(rng, 3, 1, 4))),
         "sum_all": unary(nd.sum_all),
-        "mean_all": unary(nd.mean_all),
     }
 
 
-# relu's kink and prelu's slope both sit at zero, so their inputs are drawn
-# away from zero; the prelu check above draws half-negative inputs through
-# `nonzero` on the data side only when relu uses it -- prelu needs signed
-# data too, handled below by overriding the data generator.
-
 def _prelu_check(rng):
+    """prelu's kink sits at zero, so its data is drawn away from zero with
+    both signs."""
     signs = np.where(rng.uniform(size=(3, 4)) < 0.5, -1.0, 1.0)
     x = Tensor(signs * rng.uniform(0.2, 1.0, size=(3, 4)))
     slope = Tensor(rng.uniform(0.1, 0.5, size=3))
@@ -309,9 +303,7 @@ def _model_suite():
 
 
 def suites():
-    ndk = _ndkernel_suite()
-    ndk["prelu"] = _prelu_check
-    return {"ndkernel": ndk, "attention": _attention_suite(),
+    return {"ndkernel": _ndkernel_suite(), "attention": _attention_suite(),
             "model": _model_suite()}
 
 

@@ -16,6 +16,7 @@ sequence. With one source the same network acts as an enhancer.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field, fields, replace
 
@@ -335,56 +336,88 @@ def save_checkpoint(path, model):
         fh.write(buf.getvalue())
 
 
+class _CheckpointReader:
+    """Reads a checkpoint's fields in order; a field that runs past the end
+    of the file, or any other defect, is a CheckpointError naming the file
+    and the field's offset."""
+
+    def __init__(self, raw, path, offset):
+        self.raw, self.path, self.offset = raw, path, offset
+
+    def error(self, what, offset=None):
+        return CheckpointError("%s at offset %d in %s" % (
+            what, self.offset if offset is None else offset, self.path))
+
+    def take(self, n, what):
+        left = len(self.raw) - self.offset
+        if n > left:
+            raise self.error("truncated %s: needs %d bytes, %d left"
+                             % (what, n, left))
+        out = self.raw[self.offset:self.offset + n]
+        self.offset += n
+        return out
+
+    def u32(self, what):
+        return struct.unpack("<I", self.take(4, what))[0]
+
+    def text(self, what):
+        n = self.u32(what + " length")
+        at = self.offset
+        try:
+            return bytes(self.take(n, what)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.error("%s is not UTF-8" % what, at) from None
+
+
 def load_checkpoint(path):
-    """Reconstruct a model bit-exactly from :func:`save_checkpoint` output."""
+    """Reconstruct a model bit-exactly from :func:`save_checkpoint` output.
+
+    Every length, rank and dim is checked against the bytes left; a
+    truncated or corrupt file, a repeated parameter or a non-finite value
+    raises :class:`CheckpointError` naming the file and offset.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    view = memoryview(raw)
-    if bytes(view[:4]) != CHECKPOINT_MAGIC:
+    if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError("bad checkpoint magic %r in %s"
-                              % (bytes(view[:4]), path))
-    offset = 4
-    (version,) = struct.unpack_from("<I", view, offset)
-    offset += 4
+                              % (raw[:4], path))
+    reader = _CheckpointReader(memoryview(raw), path, 4)
+    version = reader.u32("version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError("unsupported checkpoint version %d" % version)
-    (config_len,) = struct.unpack_from("<I", view, offset)
-    offset += 4
+        raise reader.error("unsupported checkpoint version %d" % version, 4)
+    text = reader.text("config")
     try:
-        cfg, seed = _config_from_text(
-            bytes(view[offset:offset + config_len]).decode("utf-8"))
+        cfg, seed = _config_from_text(text)
     except ValueError as exc:
         raise CheckpointError("bad config in %s: %s" % (path, exc)) from None
-    offset += config_len
-    (n_params,) = struct.unpack_from("<I", view, offset)
-    offset += 4
+    n_params = reader.u32("parameter count")
 
     model = Sepformer(cfg, seed=seed)
     params = model.parameters()
     seen = set()
     for _ in range(n_params):
-        (name_len,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        name = bytes(view[offset:offset + name_len]).decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        dims = struct.unpack_from("<%dI" % rank, view, offset)
-        offset += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(view, dtype="<f8", count=count,
-                               offset=offset).reshape(dims)
-        offset += 8 * count
+        at = reader.offset
+        name = reader.text("parameter name")
+        rank = reader.u32("rank of %r" % name)
+        dims = struct.unpack("<%dI" % rank,
+                             reader.take(4 * rank, "dims of %r" % name))
+        values = np.frombuffer(
+            reader.take(8 * math.prod(dims), "values of %r" % name),
+            dtype="<f8").reshape(dims)
         if name not in params:
-            raise CheckpointError("unknown parameter %r in checkpoint" % name)
-        if params[name].shape != tuple(dims):
-            raise CheckpointError(
-                "parameter %r has shape %r, checkpoint stores %r"
-                % (name, params[name].shape, tuple(dims)))
+            raise reader.error("unknown parameter %r" % name, at)
+        if name in seen:
+            raise reader.error("repeated parameter %r" % name, at)
+        if params[name].shape != dims:
+            raise reader.error("parameter %r has shape %r, checkpoint "
+                               "stores %r" % (name, params[name].shape, dims),
+                               at)
+        if not np.all(np.isfinite(values)):
+            raise reader.error("non-finite values in parameter %r" % name, at)
         params[name].data[...] = values
         seen.add(name)
     missing = set(params) - seen
     if missing:
-        raise CheckpointError("checkpoint missing parameters: %s"
-                              % ", ".join(sorted(missing)))
+        raise reader.error("checkpoint missing parameters: %s"
+                           % ", ".join(sorted(missing)))
     return model

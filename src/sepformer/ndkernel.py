@@ -10,11 +10,15 @@ Convention used throughout the package: feature maps are stored with
 features on axis 0 and positions on the last axis (F x T). Ops that care
 about orientation say so in their docstring.
 
-Three optional global instruments hook into op execution:
+Ops see the active instruments through one object, ``_ACTIVE``, with one
+slot each; an empty slot costs one attribute test per op:
 
-* ``Tape``              -- gradient recording (single owner per step)
-* ``track_memory()``    -- counts live tensor bytes, keeps the high-water mark
-* ``record_macs()``     -- counts multiply-accumulates of matmul-like ops
+* ``tape``   -- gradient recording (``with Tape()``, single owner per step)
+* ``arena``  -- live tensor bytes and their peak (``track_memory()``)
+* ``macs``   -- multiply-accumulates of matmul-like ops (``record_macs()``)
+* ``finite`` -- all-finite check of every new tensor (``set_debug_checks``)
+
+Every op reports to them through one hook, :func:`_record`.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ __all__ = [
     "slice_rows", "slice_cols",
     "gather_cols", "gather_rows", "scatter_cols", "pad_cols", "frame",
     "overlap_sum",
-    "add", "add_bias", "add_scalar", "sub", "neg", "mul", "divide",
+    "add", "add_bias", "add_scalar", "sub", "mul", "divide",
     "scale", "scale_by", "scale_cols", "relu", "prelu", "exp", "log",
     "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
-    "conv1d", "conv1d_transpose", "sum_all", "mean_all", "dot",
+    "conv1d", "conv1d_transpose", "sum_all", "dot",
 ]
 
 
@@ -49,18 +53,36 @@ class InputTooShortError(ShapeError):
 
 
 # ---------------------------------------------------------------------------
-# global instruments
+# instruments
 
-_TAPE = None
-_ARENA = None
-_MACS = None
-_FINITE_CHECKS = False
+class _Instruments:
+    """The instruments ops report to; ``None`` (or False) leaves one off."""
+
+    __slots__ = ("tape", "arena", "macs", "finite")
+
+    def __init__(self):
+        self.tape = self.arena = self.macs = None
+        self.finite = False
+
+
+_ACTIVE = _Instruments()
 
 
 def set_debug_checks(enabled):
     """Toggle the all-finite assertion applied to every new tensor."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
+    _ACTIVE.finite = bool(enabled)
+
+
+@contextmanager
+def _installed(slot, instrument):
+    """Install ``instrument`` in ``slot`` for the block, shadowing the one
+    there, and hand that one back on exit."""
+    prev = getattr(_ACTIVE, slot)
+    setattr(_ACTIVE, slot, instrument)
+    try:
+        yield instrument
+    finally:
+        setattr(_ACTIVE, slot, prev)
 
 
 class AllocationArena:
@@ -89,43 +111,21 @@ class AllocationArena:
         self.current -= n
 
 
-@contextmanager
 def track_memory():
     """Route tensor allocations through a fresh counting arena."""
-    global _ARENA
-    arena = AllocationArena()
-    prev, _ARENA = _ARENA, arena
-    try:
-        yield arena
-    finally:
-        _ARENA = prev
+    return _installed("arena", AllocationArena())
 
 
 class MacCounter:
-    """Accumulates multiply-accumulate counts of matmul-like ops."""
+    """Multiply-accumulates of matmul-like ops, summed in ``total``."""
 
     def __init__(self):
         self.total = 0
 
-    def add(self, n):
-        self.total += int(n)
 
-
-@contextmanager
 def record_macs():
     """Count MACs of every matmul/bmm/conv executed inside the block."""
-    global _MACS
-    counter = MacCounter()
-    prev, _MACS = _MACS, counter
-    try:
-        yield counter
-    finally:
-        _MACS = prev
-
-
-def _macs(n):
-    if _MACS is not None:
-        _MACS.add(n)
+    return _installed("macs", MacCounter())
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +141,12 @@ class Tensor:
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+        active = _ACTIVE
+        if active.finite and not np.all(np.isfinite(arr)):
             raise FloatingPointError(
                 "non-finite values in tensor of shape %r" % (arr.shape,))
-        if _ARENA is not None:
-            _ARENA._register(self)
+        if active.arena is not None:
+            active.arena._register(self)
 
     @property
     def shape(self):
@@ -158,30 +159,8 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def copy(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return "Tensor(shape=%r)" % (self.data.shape,)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -195,15 +174,13 @@ class Tape:
         self._records = []
 
     def __enter__(self):
-        global _TAPE
-        if _TAPE is not None:
+        if _ACTIVE.tape is not None:
             raise RuntimeError("a tape is already recording")
-        _TAPE = self
+        _ACTIVE.tape = self
         return self
 
     def __exit__(self, *exc):
-        global _TAPE
-        _TAPE = None
+        _ACTIVE.tape = None
         return False
 
     def gradient(self, output, sources):
@@ -226,9 +203,14 @@ class Tape:
         return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
 
 
-def _record(out, inputs, backward):
-    if _TAPE is not None:
-        _TAPE._records.append((out, inputs, backward))
+def _record(out, inputs, backward, macs=0):
+    """The one per-op hook: ``out`` was computed from ``inputs`` with
+    ``macs`` multiply-accumulates; ``backward`` maps its gradient to theirs."""
+    active = _ACTIVE
+    if macs and active.macs is not None:
+        active.macs.total += macs
+    if active.tape is not None:
+        active.tape._records.append((out, inputs, backward))
 
 
 def as_tensor(x):
@@ -242,10 +224,10 @@ DIFFERENTIABLE_OPS = (
     "slice_rows", "slice_cols",
     "gather_cols", "gather_rows", "scatter_cols", "pad_cols", "frame",
     "overlap_sum",
-    "add", "add_bias", "add_scalar", "sub", "neg", "mul", "divide",
+    "add", "add_bias", "add_scalar", "sub", "mul", "divide",
     "scale", "scale_by", "scale_cols", "relu", "prelu", "exp", "log",
     "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
-    "conv1d", "conv1d_transpose", "sum_all", "mean_all",
+    "conv1d", "conv1d_transpose", "sum_all",
 )
 
 
@@ -263,14 +245,13 @@ def matmul(a, b):
                          % (a.shape, b.shape))
     m, k = a.shape
     n = b.shape[1]
-    _macs(m * k * n)
     out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
 
     def backward(g):
         return g @ bd.T, ad.T @ g
 
-    _record(out, (a, b), backward)
+    _record(out, (a, b), backward, macs=m * k * n)
     return out
 
 
@@ -283,14 +264,13 @@ def bmm(a, b):
                          % (a.shape, b.shape))
     bs, m, k = a.shape
     n = b.shape[2]
-    _macs(bs * m * k * n)
     out = Tensor(np.matmul(a.data, b.data))
     ad, bd = a.data, b.data
 
     def backward(g):
         return np.matmul(g, bd.swapaxes(1, 2)), np.matmul(ad.swapaxes(1, 2), g)
 
-    _record(out, (a, b), backward)
+    _record(out, (a, b), backward, macs=bs * m * k * n)
     return out
 
 
@@ -523,13 +503,6 @@ def sub(a, b):
         raise ShapeError("sub shapes differ: %r vs %r" % (a.shape, b.shape))
     out = Tensor(a.data - b.data)
     _record(out, (a, b), lambda g: (g, -g))
-    return out
-
-
-def neg(x):
-    x = as_tensor(x)
-    out = Tensor(-x.data)
-    _record(out, (x,), lambda g: (-g,))
     return out
 
 
@@ -773,7 +746,6 @@ def conv1d(x, filters, stride):
     tp = (t - kw) // stride + 1
     w2 = filters.data.reshape(f, kw)
     frames = np.lib.stride_tricks.sliding_window_view(x.data, kw)[::stride]
-    _macs(f * kw * tp)
     out = Tensor(w2 @ frames.T)
 
     def backward(g):
@@ -784,7 +756,7 @@ def conv1d(x, filters, stride):
             gx[k:k + stride * (tp - 1) + 1:stride] += gframes[k]
         return gx, gw
 
-    _record(out, (x, filters), backward)
+    _record(out, (x, filters), backward, macs=f * kw * tp)
     return out
 
 
@@ -807,7 +779,6 @@ def conv1d_transpose(x, filters, stride):
     t = (tp - 1) * stride + kw
     w2 = filters.data.reshape(f, kw)
     contrib = w2.T @ x.data
-    _macs(f * kw * tp)
     buf = np.zeros(t)
     for k in range(kw):
         buf[k:k + stride * (tp - 1) + 1:stride] += contrib[k]
@@ -820,7 +791,7 @@ def conv1d_transpose(x, filters, stride):
         gx = w2 @ gcontrib
         return gx, gw
 
-    _record(out, (x, filters), backward)
+    _record(out, (x, filters), backward, macs=f * kw * tp)
     return out
 
 
@@ -832,15 +803,6 @@ def sum_all(x):
     shape = x.shape
     out = Tensor(np.asarray(x.data.sum()))
     _record(out, (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
-    return out
-
-
-def mean_all(x):
-    x = as_tensor(x)
-    shape = x.shape
-    n = x.data.size
-    out = Tensor(np.asarray(x.data.mean()))
-    _record(out, (x,), lambda g: (np.broadcast_to(g / n, shape).copy(),))
     return out
 
 

@@ -275,18 +275,25 @@ def write_trace(rows, path):
                      % (r.step, r.loss, r.lr, r.si_snri, r.wall_ms))
 
 
-def train_toy(model, data_fn, steps, lr=1.5e-4, clip_norm=5.0,
-              plateau_patience=3, eval_every=100, trace_path=None):
+# train_toy's fixed schedule: the global-norm clip, and the learning rate
+# halves after PLATEAU_PATIENCE evaluations, one every EVAL_EVERY steps,
+# without a better SI-SNRi
+CLIP_NORM = 5.0
+PLATEAU_PATIENCE = 3
+EVAL_EVERY = 100
+
+
+def train_toy(model, data_fn, steps, lr=1.5e-4):
     """Desk-scale training: batch size 1, Adam, clipped gradients, PIT loss.
 
     ``data_fn(step)`` must deterministically return (mixture, targets) as
     1-d arrays; a constant item makes this an overfit run. Returns the
-    per-step trace. Raises :class:`TrainingDivergedError` on a non-finite
-    loss, naming the step.
+    per-step trace (:func:`write_trace` saves it). Raises
+    :class:`TrainingDivergedError` on a non-finite loss, naming the step.
     """
     params = model.parameters()
-    state = init_optim_state(params, lr=lr, clip_norm=clip_norm)
-    scheduler = PlateauScheduler(state, patience=plateau_patience)
+    state = init_optim_state(params, lr=lr, clip_norm=CLIP_NORM)
+    scheduler = PlateauScheduler(state, patience=PLATEAU_PATIENCE)
     rows = []
     for step in range(steps):
         mixture, targets = data_fn(step)
@@ -306,8 +313,6 @@ def train_toy(model, data_fn, steps, lr=1.5e-4, clip_norm=5.0,
         si_snri = pit.mean_db - float(baseline)
         wall_ms = (time.perf_counter() - t0) * 1e3
         rows.append(TraceRow(step, loss_value, state.lr, si_snri, wall_ms))
-        if eval_every and (step + 1) % eval_every == 0:
+        if (step + 1) % EVAL_EVERY == 0:
             scheduler.update(si_snri)
-    if trace_path is not None:
-        write_trace(rows, trace_path)
     return rows

@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,29 @@ class TestSeparate:
         assert main(["separate", "--model", str(bad), "--in", str(wav),
                      "--out-dir", str(tmp_path)]) == 1
         assert "magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keep", [6, 10, 200, -9])
+    def test_truncated_checkpoint_exits_one_naming_file(self, tmp_path,
+                                                        capsys, keep):
+        ckpt, wav = self._checkpoint_and_input(tmp_path)
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(pathlib.Path(ckpt).read_bytes()[:keep])
+        assert main(["separate", "--model", str(cut), "--in", wav,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"error: truncated .* at offset \d+ in "
+                         + re.escape(str(cut)), err)
+
+    @pytest.mark.parametrize("n_bytes,data_size", [(199, 199), (200, 10 ** 6)])
+    def test_bad_wav_data_chunk_exits_one(self, tmp_path, capsys, n_bytes,
+                                          data_size):
+        ckpt, wav = self._checkpoint_and_input(tmp_path)
+        raw = pathlib.Path(wav).read_bytes()[:44 + n_bytes]
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(raw[:40] + data_size.to_bytes(4, "little") + raw[44:])
+        assert main(["separate", "--model", ckpt, "--in", str(bad),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "data chunk size %d" % data_size in capsys.readouterr().err
 
 
 class TestBench:

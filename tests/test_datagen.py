@@ -62,6 +62,27 @@ class TestWav:
         with pytest.raises(WavFormatError, match="RIFF"):
             wav_read(path)
 
+    @staticmethod
+    def write_with_data_size(path, n_bytes, data_size):
+        # a canonical 44-byte header keeps the data chunk size at 40..44
+        wav_write(path, Signal(np.full(100, 0.25), 8000))
+        raw = path.read_bytes()[:44 + n_bytes]
+        path.write_bytes(raw[:40] + data_size.to_bytes(4, "little")
+                         + raw[44:])
+
+    def test_odd_data_chunk_rejected_naming_size(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        self.write_with_data_size(path, 199, 199)
+        with pytest.raises(WavFormatError, match="data chunk size 199 "):
+            wav_read(path)
+
+    def test_data_chunk_beyond_file_rejected_naming_size(self, tmp_path):
+        path = tmp_path / "short.wav"
+        self.write_with_data_size(path, 200, 10 ** 6)
+        with pytest.raises(WavFormatError,
+                           match="data chunk size 1000000 exceeds the 200 "):
+            wav_read(path)
+
     def test_clipping_on_write(self, tmp_path):
         path = tmp_path / "c.wav"
         wav_write(path, Signal(np.array([2.0, -2.0]), 8000))

@@ -1,5 +1,6 @@
 import hashlib
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,71 @@ class TestCheckpoint:
         raw[idx:idx + 7] = b"xncoder"
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def field_ends(raw):
+        """End offsets of a v1 checkpoint's header fields, and of each
+        parameter record's fields (name length, name, rank, dims, values)."""
+        def u32(at):
+            return int.from_bytes(raw[at:at + 4], "little")
+        header = [4, 8, 12, 12 + u32(8), 16 + u32(8)]
+        records = []
+        at = header[-1]
+        for _ in range(u32(at - 4)):
+            ends = [at + 4, at + 4 + u32(at)]
+            rank = u32(ends[-1])
+            ends += [ends[-1] + 4, ends[-1] + 4 + 4 * rank]
+            dims = [u32(ends[-2] + 4 * i) for i in range(rank)]
+            ends.append(ends[-1] + 8 * int(np.prod(dims)))
+            records.append(ends)
+            at = ends[-1]
+        assert at == len(raw)
+        return header, records
+
+    def test_every_cut_raises_checkpoint_error_naming_file(self, tmp_path):
+        model = Sepformer(small_config(), seed=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        header, records = self.field_ends(raw)
+        first, last = records[0], records[-1]
+        # every field boundary of the header and of the first and last
+        # parameter records, cuts inside header fields, and cuts inside the
+        # first and last tensors' values
+        cuts = header + first + last[:-1] + [
+            6, 10, (first[3] + first[4]) // 2, first[4] - 1,
+            (last[3] + last[4]) // 2, len(raw) - 1]
+        cut = tmp_path / "cut.ckpt"
+        names_place = r"at offset \d+ in " + re.escape(str(cut))
+        for n in cuts:
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError, match=names_place):
+                load_checkpoint(cut)
+
+    def test_repeated_parameter_rejected(self, tmp_path):
+        model = Sepformer(small_config(), seed=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        header, records = self.field_ends(raw)
+        start, end = header[-1], records[0][-1]
+        count = (len(records) + 1).to_bytes(4, "little")
+        path.write_bytes(raw[:start - 4] + count + raw[start:end]
+                         + raw[start:])
+        with pytest.raises(CheckpointError,
+                           match="repeated parameter 'encoder.filters' at "
+                                 "offset %d" % end):
+            load_checkpoint(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        model = Sepformer(small_config(), seed=2)
+        model.parameters()["decoder.filters"].data[0, 0, 1] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(CheckpointError,
+                           match="non-finite values in parameter "
+                                 "'decoder.filters'"):
             load_checkpoint(path)
 
 

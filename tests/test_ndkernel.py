@@ -287,6 +287,57 @@ class TestInstruments:
         assert peak_with_both == 12000
         assert arena.peak == 12000
 
+    def test_arena_inside_mac_counter_both_count(self, rng):
+        # the tracer's pattern: one counter around a fresh arena per operation
+        with nd.record_macs() as macs:
+            with nd.track_memory() as arena:
+                nd.matmul(Tensor(rng.standard_normal((4, 5))),
+                          Tensor(rng.standard_normal((5, 6))))
+        assert macs.total == 4 * 5 * 6
+        assert arena.peak == 8 * (4 * 5 + 5 * 6 + 4 * 6)
+
+    def test_nested_mac_counter_shadows_outer_and_hands_it_back(self, rng):
+        a = Tensor(rng.standard_normal((2, 3)))
+        b = Tensor(rng.standard_normal((3, 4)))
+        with nd.record_macs() as outer:
+            with nd.record_macs() as inner:
+                nd.matmul(a, b)
+            with pytest.raises(KeyError):
+                with nd.record_macs():
+                    raise KeyError
+            nd.matmul(a, b)
+        nd.matmul(a, b)
+        assert inner.total == 24
+        assert outer.total == 24
+
+    def test_nested_arena_shadows_outer_and_hands_it_back(self):
+        with nd.track_memory() as outer:
+            with nd.track_memory() as inner:
+                Tensor(np.zeros(10))
+            with pytest.raises(KeyError):
+                with nd.track_memory():
+                    raise KeyError
+            kept = Tensor(np.zeros(100))
+        Tensor(np.zeros(1000))
+        assert inner.peak == 80
+        assert outer.peak == outer.current == 800
+        del kept
+
+    def test_tape_block_that_raises_leaves_no_tape(self, rng):
+        a = Tensor(rng.standard_normal((2, 2)))
+        with pytest.raises(KeyError):
+            with Tape():
+                nd.mul(a, a)
+                raise KeyError
+        with Tape() as tape:
+            s = nd.sum_all(nd.mul(a, a))
+            (ga,) = tape.gradient(s, [a])
+        np.testing.assert_array_equal(ga, 2 * a.data)
+
+    def test_finite_check_off_accepts_inf(self):
+        nd.set_debug_checks(False)
+        assert Tensor([np.inf]).data[0] == np.inf
+
 
 class TestFrameOverlap:
     def test_frame_then_overlap_sum_is_coverage_weighted(self, rng):
