@@ -2,10 +2,8 @@
 efficient self-attention (full, sliding-window/global, low-rank projected,
 and LSH-bucketed), plus the cost profiler that checks their complexity."""
 
-from .attention import (AttentionSpec, SequenceTooLongError, full_attention,
-                        linformer_attention, longformer_attention,
-                        multi_head_dispatch, positional_encoding,
-                        reformer_attention)
+from .attention import (AttentionSpec, SequenceTooLongError,
+                        multi_head_dispatch, positional_encoding)
 from .datagen import (MixSpec, Signal, WavFormatError, dynamic_mix,
                       speed_perturb, synth_sources, wav_read, wav_write)
 from .dualpath import ChunkTensor, InvalidChunkSizeError, chunk, overlap_add

@@ -19,9 +19,12 @@ Variants:
                     computed chunkwise over the bucket-sorted sequence with
                     one look-back chunk, averaged over hash rounds.
 
-Constant masks are built once per :func:`multi_head_dispatch` call and
-shared by the heads. The reformer gathers its chunk operands by index in
-one pass per round and takes the masked softmax and log-sum-exp together
+Each variant is one :data:`REGISTRY` entry, which the dispatch, the
+parameter list, the cost model and the dual path's seeding all read:
+adding a variant takes one entry. Its per-call constants (masks, LSH
+rotations) are built once per :func:`multi_head_dispatch` call. The
+reformer gathers its chunk operands by index in one pass per round and
+takes the masked softmax and log-sum-exp together
 (``ndkernel.softmax_lse_rows``); the 1/sqrt(dk) scale rides on its
 queries rather than on the score map.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,14 +42,11 @@ from .ndkernel import Tensor
 from .params import Params, uniform
 
 __all__ = [
-    "VARIANTS", "AttentionSpec", "FieldError", "SequenceTooLongError",
-    "positional_encoding", "multi_head_dispatch", "full_attention",
-    "longformer_attention", "linformer_attention", "reformer_attention",
+    "VARIANTS", "REGISTRY", "Variant", "AttentionSpec", "FieldError",
+    "SequenceTooLongError", "positional_encoding", "multi_head_dispatch",
     "attention_tensors", "init_attention_weights", "hash_buckets",
     "longformer_allowed", "attention_core_macs", "derive_seed",
 ]
-
-VARIANTS = ("full", "longformer", "linformer", "reformer")
 
 # Additive logit biases: HARD removes a slot outright, SOFT keeps a slot
 # alive only when nothing else is attendable (a position falls back to
@@ -112,22 +113,22 @@ class AttentionSpec:
     def d_head(self):
         return self.d_model // self.heads
 
+    @property
+    def entry(self):
+        return REGISTRY[self.variant]
+
 
 def attention_tensors(spec, feat_dim):
-    """One attention's projections as (name, shape, init), in draw order.
-
-    The reformer has no ``wk`` (shared-QK: keys are the queries normalized
-    to unit length); only the linformer has ``proj_p``/``proj_f``.
-    """
+    """One attention's projections as (name, shape, init), in draw order:
+    ``wq``, ``wv``, ``wo``, then ``wk`` unless the variant shares QK, then
+    the entry's extra tensors."""
     d = spec.d_model
     yield "wq", (d, feat_dim), uniform(feat_dim)
     yield "wv", (d, feat_dim), uniform(feat_dim)
     yield "wo", (d, d), uniform(d)
-    if spec.variant != "reformer":
+    if not spec.entry.shares_qk:
         yield "wk", (d, feat_dim), uniform(feat_dim)
-    if spec.variant == "linformer":
-        yield "proj_p", (spec.max_len, spec.proj_len), uniform(spec.max_len)
-        yield "proj_f", (spec.max_len, spec.proj_len), uniform(spec.max_len)
+    yield from spec.entry.extra(spec)
 
 
 def init_attention_weights(spec, feat_dim, rng):
@@ -160,10 +161,14 @@ def positional_encoding(length, d_model):
 # ---------------------------------------------------------------------------
 # per-head cores
 #
-# Each core receives one head's (dk, B*L) slices of Q/K/V, holding B
-# independent length-L sequences side by side, and returns the head's
-# (dk, B*L) output. Work that mixes positions runs batched over the
+# core(q, k, v, ctx, details) receives one head's (dk, B*L) slices of
+# Q/K/V (``k`` is None when the variant shares QK), holding B independent
+# length-L sequences side by side, and the call's ``_Call``; it returns the
+# head's (dk, B*L) output. Work that mixes positions runs batched over the
 # sequences with bmm.
+
+_Call = namedtuple("_Call", "spec weights batch length scale state")
+
 
 def _per_sequence(x, batch, length, axes):
     """(rows, B*L) -> the (rows, B, L) view permuted by ``axes``."""
@@ -189,9 +194,10 @@ def _softmax_last(x):
                       x.shape)
 
 
-def _full_head(q, k, v, scale, batch, length, details):
+def _full_head(q, k, v, ctx, details):
+    batch, length = ctx.batch, ctx.length
     scores = nd.scale(nd.bmm(_features_last(q, batch, length),
-                             _positions_last(k, batch, length)), scale)
+                             _positions_last(k, batch, length)), ctx.scale)
     a = _softmax_last(scores)                             # (B, L, L)
     if details is not None:
         details["map"] = a.data.copy()
@@ -211,26 +217,26 @@ def longformer_allowed(length, window, global_stride):
     return allowed
 
 
-def _longformer_masks(length, window, global_stride):
-    """Constant additive masks and index arrays for the banded computation."""
-    half = (window - 1) // 2
+def _longformer_masks(spec, batch, length, seed):
+    """Constant additive band mask and global indices, shared by the heads."""
+    half = (spec.window - 1) // 2
     t = np.arange(length)[:, None]
     src = t + np.arange(-half, half + 1)[None, :]        # (T, w) band targets
     in_range = (src >= 0) & (src < length)
-    if global_stride is not None:
-        globals_idx = np.arange(0, length, global_stride)
+    if spec.global_stride is not None:
+        globals_idx = np.arange(0, length, spec.global_stride)
         dup = in_range & np.isin(src, globals_idx)
     else:
         globals_idx = np.zeros(0, dtype=np.intp)
         dup = np.zeros_like(in_range)
     band_mask = np.where(in_range & ~dup, 0.0, _HARD_MASK)
-    src_clipped = np.clip(src, 0, length - 1)
-    return half, src_clipped, band_mask, globals_idx
+    return half, band_mask, globals_idx
 
 
-def _longformer_head(q, k, v, scale, spec, batch, length, masks, details):
-    half, _, band_mask, gidx = masks
-    w = spec.window
+def _longformer_head(q, k, v, ctx, details):
+    batch, length, scale = ctx.batch, ctx.length, ctx.scale
+    half, band_mask, gidx = ctx.state
+    w = ctx.spec.window
     ng = len(gidx)
     n = batch * length
 
@@ -282,7 +288,22 @@ def _longformer_head(q, k, v, scale, spec, batch, length, masks, details):
     return nd.reshape(out, (-1, n))
 
 
-def _linformer_head(q, k, v, scale, spec, batch, length, weights, details):
+def _longformer_macs(spec, t):
+    # the band, plus the global columns and the global rows
+    g = 0 if spec.global_stride is None else -(-t // spec.global_stride)
+    return 2 * t * (spec.window + 2 * g) * spec.d_head
+
+
+def _linformer_check(spec, batch, length, seed):
+    if length > spec.max_len:
+        raise SequenceTooLongError("sequence length %d exceeds projection "
+                                   "size %d" % (length, spec.max_len))
+    return ()
+
+
+def _linformer_head(q, k, v, ctx, details):
+    batch, length, spec = ctx.batch, ctx.length, ctx.spec
+
     def project(x, proj, axes):
         # each sequence's length-L rows onto the proj_len slots
         p = nd.matmul(nd.reshape(x, (-1, length)), nd.slice_rows(proj, 0,
@@ -290,12 +311,12 @@ def _linformer_head(q, k, v, scale, spec, batch, length, weights, details):
         return nd.permute(nd.reshape(p, (-1, batch, spec.proj_len)), axes)
 
     scores = nd.scale(nd.bmm(_features_last(q, batch, length),
-                             project(k, weights.proj_p, (1, 0, 2))),
-                      scale)                              # (B, L, k)
+                             project(k, ctx.weights.proj_p, (1, 0, 2))),
+                      ctx.scale)                          # (B, L, k)
     a = _softmax_last(scores)
     if details is not None:
         details["map"] = a.data.copy()
-    out = nd.bmm(a, project(v, weights.proj_f, (1, 2, 0)))  # (B, L, dk)
+    out = nd.bmm(a, project(v, ctx.weights.proj_f, (1, 2, 0)))  # (B, L, dk)
     return _flat_head(out)
 
 
@@ -331,6 +352,19 @@ def _reformer_mask(batch, length, m):
     return np.tile(mask.reshape(n_chunks * m, 2 * m), (batch, 1))
 
 
+def _reformer_prepare(spec, batch, length, seed):
+    """Per hash round, the (B, d_head, n_buckets / 2) rotations from each
+    sequence's seed (or one shared int), and the call's mask."""
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if len(seeds) not in (1, batch):
+        raise ValueError("%d seeds for %d sequences" % (len(seeds), batch))
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    shape = (spec.d_head, spec.n_buckets // 2)
+    rotations = [np.stack([rng.standard_normal(shape) for rng in rngs])
+                 for _ in range(spec.n_rounds)]
+    return rotations, _reformer_mask(batch, length, spec.bucket_chunk)
+
+
 def _round_indices(buckets, m):
     """Gather indices of one hash round over the flat B*L positions.
 
@@ -359,8 +393,7 @@ def _round_indices(buckets, m):
     return q_idx, kv_idx, inv
 
 
-def _reformer_head(q, v, scale, spec, batch, length, rotations, mask,
-                   details):
+def _reformer_head(q, k, v, ctx, details):
     """Shared-QK LSH attention of one head, one pass per hash round.
 
     Each round sorts every sequence by bucket and gathers, by index and
@@ -370,8 +403,10 @@ def _reformer_head(q, v, scale, spec, batch, length, rotations, mask,
     (dk, 2m) for the score bmm). One op takes the masked row softmax and
     its log-sum-exp; the output rows and the lse are gathered back into
     position order by the inverse index. Rounds are combined with weights
-    softmax(lse) per position. ``mask`` is the call's ``_reformer_mask``.
+    softmax(lse) per position. ``ctx.state`` holds rotations and mask.
     """
+    spec, batch, length = ctx.spec, ctx.batch, ctx.length
+    rotations, mask = ctx.state
     dk = spec.d_head
     m = spec.bucket_chunk
     n_chunks = -(-length // m)
@@ -381,7 +416,7 @@ def _reformer_head(q, v, scale, spec, batch, length, rotations, mask,
     kq = nd.unit_columns(q)
     # 1/sqrt(dk) rides on the queries; the extra zero row is the query of
     # every padding slot
-    qt = nd.transpose(nd.pad_cols(nd.scale(q, scale), 0, 1))   # (n+1, dk)
+    qt = nd.transpose(nd.pad_cols(nd.scale(q, ctx.scale), 0, 1))  # (n+1, dk)
     kt = nd.transpose(kq)                                 # (n, dk)
     vt = nd.transpose(v)
 
@@ -421,14 +456,56 @@ def _reformer_head(q, v, scale, spec, batch, length, rotations, mask,
 
 
 # ---------------------------------------------------------------------------
+# registry
+
+def _nothing(*_):
+    return ()
+
+
+# One variant. ``core`` names its per-head core in this module, looked up
+# per call so that patching the function replaces what runs. ``core_macs``
+# (spec, length) mirrors one head's matmul/bmm calls on one sequence.
+# ``prepare`` (spec, batch, length, seed) runs before the projections and
+# returns ``ctx.state`` or refuses the input. ``extra`` (spec) yields the
+# tensors beyond wq/wv/wo/wk. ``shares_qk``: keys are the unit queries (no
+# wk, two projections). ``seeded``: prepare draws from the seed.
+Variant = namedtuple(
+    "Variant", "core core_macs prepare extra shares_qk seeded",
+    defaults=(_nothing, _nothing, False, False))
+
+REGISTRY = {
+    "full": Variant("_full_head", lambda spec, t: 2 * t * t * spec.d_head),
+    "longformer": Variant("_longformer_head", _longformer_macs,
+                          prepare=_longformer_masks),
+    "linformer": Variant(
+        "_linformer_head", lambda spec, t: 4 * t * spec.proj_len * spec.d_head,
+        prepare=_linformer_check,
+        extra=lambda spec: [(name, (spec.max_len, spec.proj_len),
+                             uniform(spec.max_len))
+                            for name in ("proj_p", "proj_f")]),
+    "reformer": Variant(
+        "_reformer_head", lambda spec, t: spec.n_rounds * 4 * spec.d_head
+        * -(-t // spec.bucket_chunk) * spec.bucket_chunk ** 2,
+        prepare=_reformer_prepare, shares_qk=True, seeded=True),
+}
+VARIANTS = tuple(REGISTRY)
+
+
+def attention_core_macs(spec, length):
+    """MACs of the per-head attention cores (all heads), excluding the
+    Q/K/V/O projections; an instrumented count of the same ops matches."""
+    return spec.heads * spec.entry.core_macs(spec, length)
+
+
+def projection_macs(spec, feat_dim, length):
+    """MACs of the Q/K/V projections plus the output recombination."""
+    d = spec.d_model
+    n_proj = 2 if spec.entry.shares_qk else 3
+    return n_proj * d * feat_dim * length + d * d * length
+
+
+# ---------------------------------------------------------------------------
 # dispatch
-
-def _reformer_rotations(seed, spec):
-    """One (d_head, n_buckets / 2) rotation per hash round, from ``seed``."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return [rng.standard_normal((spec.d_head, spec.n_buckets // 2))
-            for _ in range(spec.n_rounds)]
-
 
 def _unbatched(details):
     """Per-head diagnostics of a batch of one, without the batch axis."""
@@ -445,12 +522,12 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     ``x`` is one (F, T) map or a batch (F, B, L) of B independent length-L
     sequences, and the output has the same layout. The projections run
     once over all positions; each head's core runs batched over the
-    sequences. ``seed`` only matters for the reformer, whose LSH rotations
-    are drawn per call from it: one int shared by every sequence, or one
-    per sequence. Equal seeds give bit-identical outputs. When ``details``
-    is a dict it is filled with per-head diagnostics (attention maps,
-    bucket assignments), which lead with the sequence axis for batched
-    input.
+    sequences. ``seed`` only matters for a seeded variant (the reformer,
+    whose LSH rotations are drawn per call from it): one int shared by
+    every sequence, or one per sequence. Equal seeds give bit-identical
+    outputs. When ``details`` is a dict it is filled with per-head
+    diagnostics (attention maps, bucket assignments), which lead with the
+    sequence axis for batched input.
     """
     x = nd.as_tensor(x)
     if x.data.ndim == 2:
@@ -462,30 +539,15 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     else:
         raise nd.ShapeError("attention expects (F, T) or (F, B, L), got %r"
                             % (x.shape,))
+    entry = spec.entry
     dk = spec.d_head
-    scale = 1.0 / math.sqrt(dk)
-
-    if spec.variant == "linformer" and length > spec.max_len:
-        raise SequenceTooLongError(
-            "sequence length %d exceeds projection size %d"
-            % (length, spec.max_len))
+    ctx = _Call(spec, weights, batch, length, 1.0 / math.sqrt(dk),
+                entry.prepare(spec, batch, length, seed))
+    core = globals()[entry.core]      # by name, so a patched core runs
 
     q = nd.matmul(weights.wq, flat)
     v = nd.matmul(weights.wv, flat)
-    wk = getattr(weights, "wk", None)
-    k = nd.matmul(wk, flat) if wk is not None else None
-
-    masks = rotations = None
-    if spec.variant == "longformer":
-        masks = _longformer_masks(length, spec.window, spec.global_stride)
-    elif spec.variant == "reformer":
-        seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-        if len(seeds) not in (1, batch):
-            raise ValueError("%d seeds for %d sequences"
-                             % (len(seeds), batch))
-        per_seq = [_reformer_rotations(s, spec) for s in seeds]
-        rotations = [np.stack(rounds) for rounds in zip(*per_seq)]
-        masks = _reformer_mask(batch, length, spec.bucket_chunk)
+    k = None if entry.shares_qk else nd.matmul(weights.wk, flat)
 
     heads = []
     head_details = [] if details is not None else None
@@ -494,18 +556,7 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
         vi = nd.slice_rows(v, i * dk, (i + 1) * dk)
         ki = nd.slice_rows(k, i * dk, (i + 1) * dk) if k is not None else None
         hd = {} if details is not None else None
-        if spec.variant == "full":
-            head = _full_head(qi, ki, vi, scale, batch, length, hd)
-        elif spec.variant == "longformer":
-            head = _longformer_head(qi, ki, vi, scale, spec, batch, length,
-                                    masks, hd)
-        elif spec.variant == "linformer":
-            head = _linformer_head(qi, ki, vi, scale, spec, batch, length,
-                                   weights, hd)
-        else:
-            head = _reformer_head(qi, vi, scale, spec, batch, length,
-                                  rotations, masks, hd)
-        heads.append(head)
+        heads.append(core(qi, ki, vi, ctx, hd))
         if head_details is not None:
             head_details.append(hd if x.data.ndim == 3 else _unbatched(hd))
 
@@ -516,54 +567,3 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     if x.data.ndim == 3:
         out = nd.reshape(out, (out.shape[0], batch, length))
     return out
-
-
-def _variant_entry(variant):
-    def op(x, weights, spec, seed=0, details=None):
-        if spec.variant != variant:
-            raise ValueError("spec variant is %r, expected %r"
-                             % (spec.variant, variant))
-        return multi_head_dispatch(x, weights, spec, seed=seed,
-                                   details=details)
-    op.__name__ = variant + "_attention"
-    return op
-
-
-full_attention = _variant_entry("full")
-longformer_attention = _variant_entry("longformer")
-linformer_attention = _variant_entry("linformer")
-reformer_attention = _variant_entry("reformer")
-
-
-# ---------------------------------------------------------------------------
-# cost model
-
-def attention_core_macs(spec, length):
-    """MACs of the per-head attention cores (all heads), excluding the
-    Q/K/V/O projections. Mirrors the matmul/bmm calls of the forward pass
-    exactly, so an instrumented count of the same ops matches it.
-    """
-    dk = spec.d_head
-    h = spec.heads
-    t = length
-    if spec.variant == "full":
-        per_head = 2 * t * t * dk
-    elif spec.variant == "longformer":
-        per_head = 2 * t * spec.window * dk
-        if spec.global_stride is not None:
-            g = len(range(0, t, spec.global_stride))
-            per_head += 4 * t * g * dk
-    elif spec.variant == "linformer":
-        per_head = 4 * t * spec.proj_len * dk
-    else:
-        m = spec.bucket_chunk
-        n_chunks = -(-t // m)
-        per_head = spec.n_rounds * 2 * (n_chunks * m * dk * 2 * m)
-    return h * per_head
-
-
-def projection_macs(spec, feat_dim, length):
-    """MACs of the Q/K/V projections plus the output recombination."""
-    d = spec.d_model
-    n_proj = 2 if spec.variant == "reformer" else 3
-    return n_proj * d * feat_dim * length + d * d * length

@@ -24,7 +24,8 @@ import os
 import sys
 from dataclasses import fields
 
-from .attention import AttentionSpec, FieldError, SequenceTooLongError
+from .attention import VARIANTS, AttentionSpec, FieldError, \
+    SequenceTooLongError
 from .datagen import MixSpec, Signal, WavFormatError, dynamic_mix, \
     synth_sources, wav_read, wav_write
 from .gradcheck import TOLERANCE, run_suite
@@ -321,7 +322,7 @@ def _build_parser():
 
     p = sub.add_parser("bench", help="profile MACs, speed and memory")
     p.add_argument("--attention", nargs="+", default=["full"],
-                   choices=["full", "longformer", "linformer", "reformer"])
+                   choices=VARIANTS)
     p.add_argument("--chunking", nargs="+", default=["c250"],
                    choices=sorted(_CHUNK_CHOICES))
     p.add_argument("--seconds", nargs="+", type=float,

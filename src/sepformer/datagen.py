@@ -109,6 +109,8 @@ def wav_read(path):
         raise WavFormatError("channel count %d (mono required)" % channels)
     if bits != 16:
         raise WavFormatError("bit depth %d (16-bit required)" % bits)
+    if rate == 0:
+        raise WavFormatError("sample rate field is 0 in %s" % path)
     if data_size > len(data):
         raise WavFormatError("data chunk size %d exceeds the %d bytes left "
                              "in %s" % (data_size, len(data), path))

@@ -148,14 +148,13 @@ def _stack_over(x, stack, spec, seed, repeat, axis):
     """Run ``stack`` on every sequence of the (F, B, L) batch ``x``, one
     call per group of whole sequences."""
     feat, batch, length = x.shape
-    # only the reformer draws from its seed; other variants share one
-    seeds = None
-    if spec.variant == "reformer":
+    # only a seeded variant draws from its seed; the others share one
+    seeds = seed
+    if spec.entry.seeded:
         seeds = [derive_seed(seed, repeat, axis, j) for j in range(batch)]
     per_group = max(1, _GROUP_POSITIONS // length)
     if per_group >= batch:
-        return transformer_stack(x, stack, spec,
-                                 seed=seed if seeds is None else seeds)
+        return transformer_stack(x, stack, spec, seed=seeds)
     flat = nd.reshape(x, (feat, batch * length))
     outs = []
     for start in range(0, batch, per_group):
@@ -164,7 +163,7 @@ def _stack_over(x, stack, spec, seed, repeat, axis):
                            (feat, stop - start, length))
         outs.append(transformer_stack(
             group, stack, spec,
-            seed=seed if seeds is None else seeds[start:stop]))
+            seed=seeds[start:stop] if spec.entry.seeded else seed))
     return nd.concat(outs, axis=1)
 
 

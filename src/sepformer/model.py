@@ -85,9 +85,8 @@ class SepformerConfig:
         for name, spec in (("intra", self.intra_attention),
                            ("inter", self.inter_attention)):
             if spec.d_model != self.n_filters:
-                raise ValueError(
-                    "%s attention d_model %d must equal n_filters %d"
-                    % (name, spec.d_model, self.n_filters))
+                raise FieldError(name + ".d_model", "must equal n_filters %d,"
+                                 " got %d" % (self.n_filters, spec.d_model))
 
 
 def encoded_length(cfg, n_samples):
@@ -373,8 +372,9 @@ def load_checkpoint(path):
     """Reconstruct a model bit-exactly from :func:`save_checkpoint` output.
 
     Every length, rank and dim is checked against the bytes left; a
-    truncated or corrupt file, a repeated parameter or a non-finite value
-    raises :class:`CheckpointError` naming the file and offset.
+    truncated or corrupt file, a repeated parameter, a non-finite value or
+    bytes after the last parameter raise :class:`CheckpointError` naming
+    the file and offset.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -420,4 +420,7 @@ def load_checkpoint(path):
     if missing:
         raise reader.error("checkpoint missing parameters: %s"
                            % ", ".join(sorted(missing)))
+    if reader.offset != len(raw):
+        raise reader.error("%d trailing bytes after the last parameter"
+                           % (len(raw) - reader.offset))
     return model

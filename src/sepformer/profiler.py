@@ -13,7 +13,7 @@ matmul-like ops count, matching the instrumented counter in ndkernel):
     per transformer layer, sequence length L:
         q/k/v projections       (3 or 2 for shared-QK) * d*F*L
         head recombination      d*d*L
-        attention cores         see attention_core_macs (per variant)
+        attention cores         heads * attention.REGISTRY[variant].core_macs
         feed-forward            2 * F*d_ff*L
     dual path, per repeat       intra_layers*Nc*layer(C) + inter_layers*C*layer(Nc)
                                 (the Nc chunks and the C offsets run as
@@ -123,10 +123,10 @@ def count_macs(cfg, n_samples):
 
 
 def config_label(cfg):
-    variant = cfg.intra_attention.variant
-    if cfg.chunk_size is not None \
-            and cfg.inter_attention.variant != variant:
-        variant += "+" + cfg.inter_attention.variant
+    specs = [cfg.intra_attention]
+    if cfg.chunk_size is not None:
+        specs.append(cfg.inter_attention)
+    variant = "+".join(dict.fromkeys(spec.variant for spec in specs))
     chunking = "none" if cfg.chunk_size is None else "c%d" % cfg.chunk_size
     return "%s/%s" % (variant, chunking)
 

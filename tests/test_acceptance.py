@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import sepformer.ndkernel as nd
-from sepformer.attention import (AttentionSpec, full_attention,
-                                 linformer_attention, longformer_attention,
-                                 positional_encoding, reformer_attention)
+from sepformer.attention import (AttentionSpec, multi_head_dispatch,
+                                 positional_encoding)
 from sepformer.cli import TOY_DEFAULTS, _toy_item, build_run_config
 from sepformer.datagen import Signal, wav_read, wav_write
 from sepformer.dualpath import chunk, overlap_add
@@ -136,8 +135,8 @@ def test_criterion_07_attention_equivalences():
                             window=2 * t - 1, global_stride=1)
     w = make_weights(lf_spec, 6)
     x = rng.standard_normal((6, t))
-    gap_lf = np.abs(longformer_attention(Tensor(x), w, lf_spec).data
-                    - full_attention(Tensor(x), w, full_spec).data).max()
+    gap_lf = np.abs(multi_head_dispatch(Tensor(x), w, lf_spec).data
+                    - multi_head_dispatch(Tensor(x), w, full_spec).data).max()
     assert gap_lf <= 1e-9
 
     li_spec = AttentionSpec("linformer", heads=2, d_model=8, proj_len=t,
@@ -145,8 +144,8 @@ def test_criterion_07_attention_equivalences():
     w = make_weights(li_spec, 6)
     w.proj_p = Tensor(np.eye(t))
     w.proj_f = Tensor(np.eye(t))
-    gap_li = np.abs(linformer_attention(Tensor(x), w, li_spec).data
-                    - full_attention(Tensor(x), w, full_spec).data).max()
+    gap_li = np.abs(multi_head_dispatch(Tensor(x), w, li_spec).data
+                    - multi_head_dispatch(Tensor(x), w, full_spec).data).max()
     assert gap_li <= 1e-9
 
     rf_spec = AttentionSpec("reformer", heads=2, d_model=8, n_buckets=2,
@@ -154,13 +153,13 @@ def test_criterion_07_attention_equivalences():
     w = make_weights(rf_spec, 6)
     col = rng.standard_normal(6)
     xx = np.tile(col[:, None], (1, 8))
-    gap_rf = np.abs(reformer_attention(Tensor(xx), w, rf_spec, seed=3).data
+    gap_rf = np.abs(multi_head_dispatch(Tensor(xx), w, rf_spec, seed=3).data
                     - shared_qk_full_oracle(xx, w, rf_spec)).max()
     assert gap_rf <= 1e-6
 
     w = make_weights(full_spec, 6)
     x4 = rng.standard_normal((6, 4))
-    gap_bf = np.abs(full_attention(Tensor(x4), w, full_spec).data
+    gap_bf = np.abs(multi_head_dispatch(Tensor(x4), w, full_spec).data
                     - brute_force_attention(x4, w, full_spec)).max()
     assert gap_bf <= 1e-9
     report(7, "longformer %.1e, linformer %.1e, reformer %.1e, "

@@ -5,12 +5,12 @@ import pytest
 
 from sepformer import attention
 from sepformer import ndkernel as nd
-from sepformer.attention import (AttentionSpec,
-                                 SequenceTooLongError, full_attention,
-                                 hash_buckets, init_attention_weights,
-                                 linformer_attention, longformer_allowed,
-                                 longformer_attention, multi_head_dispatch,
-                                 positional_encoding, reformer_attention)
+from sepformer.attention import (VARIANTS, AttentionSpec,
+                                 SequenceTooLongError, attention_core_macs,
+                                 attention_tensors, hash_buckets,
+                                 init_attention_weights, longformer_allowed,
+                                 multi_head_dispatch, positional_encoding,
+                                 projection_macs)
 from sepformer.ndkernel import Tape, Tensor
 
 
@@ -105,8 +105,8 @@ class TestFullAttention:
         spec = AttentionSpec("full", heads=2, d_model=8)
         w = make_weights(spec, 6)
         details = {}
-        full_attention(Tensor(rng.standard_normal((6, 1))), w, spec,
-                       details=details)
+        multi_head_dispatch(Tensor(rng.standard_normal((6, 1))), w, spec,
+                            details=details)
         for head in details["heads"]:
             np.testing.assert_array_equal(head["map"], [[1.0]])
 
@@ -115,14 +115,14 @@ class TestFullAttention:
         w = make_weights(spec, 6)
         x = rng.standard_normal((6, 4))
         x[:, 2] = x[:, 0]
-        out = full_attention(Tensor(x), w, spec).data
+        out = multi_head_dispatch(Tensor(x), w, spec).data
         np.testing.assert_allclose(out[:, 2], out[:, 0], atol=1e-12)
 
     def test_matches_brute_force_loop(self, rng):
         spec = AttentionSpec("full", heads=2, d_model=8)
         w = make_weights(spec, 6)
         x = rng.standard_normal((6, 4))
-        out = full_attention(Tensor(x), w, spec).data
+        out = multi_head_dispatch(Tensor(x), w, spec).data
         np.testing.assert_allclose(out, brute_force_attention(x, w, spec),
                                    atol=1e-9)
 
@@ -131,8 +131,8 @@ class TestFullAttention:
         w = make_weights(spec, 8)
         x = rng.standard_normal((8, 7))
         perm = rng.permutation(7)
-        attended = full_attention(Tensor(x), w, spec).data
-        permuted = full_attention(Tensor(x[:, perm]), w, spec).data
+        attended = multi_head_dispatch(Tensor(x), w, spec).data
+        permuted = multi_head_dispatch(Tensor(x[:, perm]), w, spec).data
         np.testing.assert_allclose(permuted, attended[:, perm], atol=1e-9)
 
 
@@ -144,8 +144,8 @@ class TestLongformer:
         full_spec = AttentionSpec("full", heads=2, d_model=8)
         w = make_weights(lf_spec, 6)
         x = rng.standard_normal((6, t))
-        lf = longformer_attention(Tensor(x), w, lf_spec).data
-        dense = full_attention(Tensor(x), w, full_spec).data
+        lf = multi_head_dispatch(Tensor(x), w, lf_spec).data
+        dense = multi_head_dispatch(Tensor(x), w, full_spec).data
         np.testing.assert_allclose(lf, dense, atol=1e-9)
 
     def test_full_coverage_window_without_globals(self, rng):
@@ -156,8 +156,8 @@ class TestLongformer:
         w = make_weights(lf_spec, 6)
         x = rng.standard_normal((6, t))
         np.testing.assert_allclose(
-            longformer_attention(Tensor(x), w, lf_spec).data,
-            full_attention(Tensor(x), w, full_spec).data, atol=1e-9)
+            multi_head_dispatch(Tensor(x), w, lf_spec).data,
+            multi_head_dispatch(Tensor(x), w, full_spec).data, atol=1e-9)
 
     def test_band_pair_count(self):
         # width-3 band over 5 positions: 3*5 - 2 = 13 allowed pairs
@@ -169,8 +169,8 @@ class TestLongformer:
                              global_stride=4)
         w = make_weights(spec, 6)
         details = {}
-        longformer_attention(Tensor(rng.standard_normal((6, 11))), w, spec,
-                             details=details)
+        multi_head_dispatch(Tensor(rng.standard_normal((6, 11))), w, spec,
+                            details=details)
         for head in details["heads"]:
             assert np.all(head["map"] >= 0)
             np.testing.assert_allclose(head["map"].sum(axis=1), 1.0,
@@ -185,7 +185,7 @@ class TestLongformer:
                              global_stride=4)
         w = make_weights(spec, 4)
         x = rng.standard_normal((4, t))
-        out = longformer_attention(Tensor(x), w, spec).data
+        out = multi_head_dispatch(Tensor(x), w, spec).data
 
         allowed = longformer_allowed(t, spec.window, spec.global_stride)
         q = w.wq.data @ x
@@ -208,7 +208,7 @@ class TestLongformer:
             w = make_weights(spec, feat)
             x = Tensor(rng.standard_normal((feat, t)))
             with nd.record_macs() as macs:
-                longformer_attention(x, w, spec)
+                multi_head_dispatch(x, w, spec)
             totals[t] = macs.total
         ratio = totals[2000] / totals[1000]
         assert 1.9 <= ratio <= 2.3
@@ -225,15 +225,15 @@ class TestLinformer:
         full_spec = AttentionSpec("full", heads=2, d_model=8)
         x = rng.standard_normal((6, t))
         np.testing.assert_allclose(
-            linformer_attention(Tensor(x), w, spec).data,
-            full_attention(Tensor(x), w, full_spec).data, atol=1e-9)
+            multi_head_dispatch(Tensor(x), w, spec).data,
+            multi_head_dispatch(Tensor(x), w, full_spec).data, atol=1e-9)
 
     def test_attention_map_shape_is_t_by_k(self, rng):
         spec = AttentionSpec("linformer", heads=2, d_model=8, proj_len=16,
                              max_len=200)
         w = make_weights(spec, 6)
         details = {}
-        linformer_attention(Tensor(rng.standard_normal((6, 100))), w, spec,
+        multi_head_dispatch(Tensor(rng.standard_normal((6, 100))), w, spec,
                             details=details)
         for head in details["heads"]:
             assert head["map"].shape == (100, 16)
@@ -245,7 +245,7 @@ class TestLinformer:
                              max_len=8)
         w = make_weights(spec, 6)
         with pytest.raises(SequenceTooLongError):
-            linformer_attention(Tensor(rng.standard_normal((6, 9))), w, spec)
+            multi_head_dispatch(Tensor(rng.standard_normal((6, 9))), w, spec)
 
 
 class TestReformer:
@@ -256,8 +256,8 @@ class TestReformer:
         col = rng.standard_normal(6)
         x = np.tile(col[:, None], (1, 8))
         details = {}
-        out = reformer_attention(Tensor(x), w, spec, seed=3,
-                                 details=details).data
+        out = multi_head_dispatch(Tensor(x), w, spec, seed=3,
+                                  details=details).data
         for head in details["heads"]:
             for rnd in head["rounds"]:
                 assert len(set(rnd["buckets"])) == 1
@@ -270,7 +270,7 @@ class TestReformer:
                              n_rounds=2, bucket_chunk=32)
         w = make_weights(spec, 6)
         x = rng.standard_normal((6, 12))
-        out = reformer_attention(Tensor(x), w, spec, seed=11).data
+        out = multi_head_dispatch(Tensor(x), w, spec, seed=11).data
         np.testing.assert_allclose(out, shared_qk_full_oracle(x, w, spec),
                                    atol=1e-6)
 
@@ -279,8 +279,8 @@ class TestReformer:
                              n_rounds=2, bucket_chunk=4)
         w = make_weights(spec, 6)
         x = Tensor(rng.standard_normal((6, 21)))
-        a = reformer_attention(x, w, spec, seed=9).data
-        b = reformer_attention(x, w, spec, seed=9).data
+        a = multi_head_dispatch(x, w, spec, seed=9).data
+        b = multi_head_dispatch(x, w, spec, seed=9).data
         np.testing.assert_array_equal(a, b)
 
     def test_different_seed_changes_hashing(self, rng):
@@ -288,8 +288,8 @@ class TestReformer:
                              n_rounds=1, bucket_chunk=4)
         w = make_weights(spec, 6)
         x = Tensor(rng.standard_normal((6, 21)))
-        a = reformer_attention(x, w, spec, seed=1).data
-        b = reformer_attention(x, w, spec, seed=2).data
+        a = multi_head_dispatch(x, w, spec, seed=1).data
+        b = multi_head_dispatch(x, w, spec, seed=2).data
         assert not np.array_equal(a, b)
 
     def test_rows_are_distributions_over_realized_slots(self, rng):
@@ -297,8 +297,8 @@ class TestReformer:
                              n_rounds=2, bucket_chunk=4)
         w = make_weights(spec, 6)
         details = {}
-        reformer_attention(Tensor(rng.standard_normal((6, 15))), w, spec,
-                           seed=5, details=details)
+        multi_head_dispatch(Tensor(rng.standard_normal((6, 15))), w, spec,
+                            seed=5, details=details)
         for head in details["heads"]:
             for rnd in head["rounds"]:
                 maps = rnd["map"].reshape(-1, rnd["map"].shape[-1])
@@ -311,7 +311,7 @@ class TestReformer:
                              n_rounds=2, bucket_chunk=4)
         w = make_weights(spec, 6)
         x = rng.standard_normal((6, 1))
-        out = reformer_attention(Tensor(x), w, spec, seed=1).data
+        out = multi_head_dispatch(Tensor(x), w, spec, seed=1).data
         v = w.wv.data @ x
         np.testing.assert_allclose(out, w.wo.data @ v, atol=1e-12)
 
@@ -320,8 +320,8 @@ class TestReformer:
                              n_rounds=1, bucket_chunk=4)
         w = make_weights(spec, 6)
         details = {}
-        reformer_attention(Tensor(rng.standard_normal((6, 8))), w, spec,
-                           seed=2, details=details)
+        multi_head_dispatch(Tensor(rng.standard_normal((6, 8))), w, spec,
+                            seed=2, details=details)
         maps = details["heads"][0]["rounds"][0]["map"]   # (nch, m, 2m)
         n_chunks, m, _ = maps.shape
         for i in range(n_chunks):
@@ -452,9 +452,10 @@ def reference_reformer_head(q, v, scale, spec, batch, length, rotations,
 
 
 def use_reference_reformer(monkeypatch):
-    def head(q, v, scale, spec, batch, length, rotations, mask, details):
-        return reference_reformer_head(q, v, scale, spec, batch, length,
-                                       rotations, details)
+    def head(q, k, v, ctx, details):
+        rotations, _ = ctx.state
+        return reference_reformer_head(q, v, ctx.scale, ctx.spec, ctx.batch,
+                                       ctx.length, rotations, details)
     monkeypatch.setattr(attention, "_reformer_head", head)
 
 
@@ -554,13 +555,6 @@ class TestDispatch:
             x = Tensor(rng.standard_normal((8, t)))
             assert multi_head_dispatch(x, w, spec, seed=1).shape == (8, t)
 
-    def test_variant_wrapper_rejects_mismatched_spec(self, rng):
-        spec = AttentionSpec("full", heads=2, d_model=8)
-        w = make_weights(spec, 6)
-        with pytest.raises(ValueError):
-            longformer_attention(Tensor(rng.standard_normal((6, 4))), w,
-                                 spec)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             AttentionSpec("full", heads=3, d_model=8)
@@ -582,7 +576,7 @@ class TestDispatch:
         for t in (1000, 2000):
             x = Tensor(rng.standard_normal((feat, t)))
             with nd.record_macs() as macs:
-                full_attention(x, w, spec)
+                multi_head_dispatch(x, w, spec)
             totals[t] = macs.total
         assert 3.6 <= totals[2000] / totals[1000] <= 4.4
 
@@ -593,5 +587,59 @@ class TestDispatch:
 
     def test_gradients_of_every_variant(self):
         from sepformer.gradcheck import run_suite
-        for name, err in run_suite("attention"):
+        results = run_suite("attention")
+        # exactly one gradcheck entry per registry entry
+        assert sorted(name for name, _ in results) == sorted(
+            "attention.%s_attention" % v for v in VARIANTS)
+        for name, err in results:
             assert err < 1e-4, "%s gradient off by %.3e" % (name, err)
+
+
+def small_spec(variant):
+    # every field is in range whatever the variant, so one spec serves each
+    # registry entry: bucket_chunk and global_stride are 4
+    return AttentionSpec(variant, heads=2, d_model=8, window=5,
+                         global_stride=4, proj_len=4, max_len=64,
+                         n_buckets=4, n_rounds=2, bucket_chunk=4)
+
+
+class TestRegistry:
+    KNOWN_TENSORS = {"full": ["wq", "wv", "wo", "wk"],
+                     "longformer": ["wq", "wv", "wo", "wk"],
+                     "linformer": ["wq", "wv", "wo", "wk", "proj_p",
+                                   "proj_f"],
+                     "reformer": ["wq", "wv", "wo"]}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_declared_tensors_are_the_ones_dispatch_reads(self, variant):
+        spec = small_spec(variant)
+        names = [name for name, _, _ in attention_tensors(spec, 6)]
+        assert names[:3] == ["wq", "wv", "wo"]
+        assert ("wk" in names) == (not spec.entry.shares_qk)
+        assert names == self.KNOWN_TENSORS.get(variant, names)
+        # every declared tensor feeds the output
+        w = make_weights(spec, 6)
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((6, 2, 11)))
+        probe = Tensor(rng.standard_normal((8, 2, 11)))
+        with Tape() as tape:
+            out = multi_head_dispatch(x, w, spec, seed=[3, 8])
+            grads = tape.gradient(nd.dot(out, probe),
+                                  [getattr(w, name) for name in names])
+        for name, g in zip(names, grads):
+            assert np.any(g != 0), name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("length", [16, 11])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_cost_model_matches_one_dispatch_call(self, variant, length,
+                                                  batch):
+        spec = small_spec(variant)
+        w = make_weights(spec, 6)
+        shape = (6, length) if batch is None else (6, batch, length)
+        x = Tensor(np.random.default_rng(length).standard_normal(shape))
+        with nd.record_macs() as macs:
+            multi_head_dispatch(x, w, spec, seed=3)
+        per_sequence = (attention_core_macs(spec, length)
+                        + projection_macs(spec, 6, length))
+        assert macs.total == (batch or 1) * per_sequence

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from sepformer.attention import VARIANTS
 from sepformer.cli import (PAPER_DEFAULTS, TOY_DEFAULTS, build_run_config,
                            main, parse_config_file)
 from sepformer.datagen import Signal, wav_read, wav_write
@@ -194,6 +195,29 @@ class TestSeparate:
         assert "data chunk size %d" % data_size in capsys.readouterr().err
 
 
+    def test_trailing_checkpoint_bytes_exit_one(self, tmp_path, capsys):
+        ckpt, wav = self._checkpoint_and_input(tmp_path)
+        padded = tmp_path / "padded.ckpt"
+        padded.write_bytes(pathlib.Path(ckpt).read_bytes() + bytes(800))
+        assert main(["separate", "--model", str(padded), "--in", wav,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(r"error: 800 trailing bytes .* at offset \d+ in "
+                         + re.escape(str(padded)), err)
+
+    def test_zero_wav_rate_exits_one(self, tmp_path, capsys):
+        ckpt, wav = self._checkpoint_and_input(tmp_path)
+        raw = pathlib.Path(wav).read_bytes()
+        bad = tmp_path / "rate0.wav"
+        bad.write_bytes(raw[:24] + bytes(4) + raw[28:])
+        assert main(["separate", "--model", ckpt, "--in", str(bad),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: sample rate field is 0 in %s" % bad in err
+
+
 class TestBench:
     def test_row_count_is_product_of_axes(self, tmp_path, capsys):
         from sepformer.profiler import parse_csv
@@ -207,6 +231,16 @@ class TestBench:
         labels = {r.label for r in reports}
         assert labels == {"full/c250", "full/none", "reformer/c250",
                           "reformer/none"}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_registry_variant_is_a_choice(self, tmp_path, capsys,
+                                                variant):
+        from sepformer.profiler import parse_csv
+        assert main(["bench", "--config", tiny_cfg_file(tmp_path),
+                     "--attention", variant, "--chunking", "c250",
+                     "--seconds", "0.05", "--repeats", "1"]) == 0
+        reports = parse_csv(capsys.readouterr().out)
+        assert [r.label for r in reports] == [variant + "/c250"]
 
     def test_json_output_to_file(self, tmp_path):
         import json
@@ -356,6 +390,10 @@ def rewrite_config(path, edit):
     (lambda t: t.replace("stride=2", "stride=0"), "stride"),
     (lambda t: t.replace("intra.n_buckets=16", "intra.n_buckets=3"),
      "intra.n_buckets"),
+    (lambda t: t.replace("intra.d_model=8", "intra.d_model=4"),
+     "intra.d_model"),
+    (lambda t: t.replace("inter.d_model=8", "inter.d_model=4"),
+     "inter.d_model"),
 ])
 def test_bad_checkpoint_config_exits_one_naming_key(tmp_path, capsys, edit,
                                                     key):

@@ -1,5 +1,12 @@
+import os
+import re
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepformer.datagen import (MixSpec, Signal, WavFormatError, dynamic_mix,
                                load_pool, read_manifest, speed_perturb,
@@ -83,12 +90,61 @@ class TestWav:
                            match="data chunk size 1000000 exceeds the 200 "):
             wav_read(path)
 
+    def test_zero_sample_rate_rejected_naming_field(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        wav_write(path, Signal(np.full(100, 0.25), 8000))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:24] + bytes(4) + raw[28:])
+        with pytest.raises(WavFormatError, match="sample rate field is 0 in "
+                                                 + re.escape(str(path))):
+            wav_read(path)
+
     def test_clipping_on_write(self, tmp_path):
         path = tmp_path / "c.wav"
         wav_write(path, Signal(np.array([2.0, -2.0]), 8000))
         back = wav_read(path)
         assert abs(back.samples[0] - 32767 / 32768) < 1e-12
         assert back.samples[1] == -1.0
+
+
+def header_value(valid, bits):
+    # boundary values around the valid one, or anything the field holds
+    top = 2 ** bits - 1
+    return (st.sampled_from([0, 1, max(valid - 1, 0), valid + 1, top])
+            | st.integers(0, top))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_wav_header_loads_or_raises_wav_format_error(data):
+    """A valid 16-bit mono WAV with up to three of its format tag,
+    channels, rate, bits and chunk sizes mutated, and possibly cut short,
+    either loads or raises WavFormatError, never anything else."""
+    n = data.draw(st.integers(0, 40), label="samples")
+    payload = np.arange(n, dtype="<i2").tobytes()
+    field = {"riff_size": (36 + n * 2, 32), "fmt_size": (16, 32),
+             "tag": (1, 16), "channels": (1, 16), "rate": (8000, 32),
+             "bits": (16, 16), "data_size": (n * 2, 32)}
+    value = {name: valid for name, (valid, _) in field.items()}
+    for name in data.draw(st.sets(st.sampled_from(sorted(field)),
+                                  max_size=3), label="mutated"):
+        value[name] = data.draw(header_value(*field[name]), label=name)
+    raw = (b"RIFF" + struct.pack("<I", value["riff_size"]) + b"WAVE"
+           + b"fmt " + struct.pack("<IHHIIHH", value["fmt_size"],
+                                   value["tag"], value["channels"],
+                                   value["rate"], 2 * value["rate"] % 2 ** 32,
+                                   2, value["bits"])
+           + b"data" + struct.pack("<I", value["data_size"]) + payload)
+    cut = data.draw(st.none() | st.integers(0, len(raw)), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.wav")
+        with open(path, "wb") as fh:
+            fh.write(raw[:cut])
+        try:
+            signal = wav_read(path)
+        except WavFormatError:
+            return
+    assert isinstance(signal, Signal) and signal.sample_rate > 0
 
 
 class TestSpeedPerturb:

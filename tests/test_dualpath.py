@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepformer import dualpath
-from sepformer.attention import (AttentionSpec, derive_seed,
+from sepformer.attention import (VARIANTS, AttentionSpec, derive_seed,
                                  positional_encoding)
 from sepformer.dualpath import (ChunkTensor, InvalidChunkSizeError, chunk,
                                 init_sepformer_block, overlap_add,
@@ -170,6 +170,24 @@ class TestSepformerBlock:
         out_a = sepformer_block(x, params, seed=5).data.data
         out_b = sepformer_block(x, params, seed=5).data.data
         np.testing.assert_array_equal(out_a, out_b)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_only_seeded_variants_derive_sequence_seeds(self, monkeypatch,
+                                                        rng, variant):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return derive_seed(*args)
+
+        monkeypatch.setattr(dualpath, "derive_seed", counting)
+        params = make_block(variant, variant)
+        x = chunk(Tensor(rng.standard_normal((6, 20))), 8)
+        sepformer_block(x, params, seed=3)
+        # one seed per intra sequence (chunk) and inter sequence (offset)
+        sequences = x.n_chunks + x.chunk_size
+        assert len(calls) == (sequences if params.intra_spec.entry.seeded
+                              else 0)
 
 
 def per_chunk_reference(chunks, params, seed):

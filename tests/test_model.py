@@ -283,6 +283,18 @@ class TestCheckpoint:
                                  "offset %d" % end):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model = Sepformer(small_config(), seed=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        end = path.stat().st_size
+        path.write_bytes(path.read_bytes() + bytes(range(200)) * 4)
+        with pytest.raises(CheckpointError,
+                           match="800 trailing bytes after the last parameter"
+                                 " at offset %d in %s"
+                                 % (end, re.escape(str(path)))):
+            load_checkpoint(path)
+
     def test_non_finite_values_rejected(self, tmp_path):
         model = Sepformer(small_config(), seed=2)
         model.parameters()["decoder.filters"].data[0, 0, 1] = np.nan
