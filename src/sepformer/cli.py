@@ -11,9 +11,10 @@ Configuration is a flat key=value file (UTF-8, ``#`` comments); precedence
 is flag > file > built-in defaults. Each key sets a field of
 ``SepformerConfig`` or ``AttentionSpec`` (whose defaults are the built-in
 ones) or a run option, and every key is range-checked: a bad value exits 1
-with a message naming the key. Checkpoints store the config as one
-``key=value`` line per dataclass field. Exit codes: 0 success, 1 usage or
-configuration error, 2 numeric failure.
+with a message naming the key. The attention keys, ``heads`` among them,
+set the intra and the inter spec alike. Checkpoints store the config as
+one ``key=value`` line per dataclass field. Exit codes: 0 success, 1 usage
+or configuration error, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Each config key that sets a dataclass field -> that field. "spec." fields
-# go to the intra attention spec, and to the inter one when
-# inter_attention=same; every spec takes heads and d_model from n_heads and
-# n_filters. Defaults are the dataclass defaults.
+# go to the intra attention spec and to the inter one, which copies the
+# intra spec (inter_attention=same) or is full attention with its heads
+# (inter_attention=full); the specs' d_model is derived from filters.
+# Defaults are the dataclass defaults.
 _FIELD_KEYS = {
     "filters": "n_filters", "kernel": "kernel_size", "stride": "stride",
     "chunk": "chunk_size", "repeats": "n_repeats",
     "intra_layers": "intra_layers", "inter_layers": "inter_layers",
-    "heads": "n_heads", "ffw": "ffw_dim", "sources": "n_sources",
+    "heads": "spec.heads", "ffw": "ffw_dim", "sources": "n_sources",
     "sample_rate": "sample_rate", "attention": "spec.variant",
     "window": "spec.window", "global_stride": "spec.global_stride",
     "proj_len": "spec.proj_len", "max_len": "spec.max_len",
@@ -78,7 +80,7 @@ _FIELDS = {**{f.name: f for f in fields(SepformerConfig)},
 # field name -> config key; config and spec field names are disjoint
 _KEY_OF = {target.rpartition(".")[2]: key
            for key, target in _FIELD_KEYS.items()}
-_KEY_OF.update(heads="heads", d_model="filters")
+_KEY_OF.update(d_model="filters")
 
 # Built-in full-size defaults; the shipped toy.cfg mirrors TOY_DEFAULTS.
 PAPER_DEFAULTS = {key: str(_FIELDS[target].default)
@@ -143,8 +145,7 @@ def build_run_config(values):
         except FieldError as exc:
             raise ConfigError("key %r %s" % (key, exc.reason)) from None
         (spec_kwargs if owner else cfg_kwargs)[name] = value
-    spec_kwargs.update(heads=cfg_kwargs["n_heads"],
-                       d_model=cfg_kwargs["n_filters"])
+    spec_kwargs["d_model"] = cfg_kwargs["n_filters"]
     inter_mode = values["inter_attention"]
     if inter_mode not in ("same", "full"):
         raise ConfigError("key 'inter_attention' must be 'same' or 'full', "
@@ -255,15 +256,15 @@ _CHUNK_CHOICES = {"c250": 250, "c1000": 1000, "none": None}
 
 
 def _cmd_bench(args):
-    values = _merge(PAPER_DEFAULTS, args.config, {})
+    values = _merge(PAPER_DEFAULTS, args.config,
+                    {"inter_attention": args.inter_attention})
+    chunks = [str(_CHUNK_CHOICES[c]) for c in args.chunking or ()] \
+        or [values["chunk"]]
     reports = []
-    for variant in args.attention:
-        for chunking in args.chunking:
-            bench_values = dict(values)
-            bench_values["attention"] = variant
-            bench_values["chunk"] = str(_CHUNK_CHOICES[chunking])
-            bench_values["inter_attention"] = args.inter_attention
-            cfg, run = build_run_config(bench_values)
+    for variant in args.attention or [values["attention"]]:
+        for chunk in chunks:
+            cfg, run = build_run_config(dict(values, attention=variant,
+                                             chunk=chunk))
             reports.extend(bench_forward(cfg, args.seconds,
                                          repeats=args.repeats,
                                          seed=run["seed"]))
@@ -297,6 +298,22 @@ def _cmd_gradcheck(args):
 
 # ---------------------------------------------------------------------------
 
+def _positive(kind):
+    """argparse type for a positive finite ``kind``; a bad value is a
+    usage error naming the flag."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError("wants %s, got %r" % (
+                "an integer >= 1" if kind is int
+                else "a positive finite number", text))
+        return value
+    return parse
+
+
 def _build_parser():
     parser = _Parser(prog="sepformer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -321,15 +338,14 @@ def _build_parser():
     p.set_defaults(handler=_cmd_train_toy)
 
     p = sub.add_parser("bench", help="profile MACs, speed and memory")
-    p.add_argument("--attention", nargs="+", default=["full"],
-                   choices=VARIANTS)
-    p.add_argument("--chunking", nargs="+", default=["c250"],
-                   choices=sorted(_CHUNK_CHOICES))
-    p.add_argument("--seconds", nargs="+", type=float,
+    # omitted --attention, --chunking and --inter-attention take the
+    # config's attention, chunk and inter_attention
+    p.add_argument("--attention", nargs="+", choices=VARIANTS)
+    p.add_argument("--chunking", nargs="+", choices=sorted(_CHUNK_CHOICES))
+    p.add_argument("--seconds", nargs="+", type=_positive(float),
                    default=[1, 2, 3, 4, 5])
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--inter-attention", default="same",
-                   choices=["same", "full"])
+    p.add_argument("--repeats", type=_positive(int), default=5)
+    p.add_argument("--inter-attention", choices=["same", "full"])
     p.add_argument("--config")
     p.add_argument("--emit", default="csv", choices=["csv", "md", "json"])
     p.add_argument("--out")

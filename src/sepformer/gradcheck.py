@@ -215,7 +215,7 @@ def tiny_config():
     """The smallest config that exercises every wiring path."""
     return SepformerConfig(
         n_filters=8, kernel_size=4, stride=2, chunk_size=6, n_repeats=1,
-        intra_layers=1, inter_layers=1, n_heads=2, ffw_dim=16, n_sources=2,
+        intra_layers=1, inter_layers=1, ffw_dim=16, n_sources=2,
         intra_attention=AttentionSpec("full", heads=2, d_model=8),
     )
 

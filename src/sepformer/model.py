@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"SPFK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -49,7 +49,8 @@ class SepformerConfig:
 
     The fields are the schema: the checkpoint writes one ``key=value``
     line per field (attention spec fields under their ``prefix``), and
-    ``__post_init__`` range-checks each one.
+    ``__post_init__`` range-checks each one. The specs own the head count;
+    their width must equal ``n_filters``.
     """
 
     n_filters: int = 256
@@ -59,7 +60,6 @@ class SepformerConfig:
     n_repeats: int = 2
     intra_layers: int = 8
     inter_layers: int = 8
-    n_heads: int = 8
     ffw_dim: int = 1024
     n_sources: int = 2
     sample_rate: int = 8000
@@ -78,8 +78,8 @@ class SepformerConfig:
             if isinstance(value, int) and value < 1:
                 raise FieldError(f.name, "must be >= 1, got %d" % value)
         if self.intra_attention is None:
-            self.intra_attention = AttentionSpec(
-                "full", heads=self.n_heads, d_model=self.n_filters)
+            self.intra_attention = AttentionSpec("full",
+                                                 d_model=self.n_filters)
         if self.inter_attention is None:
             self.inter_attention = replace(self.intra_attention)
         for name, spec in (("intra", self.intra_attention),
@@ -283,10 +283,30 @@ def parse_field(f, text):
             " or 'none'" if nullable else "", text)) from None
 
 
-def _config_from_text(text):
-    """Inverse of :func:`_config_text`; a FieldError names the bad key."""
-    kv = dict(line.partition("=")[::2] for line in text.splitlines()
-              if line.strip())
+def _drop_v1_heads(kv):
+    """v1 wrote ``n_heads``, an integer >= 1, beside the specs' ``heads``,
+    which are what ran; check it, then drop it."""
+    text = kv.pop("n_heads", None)
+    if text is None:
+        raise FieldError("n_heads", "is missing")
+    if not (text.isdecimal() and int(text) >= 1 and str(int(text)) == text):
+        raise FieldError("n_heads", "wants an integer >= 1, got %r" % text)
+
+
+def _config_from_text(text, version):
+    """Inverse of :func:`_config_text`; a FieldError names the bad key.
+
+    Every key appears once, spelled as the writer spells it, so a text that
+    loads is the text its config saves."""
+    kv = {}
+    for line in text.splitlines():
+        if line.strip():
+            key, _, value = line.partition("=")
+            if key in kv:
+                raise FieldError(key, "is repeated")
+            kv[key] = value
+    if version == 1:
+        _drop_v1_heads(kv)
 
     def build(cls, prefix):
         kwargs = {}
@@ -295,17 +315,21 @@ def _config_from_text(text):
                 if "prefix" in f.metadata:
                     kwargs[f.name] = build(AttentionSpec,
                                            f.metadata["prefix"] + ".")
-                elif prefix + f.name not in kv:
+                    continue
+                value = kv.pop(prefix + f.name, None)
+                if value is None:
                     raise FieldError(f.name, "is missing")
-                else:
-                    kwargs[f.name] = parse_field(f, kv.pop(prefix + f.name))
+                kwargs[f.name] = parse_field(f, value)
+                if str(kwargs[f.name]) != value:
+                    raise FieldError(f.name, "must be written %r, got %r"
+                                     % (str(kwargs[f.name]), value))
             return cls(**kwargs)
         except FieldError as exc:
             raise FieldError(prefix + exc.field, exc.reason) from None
 
     cfg = build(SepformerConfig, "")
     seed = kv.pop("seed", None)
-    if seed is None or not seed.isdecimal():
+    if seed is None or not seed.isdecimal() or str(int(seed)) != seed:
         raise FieldError("seed", "wants an integer >= 0, got %r" % (seed,))
     if kv:
         raise FieldError(min(kv), "is not a config key")
@@ -371,10 +395,11 @@ class _CheckpointReader:
 def load_checkpoint(path):
     """Reconstruct a model bit-exactly from :func:`save_checkpoint` output.
 
-    Every length, rank and dim is checked against the bytes left; a
-    truncated or corrupt file, a repeated parameter, a non-finite value or
-    bytes after the last parameter raise :class:`CheckpointError` naming
-    the file and offset.
+    Reads version 2 and version 1, whose config text also holds an
+    ``n_heads`` line that is checked and dropped. Every length, rank and
+    dim is checked against the bytes left; a truncated or corrupt file, a
+    repeated parameter, a non-finite value or bytes after the last
+    parameter raise :class:`CheckpointError` naming the file and offset.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -383,11 +408,11 @@ def load_checkpoint(path):
                               % (raw[:4], path))
     reader = _CheckpointReader(memoryview(raw), path, 4)
     version = reader.u32("version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise reader.error("unsupported checkpoint version %d" % version, 4)
     text = reader.text("config")
     try:
-        cfg, seed = _config_from_text(text)
+        cfg, seed = _config_from_text(text, version)
     except ValueError as exc:
         raise CheckpointError("bad config in %s: %s" % (path, exc)) from None
     n_params = reader.u32("parameter count")

@@ -186,7 +186,6 @@ class OptimState:
     """Adam accumulators keyed like the parameter dict."""
 
     lr: float
-    clip_norm: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -195,8 +194,8 @@ class OptimState:
     v: dict = field(default_factory=dict)
 
 
-def init_optim_state(params, lr=1.5e-4, clip_norm=5.0):
-    state = OptimState(lr=lr, clip_norm=clip_norm)
+def init_optim_state(params, lr):
+    state = OptimState(lr=lr)
     for name, tensor in params.items():
         state.m[name] = np.zeros_like(tensor.data)
         state.v[name] = np.zeros_like(tensor.data)
@@ -292,7 +291,7 @@ def train_toy(model, data_fn, steps, lr=1.5e-4):
     :class:`TrainingDivergedError` on a non-finite loss, naming the step.
     """
     params = model.parameters()
-    state = init_optim_state(params, lr=lr, clip_norm=CLIP_NORM)
+    state = init_optim_state(params, lr=lr)
     scheduler = PlateauScheduler(state, patience=PLATEAU_PATIENCE)
     rows = []
     for step in range(steps):
@@ -306,7 +305,7 @@ def train_toy(model, data_fn, steps, lr=1.5e-4):
         if not math.isfinite(loss_value):
             raise TrainingDivergedError(step, loss_value)
         grads = dict(zip(params.keys(), grads_list))
-        clip_gradients(grads, state.clip_norm)
+        clip_gradients(grads, CLIP_NORM)
         adam_step(params, grads, state)
         baseline = np.mean([si_snr_db(mixture, targets[j])
                             for j in pit.permutation])

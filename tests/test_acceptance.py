@@ -196,8 +196,8 @@ def test_criterion_08_complexity_scaling():
 
 def test_criterion_09_memory_ordering():
     base = dict(n_filters=32, kernel_size=16, stride=8, n_repeats=1,
-                intra_layers=2, inter_layers=2, n_heads=2, ffw_dim=64,
-                n_sources=2)
+                intra_layers=2, inter_layers=2, ffw_dim=64, n_sources=2,
+                intra_attention=AttentionSpec("full", heads=2, d_model=32))
     x = np.random.default_rng(0).uniform(-0.5, 0.5, 32000)
     peaks = {}
     for chunking in (None, 250, 1000):

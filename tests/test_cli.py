@@ -1,10 +1,11 @@
 import pathlib
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from sepformer.attention import VARIANTS
+from sepformer.attention import VARIANTS, AttentionSpec
 from sepformer.cli import (PAPER_DEFAULTS, TOY_DEFAULTS, build_run_config,
                            main, parse_config_file)
 from sepformer.datagen import Signal, wav_read, wav_write
@@ -280,6 +281,35 @@ class TestBench:
         assert reports[0].label == "reformer+full/c250"
 
 
+    def test_config_file_alone_sets_the_rows(self, tmp_path, capsys):
+        from sepformer.profiler import parse_csv
+        cfg = tiny_cfg_file(tmp_path, attention="reformer",
+                            inter_attention="full")
+        assert main(["bench", "--config", cfg, "--seconds", "0.05",
+                     "--repeats", "1"]) == 0
+        assert [r.label for r in parse_csv(capsys.readouterr().out)] == [
+            "reformer+full/c6"]
+        assert main(["bench", "--config", cfg, "--attention", "full",
+                     "--chunking", "none", "--inter-attention", "same",
+                     "--seconds", "0.05", "--repeats", "1"]) == 0
+        assert [r.label for r in parse_csv(capsys.readouterr().out)] == [
+            "full/none"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seconds", "inf"), ("--seconds", "nan"), ("--seconds", "-1"),
+        ("--seconds", "0"), ("--seconds", "x"), ("--repeats", "0"),
+        ("--repeats", "-2"), ("--repeats", "1.5")])
+    def test_bad_seconds_or_repeats_exit_one_naming_flag(self, tmp_path,
+                                                         capsys, flag, value):
+        argv = ["bench", "--config", tiny_cfg_file(tmp_path),
+                "--seconds", "0.05", "--repeats", "1"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "argument %s: " % flag in err and repr(value) in err
+        assert "Traceback" not in err
+
+
 class TestGradcheck:
     def test_ndkernel_suite_passes_and_lists_each_op_once(self, capsys):
         from sepformer.ndkernel import DIFFERENTIABLE_OPS
@@ -313,6 +343,33 @@ class TestSchema:
             PAPER_DEFAULTS, filters="32", chunk="50", repeats="1",
             intra_layers="1", inter_layers="1", heads="4", ffw="64",
             lr="0.001", duration="0.25")
+
+    def test_settable_values_are_pinned(self):
+        assert [f.name for f in fields(SepformerConfig)] == [
+            "n_filters", "kernel_size", "stride", "chunk_size", "n_repeats",
+            "intra_layers", "inter_layers", "ffw_dim", "n_sources",
+            "sample_rate", "intra_attention", "inter_attention"]
+        assert [f.name for f in fields(AttentionSpec)] == [
+            "variant", "heads", "d_model", "window", "global_stride",
+            "proj_len", "max_len", "n_buckets", "n_rounds", "bucket_chunk"]
+        assert len(PAPER_DEFAULTS) == 24
+
+    def test_every_key_sets_one_field_and_every_field_has_one_key(self):
+        from sepformer.cli import _FIELD_KEYS, _FIELDS, _RUN_KEYS
+        targets = list(_FIELD_KEYS.values())
+        assert set(targets) <= set(_FIELDS)
+        assert len(set(targets)) == len(targets)
+        assert set(PAPER_DEFAULTS) == set(_FIELD_KEYS) | set(_RUN_KEYS) \
+            | {"inter_attention"}
+        # the spec fields are set through their prefixes' keys, and the
+        # width of both specs is the one field derived from another key
+        values = {name for name, f in _FIELDS.items() if not f.metadata}
+        assert values - set(targets) == {"spec.d_model"}
+        cfg, _ = build_run_config(dict(PAPER_DEFAULTS, filters="16",
+                                       heads="2"))
+        assert cfg.intra_attention.d_model == cfg.inter_attention.d_model \
+            == 16
+        assert cfg.intra_attention.heads == cfg.inter_attention.heads == 2
 
     def test_paper_defaults_build_the_default_config(self):
         cfg, run = build_run_config(dict(PAPER_DEFAULTS))
@@ -394,12 +451,22 @@ def rewrite_config(path, edit):
      "intra.d_model"),
     (lambda t: t.replace("inter.d_model=8", "inter.d_model=4"),
      "inter.d_model"),
+    (lambda t: t.replace("stride=2\n", "stride=2\nstride=3\n"),
+     "stride is repeated"),
+    (lambda t: t + "seed=2\n", "seed is repeated"),
+    (lambda t: t.replace("ffw_dim=", "n_heads=2\nffw_dim="),
+     "n_heads is not a config key"),
+    (lambda t: t.replace("inter.global_stride=100",
+                         "inter.global_stride=0100"), "inter.global_stride"),
+    (lambda t: t.replace("intra.global_stride=100",
+                         "intra.global_stride=none"), "intra.global_stride"),
 ])
 def test_bad_checkpoint_config_exits_one_naming_key(tmp_path, capsys, edit,
                                                     key):
     cfg = SepformerConfig(n_filters=8, kernel_size=4, stride=2, chunk_size=6,
                           n_repeats=1, intra_layers=1, inter_layers=1,
-                          n_heads=2, ffw_dim=16)
+                          ffw_dim=16, intra_attention=AttentionSpec(
+                              "full", heads=2, d_model=8))
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, Sepformer(cfg, seed=1))
     rewrite_config(ckpt, edit)
@@ -411,3 +478,4 @@ def test_bad_checkpoint_config_exits_one_naming_key(tmp_path, capsys, edit,
                  "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert key in err and str(ckpt) in err
+    assert "Traceback" not in err

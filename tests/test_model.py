@@ -1,9 +1,13 @@
+import functools
 import hashlib
 import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepformer.attention import AttentionSpec, FieldError
 from sepformer.model import (CheckpointError, Sepformer, SepformerConfig,
@@ -15,9 +19,11 @@ from sepformer.ndkernel import InputTooShortError, Tensor
 
 def small_config(**overrides):
     base = dict(n_filters=8, kernel_size=4, stride=2, chunk_size=6,
-                n_repeats=1, intra_layers=1, inter_layers=1, n_heads=2,
-                ffw_dim=16, n_sources=2)
+                n_repeats=1, intra_layers=1, inter_layers=1, ffw_dim=16,
+                n_sources=2)
     base.update(overrides)
+    base.setdefault("intra_attention", AttentionSpec(
+        "full", heads=2, d_model=base["n_filters"]))
     return SepformerConfig(**base)
 
 
@@ -214,7 +220,7 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         raw = path.read_bytes()
         assert raw[:4] == b"SPFK"
-        assert int.from_bytes(raw[4:8], "little") == 1
+        assert int.from_bytes(raw[4:8], "little") == 2
 
     def test_truncated_parameter_name_rejected(self, tmp_path):
         model = Sepformer(small_config(), seed=2)
@@ -230,8 +236,9 @@ class TestCheckpoint:
 
     @staticmethod
     def field_ends(raw):
-        """End offsets of a v1 checkpoint's header fields, and of each
-        parameter record's fields (name length, name, rank, dims, values)."""
+        """End offsets of a checkpoint's header fields (v1 and v2 share
+        the layout), and of each parameter record's fields (name length,
+        name, rank, dims, values)."""
         def u32(at):
             return int.from_bytes(raw[at:at + 4], "little")
         header = [4, 8, 12, 12 + u32(8), 16 + u32(8)]
@@ -337,6 +344,22 @@ def config_block(raw):
     return raw[12:12 + n]
 
 
+def parameter_records(raw):
+    """Each parameter record's bytes, in file order."""
+    header, records = TestCheckpoint.field_ends(raw)
+    starts = [header[-1]] + [ends[-1] for ends in records[:-1]]
+    return [raw[a:ends[-1]] for a, ends in zip(starts, records)]
+
+
+def with_config_text(raw, edit):
+    """Checkpoint bytes with ``edit`` applied to the config text and its
+    length prefix fixed."""
+    old = config_block(raw)
+    text = edit(old.decode("utf-8")).encode("utf-8")
+    return raw[:8] + len(text).to_bytes(4, "little") + text \
+        + raw[12 + len(old):]
+
+
 class TestParentCompatibility:
     """Weights and checkpoints pinned to the v1 format's first writer.
 
@@ -370,10 +393,42 @@ class TestParentCompatibility:
             assert loaded[name].data.tobytes() == (1.0 - t.data).tobytes()
 
     def test_rewritten_checkpoint_keeps_config_text_bytes(self, tmp_path):
+        # re-saving writes v2: the v1 text minus its n_heads line, and the
+        # same parameter records byte for byte (the v1 writer put them in
+        # another order)
         path = tmp_path / "again.ckpt"
         save_checkpoint(path, load_checkpoint(self.FIXTURE))
-        assert config_block(path.read_bytes()) == \
-            config_block(self.FIXTURE.read_bytes())
+        old, new = self.FIXTURE.read_bytes(), path.read_bytes()
+        assert int.from_bytes(new[4:8], "little") == 2
+        v1_text = config_block(old)
+        assert v1_text.count(b"\nn_heads=2\n") == 1
+        assert config_block(new) == v1_text.replace(b"\nn_heads=2\n", b"\n")
+        assert sorted(parameter_records(new)) == \
+            sorted(parameter_records(old))
+
+    def test_v1_head_count_is_checked_then_dropped(self, tmp_path):
+        raw = self.FIXTURE.read_bytes()
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(with_config_text(raw, lambda t: t.replace(
+            "\nn_heads=2\n", "\nn_heads=8\n")))
+        model = load_checkpoint(path)
+        assert model.cfg == self.fixture_config()
+        assert model.cfg.intra_attention.heads == 2
+        x = np.random.default_rng(3).uniform(-0.5, 0.5, 64)
+        want = load_checkpoint(self.FIXTURE).separate(x).estimates
+        for got, ref in zip(model.separate(x).estimates, want):
+            assert got.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("line", ["", "n_heads=0\n", "n_heads=x\n",
+                                      "n_heads=\n", "n_heads=02\n"])
+    def test_v1_bad_head_count_rejected_naming_it(self, tmp_path, line):
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(with_config_text(
+            self.FIXTURE.read_bytes(),
+            lambda t: t.replace("n_heads=2\n", line)))
+        with pytest.raises(CheckpointError, match="bad config in %s: n_heads "
+                           % re.escape(str(path))):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("overrides,census,digest", [
         ({}, 25577472,
@@ -392,7 +447,7 @@ class TestParentCompatibility:
 class TestConfigFields:
     @pytest.mark.parametrize("field", [
         "n_filters", "kernel_size", "stride", "n_repeats", "intra_layers",
-        "inter_layers", "n_heads", "ffw_dim", "n_sources", "sample_rate"])
+        "inter_layers", "ffw_dim", "n_sources", "sample_rate"])
     def test_every_count_must_be_positive(self, field):
         with pytest.raises(FieldError, match=field):
             SepformerConfig(**{field: 0})
@@ -405,3 +460,73 @@ class TestConfigFields:
         with pytest.raises(FieldError) as info:
             AttentionSpec(**{"variant": "full", field: value})
         assert info.value.field == field
+
+
+# values a config-text edit may set: none of them grows a size
+EDIT_VALUES = ["0", "-1", "x", "", "none", "1", "2", "3", "4"]
+
+
+@functools.lru_cache(maxsize=None)
+def edit_base(version):
+    """Checkpoint bytes a config-text edit starts from: a toy v2 checkpoint
+    or the v1 fixture."""
+    if version == "v1":
+        return TestParentCompatibility.FIXTURE.read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "v2.ckpt"
+        save_checkpoint(path, Sepformer(small_config(
+            intra_attention=AttentionSpec("longformer", heads=2, d_model=8,
+                                          window=3, global_stride=4)),
+            seed=5))
+        return path.read_bytes()
+
+
+def apply_edit(lines, kind, i, j, value):
+    """One config-text edit on ``lines``, addressed modulo its length."""
+    lines = list(lines)
+    i, j = i % len(lines), j % len(lines)
+    key, _, old = lines[i].partition("=")
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "rename":
+        lines[i] = lines[j].partition("=")[0] + "=" + old
+    elif kind == "unknown":
+        lines.append("bogus=" + value)
+    elif kind == "n_heads":
+        lines.append("n_heads=2")
+    else:
+        lines[i] = key + "=" + value
+    return lines
+
+
+@pytest.mark.parametrize("base", ["v2", "v1"])
+@settings(max_examples=100, deadline=None)
+@given(edits=st.lists(st.tuples(
+    st.sampled_from(["drop", "duplicate", "rename", "unknown", "n_heads",
+                     "set"]),
+    st.integers(0, 99), st.integers(0, 99), st.sampled_from(EDIT_VALUES)),
+    max_size=3))
+def test_edited_config_text_loads_as_written_or_raises(base, edits):
+    """Up to three edits of a checkpoint's config text: the load either
+    raises CheckpointError or gives a model whose saved text is the edited
+    text (a v1 text minus its n_heads line)."""
+    raw = edit_base(base)
+    lines = config_block(raw).decode("utf-8").splitlines()
+    for edit in edits:
+        lines = apply_edit(lines, *edit)
+    text = "".join(line + "\n" for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "edited.ckpt"
+        path.write_bytes(with_config_text(raw, lambda _: text))
+        try:
+            model = load_checkpoint(path)
+        except CheckpointError:
+            return
+        save_checkpoint(path, model)
+        saved = config_block(path.read_bytes()).decode("utf-8")
+    if base == "v1":
+        text = "".join(line + "\n" for line in lines
+                       if line.partition("=")[0] != "n_heads")
+    assert saved == text

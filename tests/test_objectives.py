@@ -229,7 +229,7 @@ class TestOptimizer:
         np.testing.assert_array_equal(grads["a"], np.ones(4))
 
     def test_plateau_halving_reaches_documented_value(self):
-        state = OptimState(lr=1.5e-4, clip_norm=5.0)
+        state = OptimState(lr=1.5e-4)
         sched = PlateauScheduler(state, patience=3)
         sched.update(10.0)
         for _ in range(3):
@@ -237,7 +237,7 @@ class TestOptimizer:
         assert abs(state.lr - 0.75e-4) < 1e-18
 
     def test_plateau_counter_resets_on_improvement(self):
-        state = OptimState(lr=1.5e-4, clip_norm=5.0)
+        state = OptimState(lr=1.5e-4)
         sched = PlateauScheduler(state, patience=2)
         for metric in (1.0, 0.5, 2.0, 1.5):
             sched.update(metric)

@@ -12,9 +12,10 @@ from sepformer.profiler import (CostReport, SmallConvBaseline,
 
 def small_base(**overrides):
     base = dict(n_filters=8, kernel_size=4, stride=2, n_repeats=1,
-                intra_layers=2, inter_layers=1, n_heads=2, ffw_dim=16,
-                n_sources=2)
+                intra_layers=2, inter_layers=1, ffw_dim=16, n_sources=2)
     base.update(overrides)
+    base.setdefault("intra_attention", AttentionSpec(
+        "full", heads=2, d_model=base["n_filters"]))
     return base
 
 
@@ -49,8 +50,8 @@ class TestAnalyticalVsInstrumented:
 
     @pytest.mark.parametrize("variant,chunk,samples", CASES)
     def test_counts_agree_exactly(self, variant, chunk, samples):
-        cfg = SepformerConfig(**small_base(), chunk_size=chunk,
-                              intra_attention=spec_for(variant))
+        cfg = SepformerConfig(**small_base(intra_attention=spec_for(variant)),
+                              chunk_size=chunk)
         model = Sepformer(cfg, seed=0)
         x = np.random.default_rng(1).uniform(-0.5, 0.5, samples)
         with nd.record_macs() as macs:
@@ -69,7 +70,7 @@ class TestAnalyticalVsInstrumented:
                 n_repeats=int(rng.integers(1, 3)),
                 intra_layers=int(rng.integers(1, 3)),
                 inter_layers=int(rng.integers(1, 3)),
-                n_heads=heads, ffw_dim=int(rng.choice([8, 16])),
+                ffw_dim=int(rng.choice([8, 16])),
                 n_sources=int(rng.choice([1, 2, 3])),
                 intra_attention=spec_for(variants[i % 4], d_model=filt,
                                          heads=heads),
@@ -140,18 +141,21 @@ class TestScalingLaws:
         # unchunked model (checked at T'=2000, C=250 via the cost model)
         cfg = SepformerConfig(n_filters=16, kernel_size=16, stride=8,
                               chunk_size=250, n_repeats=1, intra_layers=1,
-                              inter_layers=1, n_heads=2, ffw_dim=16)
+                              inter_layers=1, ffw_dim=16,
+                              intra_attention=spec_for("full", d_model=16))
         samples = 2000 * 8 + 16 - 8          # T' = 2000
         got = count_macs_detailed(cfg, samples).attention
         dk = cfg.intra_attention.d_head
         n_chunks = 15                        # 1 + (2000 - 250) / 125
-        expected = cfg.n_heads * 2 * dk * (n_chunks * 250 ** 2
-                                           + 250 * n_chunks ** 2)
+        expected = cfg.intra_attention.heads * 2 * dk * (
+            n_chunks * 250 ** 2 + 250 * n_chunks ** 2)
         assert got == expected
         dense = count_macs_detailed(
             SepformerConfig(n_filters=16, kernel_size=16, stride=8,
                             chunk_size=None, n_repeats=1, intra_layers=1,
-                            n_heads=2, ffw_dim=16), samples).attention
+                            ffw_dim=16,
+                            intra_attention=spec_for("full", d_model=16)),
+            samples).attention
         assert got < dense
 
     def test_stride_is_a_quadratic_lever_on_attention(self):
