@@ -296,17 +296,17 @@ def _drop_v1_heads(kv):
 def _config_from_text(text, version):
     """Inverse of :func:`_config_text`; a FieldError names the bad key.
 
-    Every key appears once, spelled as the writer spells it, so a text that
-    loads is the text its config saves."""
+    Every key appears once, in the writer's order and spelled as the writer
+    spells it, so a text that loads is the text its config saves."""
     kv = {}
     for line in text.splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            if key in kv:
-                raise FieldError(key, "is repeated")
-            kv[key] = value
+        key, _, value = line.partition("=")
+        if key in kv:
+            raise FieldError(key, "is repeated")
+        kv[key] = value
     if version == 1:
         _drop_v1_heads(kv)
+    order = list(kv)
 
     def build(cls, prefix):
         kwargs = {}
@@ -333,6 +333,10 @@ def _config_from_text(text, version):
         raise FieldError("seed", "wants an integer >= 0, got %r" % (seed,))
     if kv:
         raise FieldError(min(kv), "is not a config key")
+    expected = [key for key, _ in _config_fields(cfg)] + ["seed"]
+    for key, want in zip(order, expected):
+        if key != want:
+            raise FieldError(key, "is out of order, expected %r here" % want)
     return cfg, int(seed)
 
 

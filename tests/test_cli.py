@@ -454,6 +454,11 @@ def rewrite_config(path, edit):
     (lambda t: t.replace("stride=2\n", "stride=2\nstride=3\n"),
      "stride is repeated"),
     (lambda t: t + "seed=2\n", "seed is repeated"),
+    (lambda t: t.replace("kernel_size=4\nstride=2\n",
+                         "stride=2\nkernel_size=4\n"),
+     "stride is out of order"),
+    (lambda t: t.replace("stride=2\n", "stride=2\n\n"),
+     "is not a config key"),
     (lambda t: t.replace("ffw_dim=", "n_heads=2\nffw_dim="),
      "n_heads is not a config key"),
     (lambda t: t.replace("inter.global_stride=100",
