@@ -3,9 +3,8 @@
 All variants consume and produce (F x T) feature maps (features on axis 0,
 positions on the last axis), or (F x B x L) batches of B independent
 length-L sequences. Queries/keys/values are produced by shared projection
-weights; each head runs a variant-specific core, batched over the
-sequences, and the heads are concatenated and recombined by an output
-matrix.
+weights; a variant-specific core runs once over every head of every
+sequence, batched, and an output matrix recombines the heads.
 
 Variants:
 
@@ -25,8 +24,8 @@ adding a variant takes one entry. Its per-call constants (masks, LSH
 rotations) are built once per :func:`multi_head_dispatch` call. The
 reformer gathers its chunk operands by index in one pass per round and
 takes the masked softmax and log-sum-exp together
-(``ndkernel.softmax_lse_rows``); the 1/sqrt(dk) scale rides on its
-queries rather than on the score map.
+(``ndkernel.softmax_lse_rows``). In every core the 1/sqrt(dk) scale rides
+on the queries rather than on the score maps.
 """
 
 from __future__ import annotations
@@ -161,18 +160,20 @@ def positional_encoding(length, d_model):
 # ---------------------------------------------------------------------------
 # per-head cores
 #
-# core(q, k, v, ctx, details) receives one head's (dk, B*L) slices of
-# Q/K/V (``k`` is None when the variant shares QK), holding B independent
-# length-L sequences side by side, and the call's ``_Call``; it returns the
-# head's (dk, B*L) output. Work that mixes positions runs batched over the
-# sequences with bmm.
+# core(q, k, v, ctx, details) receives (dk, B*L) maps of Q/K/V (``k`` is
+# None when the variant shares QK) holding B independent length-L
+# sequences side by side, and the call's ``_Call``; it returns the
+# (dk, B*L) output. The dispatch puts every head of a group in that batch,
+# head-major, so a core never sees which head a sequence belongs to. Work
+# that mixes positions runs batched over the sequences with bmm; queries
+# are scaled by 1/sqrt(dk) before they meet a key.
 
 _Call = namedtuple("_Call", "spec weights batch length scale state")
 
 
 def _per_sequence(x, batch, length, axes):
     """(rows, B*L) -> the (rows, B, L) view permuted by ``axes``."""
-    return nd.permute(nd.reshape(x, (-1, batch, length)), axes)
+    return nd.permute(x, axes, shape=(-1, batch, length))
 
 
 def _positions_last(x, batch, length):
@@ -188,17 +189,11 @@ def _flat_head(x):
     return nd.reshape(nd.permute(x, (2, 0, 1)), (x.shape[2], -1))
 
 
-def _softmax_last(x):
-    """Softmax over the last axis of a rank-3 tensor."""
-    return nd.reshape(nd.softmax_rows(nd.reshape(x, (-1, x.shape[-1]))),
-                      x.shape)
-
-
 def _full_head(q, k, v, ctx, details):
     batch, length = ctx.batch, ctx.length
-    scores = nd.scale(nd.bmm(_features_last(q, batch, length),
-                             _positions_last(k, batch, length)), ctx.scale)
-    a = _softmax_last(scores)                             # (B, L, L)
+    scores = nd.bmm(_features_last(nd.scale(q, ctx.scale), batch, length),
+                    _positions_last(k, batch, length))
+    a = nd.softmax_rows(scores)                           # (B, L, L)
     if details is not None:
         details["map"] = a.data.copy()
     out = nd.bmm(a, _features_last(v, batch, length))     # (B, L, dk)
@@ -234,7 +229,7 @@ def _longformer_masks(spec, batch, length, seed):
 
 
 def _longformer_head(q, k, v, ctx, details):
-    batch, length, scale = ctx.batch, ctx.length, ctx.scale
+    batch, length = ctx.batch, ctx.length
     half, band_mask, gidx = ctx.state
     w = ctx.spec.window
     ng = len(gidx)
@@ -251,13 +246,14 @@ def _longformer_head(q, k, v, ctx, details):
         cols = nd.gather_cols(nd.reshape(x, (-1, length)), gidx)
         return nd.permute(nd.reshape(cols, (-1, batch, ng)), (1, 0, 2))
 
+    q = nd.scale(q, ctx.scale)
     qt = _features_last(q, batch, length)                 # (B, L, dk)
     loc = nd.bmm(windows(k, (1, 3, 2, 0)),                # (B*L, w, dk)
                  nd.reshape(qt, (n, -1, 1)))              # (B*L, w, 1)
-    loc = nd.add(nd.reshape(nd.scale(loc, scale), (n, w)),
+    loc = nd.add(nd.reshape(loc, (n, w)),
                  Tensor(np.tile(band_mask, (batch, 1))))
     if ng:
-        sg = nd.scale(nd.bmm(qt, globals_of(k)), scale)   # (B, L, g)
+        sg = nd.bmm(qt, globals_of(k))                    # (B, L, g)
         scores = nd.concat([loc, nd.reshape(sg, (n, ng))], axis=1)
     else:
         scores = loc
@@ -273,10 +269,9 @@ def _longformer_head(q, k, v, ctx, details):
                                    (batch, length, ng)), (0, 2, 1))
         out = nd.add(out, nd.permute(nd.bmm(globals_of(v), ag), (1, 0, 2)))
         # rows at global positions instead attend to everything
-        sgr = nd.scale(nd.bmm(nd.permute(globals_of(q), (0, 2, 1)),
-                              _positions_last(k, batch, length)),
-                       scale)                             # (B, g, L)
-        agr = _softmax_last(sgr)
+        sgr = nd.bmm(nd.permute(globals_of(q), (0, 2, 1)),
+                     _positions_last(k, batch, length))   # (B, g, L)
+        agr = nd.softmax_rows(sgr)
         outg = nd.bmm(agr, _features_last(v, batch, length))  # (B, g, dk)
         outg = nd.reshape(nd.permute(outg, (2, 0, 1)), (-1, ng))
         outg = nd.reshape(nd.scatter_cols(outg, gidx, length), out.shape)
@@ -310,10 +305,9 @@ def _linformer_head(q, k, v, ctx, details):
                                                                  length))
         return nd.permute(nd.reshape(p, (-1, batch, spec.proj_len)), axes)
 
-    scores = nd.scale(nd.bmm(_features_last(q, batch, length),
-                             project(k, ctx.weights.proj_p, (1, 0, 2))),
-                      ctx.scale)                          # (B, L, k)
-    a = _softmax_last(scores)
+    scores = nd.bmm(_features_last(nd.scale(q, ctx.scale), batch, length),
+                    project(k, ctx.weights.proj_p, (1, 0, 2)))  # (B, L, k)
+    a = nd.softmax_rows(scores)
     if details is not None:
         details["map"] = a.data.copy()
     out = nd.bmm(a, project(v, ctx.weights.proj_f, (1, 2, 0)))  # (B, L, dk)
@@ -363,6 +357,13 @@ def _reformer_prepare(spec, batch, length, seed):
     rotations = [np.stack([rng.standard_normal(shape) for rng in rngs])
                  for _ in range(spec.n_rounds)]
     return rotations, _reformer_mask(batch, length, spec.bucket_chunk)
+
+
+def _reformer_widen(state, n):
+    """Every head of a sequence hashes with that sequence's rotations."""
+    rotations, mask = state
+    return ([r if len(r) == 1 else np.tile(r, (n, 1, 1)) for r in rotations],
+            np.tile(mask, (n, 1)))
 
 
 def _round_indices(buckets, m):
@@ -462,16 +463,22 @@ def _nothing(*_):
     return ()
 
 
+def _same(state, _):
+    return state
+
+
 # One variant. ``core`` names its per-head core in this module, looked up
 # per call so that patching the function replaces what runs. ``core_macs``
 # (spec, length) mirrors one head's matmul/bmm calls on one sequence.
 # ``prepare`` (spec, batch, length, seed) runs before the projections and
-# returns ``ctx.state`` or refuses the input. ``extra`` (spec) yields the
-# tensors beyond wq/wv/wo/wk. ``shares_qk``: keys are the unit queries (no
-# wk, two projections). ``seeded``: prepare draws from the seed.
+# returns ``ctx.state`` or refuses the input; ``widen`` (state, n) turns
+# it into the state of a batch holding n heads of every sequence, head
+# major. ``extra`` (spec) yields the tensors beyond wq/wv/wo/wk.
+# ``shares_qk``: keys are the unit queries (no wk, two projections).
+# ``seeded``: prepare draws from the seed.
 Variant = namedtuple(
-    "Variant", "core core_macs prepare extra shares_qk seeded",
-    defaults=(_nothing, _nothing, False, False))
+    "Variant", "core core_macs prepare widen extra shares_qk seeded",
+    defaults=(_nothing, _same, _nothing, False, False))
 
 REGISTRY = {
     "full": Variant("_full_head", lambda spec, t: 2 * t * t * spec.d_head),
@@ -486,7 +493,8 @@ REGISTRY = {
     "reformer": Variant(
         "_reformer_head", lambda spec, t: spec.n_rounds * 4 * spec.d_head
         * -(-t // spec.bucket_chunk) * spec.bucket_chunk ** 2,
-        prepare=_reformer_prepare, shares_qk=True, seeded=True),
+        prepare=_reformer_prepare, widen=_reformer_widen, shares_qk=True,
+        seeded=True),
 }
 VARIANTS = tuple(REGISTRY)
 
@@ -507,27 +515,56 @@ def projection_macs(spec, feat_dim, length):
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _unbatched(details):
-    """Per-head diagnostics of a batch of one, without the batch axis."""
+# Most score-map bytes one core call holds. The heads of a call run side
+# by side in the core's batch, in equal groups that fit under it (a single
+# head runs even when it does not). The per-call counterpart of
+# ``dualpath._GROUP_POSITIONS``, chosen by a sweep of latency and peak
+# memory over 2-16 MiB on the full-size forwards.
+_GROUP_SCORE_BYTES = 4 * 2**20
+
+
+def _heads_per_group(spec, batch, length):
+    """The most heads, dividing the head count, whose score maps fit the
+    bound together (at least one). A core's maps hold about
+    core_macs / (2 d_head) float64 entries: every score is a d_head-long
+    product, and one more product of that size consumes it."""
+    per_head = 4 * batch * spec.entry.core_macs(spec, length) // spec.d_head
+    fit = _GROUP_SCORE_BYTES // max(1, per_head)
+    return max(h for h in range(1, spec.heads + 1)
+               if spec.heads % h == 0 and (h == 1 or h <= fit))
+
+
+def _regroup(w, view, axes):
+    """``w`` viewed as ``view``, its axes permuted, back in its own shape."""
+    return nd.reshape(nd.permute(w, axes, shape=view), w.shape)
+
+
+def _head_part(details, index):
+    """One head's share of a group's diagnostics: ``index`` into the
+    leading (head-major) sequence axis of every array."""
     if isinstance(details, dict):
-        return {key: _unbatched(value) for key, value in details.items()}
+        return {key: _head_part(value, index) for key, value in details.items()}
     if isinstance(details, list):
-        return [_unbatched(value) for value in details]
-    return details[0]
+        return [_head_part(value, index) for value in details]
+    return details[index]
 
 
 def multi_head_dispatch(x, weights, spec, seed=0, details=None):
-    """Project, run the variant core per head, concatenate, recombine.
+    """Project, run the variant core over the heads, recombine.
 
     ``x`` is one (F, T) map or a batch (F, B, L) of B independent length-L
-    sequences, and the output has the same layout. The projections run
-    once over all positions; each head's core runs batched over the
-    sequences. ``seed`` only matters for a seeded variant (the reformer,
-    whose LSH rotations are drawn per call from it): one int shared by
-    every sequence, or one per sequence. Equal seeds give bit-identical
-    outputs. When ``details`` is a dict it is filled with per-head
-    diagnostics (attention maps, bucket assignments), which lead with the
-    sequence axis for batched input.
+    sequences, and the output has the same layout. The heads join the
+    sequences in the core's batch: the projections run once over all
+    positions, one core call runs per group of heads on the group's
+    (dk, heads*B*L) maps, head major, and the output matrix recombines
+    the heads. The groups are equal and hold as many heads as keep their
+    score maps under ``_GROUP_SCORE_BYTES``. ``seed`` only matters
+    for a seeded variant (the reformer, whose LSH rotations are drawn per
+    call from it): one int shared by every sequence, or one per sequence;
+    every head of a sequence uses its rotations. Equal seeds give
+    bit-identical outputs. When ``details`` is a dict, ``details["heads"]``
+    receives one dict of diagnostics (attention maps, bucket assignments)
+    per head, which lead with the sequence axis for batched input.
     """
     x = nd.as_tensor(x)
     if x.data.ndim == 2:
@@ -540,28 +577,45 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
         raise nd.ShapeError("attention expects (F, T) or (F, B, L), got %r"
                             % (x.shape,))
     entry = spec.entry
-    dk = spec.d_head
-    ctx = _Call(spec, weights, batch, length, 1.0 / math.sqrt(dk),
-                entry.prepare(spec, batch, length, seed))
+    heads, dk = spec.heads, spec.d_head
+    state = entry.prepare(spec, batch, length, seed)
     core = globals()[entry.core]      # by name, so a patched core runs
+    hg = _heads_per_group(spec, batch, length)
+    groups, n = heads // hg, batch * length
+    wq, wk, wv, wo = (weights.wq, None if entry.shares_qk else weights.wk,
+                      weights.wv, weights.wo)
+    if hg > 1:
+        # within each group, projection row j*hg + i is row j of head i,
+        # so a group's rows reshape to (dk, hg*n) with the heads' maps side
+        # by side; the recombination's columns follow the same order
+        wq, wk, wv = (None if w is None else _regroup(
+            w, (groups, hg, dk, -1), (0, 2, 1, 3)) for w in (wq, wk, wv))
+        wo = _regroup(wo, (-1, groups, hg, dk), (0, 1, 3, 2))
+        state = entry.widen(state, hg)
+    q, k, v = (None if w is None else nd.matmul(w, flat)
+               for w in (wq, wk, wv))
+    ctx = _Call(spec, weights, hg * batch, length, 1.0 / math.sqrt(dk),
+                state)
 
-    q = nd.matmul(weights.wq, flat)
-    v = nd.matmul(weights.wv, flat)
-    k = None if entry.shares_qk else nd.matmul(weights.wk, flat)
-
-    heads = []
+    outs = []
     head_details = [] if details is not None else None
-    for i in range(spec.heads):
-        qi = nd.slice_rows(q, i * dk, (i + 1) * dk)
-        vi = nd.slice_rows(v, i * dk, (i + 1) * dk)
-        ki = nd.slice_rows(k, i * dk, (i + 1) * dk) if k is not None else None
+    rows = dk * hg
+    for g in range(groups):
+        qkv = [t if t is None or groups == 1
+               else nd.slice_rows(t, g * rows, (g + 1) * rows)
+               for t in (q, k, v)]
+        if hg > 1:
+            qkv = [t if t is None else nd.reshape(t, (dk, hg * n))
+                   for t in qkv]
         hd = {} if details is not None else None
-        heads.append(core(qi, ki, vi, ctx, hd))
+        o = core(*qkv, ctx, hd)
+        outs.append(o if hg == 1 else nd.reshape(o, (rows, n)))
         if head_details is not None:
-            head_details.append(hd if x.data.ndim == 3 else _unbatched(hd))
+            head_details += [_head_part(hd, slice(i * batch, (i + 1) * batch)
+                                        if x.data.ndim == 3 else i)
+                             for i in range(hg)]
 
-    cat = heads[0] if spec.heads == 1 else nd.concat(heads, axis=0)
-    out = nd.matmul(weights.wo, cat)
+    out = nd.matmul(wo, outs[0] if groups == 1 else nd.concat(outs, axis=0))
     if details is not None:
         details["heads"] = head_details
     if x.data.ndim == 3:

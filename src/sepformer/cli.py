@@ -100,8 +100,10 @@ _KNOWN_KEYS = frozenset(PAPER_DEFAULTS)
 
 
 def parse_config_file(path):
-    """Flat key=value lines; blank lines and # comments allowed."""
+    """Flat key=value lines; blank lines and # comments allowed. A key
+    given twice is an error naming both lines."""
     values = {}
+    lines = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -115,7 +117,11 @@ def parse_config_file(path):
             if key not in _KNOWN_KEYS:
                 raise ConfigError("%s:%d: unknown config key %r"
                                   % (path, lineno, key))
+            if key in lines:
+                raise ConfigError("%s:%d: config key %r repeats line %d"
+                                  % (path, lineno, key, lines[key]))
             values[key] = value
+            lines[key] = lineno
     return values
 
 

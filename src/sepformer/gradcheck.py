@@ -126,10 +126,13 @@ def _ndkernel_suite():
         return nd.concat([soft, nd.reshape(lse, (-1, 1))], axis=1)
 
     return {
-        "matmul": binary(nd.matmul, (4, 3), (3, 5)),
+        "matmul": _matmul_check,
         "bmm": binary(nd.bmm, (2, 3, 4), (2, 4, 2)),
         "transpose": unary(nd.transpose),
-        "permute": unary(lambda x: nd.permute(x, (2, 0, 1)), r, 2, 3, 4),
+        "permute": lambda rng: max(
+            unary(lambda x: nd.permute(x, (2, 0, 1)), r, 2, 3, 4)(rng),
+            unary(lambda x: nd.permute(x, (1, 0, 2), shape=(2, 3, -1)),
+                  r, 6, 4)(rng)),
         "reshape": unary(lambda x: nd.reshape(x, (2, 6))),
         "concat": binary(lambda a, b: nd.concat([a, b], axis=1),
                          (3, 2), (3, 3)),
@@ -143,7 +146,6 @@ def _ndkernel_suite():
         "frame": unary(lambda x: nd.frame(x, 4, 2), r, 3, 8),
         "overlap_sum": unary(lambda x: nd.overlap_sum(x, 2, 8), r, 3, 4, 3),
         "add": binary(nd.add, (3, 4), (3, 4)),
-        "add_bias": binary(nd.add_bias, (3, 4), (3,)),
         "add_scalar": scalar_arg(nd.add_scalar),
         "sub": binary(nd.sub, (3, 4), (3, 4)),
         "mul": binary(nd.mul, (3, 4), (3, 4)),
@@ -155,7 +157,8 @@ def _ndkernel_suite():
         "prelu": _prelu_check,
         "exp": unary(nd.exp),
         "log": unary(lambda x: nd.log(x), r, 3, 4, low=0.2, high=2.0),
-        "softmax_rows": unary(nd.softmax_rows, r, 4, 5),
+        "softmax_rows": lambda rng: max(unary(nd.softmax_rows, r, 4, 5)(rng),
+                                        unary(nd.softmax_rows, r, 2, 3, 4)(rng)),
         "softmax_lse_rows": unary(softmax_lse, r, 4, 5),
         "layer_norm": (lambda rng: (lambda x, g, b: check_gradients(
             lambda: nd.layer_norm(x, g, b, axis=0), [x, g, b]))(
@@ -170,6 +173,28 @@ def _ndkernel_suite():
                 r(rng, 3, 7), r(rng, 3, 1, 4))),
         "sum_all": unary(nd.sum_all),
     }
+
+
+def _matmul_check(rng):
+    """The bare product, the bias epilogue, and the bias-plus-rectifier
+    epilogue on a weight read transposed. The rectifier's kink sits at
+    zero, so that case redraws its data until every pre-activation is at
+    least 0.1 away from it."""
+    def draw(*shape):
+        return Tensor(rng.uniform(-1.0, 1.0, size=shape))
+
+    a, b, bias = draw(4, 3), draw(3, 5), draw(4)
+    worst = max(check_gradients(lambda: nd.matmul(a, b), [a, b]),
+                check_gradients(lambda: nd.matmul(a, b, bias=bias),
+                                [a, b, bias]))
+    while True:
+        w, x, bias = draw(3, 4), draw(3, 5), draw(4)
+        pre = w.data.T @ x.data + bias.data[:, None]
+        if np.abs(pre).min() >= 0.1 and (pre > 0).any() and (pre < 0).any():
+            break
+    return max(worst, check_gradients(
+        lambda: nd.matmul(w, x, bias=bias, relu=True, transpose_a=True),
+        [w, x, bias]))
 
 
 def _prelu_check(rng):

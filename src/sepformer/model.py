@@ -176,8 +176,8 @@ class Sepformer(Params):
         length = latent.shape[1]
         m = self.masknet
         normed = nd.layer_norm(latent, m.norm_gain, m.norm_bias, axis=0)
-        hbar = nd.add_bias(nd.matmul(m.input_linear_weight, normed),
-                           m.input_linear_bias)
+        hbar = nd.matmul(m.input_linear_weight, normed,
+                         bias=m.input_linear_bias)
 
         if cfg.chunk_size is not None:
             chunked = chunk(hbar, cfg.chunk_size)
@@ -200,25 +200,25 @@ class Sepformer(Params):
             flat = nd.prelu(x, m.prelu_slope)
             positions = length
 
-        expanded = nd.add_bias(nd.matmul(m.output_linear_weight, flat),
-                               m.output_linear_bias)  # (Ns*F, positions)
-        if details is not None and cfg.chunk_size is not None:
-            details["expanded"] = nd.reshape(
-                expanded, (cfg.n_sources * f, c, n_chunks))
+        expanded = nd.matmul(m.output_linear_weight, flat,
+                             bias=m.output_linear_bias)  # (Ns*F, positions)
+        if cfg.chunk_size is not None:
+            expanded = nd.reshape(expanded, (cfg.n_sources * f, c, n_chunks))
+            if details is not None:
+                details["expanded"] = expanded
+            # every source's chunks overlap-add in one pass
+            expanded = overlap_add(ChunkTensor(expanded, length,
+                                               cfg.chunk_size))
 
         masks = []
         per_source = []
         for k in range(cfg.n_sources):
             mk = nd.slice_rows(expanded, k * f, (k + 1) * f)
-            if cfg.chunk_size is not None:
-                mk = overlap_add(ChunkTensor(
-                    nd.reshape(mk, (f, c, n_chunks)), length,
-                    cfg.chunk_size))
             per_source.append(mk)
-            mask = nd.relu(nd.add_bias(nd.matmul(m.mask_ffw1_weight, mk),
-                                       m.mask_ffw1_bias))
-            mask = nd.relu(nd.add_bias(nd.matmul(m.mask_ffw2_weight, mask),
-                                       m.mask_ffw2_bias))
+            mask = nd.matmul(m.mask_ffw1_weight, mk, bias=m.mask_ffw1_bias,
+                             relu=True)
+            mask = nd.matmul(m.mask_ffw2_weight, mask, bias=m.mask_ffw2_bias,
+                             relu=True)
             masks.append(mask)
         if details is not None:
             details["per_source"] = np.stack(

@@ -10,6 +10,13 @@ Convention used throughout the package: feature maps are stored with
 features on axis 0 and positions on the last axis (F x T). Ops that care
 about orientation say so in their docstring.
 
+Work outside the products is kept to few passes: a linear layer is one
+:func:`matmul`, whose bias and rectifier run in place on the product's
+fresh buffer and which reads a weight stored (in, out) through a
+transposed view; :func:`layer_norm` centres once and normalizes that
+buffer in place; :func:`permute` reads a flat map through a reshaped
+view, and :func:`softmax_rows` takes the last axis of any rank.
+
 Ops see the active instruments through one object, ``_ACTIVE``, with one
 slot each; an empty slot costs one attribute test per op:
 
@@ -37,7 +44,7 @@ __all__ = [
     "slice_rows", "slice_cols",
     "gather_cols", "gather_rows", "scatter_cols", "pad_cols", "frame",
     "overlap_sum",
-    "add", "add_bias", "add_scalar", "sub", "mul", "divide",
+    "add", "add_scalar", "sub", "mul", "divide",
     "scale", "scale_by", "scale_cols", "relu", "prelu", "exp", "log",
     "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
     "conv1d", "conv1d_transpose", "sum_all", "dot",
@@ -224,7 +231,7 @@ DIFFERENTIABLE_OPS = (
     "slice_rows", "slice_cols",
     "gather_cols", "gather_rows", "scatter_cols", "pad_cols", "frame",
     "overlap_sum",
-    "add", "add_bias", "add_scalar", "sub", "mul", "divide",
+    "add", "add_scalar", "sub", "mul", "divide",
     "scale", "scale_by", "scale_cols", "relu", "prelu", "exp", "log",
     "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
     "conv1d", "conv1d_transpose", "sum_all",
@@ -234,24 +241,49 @@ DIFFERENTIABLE_OPS = (
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a, b):
-    """Matrix product of two rank-2 tensors.
+def matmul(a, b, bias=None, relu=False, transpose_a=False):
+    """Matrix product of two rank-2 tensors, with an optional epilogue.
 
-    Backward: dA = dC @ B^T, dB = A^T @ dC.
+    ``transpose_a`` multiplies by the transpose of ``a`` through a view, so
+    a weight stored (K, M) is read without a copy. ``bias`` (one entry per
+    output row) is added and then, with ``relu``, the rectifier applied,
+    both in place on the product's own buffer: a linear layer is one op
+    and one tape record.
+
+    Backward: with dC masked by the rectifier, dA = dC @ B^T,
+    dB = A^T @ dC and dbias = the row sums of dC.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul shapes incompatible: %r x %r"
-                         % (a.shape, b.shape))
-    m, k = a.shape
-    n = b.shape[1]
-    out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
+    if transpose_a:
+        ad = ad.T
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeError("matmul shapes incompatible: %r x %r"
+                         % (ad.shape, bd.shape))
+    m, k = ad.shape
+    n = bd.shape[1]
+    y = ad @ bd
+    inputs = (a, b)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (m,):
+            raise ShapeError("bias %r does not match rows of %r"
+                             % (bias.shape, y.shape))
+        y += bias.data[:, None]
+        inputs = (a, b, bias)
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    out = Tensor(y)
 
     def backward(g):
-        return g @ bd.T, ad.T @ g
+        if relu:
+            g = g * (y > 0)
+        ga = bd @ g.T if transpose_a else g @ bd.T
+        if bias is None:
+            return ga, ad.T @ g
+        return ga, ad.T @ g, g.sum(axis=1)
 
-    _record(out, (a, b), backward, macs=m * k * n)
+    _record(out, inputs, backward, macs=m * k * n)
     return out
 
 
@@ -283,12 +315,16 @@ def transpose(x):
     return out
 
 
-def permute(x, axes):
+def permute(x, axes, shape=None):
+    """Reorder the axes of ``x``, or of its row-major view as ``shape``
+    when given, in the order ``axes``."""
     x = as_tensor(x)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(x.data, axes))
-    _record(out, (x,), lambda g: (np.transpose(g, inv),))
+    old = x.shape
+    view = x.data if shape is None else x.data.reshape(shape)
+    out = Tensor(np.transpose(view, axes))
+    _record(out, (x,), lambda g: (np.transpose(g, inv).reshape(old),))
     return out
 
 
@@ -478,17 +514,6 @@ def add(a, b):
     return out
 
 
-def add_bias(x, b):
-    """Add a per-row bias vector to every column of a rank-2 tensor."""
-    x, b = as_tensor(x), as_tensor(b)
-    if b.data.ndim != 1 or b.shape[0] != x.shape[0]:
-        raise ShapeError("bias %r does not match rows of %r"
-                         % (b.shape, x.shape))
-    out = Tensor(x.data + b.data[:, None])
-    _record(out, (x, b), lambda g: (g, g.sum(axis=1)))
-    return out
-
-
 def add_scalar(x, s):
     """Add a 0-d tensor to every element."""
     x, s = as_tensor(x), as_tensor(s)
@@ -613,32 +638,35 @@ def log(x):
 
 
 def _softmax_parts(x, mask=None):
-    """Row softmax of a rank-2 array (plus a constant ``mask``) in one
-    buffer, with the row sums and maxima it was normalized by."""
-    if x.ndim != 2:
-        raise ShapeError("row softmax expects rank 2, got %r" % (x.shape,))
+    """Softmax over the last axis of an array of rank >= 2 (plus a
+    constant ``mask``) in one buffer, with the row sums and maxima it was
+    normalized by."""
+    if x.ndim < 2:
+        raise ShapeError("row softmax expects rank >= 2, got %r"
+                         % (x.shape,))
     if mask is None:
-        m = x.max(axis=1, keepdims=True)
+        m = x.max(axis=-1, keepdims=True)
         y = x - m
     else:
         y = x + mask
-        m = y.max(axis=1, keepdims=True)
+        m = y.max(axis=-1, keepdims=True)
         y -= m
     np.exp(y, out=y)
-    s = y.sum(axis=1, keepdims=True)
+    s = y.sum(axis=-1, keepdims=True)
     y /= s
     return y, s, m
 
 
 def _softmax_backward(y):
     def backward(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
     return backward
 
 
 def softmax_rows(x):
-    """Row-wise softmax of a rank-2 tensor, stabilized by per-row max.
+    """Softmax along the last axis of a tensor of rank >= 2 (each row),
+    stabilized by the per-row max.
 
     Each output row sums to 1; adding a constant to a row leaves it
     unchanged.
@@ -659,6 +687,9 @@ def softmax_lse_rows(x, mask=None):
     its own tape record; both read the same softmax buffer.
     """
     x = as_tensor(x)
+    if x.data.ndim != 2:
+        raise ShapeError("softmax_lse_rows expects rank 2, got %r"
+                         % (x.shape,))
     if mask is not None and mask.shape != x.shape:
         raise ShapeError("mask %r does not match scores %r"
                          % (mask.shape, x.shape))
@@ -686,21 +717,31 @@ def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
                          "length %d" % (gain.shape, bias.shape, n))
     bshape = tuple(n if i == ax else 1 for i in range(nd))
     gd = gain.data.reshape(bshape)
-    mu = x.data.mean(axis=ax, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=ax, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gd + bias.data.reshape(bshape))
+    # centre once; the variance is the mean square of the centred map, and
+    # the centred buffer is normalized in place into xhat
+    xhat = x.data - x.data.mean(axis=ax, keepdims=True)
+    out = np.square(xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=ax, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gd, out=out)
+    out += bias.data.reshape(bshape)
+    out = Tensor(out)
     other = tuple(i for i in range(nd) if i != ax)
 
     def backward(g):
         dxhat = g * gd
+        gx = g * xhat
+        dgain = gx.sum(axis=other)
+        dbias = g.sum(axis=other)
         m1 = dxhat.mean(axis=ax, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        dgain = (g * xhat).sum(axis=other) if other else g * xhat
-        dbias = g.sum(axis=other) if other else g
-        return dx, np.asarray(dgain).reshape(-1), np.asarray(dbias).reshape(-1)
+        np.multiply(dxhat, xhat, out=gx)
+        m2 = gx.mean(axis=ax, keepdims=True)
+        # dx = inv * (dxhat - m1 - xhat * m2), in the two buffers above
+        np.multiply(xhat, m2, out=gx)
+        dxhat -= m1
+        dxhat -= gx
+        dxhat *= inv
+        return dxhat, dgain.reshape(-1), dbias.reshape(-1)
 
     _record(out, (x, gain, bias), backward)
     return out

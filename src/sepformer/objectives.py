@@ -256,22 +256,28 @@ class PlateauScheduler:
 
 @dataclass
 class TraceRow:
+    """One training step: ``grad_norm`` is the global gradient norm before
+    clipping, ``tape_records`` the number of ops the step's tape recorded."""
+
     step: int
     loss: float
     lr: float
     si_snri: float
     wall_ms: float
+    grad_norm: float
+    tape_records: int
 
 
-TRACE_HEADER = "step,loss,lr,si_snri,wall_ms"
+TRACE_HEADER = "step,loss,lr,si_snri,wall_ms,grad_norm,tape_records"
 
 
 def write_trace(rows, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
         for r in rows:
-            fh.write("%d,%.17g,%.17g,%.17g,%.6g\n"
-                     % (r.step, r.loss, r.lr, r.si_snri, r.wall_ms))
+            fh.write("%d,%.17g,%.17g,%.17g,%.6g,%.17g,%d\n"
+                     % (r.step, r.loss, r.lr, r.si_snri, r.wall_ms,
+                        r.grad_norm, r.tape_records))
 
 
 # train_toy's fixed schedule: the global-norm clip, and the learning rate
@@ -305,13 +311,14 @@ def train_toy(model, data_fn, steps, lr=1.5e-4):
         if not math.isfinite(loss_value):
             raise TrainingDivergedError(step, loss_value)
         grads = dict(zip(params.keys(), grads_list))
-        clip_gradients(grads, CLIP_NORM)
+        grad_norm = clip_gradients(grads, CLIP_NORM)
         adam_step(params, grads, state)
         baseline = np.mean([si_snr_db(mixture, targets[j])
                             for j in pit.permutation])
         si_snri = pit.mean_db - float(baseline)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        rows.append(TraceRow(step, loss_value, state.lr, si_snri, wall_ms))
+        rows.append(TraceRow(step, loss_value, state.lr, si_snri, wall_ms,
+                             grad_norm, len(tape._records)))
         if (step + 1) % EVAL_EVERY == 0:
             scheduler.update(si_snri)
     return rows

@@ -14,7 +14,9 @@ layer plus an outer residual around the whole stack,
 
 No final normalization after the stack, no dropout. Layer and stack also
 take an (F, B, L) batch of B independent length-L sequences, the form the
-dual path feeds them.
+dual path feeds them. Each feed-forward linear is one ``ndkernel.matmul``
+with its bias (and the ReLU) fused in, reading the weight stored
+(in, out) through a transposed view.
 """
 
 from __future__ import annotations
@@ -91,10 +93,9 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
                         eps=LAYER_NORM_EPS, axis=0)
     if ln2.data.ndim == 3:
         ln2 = nd.reshape(ln2, (ln2.shape[0], -1))        # (F, B*L)
-    hid = nd.relu(nd.add_bias(nd.matmul(nd.transpose(params.ffw_w1), ln2),
-                              params.ffw_b1))
-    ffw = nd.add_bias(nd.matmul(nd.transpose(params.ffw_w2), hid),
-                      params.ffw_b2)
+    hid = nd.matmul(params.ffw_w1, ln2, bias=params.ffw_b1, relu=True,
+                    transpose_a=True)
+    ffw = nd.matmul(params.ffw_w2, hid, bias=params.ffw_b2, transpose_a=True)
     if ffw.shape != z.shape:
         ffw = nd.reshape(ffw, z.shape)
     out = nd.add(nd.add(ffw, mid), z)

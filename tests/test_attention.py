@@ -527,6 +527,142 @@ class TestReformerMatchesReference:
             assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
+# The dispatch as it was before the heads joined the core's batch: one
+# core call per head on its rows of Q/K/V, the head outputs concatenated
+# and then recombined. Kept as the reference the grouped dispatch must
+# reproduce.
+
+def reference_unbatched(details):
+    if isinstance(details, dict):
+        return {key: reference_unbatched(value)
+                for key, value in details.items()}
+    if isinstance(details, list):
+        return [reference_unbatched(value) for value in details]
+    return details[0]
+
+
+def per_head_reference(x, weights, spec, seed=0, details=None):
+    if x.data.ndim == 2:
+        batch, length = 1, x.shape[1]
+        flat = x
+    else:
+        batch, length = x.shape[1], x.shape[2]
+        flat = nd.reshape(x, (x.shape[0], batch * length))
+    entry = spec.entry
+    dk = spec.d_head
+    ctx = attention._Call(spec, weights, batch, length, 1.0 / math.sqrt(dk),
+                          entry.prepare(spec, batch, length, seed))
+    core = getattr(attention, entry.core)
+    q = nd.matmul(weights.wq, flat)
+    v = nd.matmul(weights.wv, flat)
+    k = None if entry.shares_qk else nd.matmul(weights.wk, flat)
+    heads = []
+    head_details = [] if details is not None else None
+    for i in range(spec.heads):
+        qi, vi = (nd.slice_rows(t, i * dk, (i + 1) * dk) for t in (q, v))
+        ki = nd.slice_rows(k, i * dk, (i + 1) * dk) if k is not None else None
+        hd = {} if details is not None else None
+        heads.append(core(qi, ki, vi, ctx, hd))
+        if head_details is not None:
+            head_details.append(hd if x.data.ndim == 3
+                                else reference_unbatched(hd))
+    cat = heads[0] if spec.heads == 1 else nd.concat(heads, axis=0)
+    out = nd.matmul(weights.wo, cat)
+    if details is not None:
+        details["heads"] = head_details
+    if x.data.ndim == 3:
+        out = nd.reshape(out, (out.shape[0], batch, length))
+    return out
+
+
+def assert_same_details(got, want, path="details"):
+    """Same keys, lists and array shapes; buckets bit-identical, every
+    other array within 1e-12."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_same_details(got[key], want[key], "%s[%r]" % (path, key))
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_details(g, w, "%s[%d]" % (path, i))
+    else:
+        assert got.shape == want.shape, path
+        if path.endswith("['buckets']"):
+            np.testing.assert_array_equal(got, want, err_msg=path)
+        else:
+            assert np.abs(got - want).max() <= 1e-12, path
+
+
+class TestHeadsInBatchMatchReference:
+    # four heads run as one group, as two groups of two (a bound of three
+    # heads' score bytes: groups divide the head count) or one by one;
+    # length 11 pads the reformer's last chunk and puts three longformer
+    # global positions
+    LENGTH = 11
+    GROUPS = {"whole": (None, [4]), "pairs": (3, [2, 2]),
+              "singles": (1, [1, 1, 1, 1])}
+
+    @staticmethod
+    def spec(variant):
+        return AttentionSpec(variant, heads=4, d_model=12, window=5,
+                             global_stride=4, proj_len=4, max_len=64,
+                             n_buckets=4, n_rounds=2, bucket_chunk=4)
+
+    @pytest.mark.parametrize("grouping", sorted(GROUPS))
+    @pytest.mark.parametrize("with_details", [False, True])
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_outputs_details_and_gradients(self, monkeypatch, variant, batch,
+                                           with_details, grouping):
+        spec = self.spec(variant)
+        w = make_weights(spec, 6, seed=batch or 1)
+        rng = np.random.default_rng(len(variant))
+        if batch is None:
+            x = Tensor(rng.standard_normal((6, self.LENGTH)))
+            seed = 13
+        else:
+            x = Tensor(rng.standard_normal((6, batch, self.LENGTH)))
+            seed = [13, 4, 27]
+        probe = Tensor(rng.standard_normal((12,) + x.shape[1:]))
+        sources = [x] + list(w.parameters().values())
+        per_head = (4 * (batch or 1)
+                    * spec.entry.core_macs(spec, self.LENGTH) // spec.d_head)
+        fit, groups = self.GROUPS[grouping]
+        if fit is None:
+            assert 4 * per_head <= attention._GROUP_SCORE_BYTES
+        else:
+            monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
+                                fit * per_head)
+
+        def run(dispatch):
+            details = {} if with_details else None
+            with Tape() as tape:
+                out = dispatch(x, w, spec, seed=seed, details=details)
+                grads = tape.gradient(nd.dot(out, probe), sources)
+            return out.data, grads, details
+
+        core = getattr(attention, spec.entry.core)
+        batches = []
+
+        def counting(q, k, v, ctx, details):
+            batches.append(ctx.batch)
+            return core(q, k, v, ctx, details)
+
+        monkeypatch.setattr(attention, spec.entry.core, counting)
+        out, grads, details = run(multi_head_dispatch)
+        assert batches == [g * (batch or 1) for g in groups]
+        want_out, want_grads, want_details = run(per_head_reference)
+
+        assert out.shape == want_out.shape
+        assert np.abs(out - want_out).max() <= \
+            1e-12 * np.abs(want_out).max()
+        for g, ref in zip(grads, want_grads):
+            assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
+        if with_details:
+            assert_same_details(details, want_details)
+
+
 class TestDispatch:
     def test_single_head_reduces_to_variant_core(self, rng):
         spec = AttentionSpec("full", heads=1, d_model=8)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sepformer.attention import VARIANTS, AttentionSpec
-from sepformer.cli import (PAPER_DEFAULTS, TOY_DEFAULTS, build_run_config,
-                           main, parse_config_file)
+from sepformer.cli import (PAPER_DEFAULTS, TOY_DEFAULTS, ConfigError,
+                           build_run_config, main, parse_config_file)
 from sepformer.datagen import Signal, wav_read, wav_write
 from sepformer.model import CheckpointError, Sepformer, SepformerConfig, \
     load_checkpoint, save_checkpoint
@@ -58,6 +58,33 @@ class TestConfigFile:
                      "--out", str(tmp_path / "x.ckpt")]) == 1
         assert ":1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,key,first,second", [
+        ("stride = 2\nstride = 3\n", "stride", 1, 2),
+        ("heads = 2\n# four\n\nfilters = 8\n heads=4\n", "heads", 1, 5),
+        ("seed = 1\nseed = 1\n", "seed", 1, 2),
+    ])
+    def test_repeated_key_names_both_lines(self, tmp_path, text, key, first,
+                                           second):
+        path = tmp_path / "dup.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(str(path))
+        msg = str(err.value)
+        assert repr(key) in msg
+        assert ":%d:" % second in msg and "line %d" % first in msg
+
+    @pytest.mark.parametrize("command", ["train-toy", "bench"])
+    def test_repeated_key_exits_one(self, tmp_path, capsys, command):
+        path = tmp_path / "dup.cfg"
+        path.write_text("filters = 8\nstride = 2\nstride = 3\n")
+        out = tmp_path / "x.out"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "'stride'" in err and ":3:" in err and "line 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_flag_overrides_file_overrides_default(self, tmp_path):
         values = dict(TOY_DEFAULTS)
         values.update(parse_config_file(tiny_cfg_file(tmp_path, seed=9)))
@@ -78,7 +105,8 @@ class TestTrainToy:
         model = load_checkpoint(ckpt)
         assert model.cfg.n_filters == 8
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
-        assert lines[0] == "step,loss,lr,si_snri,wall_ms"
+        assert lines[0] == \
+            "step,loss,lr,si_snri,wall_ms,grad_norm,tape_records"
         assert len(lines) == 3
 
     def test_zero_steps_equals_initialization(self, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sepformer.gradcheck import check_gradients
-from sepformer.ndkernel import Tensor
+from sepformer.ndkernel import Tape, Tensor
 from sepformer.objectives import (OptimState, PlateauScheduler,
                                   TRACE_HEADER, TrainingDivergedError,
                                   UndefinedTargetError, adam_step,
@@ -267,11 +267,31 @@ class TestTrainToy:
         path = tmp_path / "trace.csv"
         write_trace(rows, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == TRACE_HEADER == "step,loss,lr,si_snri,wall_ms"
+        assert lines[0] == TRACE_HEADER == \
+            "step,loss,lr,si_snri,wall_ms,grad_norm,tape_records"
         assert len(lines) == 4
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert abs(float(first[1]) - rows[0].loss) < 1e-9
+        assert float(first[5]) == rows[0].grad_norm
+        assert int(first[6]) == rows[0].tape_records
+
+    def test_trace_holds_preclip_norm_and_tape_size(self):
+        from sepformer.gradcheck import tiny_config
+        from sepformer.model import Sepformer
+        model = Sepformer(tiny_config(), seed=0)
+        rng = np.random.default_rng(5)
+        targets = [rng.uniform(-0.5, 0.5, 64) for _ in range(2)]
+        mixture = targets[0] + targets[1]
+        params = model.parameters()
+        with Tape() as tape:
+            loss, _ = pit_loss(model.separate(mixture).estimates, targets)
+            grads = tape.gradient(loss, params.values())
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+        _, rows = self._setup(steps=2)
+        assert rows[0].grad_norm == norm
+        assert rows[0].tape_records == rows[1].tape_records \
+            == len(tape._records)
 
     def test_divergence_aborts_with_step_index(self):
         from sepformer.gradcheck import tiny_config
