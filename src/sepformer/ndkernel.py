@@ -4,7 +4,9 @@ Every op is a pure function: it computes a fresh output array and, when a
 :class:`Tape` is active, records a closure that maps the output gradient
 back to input gradients. Replaying the records in strict reverse execution
 order yields gradients for any recorded array; arrays that never influenced
-the output get exactly-zero gradients.
+the output get exactly-zero gradients. A tape replays once: the replay
+drops each record once it has run it, so forward arrays go back to the
+allocator during the backward pass instead of all at its end.
 
 Convention used throughout the package: feature maps are stored with
 features on axis 0 and positions on the last axis (F x T). Ops that care
@@ -174,11 +176,13 @@ class Tape:
     """Execution-ordered op record; reverse replay computes gradients.
 
     Single owner: one step records and replays on one worker. Gradients of
-    arrays the output never depended on are exactly zero.
+    arrays the output never depended on are exactly zero. A tape replays
+    once, dropping each record as it passes it.
     """
 
     def __init__(self):
         self._records = []
+        self._replayed = False
 
     def __enter__(self):
         if _ACTIVE.tape is not None:
@@ -191,12 +195,23 @@ class Tape:
         return False
 
     def gradient(self, output, sources):
-        """Gradients of scalar ``output`` for each tensor in ``sources``."""
+        """Gradients of scalar ``output`` for each tensor in ``sources``.
+
+        Consumes the tape; a second call raises ``RuntimeError``.
+        """
+        if self._replayed:
+            raise RuntimeError("this tape was already replayed")
+        if output.size != 1:
+            raise ShapeError("gradient needs a scalar output, got shape %r"
+                             % (output.shape,))
+        self._replayed = True
         sources = list(sources)
         grads = {id(output): np.ones_like(output.data)}
         keep = {id(s) for s in sources}
         keep.add(id(output))
-        for out, inputs, backward in reversed(self._records):
+        records = self._records
+        while records:
+            out, inputs, backward = records.pop()
             g = grads.get(id(out))
             if g is None:
                 continue
@@ -207,7 +222,8 @@ class Tape:
                 grads[id(t)] = gi if acc is None else acc + gi
             if id(out) not in keep:
                 del grads[id(out)]
-        return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
+        return [grads[id(s)] if id(s) in grads else np.zeros_like(s.data)
+                for s in sources]
 
 
 def _record(out, inputs, backward, macs=0):
@@ -434,9 +450,10 @@ def scatter_cols(x, idx, width):
 def pad_cols(x, before, after):
     """Zero-pad along the last axis."""
     x = as_tensor(x)
-    width = [(0, 0)] * (x.data.ndim - 1) + [(before, after)]
-    out = Tensor(np.pad(x.data, width))
     n = x.shape[-1]
+    buf = np.zeros(x.shape[:-1] + (before + n + after,))
+    buf[..., before:before + n] = x.data
+    out = Tensor(buf)
 
     def backward(g):
         return (np.ascontiguousarray(g[..., before:before + n]),)
@@ -607,13 +624,16 @@ def prelu(x, slope):
         raise ShapeError("prelu slope %r does not match features of %r"
                          % (slope.shape, x.shape))
     sd = slope.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
-    negmask = x.data < 0
-    out = Tensor(np.where(negmask, sd * x.data, x.data))
     xd = x.data
-    axes = tuple(range(1, x.data.ndim))
+    negmask = xd < 0
+    y = xd.copy()
+    np.multiply(y, sd, out=y, where=negmask)
+    out = Tensor(y)
+    axes = tuple(range(1, xd.ndim))
 
     def backward(g):
-        gx = np.where(negmask, sd * g, g)
+        gx = g.copy()
+        np.multiply(gx, sd, out=gx, where=negmask)
         gs = (g * xd * negmask).sum(axis=axes) if axes else (g * xd * negmask)
         return gx, np.asarray(gs)
 

@@ -106,7 +106,8 @@ class TestTrainToy:
         assert model.cfg.n_filters == 8
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == \
-            "step,loss,lr,si_snri,wall_ms,grad_norm,tape_records"
+            "step,loss,lr,si_snri,wall_ms,grad_norm,tape_records," \
+            "forward_ms,backward_ms"
         assert len(lines) == 3
 
     def test_zero_steps_equals_initialization(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -223,6 +224,25 @@ class TestActivations:
         out = nd.prelu(Tensor([[3.0]]), Tensor([0.25]))
         assert out.data[0, 0] == 3.0
 
+    def test_prelu_matches_where_bit_for_bit(self, rng):
+        x = rng.standard_normal((4, 3, 7))
+        slope = rng.uniform(0.0, 0.5, 4)
+        g = rng.standard_normal((4, 3, 7))
+        xt, st = Tensor(x), Tensor(slope)
+        with Tape() as tape:
+            out = nd.prelu(xt, st)
+            gx, gs = tape.gradient(nd.dot(out, Tensor(g)), [xt, st])
+        sd = slope[:, None, None]
+        assert out.data.tobytes() == np.where(x < 0, sd * x, x).tobytes()
+        assert gx.tobytes() == np.where(x < 0, sd * g, g).tobytes()
+        assert gs.tobytes() == (g * x * (x < 0)).sum(axis=(1, 2)).tobytes()
+
+    def test_pad_cols_matches_np_pad(self, rng):
+        x = rng.standard_normal((2, 3, 5))
+        out = nd.pad_cols(Tensor(x), 2, 4).data
+        assert out.tobytes() == np.pad(x, [(0, 0), (0, 0), (2, 4)]).tobytes()
+        assert out.flags.c_contiguous
+
 
 class TestTape:
     def test_unused_array_gets_exactly_zero(self, rng):
@@ -253,6 +273,35 @@ class TestTape:
             s = nd.sum_all(a)
             (ga,) = tape.gradient(s, [a])
         np.testing.assert_array_equal(ga, np.ones((2, 2)))
+
+    def test_non_scalar_output_rejected(self, rng):
+        a = Tensor(rng.standard_normal((2, 2)))
+        with Tape() as tape:
+            with pytest.raises(nd.ShapeError, match=r"\(2, 2\)"):
+                tape.gradient(nd.mul(a, a), [a])
+
+    def test_second_replay_rejected(self, rng):
+        a = Tensor(rng.standard_normal((2, 2)))
+        with Tape() as tape:
+            s = nd.sum_all(nd.mul(a, a))
+            tape.gradient(s, [a])
+            with pytest.raises(RuntimeError, match="already replayed"):
+                tape.gradient(s, [a])
+
+    def test_replay_frees_forward_intermediates(self, rng):
+        a = Tensor(rng.standard_normal((3, 3)))
+        with Tape() as tape:
+            h = nd.exp(nd.mul(a, a))
+            alive = weakref.ref(h)
+            s = nd.sum_all(h)
+            del h
+            n_records = len(tape._records)
+            (ga,) = tape.gradient(s, [a])
+        assert n_records == 3
+        assert alive() is None
+        assert tape._records == []
+        np.testing.assert_allclose(ga, 2 * a.data * np.exp(a.data ** 2),
+                                   rtol=1e-14)
 
 
 class TestInstruments:

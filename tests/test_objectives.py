@@ -4,9 +4,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from sepformer import ndkernel as nd
 from sepformer.gradcheck import check_gradients
 from sepformer.ndkernel import Tape, Tensor
-from sepformer.objectives import (OptimState, PlateauScheduler,
+from sepformer.objectives import (SISNR_TAU, OptimState, PlateauScheduler,
                                   TRACE_HEADER, TrainingDivergedError,
                                   UndefinedTargetError, adam_step,
                                   clip_gradients, improvement,
@@ -26,6 +27,89 @@ def brute_force_pit(estimates, targets):
         if mean > best:
             best, best_perm = mean, perm
     return best_perm, best
+
+
+def reference_si_snr(estimate, target):
+    """SI-SNR composed of kernel ops, one tape record per arithmetic step."""
+    def zero_mean(x):
+        return nd.add_scalar(x, nd.scale(nd.sum_all(x), -1.0 / x.shape[0]))
+
+    e0 = zero_mean(nd.as_tensor(estimate))
+    s0 = zero_mean(nd.as_tensor(target))
+    proj = nd.scale_by(s0, nd.divide(nd.dot(e0, s0), nd.dot(s0, s0)))
+    resid = nd.sub(e0, proj)
+    proj_energy = nd.dot(proj, proj)
+    resid_energy = nd.add(nd.dot(resid, resid),
+                          nd.scale(proj_energy, SISNR_TAU))
+    return nd.scale(nd.sub(nd.log(proj_energy), nd.log(resid_energy)),
+                    10.0 / math.log(10.0))
+
+
+def reference_clip(grads, max_norm):
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if total > max_norm and total > 0.0:
+        factor = max_norm / total
+        for g in grads.values():
+            g *= factor
+    return total
+
+
+def reference_adam(params, grads, state, t):
+    """Per-tensor Adam over dict accumulators ``state`` (name -> (m, v))."""
+    b1, b2, lr, eps = 0.9, 0.999, state["lr"], 1e-8
+    for name, tensor in params.items():
+        g = grads[name]
+        m, v = state[name]
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        state[name] = m, v
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        tensor.data[...] -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def si_snr_pairs(rng):
+    """Random, near-ceiling, and scaled or offset (estimate, target) pairs."""
+    pairs = []
+    for n in (16, 100, 2000):
+        s = rng.standard_normal(n)
+        pairs.append((rng.standard_normal(n), s))
+        pairs.append((s + 0.3 * rng.standard_normal(n), s))
+        pairs.append((s + 1e-6 * rng.standard_normal(n), s))
+        pairs.append((-7.5 * (s + 0.1 * rng.standard_normal(n)) + 40.0,
+                      1e-3 * s - 2.0))
+    return pairs
+
+
+class TestSiSnrMatchesReference:
+    def test_values_match(self, rng):
+        for e, s in si_snr_pairs(rng):
+            want = reference_si_snr(e, s).item()
+            assert abs(si_snr_db(e, s) - want) <= 1e-12 * abs(want)
+
+    def test_gradients_to_both_inputs_match(self, rng):
+        for e, s in si_snr_pairs(rng):
+            got, want = [], []
+            for fn, out in ((si_snr, got), (reference_si_snr, want)):
+                et, st = Tensor(e), Tensor(s)
+                with Tape() as tape:
+                    out.extend(tape.gradient(fn(et, st), [et, st]))
+            for g, w in zip(got, want):
+                scale = np.abs(w).max()
+                assert np.abs(g - w).max() <= 1e-9 * scale
+
+    def test_one_tape_record(self, rng):
+        with Tape() as tape:
+            si_snr(rng.standard_normal(50), rng.standard_normal(50))
+            assert len(tape._records) == 1
+
+    @pytest.mark.parametrize("ns", [1, 2, 3])
+    def test_pit_loss_records_ns_squared_plus_ns(self, rng, ns):
+        targets = [rng.standard_normal(40) for _ in range(ns)]
+        estimates = [Tensor(rng.standard_normal(40)) for _ in range(ns)]
+        with Tape() as tape:
+            pit_loss(estimates, targets)
+            assert len(tape._records) == ns * ns + ns
 
 
 class TestSiSnr:
@@ -215,6 +299,37 @@ class TestOptimizer:
         step = p["w"].data - prev
         np.testing.assert_allclose(step, -1e-3 * np.sign(g), rtol=1e-3)
 
+    def test_flat_adam_matches_per_tensor_reference_bit_for_bit(self, rng):
+        shapes = {"w": (5, 3), "b": (5,), "f": (2, 1, 4), "s": (1,)}
+        start = {k: rng.standard_normal(shp) for k, shp in shapes.items()}
+        params = {k: Tensor(a.copy()) for k, a in start.items()}
+        ref_params = {k: Tensor(a.copy()) for k, a in start.items()}
+        state = init_optim_state(params, lr=1e-2)
+        ref_state = {k: (np.zeros(shp), np.zeros(shp))
+                     for k, shp in shapes.items()}
+        ref_state["lr"] = 1e-2
+        clipped = 0
+        for t in range(1, 51):
+            grads = {k: rng.standard_normal(shp) * rng.uniform(0.1, 4.0)
+                     for k, shp in shapes.items()}
+            ref_grads = {k: g.copy() for k, g in grads.items()}
+            norm = clip_gradients(grads, 5.0)
+            assert norm == reference_clip(ref_grads, 5.0)
+            clipped += norm > 5.0
+            adam_step(params, grads, state)
+            reference_adam(ref_params, ref_grads, ref_state, t)
+        assert 0 < clipped < 50
+        for k in shapes:
+            assert params[k].data.tobytes() == ref_params[k].data.tobytes()
+
+    def test_state_of_another_size_rejected(self, rng):
+        p = {"w": Tensor(rng.standard_normal((3, 3)))}
+        state = init_optim_state({"w": Tensor(np.zeros(8))}, lr=1e-3)
+        with pytest.raises(ValueError,
+                           match="8 / 8 moment entries, the parameters 9"):
+            adam_step(p, {"w": np.zeros((3, 3))}, state)
+        assert state.step == 0
+
     def test_clip_rescales_to_max_norm(self):
         grads = {"a": np.full(25, 10.0 / 5.0 * 5.0)}   # norm 50
         grads = {"a": np.full(25, 10.0)}               # norm sqrt(25*100)=50
@@ -268,13 +383,17 @@ class TestTrainToy:
         write_trace(rows, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == TRACE_HEADER == \
-            "step,loss,lr,si_snri,wall_ms,grad_norm,tape_records"
+            "step,loss,lr,si_snri,wall_ms,grad_norm,tape_records," \
+            "forward_ms,backward_ms"
         assert len(lines) == 4
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert abs(float(first[1]) - rows[0].loss) < 1e-9
         assert float(first[5]) == rows[0].grad_norm
         assert int(first[6]) == rows[0].tape_records
+        for r in rows:
+            assert 0.0 < r.forward_ms and 0.0 < r.backward_ms
+            assert r.forward_ms + r.backward_ms <= r.wall_ms
 
     def test_trace_holds_preclip_norm_and_tape_size(self):
         from sepformer.gradcheck import tiny_config
@@ -286,12 +405,12 @@ class TestTrainToy:
         params = model.parameters()
         with Tape() as tape:
             loss, _ = pit_loss(model.separate(mixture).estimates, targets)
+            n_records = len(tape._records)
             grads = tape.gradient(loss, params.values())
         norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
         _, rows = self._setup(steps=2)
         assert rows[0].grad_norm == norm
-        assert rows[0].tape_records == rows[1].tape_records \
-            == len(tape._records)
+        assert rows[0].tape_records == rows[1].tape_records == n_records
 
     def test_divergence_aborts_with_step_index(self):
         from sepformer.gradcheck import tiny_config
