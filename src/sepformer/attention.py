@@ -415,11 +415,11 @@ def _reformer_head(q, k, v, ctx, details):
     rows = bc * m
     n = batch * length
     kq = nd.unit_columns(q)
-    # 1/sqrt(dk) rides on the queries; the extra zero row is the query of
-    # every padding slot
-    qt = nd.transpose(nd.pad_cols(nd.scale(q, ctx.scale), 0, 1))  # (n+1, dk)
-    kt = nd.transpose(kq)                                 # (n, dk)
-    vt = nd.transpose(v)
+    # 1/sqrt(dk) rides on the queries; the extra zero row of qt (n+1, dk)
+    # is the query of every padding slot
+    qt = nd.permute(nd.pad_cols(nd.scale(q, ctx.scale), 0, 1), (1, 0))
+    kt = nd.permute(kq, (1, 0))                           # (n, dk)
+    vt = nd.permute(v, (1, 0))
 
     round_outs = []
     round_lses = []
@@ -445,13 +445,13 @@ def _reformer_head(q, k, v, ctx, details):
             })
 
     if spec.n_rounds == 1:
-        return nd.transpose(round_outs[0])
+        return nd.permute(round_outs[0], (1, 0))
     lses = nd.reshape(nd.concat(round_lses, axis=0), (spec.n_rounds, n))
-    weights = nd.transpose(nd.softmax_rows(nd.transpose(lses)))
+    weights = nd.permute(nd.softmax_rows(nd.permute(lses, (1, 0))), (1, 0))
     out = None
     for r in range(spec.n_rounds):
         wr = nd.reshape(nd.slice_rows(weights, r, r + 1), (n,))
-        term = nd.scale_cols(nd.transpose(round_outs[r]), wr)
+        term = nd.scale_cols(nd.permute(round_outs[r], (1, 0)), wr)
         out = term if out is None else nd.add(out, term)
     return out
 

@@ -220,6 +220,12 @@ def _cmd_separate(args):
                   % (model.cfg.n_sources, len(args.ref)), file=sys.stderr)
             return 1
         refs = [wav_read(p) for p in args.ref]
+        for path, ref in zip(args.ref, refs):
+            if ref.sample_rate != signal.sample_rate:
+                print("sample rate mismatch: reference %s is %d Hz, input "
+                      "%d Hz" % (path, ref.sample_rate, signal.sample_rate),
+                      file=sys.stderr)
+                return 1
         n = min(min(len(r) for r in refs), len(signal))
         gain, pit = si_snr_improvement(
             signal.samples[:n], [e.data[:n] for e in out.estimates],
@@ -375,7 +381,7 @@ def main(argv=None):
         print(str(exc), file=sys.stderr)
         return 1
     except (ConfigError, CheckpointError, WavFormatError,
-            SequenceTooLongError, FileNotFoundError, ValueError) as exc:
+            SequenceTooLongError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (TrainingDivergedError, FloatingPointError) as exc:

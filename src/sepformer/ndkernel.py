@@ -42,14 +42,13 @@ __all__ = [
     "Tensor", "Tape", "ShapeError", "InputTooShortError",
     "set_debug_checks", "track_memory", "AllocationArena",
     "record_macs", "MacCounter", "DIFFERENTIABLE_OPS",
-    "matmul", "bmm", "transpose", "permute", "reshape", "concat",
+    "matmul", "bmm", "permute", "reshape", "concat",
     "slice_rows", "slice_cols",
     "gather_cols", "gather_rows", "scatter_cols", "pad_cols", "frame",
     "overlap_sum",
-    "add", "add_scalar", "sub", "mul", "divide",
-    "scale", "scale_by", "scale_cols", "relu", "prelu", "exp", "log",
+    "add", "mul", "scale", "scale_cols", "relu", "prelu",
     "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
-    "conv1d", "conv1d_transpose", "sum_all", "dot",
+    "conv1d", "conv1d_transpose", "dot",
 ]
 
 
@@ -166,7 +165,7 @@ class Tensor:
         return self.data.size
 
     def item(self):
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         return "Tensor(shape=%r)" % (self.data.shape,)
@@ -243,14 +242,13 @@ def as_tensor(x):
 # Names of the tape-aware ops with nontrivial backward rules; the gradcheck
 # suite must cover each exactly once.
 DIFFERENTIABLE_OPS = (
-    "matmul", "bmm", "transpose", "permute", "reshape", "concat",
+    "matmul", "bmm", "permute", "reshape", "concat",
     "slice_rows", "slice_cols",
     "gather_cols", "gather_rows", "scatter_cols", "pad_cols", "frame",
     "overlap_sum",
-    "add", "add_scalar", "sub", "mul", "divide",
-    "scale", "scale_by", "scale_cols", "relu", "prelu", "exp", "log",
+    "add", "mul", "scale", "scale_cols", "relu", "prelu",
     "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
-    "conv1d", "conv1d_transpose", "sum_all",
+    "conv1d", "conv1d_transpose", "dot",
 )
 
 
@@ -319,15 +317,6 @@ def bmm(a, b):
         return np.matmul(g, bd.swapaxes(1, 2)), np.matmul(ad.swapaxes(1, 2), g)
 
     _record(out, (a, b), backward, macs=bs * m * k * n)
-    return out
-
-
-def transpose(x):
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError("transpose expects rank 2, got %r" % (x.shape,))
-    out = Tensor(x.data.T)
-    _record(out, (x,), lambda g: (g.T,))
     return out
 
 
@@ -520,7 +509,7 @@ def overlap_sum(x, hop, length):
 
 
 # ---------------------------------------------------------------------------
-# pointwise and reductions
+# pointwise
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
@@ -528,23 +517,6 @@ def add(a, b):
         raise ShapeError("add shapes differ: %r vs %r" % (a.shape, b.shape))
     out = Tensor(a.data + b.data)
     _record(out, (a, b), lambda g: (g, g))
-    return out
-
-
-def add_scalar(x, s):
-    """Add a 0-d tensor to every element."""
-    x, s = as_tensor(x), as_tensor(s)
-    out = Tensor(x.data + s.data)
-    _record(out, (x, s), lambda g: (g, np.asarray(g.sum())))
-    return out
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError("sub shapes differ: %r vs %r" % (a.shape, b.shape))
-    out = Tensor(a.data - b.data)
-    _record(out, (a, b), lambda g: (g, -g))
     return out
 
 
@@ -558,31 +530,12 @@ def mul(a, b):
     return out
 
 
-def divide(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError("divide shapes differ: %r vs %r" % (a.shape, b.shape))
-    out = Tensor(a.data / b.data)
-    ad, bd = a.data, b.data
-    _record(out, (a, b), lambda g: (g / bd, -g * ad / (bd * bd)))
-    return out
-
-
 def scale(x, c):
     """Multiply by a python float constant (no gradient for the constant)."""
     x = as_tensor(x)
     c = float(c)
     out = Tensor(x.data * c)
     _record(out, (x,), lambda g: (g * c,))
-    return out
-
-
-def scale_by(x, s):
-    """Multiply every element by a 0-d tensor; gradient flows to both."""
-    x, s = as_tensor(x), as_tensor(s)
-    out = Tensor(x.data * s.data)
-    xd, sd = x.data, s.data
-    _record(out, (x, s), lambda g: (g * sd, np.asarray((g * xd).sum())))
     return out
 
 
@@ -638,22 +591,6 @@ def prelu(x, slope):
         return gx, np.asarray(gs)
 
     _record(out, (x, slope), backward)
-    return out
-
-
-def exp(x):
-    x = as_tensor(x)
-    out = Tensor(np.exp(x.data))
-    od = out.data
-    _record(out, (x,), lambda g: (g * od,))
-    return out
-
-
-def log(x):
-    x = as_tensor(x)
-    out = Tensor(np.log(x.data))
-    xd = x.data
-    _record(out, (x,), lambda g: (g / xd,))
     return out
 
 
@@ -857,16 +794,17 @@ def conv1d_transpose(x, filters, stride):
 
 
 # ---------------------------------------------------------------------------
-# reductions
-
-def sum_all(x):
-    x = as_tensor(x)
-    shape = x.shape
-    out = Tensor(np.asarray(x.data.sum()))
-    _record(out, (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
-    return out
-
+# the one reduction
 
 def dot(a, b):
-    """Inner product of two equal-shape tensors, as a 0-d tensor."""
-    return sum_all(mul(a, b))
+    """Inner product of two equal-shape tensors, as a 0-d tensor.
+
+    One tape record; backward is ``(g * b, g * a)``.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError("dot shapes differ: %r vs %r" % (a.shape, b.shape))
+    ad, bd = a.data, b.data
+    out = Tensor(np.asarray((ad * bd).sum()))
+    _record(out, (a, b), lambda g: (g * bd, g * ad))
+    return out

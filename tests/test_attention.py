@@ -356,7 +356,7 @@ class TestReformer:
 
 # The per-round reformer core as it was before the chunk operands were
 # gathered by index: sort, pad and permute each operand, build the
-# look-back chunk by shifting, and take softmax and log-sum-exp apart.
+# look-back chunk by shifting, and add the mask to the scores as a tensor.
 # Kept as the reference the index-gathered core must reproduce.
 
 def reference_round_mask(n_chunks, m, length):
@@ -375,15 +375,6 @@ def reference_previous_chunk(x):
     flat = nd.slice_cols(nd.reshape(x, (b, n_chunks * per)), 0,
                          (n_chunks - 1) * per)
     return nd.reshape(nd.pad_cols(flat, per, 0), x.shape)
-
-
-def reference_logsumexp_rows(x):
-    # log of the row sums of exp(x - c), plus c; the row max c is a
-    # constant, so the tape gradient is the row softmax
-    c = x.data.max(axis=1, keepdims=True)
-    e = nd.exp(nd.sub(x, Tensor(np.broadcast_to(c, x.shape))))
-    s = nd.matmul(e, Tensor(np.ones((x.shape[1], 1))))
-    return nd.add(nd.reshape(nd.log(s), (-1,)), Tensor(c.reshape(-1)))
 
 
 def reference_reformer_head(q, v, scale, spec, batch, length, rotations,
@@ -427,8 +418,7 @@ def reference_reformer_head(q, v, scale, spec, batch, length, rotations,
 
         scores = nd.add(nd.scale(nd.bmm(qc, kcc), scale), mask)
         flat = nd.reshape(scores, (batch * padded, 2 * m))
-        a = nd.softmax_rows(flat)
-        lse = reference_logsumexp_rows(flat)
+        a, lse = nd.softmax_lse_rows(flat)
         outc = nd.bmm(nd.reshape(a, (batch * n_chunks, m, 2 * m)), vcc)
         outs = nd.permute(nd.reshape(outc, (batch, padded, dk)), (2, 0, 1))
         round_outs.append(unsort(outs))
@@ -442,7 +432,7 @@ def reference_reformer_head(q, v, scale, spec, batch, length, rotations,
     if spec.n_rounds == 1:
         return round_outs[0]
     lses = nd.concat(round_lses, axis=0)
-    weights = nd.transpose(nd.softmax_rows(nd.transpose(lses)))
+    weights = nd.permute(nd.softmax_rows(nd.permute(lses, (1, 0))), (1, 0))
     out = None
     for r in range(spec.n_rounds):
         wr = nd.reshape(nd.slice_rows(weights, r, r + 1), (n,))

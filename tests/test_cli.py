@@ -192,6 +192,23 @@ class TestSeparate:
                      "--out-dir", str(tmp_path)]) == 1
         assert "sample rate" in capsys.readouterr().err
 
+    def test_reference_sample_rate_mismatch_rejected(self, tmp_path, capsys):
+        ckpt, wav = self._checkpoint_and_input(tmp_path)
+        rng = np.random.default_rng(8)
+        refs = []
+        for k in (1, 2):
+            ref = tmp_path / ("ref%d.wav" % k)
+            wav_write(ref, Signal(rng.uniform(-0.5, 0.5, 1600), 16000))
+            refs += ["--ref", str(ref)]
+        capsys.readouterr()
+        assert main(["separate", "--model", ckpt, "--in", wav,
+                     "--out-dir", str(tmp_path / "out")] + refs) == 1
+        captured = capsys.readouterr()
+        assert "si_snri_db" not in captured.out
+        assert "sample rate mismatch" in captured.err
+        assert "ref1.wav" in captured.err
+        assert "16000" in captured.err and "8000" in captured.err
+
     def test_bad_checkpoint_magic_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"JUNK" + b"\x00" * 32)
@@ -246,6 +263,37 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "error: sample rate field is 0 in %s" % bad in err
+
+
+@pytest.mark.parametrize("case", ["separate_out_dir_is_file",
+                                  "separate_model_is_dir",
+                                  "train_out_is_dir", "bench_out_is_dir"])
+def test_os_error_exits_one_without_traceback(tmp_path, capsys, case):
+    cfg = tiny_cfg_file(tmp_path)
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    if case.startswith("separate"):
+        ckpt = train_tiny(tmp_path)
+        wav = tmp_path / "mix.wav"
+        wav_write(wav, Signal(np.zeros(800) + 0.1, 8000))
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        out_dir = a_file if case == "separate_out_dir_is_file" else a_dir
+        model = a_dir if case == "separate_model_is_dir" else ckpt
+        argv = ["separate", "--model", str(model), "--in", str(wav),
+                "--out-dir", str(out_dir)]
+    elif case == "train_out_is_dir":
+        argv = ["train-toy", "--config", cfg, "--steps", "0",
+                "--out", str(a_dir)]
+    else:
+        argv = ["bench", "--config", cfg, "--attention", "full",
+                "--chunking", "none", "--seconds", "0.05", "--repeats", "1",
+                "--out", str(a_dir)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 class TestBench:

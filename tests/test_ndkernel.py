@@ -29,7 +29,7 @@ class TestMatmul:
         a = Tensor(rng.standard_normal((4, 3)))
         b = Tensor(rng.standard_normal((3, 5)))
         with Tape() as tape:
-            s = nd.sum_all(nd.matmul(a, b))
+            s = nd.dot(nd.matmul(a, b), Tensor(np.ones((4, 5))))
             ga, _ = tape.gradient(s, [a, b])
         np.testing.assert_allclose(ga, np.ones((4, 5)) @ b.data.T,
                                    atol=1e-12)
@@ -126,6 +126,28 @@ class TestSoftmaxLse:
         np.testing.assert_allclose(gx, expected, atol=1e-14)
 
 
+class TestDot:
+    def test_value_is_the_inner_product(self):
+        out = nd.dot(Tensor([[1.0, 2.0], [3.0, 4.0]]),
+                     Tensor([[0.5, -1.0], [2.0, 0.25]]))
+        assert out.shape == ()
+        assert out.item() == 0.5 - 2.0 + 6.0 + 1.0
+
+    def test_shape_mismatch_names_dot_and_both_shapes(self):
+        with pytest.raises(nd.ShapeError, match=r"dot.*\(2, 3\).*\(3, 2\)"):
+            nd.dot(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+
+    def test_one_tape_record(self, rng):
+        a = Tensor(rng.standard_normal((3, 4)))
+        b = Tensor(rng.standard_normal((3, 4)))
+        with Tape() as tape:
+            s = nd.dot(a, b)
+            assert len(tape._records) == 1
+            ga, gb = tape.gradient(s, [a, b])
+        np.testing.assert_array_equal(ga, b.data)
+        np.testing.assert_array_equal(gb, a.data)
+
+
 class TestGather:
     def test_gather_cols_equals_fancy_index_and_is_contiguous(self, rng):
         x = rng.standard_normal((5, 40))
@@ -146,7 +168,8 @@ class TestGather:
         x = Tensor(np.zeros((3, 2)))
         with Tape() as tape:
             out = nd.gather_rows(x, np.array([2, 0, 2, 2]))
-            (gx,) = tape.gradient(nd.sum_all(out), [x])
+            (gx,) = tape.gradient(nd.dot(out, Tensor(np.ones(out.shape))),
+                                  [x])
         np.testing.assert_array_equal(gx, [[1.0, 1.0], [0.0, 0.0],
                                            [3.0, 3.0]])
 
@@ -249,14 +272,14 @@ class TestTape:
         a = Tensor(rng.standard_normal((2, 2)))
         unused = Tensor(rng.standard_normal((3, 3)))
         with Tape() as tape:
-            s = nd.sum_all(nd.mul(a, a))
+            s = nd.dot(a, a)
             grads = tape.gradient(s, [a, unused])
         assert np.array_equal(grads[1], np.zeros((3, 3)))
 
     def test_reverse_order_accumulates_shared_input(self, rng):
         a = Tensor(rng.standard_normal((3, 3)))
         with Tape() as tape:
-            s = nd.sum_all(nd.add(nd.mul(a, a), a))
+            s = nd.dot(nd.add(nd.mul(a, a), a), Tensor(np.ones((3, 3))))
             (ga,) = tape.gradient(s, [a])
         np.testing.assert_allclose(ga, 2 * a.data + 1, atol=1e-12)
 
@@ -270,9 +293,17 @@ class TestTape:
         a = Tensor(rng.standard_normal((2, 2)))
         nd.mul(a, a)  # outside any tape
         with Tape() as tape:
-            s = nd.sum_all(a)
+            s = nd.dot(a, Tensor(np.ones((2, 2))))
             (ga,) = tape.gradient(s, [a])
         np.testing.assert_array_equal(ga, np.ones((2, 2)))
+
+    def test_size_one_output_of_any_rank_is_a_scalar(self, rng):
+        a = Tensor(rng.standard_normal((1, 1)))
+        with Tape() as tape:
+            out = nd.mul(a, a)
+            (ga,) = tape.gradient(out, [a])
+        assert out.item() == a.data[0, 0] ** 2
+        np.testing.assert_array_equal(ga, 2 * a.data)
 
     def test_non_scalar_output_rejected(self, rng):
         a = Tensor(rng.standard_normal((2, 2)))
@@ -283,7 +314,7 @@ class TestTape:
     def test_second_replay_rejected(self, rng):
         a = Tensor(rng.standard_normal((2, 2)))
         with Tape() as tape:
-            s = nd.sum_all(nd.mul(a, a))
+            s = nd.dot(a, a)
             tape.gradient(s, [a])
             with pytest.raises(RuntimeError, match="already replayed"):
                 tape.gradient(s, [a])
@@ -291,17 +322,17 @@ class TestTape:
     def test_replay_frees_forward_intermediates(self, rng):
         a = Tensor(rng.standard_normal((3, 3)))
         with Tape() as tape:
-            h = nd.exp(nd.mul(a, a))
+            h = nd.scale(nd.mul(a, a), 3.0)
             alive = weakref.ref(h)
-            s = nd.sum_all(h)
+            s = nd.dot(h, a)
             del h
             n_records = len(tape._records)
             (ga,) = tape.gradient(s, [a])
         assert n_records == 3
         assert alive() is None
         assert tape._records == []
-        np.testing.assert_allclose(ga, 2 * a.data * np.exp(a.data ** 2),
-                                   rtol=1e-14)
+        # s = 3 * sum(a^3)
+        np.testing.assert_allclose(ga, 9 * a.data ** 2, rtol=1e-14)
 
 
 class TestInstruments:
@@ -379,7 +410,7 @@ class TestInstruments:
                 nd.mul(a, a)
                 raise KeyError
         with Tape() as tape:
-            s = nd.sum_all(nd.mul(a, a))
+            s = nd.dot(a, a)
             (ga,) = tape.gradient(s, [a])
         np.testing.assert_array_equal(ga, 2 * a.data)
 
