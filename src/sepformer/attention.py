@@ -21,11 +21,12 @@ Variants:
 Each variant is one :data:`REGISTRY` entry, which the dispatch, the
 parameter list, the cost model and the dual path's seeding all read:
 adding a variant takes one entry. Its per-call constants (masks, LSH
-rotations) are built once per :func:`multi_head_dispatch` call. The
-reformer gathers its chunk operands by index in one pass per round and
-takes the masked softmax and log-sum-exp together
-(``ndkernel.softmax_lse_rows``). In every core the 1/sqrt(dk) scale rides
-on the queries rather than on the score maps.
+rotations) are built once per :func:`multi_head_dispatch` call. Full and
+linformer attention are one ``ndkernel.attention`` op each. The reformer
+gathers its chunk operands by index in one pass per round and takes the
+masked softmax and log-sum-exp together (``ndkernel.softmax_lse_rows``).
+In every core the 1/sqrt(dk) scale rides on the queries rather than on
+the score maps.
 """
 
 from __future__ import annotations
@@ -160,13 +161,15 @@ def positional_encoding(length, d_model):
 # ---------------------------------------------------------------------------
 # per-head cores
 #
-# core(q, k, v, ctx, details) receives (dk, B*L) maps of Q/K/V (``k`` is
-# None when the variant shares QK) holding B independent length-L
-# sequences side by side, and the call's ``_Call``; it returns the
-# (dk, B*L) output. The dispatch puts every head of a group in that batch,
-# head-major, so a core never sees which head a sequence belongs to. Work
-# that mixes positions runs batched over the sequences with bmm; queries
-# are scaled by 1/sqrt(dk) before they meet a key.
+# core(q, k, v, ctx, details) receives head-major (h*dk, S*L) maps of
+# Q/K/V (``k`` is None when the variant shares QK): rows i*dk..(i+1)*dk
+# are head i, in projection order, and the columns hold S independent
+# length-L sequences side by side. ``ctx.batch`` counts h*S, every head
+# of every sequence, and ``h`` is the map's rows over dk. The core returns
+# the (h*dk, S*L) output in the same order, so a group's output is a row
+# slice of the heads' concat as ``wo`` reads it. Diagnostics lead with the
+# h*S sequences, head major. Work that mixes positions runs batched over
+# the sequences; queries are scaled by 1/sqrt(dk) before they meet a key.
 
 _Call = namedtuple("_Call", "spec weights batch length scale state")
 
@@ -184,20 +187,34 @@ def _features_last(x, batch, length):
     return _per_sequence(x, batch, length, (1, 2, 0))     # (B, L, rows)
 
 
-def _flat_head(x):
-    """(B, L, dk) per-sequence head output -> the flat (dk, B*L) map."""
-    return nd.reshape(nd.permute(x, (2, 0, 1)), (x.shape[2], -1))
+def _group_heads(x, ctx):
+    """The heads in a head-major map, and its sequences per head."""
+    heads = x.shape[0] // ctx.spec.d_head
+    return heads, ctx.batch // heads
+
+
+def _side_by_side(x, heads):
+    """Head-major (h*dk, n) -> (dk, h*n), the heads' maps side by side."""
+    if heads == 1:
+        return x
+    return nd.reshape(nd.permute(x, (1, 0, 2), shape=(heads, -1, x.shape[1])),
+                      (-1, heads * x.shape[1]))
+
+
+def _head_major(x, heads):
+    """Inverse of :func:`_side_by_side`: (dk, h*n) -> (h*dk, n)."""
+    if heads == 1:
+        return x
+    n = x.shape[1] // heads
+    return nd.reshape(nd.permute(x, (1, 0, 2), shape=(-1, heads, n)), (-1, n))
 
 
 def _full_head(q, k, v, ctx, details):
-    batch, length = ctx.batch, ctx.length
-    scores = nd.bmm(_features_last(nd.scale(q, ctx.scale), batch, length),
-                    _positions_last(k, batch, length))
-    a = nd.softmax_rows(scores)                           # (B, L, L)
+    heads, batch = _group_heads(q, ctx)
+    out, a = nd.attention(q, k, v, heads, batch, ctx.scale)
     if details is not None:
-        details["map"] = a.data.copy()
-    out = nd.bmm(a, _features_last(v, batch, length))     # (B, L, dk)
-    return _flat_head(out)
+        details["map"] = a.data.copy()                    # (h*S, L, L)
+    return out
 
 
 def longformer_allowed(length, window, global_stride):
@@ -229,6 +246,8 @@ def _longformer_masks(spec, batch, length, seed):
 
 
 def _longformer_head(q, k, v, ctx, details):
+    heads, _ = _group_heads(q, ctx)
+    q, k, v = (_side_by_side(t, heads) for t in (q, k, v))
     batch, length = ctx.batch, ctx.length
     half, band_mask, gidx = ctx.state
     w = ctx.spec.window
@@ -280,7 +299,7 @@ def _longformer_head(q, k, v, ctx, details):
         out = nd.add(nd.scale_cols(out, Tensor(keep)), outg)
         if details is not None:
             details["global_rows"] = agr.data.copy()
-    return nd.reshape(out, (-1, n))
+    return _head_major(nd.reshape(out, (-1, n)), heads)
 
 
 def _longformer_macs(spec, t):
@@ -297,21 +316,22 @@ def _linformer_check(spec, batch, length, seed):
 
 
 def _linformer_head(q, k, v, ctx, details):
-    batch, length, spec = ctx.batch, ctx.length, ctx.spec
+    length = ctx.length
+    heads, batch = _group_heads(q, ctx)
 
-    def project(x, proj, axes):
-        # each sequence's length-L rows onto the proj_len slots
+    def project(x, proj):
+        # each sequence's length-L rows onto the proj_len slots, which
+        # leaves the (h*dk, S*proj_len) map the attention op reads
         p = nd.matmul(nd.reshape(x, (-1, length)), nd.slice_rows(proj, 0,
                                                                  length))
-        return nd.permute(nd.reshape(p, (-1, batch, spec.proj_len)), axes)
+        return nd.reshape(p, (x.shape[0], -1))
 
-    scores = nd.bmm(_features_last(nd.scale(q, ctx.scale), batch, length),
-                    project(k, ctx.weights.proj_p, (1, 0, 2)))  # (B, L, k)
-    a = nd.softmax_rows(scores)
+    out, a = nd.attention(q, project(k, ctx.weights.proj_p),
+                          project(v, ctx.weights.proj_f), heads, batch,
+                          ctx.scale)
     if details is not None:
-        details["map"] = a.data.copy()
-    out = nd.bmm(a, project(v, ctx.weights.proj_f, (1, 2, 0)))  # (B, L, dk)
-    return _flat_head(out)
+        details["map"] = a.data.copy()                    # (h*S, L, k)
+    return out
 
 
 def hash_buckets(vectors, n_buckets, rotation):
@@ -406,6 +426,8 @@ def _reformer_head(q, k, v, ctx, details):
     position order by the inverse index. Rounds are combined with weights
     softmax(lse) per position. ``ctx.state`` holds rotations and mask.
     """
+    heads, _ = _group_heads(q, ctx)
+    q, v = _side_by_side(q, heads), _side_by_side(v, heads)
     spec, batch, length = ctx.spec, ctx.batch, ctx.length
     rotations, mask = ctx.state
     dk = spec.d_head
@@ -445,7 +467,7 @@ def _reformer_head(q, k, v, ctx, details):
             })
 
     if spec.n_rounds == 1:
-        return nd.permute(round_outs[0], (1, 0))
+        return _head_major(nd.permute(round_outs[0], (1, 0)), heads)
     lses = nd.reshape(nd.concat(round_lses, axis=0), (spec.n_rounds, n))
     weights = nd.permute(nd.softmax_rows(nd.permute(lses, (1, 0))), (1, 0))
     out = None
@@ -453,7 +475,7 @@ def _reformer_head(q, k, v, ctx, details):
         wr = nd.reshape(nd.slice_rows(weights, r, r + 1), (n,))
         term = nd.scale_cols(nd.permute(round_outs[r], (1, 0)), wr)
         out = term if out is None else nd.add(out, term)
-    return out
+    return _head_major(out, heads)
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +556,6 @@ def _heads_per_group(spec, batch, length):
                if spec.heads % h == 0 and (h == 1 or h <= fit))
 
 
-def _regroup(w, view, axes):
-    """``w`` viewed as ``view``, its axes permuted, back in its own shape."""
-    return nd.reshape(nd.permute(w, axes, shape=view), w.shape)
-
-
 def _head_part(details, index):
     """One head's share of a group's diagnostics: ``index`` into the
     leading (head-major) sequence axis of every array."""
@@ -556,8 +573,9 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     sequences, and the output has the same layout. The heads join the
     sequences in the core's batch: the projections run once over all
     positions, one core call runs per group of heads on the group's
-    (dk, heads*B*L) maps, head major, and the output matrix recombines
-    the heads. The groups are equal and hold as many heads as keep their
+    contiguous rows of the projections, (heads*dk, B*L) in projection
+    order, and the output matrix recombines the groups' concat as stored.
+    The groups are equal and hold as many heads as keep their
     score maps under ``_GROUP_SCORE_BYTES``. ``seed`` only matters
     for a seeded variant (the reformer, whose LSH rotations are drawn per
     call from it): one int shared by every sequence, or one per sequence;
@@ -581,19 +599,12 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     state = entry.prepare(spec, batch, length, seed)
     core = globals()[entry.core]      # by name, so a patched core runs
     hg = _heads_per_group(spec, batch, length)
-    groups, n = heads // hg, batch * length
-    wq, wk, wv, wo = (weights.wq, None if entry.shares_qk else weights.wk,
-                      weights.wv, weights.wo)
+    groups = heads // hg
     if hg > 1:
-        # within each group, projection row j*hg + i is row j of head i,
-        # so a group's rows reshape to (dk, hg*n) with the heads' maps side
-        # by side; the recombination's columns follow the same order
-        wq, wk, wv = (None if w is None else _regroup(
-            w, (groups, hg, dk, -1), (0, 2, 1, 3)) for w in (wq, wk, wv))
-        wo = _regroup(wo, (-1, groups, hg, dk), (0, 1, 3, 2))
         state = entry.widen(state, hg)
     q, k, v = (None if w is None else nd.matmul(w, flat)
-               for w in (wq, wk, wv))
+               for w in (weights.wq, None if entry.shares_qk else weights.wk,
+                         weights.wv))
     ctx = _Call(spec, weights, hg * batch, length, 1.0 / math.sqrt(dk),
                 state)
 
@@ -604,18 +615,15 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
         qkv = [t if t is None or groups == 1
                else nd.slice_rows(t, g * rows, (g + 1) * rows)
                for t in (q, k, v)]
-        if hg > 1:
-            qkv = [t if t is None else nd.reshape(t, (dk, hg * n))
-                   for t in qkv]
         hd = {} if details is not None else None
-        o = core(*qkv, ctx, hd)
-        outs.append(o if hg == 1 else nd.reshape(o, (rows, n)))
+        outs.append(core(*qkv, ctx, hd))
         if head_details is not None:
             head_details += [_head_part(hd, slice(i * batch, (i + 1) * batch)
                                         if x.data.ndim == 3 else i)
                              for i in range(hg)]
 
-    out = nd.matmul(wo, outs[0] if groups == 1 else nd.concat(outs, axis=0))
+    out = nd.matmul(weights.wo,
+                    outs[0] if groups == 1 else nd.concat(outs, axis=0))
     if details is not None:
         details["heads"] = head_details
     if x.data.ndim == 3:

@@ -206,14 +206,9 @@ def _cmd_separate(args):
         print("sample rate mismatch: input %d Hz, model trained at %d Hz"
               % (signal.sample_rate, model.cfg.sample_rate), file=sys.stderr)
         return 1
-    out = model.separate(signal.samples)
-    os.makedirs(args.out_dir, exist_ok=True)
-    paths = []
-    for k, est in enumerate(out.estimates, start=1):
-        path = os.path.join(args.out_dir, "source%d.wav" % k)
-        wav_write(path, Signal(est.data, signal.sample_rate))
-        paths.append(path)
-        print("wrote %s" % path)
+    # the references are checked before the model runs, so a refused run
+    # writes no estimates
+    refs = []
     if args.ref:
         if len(args.ref) != model.cfg.n_sources:
             print("need %d --ref files, got %d"
@@ -226,6 +221,13 @@ def _cmd_separate(args):
                       "%d Hz" % (path, ref.sample_rate, signal.sample_rate),
                       file=sys.stderr)
                 return 1
+    out = model.separate(signal.samples)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for k, est in enumerate(out.estimates, start=1):
+        path = os.path.join(args.out_dir, "source%d.wav" % k)
+        wav_write(path, Signal(est.data, signal.sample_rate))
+        print("wrote %s" % path)
+    if refs:
         n = min(min(len(r) for r in refs), len(signal))
         gain, pit = si_snr_improvement(
             signal.samples[:n], [e.data[:n] for e in out.estimates],

@@ -167,7 +167,7 @@ class Sepformer(Params):
     def encode(self, x):
         """Waveform -> nonnegative latent map (F, T')."""
         x = nd.as_tensor(x)
-        return nd.relu(nd.conv1d(x, self.encoder_filters, self.cfg.stride))
+        return nd.conv1d(x, self.encoder_filters, self.cfg.stride, relu=True)
 
     def mask_net(self, latent, details=None):
         """Latent map -> one nonnegative (F, T') mask per source."""

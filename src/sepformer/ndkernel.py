@@ -17,7 +17,10 @@ Work outside the products is kept to few passes: a linear layer is one
 fresh buffer and which reads a weight stored (in, out) through a
 transposed view; :func:`layer_norm` centres once and normalizes that
 buffer in place; :func:`permute` reads a flat map through a reshaped
-view, and :func:`softmax_rows` takes the last axis of any rank.
+view, and :func:`softmax_rows` takes the last axis of any rank. A whole
+attention core (scores, row softmax, weighted values) is one
+:func:`attention` op that reads its head-major maps through strided
+views.
 
 Ops see the active instruments through one object, ``_ACTIVE``, with one
 slot each; an empty slot costs one attribute test per op:
@@ -48,7 +51,7 @@ __all__ = [
     "overlap_sum",
     "add", "mul", "scale", "scale_cols", "relu", "prelu",
     "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
-    "conv1d", "conv1d_transpose", "dot",
+    "conv1d", "conv1d_transpose", "dot", "attention",
 ]
 
 
@@ -248,7 +251,7 @@ DIFFERENTIABLE_OPS = (
     "overlap_sum",
     "add", "mul", "scale", "scale_cols", "relu", "prelu",
     "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
-    "conv1d", "conv1d_transpose", "dot",
+    "conv1d", "conv1d_transpose", "dot", "attention",
 )
 
 
@@ -571,24 +574,31 @@ def relu(x):
 
 
 def prelu(x, slope):
-    """Leaky rectifier with a learned per-feature slope (feature axis 0)."""
+    """Leaky rectifier with a learned per-feature slope (feature axis 0).
+
+    y = min(x, 0) * slope + max(x, 0), in whole-array passes: a masked
+    in-place multiply runs numpy's branchy ``where=`` loop, several times
+    slower and no more exact.
+    """
     x, slope = as_tensor(x), as_tensor(slope)
     if slope.data.ndim != 1 or slope.shape[0] != x.shape[0]:
         raise ShapeError("prelu slope %r does not match features of %r"
                          % (slope.shape, x.shape))
     sd = slope.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
     xd = x.data
-    negmask = xd < 0
-    y = xd.copy()
-    np.multiply(y, sd, out=y, where=negmask)
+    neg = xd < 0
+    y = np.minimum(xd, 0.0)
+    y *= sd
+    y += np.maximum(xd, 0.0)
     out = Tensor(y)
     axes = tuple(range(1, xd.ndim))
 
     def backward(g):
-        gx = g.copy()
-        np.multiply(gx, sd, out=gx, where=negmask)
-        gs = (g * xd * negmask).sum(axis=axes) if axes else (g * xd * negmask)
-        return gx, np.asarray(gs)
+        gneg = g * neg
+        gs = gneg * xd
+        gx = gneg * sd
+        gx += g - gneg
+        return gx, np.asarray(gs.sum(axis=axes) if axes else gs)
 
     _record(out, (x, slope), backward)
     return out
@@ -725,10 +735,12 @@ def unit_columns(x, eps=1e-12):
 # ---------------------------------------------------------------------------
 # convolution pair
 
-def conv1d(x, filters, stride):
+def conv1d(x, filters, stride, relu=False):
     """Valid convolution of a mono signal with (F, 1, Kw) filters -> (F, T').
 
-    T' = floor((T - Kw) / stride) + 1; no implicit padding.
+    T' = floor((T - Kw) / stride) + 1; no implicit padding. With ``relu``
+    the rectifier runs in place on the product's own buffer, as in
+    :func:`matmul`.
     """
     x, filters = as_tensor(x), as_tensor(filters)
     if x.data.ndim != 1:
@@ -744,9 +756,14 @@ def conv1d(x, filters, stride):
     tp = (t - kw) // stride + 1
     w2 = filters.data.reshape(f, kw)
     frames = np.lib.stride_tricks.sliding_window_view(x.data, kw)[::stride]
-    out = Tensor(w2 @ frames.T)
+    y = w2 @ frames.T
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    out = Tensor(y)
 
     def backward(g):
+        if relu:
+            g = g * (y > 0)
         gw = (g @ frames).reshape(f, 1, kw)
         gframes = w2.T @ g
         gx = np.zeros(t)
@@ -808,3 +825,72 @@ def dot(a, b):
     out = Tensor(np.asarray((ad * bd).sum()))
     _record(out, (a, b), lambda g: (g * bd, g * ad))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the attention core
+
+def attention(q, k, v, heads, batch, scale):
+    """softmax(scale * Q^T K) V of ``heads`` x ``batch`` sequences, one op.
+
+    ``q`` is a head-major (heads*dk, batch*Lq) map: rows h*dk..(h+1)*dk
+    are head h and columns b*Lq..(b+1)*Lq are sequence b. ``k`` and ``v``
+    are (heads*dk, batch*Lk) maps in the same order. The scores come from
+    BLAS on strided views of the maps, the row softmax runs in place on
+    the score buffer, and the output is written straight into a
+    (heads*dk, batch*Lq) map. Returns the output and the
+    (heads*batch, Lq, Lk) softmax map, head major; the map is a constant
+    to the tape.
+
+    One tape record, whose backward is closed form: with dA = dO V and
+    dS = A * (dA - rowsum(dA * A)), dV = dO^T A, dQ = scale K dS^T and
+    dK = scale Q dS. Charges 2*heads*batch*Lq*Lk*dk MACs.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
+            or k.shape[0] != q.shape[0] or q.shape[0] % heads
+            or q.shape[1] % batch or k.shape[1] % batch):
+        raise ShapeError("attention of %d heads x %d sequences cannot take "
+                         "q %r, k %r, v %r" % (heads, batch, q.shape,
+                                               k.shape, v.shape))
+    rows, nq = q.shape
+    dk, lq, lk = rows // heads, nq // batch, k.shape[1] // batch
+
+    def per_sequence(x, length):
+        # (heads*dk, batch*length) -> the (heads, batch, dk, length) view
+        return x.reshape(heads, dk, batch, length).transpose(0, 2, 1, 3)
+
+    qd, kd, vd = per_sequence(q.data, lq), per_sequence(k.data, lk), \
+        per_sequence(v.data, lk)
+    # the map is its own buffer (not a view), so the arena counts it
+    amap = np.empty((heads * batch, lq, lk))
+    a = amap.reshape(heads, batch, lq, lk)
+    np.matmul((qd * scale).swapaxes(2, 3), kd, out=a)
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    y = np.empty((rows, nq))
+    np.matmul(vd, a.swapaxes(2, 3), out=per_sequence(y, lq))
+    out = Tensor(y)
+    weights = Tensor(amap)
+
+    def backward(g):
+        # read through the Tensor: the arena counts the map while the
+        # record holds it
+        a = weights.data.reshape(heads, batch, lq, lk)
+        gd = per_sequence(g, lq)                          # dO^T
+        gv = np.empty((rows, batch * lk))
+        np.matmul(gd, a, out=per_sequence(gv, lk))
+        ds = np.matmul(gd.swapaxes(2, 3), vd)             # dA
+        ds -= (ds * a).sum(axis=-1, keepdims=True)
+        ds *= a
+        gq = np.empty((rows, nq))
+        np.matmul(kd, ds.swapaxes(2, 3), out=per_sequence(gq, lq))
+        gq *= scale
+        gk = np.empty((rows, batch * lk))
+        np.matmul(qd, ds, out=per_sequence(gk, lk))
+        gk *= scale
+        return gq, gk, gv
+
+    _record(out, (q, k, v), backward, macs=2 * heads * batch * lq * lk * dk)
+    return out, weights

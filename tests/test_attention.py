@@ -442,10 +442,14 @@ def reference_reformer_head(q, v, scale, spec, batch, length, rotations,
 
 
 def use_reference_reformer(monkeypatch):
+    # the reference reads a group's heads side by side
     def head(q, k, v, ctx, details):
         rotations, _ = ctx.state
-        return reference_reformer_head(q, v, ctx.scale, ctx.spec, ctx.batch,
-                                       ctx.length, rotations, details)
+        heads = q.shape[0] // ctx.spec.d_head
+        out = reference_reformer_head(
+            attention._side_by_side(q, heads), attention._side_by_side(v, heads),
+            ctx.scale, ctx.spec, ctx.batch, ctx.length, rotations, details)
+        return attention._head_major(out, heads)
     monkeypatch.setattr(attention, "_reformer_head", head)
 
 

@@ -201,13 +201,36 @@ class TestSeparate:
             wav_write(ref, Signal(rng.uniform(-0.5, 0.5, 1600), 16000))
             refs += ["--ref", str(ref)]
         capsys.readouterr()
+        out_dir = tmp_path / "out"
         assert main(["separate", "--model", ckpt, "--in", wav,
-                     "--out-dir", str(tmp_path / "out")] + refs) == 1
+                     "--out-dir", str(out_dir)] + refs) == 1
         captured = capsys.readouterr()
         assert "si_snri_db" not in captured.out
+        assert "wrote" not in captured.out and not out_dir.exists()
         assert "sample rate mismatch" in captured.err
         assert "ref1.wav" in captured.err
         assert "16000" in captured.err and "8000" in captured.err
+
+    @pytest.mark.parametrize("refused", ["count", "unreadable"])
+    def test_refused_references_leave_no_estimates(self, tmp_path, capsys,
+                                                   refused):
+        ckpt, wav = self._checkpoint_and_input(tmp_path)
+        refs = []
+        for k in (1, 2):
+            ref = tmp_path / ("ref%d.wav" % k)
+            wav_write(ref, Signal(np.full(800, 0.1 * k), 8000))
+            refs += ["--ref", str(ref)]
+        if refused == "count":
+            refs, named = refs[:2], "--ref"
+        else:
+            refs[-1], named = str(tmp_path / "missing.wav"), "missing.wav"
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["separate", "--model", ckpt, "--in", wav,
+                     "--out-dir", str(out_dir)] + refs) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "wrote" not in captured.out and not out_dir.exists()
 
     def test_bad_checkpoint_magic_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -148,6 +148,80 @@ class TestDot:
         np.testing.assert_array_equal(gb, a.data)
 
 
+# The attention core as it was before it became one op: scaled queries,
+# per-sequence permutes, a score bmm, the row softmax and a second bmm.
+# Kept as the reference the fused op must reproduce.
+
+def composite_attention(q, k, v, heads, batch, scale):
+    rows, nq = q.shape
+    dk, lq, lk = rows // heads, nq // batch, k.shape[1] // batch
+
+    def per_sequence(x, length, axes):
+        # the (h, dk, b, length) view in the order ``axes``, heads and
+        # sequences merged
+        t = nd.permute(x, axes, shape=(heads, dk, batch, length))
+        return nd.reshape(t, (heads * batch,) + t.shape[2:])
+
+    scores = nd.bmm(per_sequence(nd.scale(q, scale), lq, (0, 2, 3, 1)),
+                    per_sequence(k, lk, (0, 2, 1, 3)))
+    a = nd.softmax_rows(scores)                       # (h*b, Lq, Lk)
+    out = nd.bmm(a, per_sequence(v, lk, (0, 2, 3, 1)))  # (h*b, Lq, dk)
+    out = nd.permute(out, (0, 3, 1, 2), shape=(heads, batch, lq, dk))
+    return nd.reshape(out, (rows, nq)), a
+
+
+class TestAttention:
+    DK = 3
+
+    def operands(self, rng, heads, batch, lq, lk):
+        rows = heads * self.DK
+        return [Tensor(rng.standard_normal((rows, batch * n)))
+                for n in (lq, lk, lk)]
+
+    @pytest.mark.parametrize("lq,lk", [(6, 6), (5, 8)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_matches_composite_reference(self, rng, heads, batch, lq, lk):
+        q, k, v = self.operands(rng, heads, batch, lq, lk)
+        probe = Tensor(rng.standard_normal(q.shape))
+
+        def run(op):
+            with Tape() as tape:
+                out, a = op(q, k, v, heads, batch, 0.6)
+                grads = tape.gradient(nd.dot(out, probe), [q, k, v])
+            return out.data, a.data, grads
+
+        out, a, grads = run(nd.attention)
+        want_out, want_a, want_grads = run(composite_attention)
+        assert out.shape == q.shape
+        assert a.shape == (heads * batch, lq, lk)
+        assert np.abs(out - want_out).max() <= \
+            1e-12 * np.abs(want_out).max()
+        assert np.abs(a - want_a).max() <= 1e-12
+        for g, ref in zip(grads, want_grads):
+            assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_one_tape_record_and_its_macs(self, rng):
+        q, k, v = self.operands(rng, 4, 3, 5, 8)
+        with nd.record_macs() as macs, Tape() as tape:
+            nd.attention(q, k, v, 4, 3, 0.5)
+            assert len(tape._records) == 1
+        assert macs.total == 2 * 4 * 3 * 5 * 8 * self.DK
+
+    def test_arena_peak_of_one_call_includes_its_score_map(self, rng):
+        q, k, v = self.operands(rng, 4, 3, 5, 8)
+        with nd.track_memory() as arena:
+            out, a = nd.attention(q, k, v, 4, 3, 0.5)
+        assert a.data.nbytes == 4 * 3 * 5 * 8 * 8
+        assert arena.peak == out.data.nbytes + a.data.nbytes
+
+    def test_mismatched_operands_name_every_shape(self, rng):
+        q, k, v = self.operands(rng, 2, 2, 4, 4)
+        with pytest.raises(nd.ShapeError, match=r"\(6, 8\).*\(6, 8\).*"
+                                                 r"\(6, 6\)"):
+            nd.attention(q, k, Tensor(np.zeros((6, 6))), 2, 2, 1.0)
+
+
 class TestGather:
     def test_gather_cols_equals_fancy_index_and_is_contiguous(self, rng):
         x = rng.standard_normal((5, 40))
@@ -248,7 +322,10 @@ class TestActivations:
         assert out.data[0, 0] == 3.0
 
     def test_prelu_matches_where_bit_for_bit(self, rng):
+        # against np.where and the masked in-place multiply prelu used to
+        # run, on data with exact zeros and both signs
         x = rng.standard_normal((4, 3, 7))
+        x[rng.uniform(size=x.shape) < 0.1] = 0.0
         slope = rng.uniform(0.0, 0.5, 4)
         g = rng.standard_normal((4, 3, 7))
         xt, st = Tensor(x), Tensor(slope)
@@ -256,9 +333,34 @@ class TestActivations:
             out = nd.prelu(xt, st)
             gx, gs = tape.gradient(nd.dot(out, Tensor(g)), [xt, st])
         sd = slope[:, None, None]
-        assert out.data.tobytes() == np.where(x < 0, sd * x, x).tobytes()
-        assert gx.tobytes() == np.where(x < 0, sd * g, g).tobytes()
-        assert gs.tobytes() == (g * x * (x < 0)).sum(axis=(1, 2)).tobytes()
+        neg = x < 0
+        masked_y, masked_gx = x.copy(), g.copy()
+        np.multiply(masked_y, sd, out=masked_y, where=neg)
+        np.multiply(masked_gx, sd, out=masked_gx, where=neg)
+        assert out.data.tobytes() == np.where(neg, sd * x, x).tobytes() \
+            == masked_y.tobytes()
+        assert gx.tobytes() == np.where(neg, sd * g, g).tobytes() \
+            == masked_gx.tobytes()
+        assert gs.tobytes() == (g * x * neg).sum(axis=(1, 2)).tobytes()
+
+    def test_conv1d_relu_epilogue_equals_relu_of_conv1d(self, rng):
+        x = rng.standard_normal(64)
+        filters = rng.standard_normal((5, 1, 8))
+        g = Tensor(rng.standard_normal((5, 15)))
+
+        def run(fused):
+            xt, wt = Tensor(x), Tensor(filters)
+            with Tape() as tape:
+                out = (nd.conv1d(xt, wt, 4, relu=True) if fused
+                       else nd.relu(nd.conv1d(xt, wt, 4)))
+                records = len(tape._records)
+                gx, gw = tape.gradient(nd.dot(out, g), [xt, wt])
+            return records, [out.data, gx, gw]
+
+        (fused_records, got), (records, want) = run(True), run(False)
+        assert (fused_records, records) == (1, 2)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_pad_cols_matches_np_pad(self, rng):
         x = rng.standard_normal((2, 3, 5))
