@@ -20,13 +20,13 @@ Variants:
 
 Each variant is one :data:`REGISTRY` entry, which the dispatch, the
 parameter list, the cost model and the dual path's seeding all read:
-adding a variant takes one entry. Its per-call constants (masks, LSH
-rotations) are built once per :func:`multi_head_dispatch` call. Full and
-linformer attention are one ``ndkernel.attention`` op each. The reformer
-gathers its chunk operands by index in one pass per round and takes the
-masked softmax and log-sum-exp together (``ndkernel.softmax_lse_rows``).
-In every core the 1/sqrt(dk) scale rides on the queries rather than on
-the score maps.
+adding a variant takes one entry. Its per-call state (masks, LSH
+rotations, the linformer's projection rows) is built once per
+:func:`multi_head_dispatch` call. Full and linformer attention are one
+``ndkernel.attention`` op each. The reformer hashes here and runs every
+round of a head group in one ``ndkernel.lsh_attention`` op; a sequence no
+longer than ``bucket_chunk`` is one chunk of its own length. In every core
+the 1/sqrt(dk) scale rides on the queries rather than on the score maps.
 """
 
 from __future__ import annotations
@@ -48,11 +48,8 @@ __all__ = [
     "longformer_allowed", "attention_core_macs", "derive_seed",
 ]
 
-# Additive logit biases: HARD removes a slot outright, SOFT keeps a slot
-# alive only when nothing else is attendable (a position falls back to
-# itself when it is alone).
+# Additive logit bias that removes a slot outright.
 _HARD_MASK = -1e30
-_SOFT_MASK = -1e5
 
 
 class SequenceTooLongError(ValueError):
@@ -171,7 +168,7 @@ def positional_encoding(length, d_model):
 # h*S sequences, head major. Work that mixes positions runs batched over
 # the sequences; queries are scaled by 1/sqrt(dk) before they meet a key.
 
-_Call = namedtuple("_Call", "spec weights batch length scale state")
+_Call = namedtuple("_Call", "spec batch length scale state")
 
 
 def _per_sequence(x, batch, length, axes):
@@ -229,7 +226,7 @@ def longformer_allowed(length, window, global_stride):
     return allowed
 
 
-def _longformer_masks(spec, batch, length, seed):
+def _longformer_masks(spec, weights, batch, length, seed):
     """Constant additive band mask and global indices, shared by the heads."""
     half = (spec.window - 1) // 2
     t = np.arange(length)[:, None]
@@ -308,27 +305,30 @@ def _longformer_macs(spec, t):
     return 2 * t * (spec.window + 2 * g) * spec.d_head
 
 
-def _linformer_check(spec, batch, length, seed):
+def _linformer_prepare(spec, weights, batch, length, seed):
+    """The first ``length`` rows of both projections, sliced once per call:
+    each slice's gradient is a full-size array, summed once per call
+    rather than once per head group."""
     if length > spec.max_len:
         raise SequenceTooLongError("sequence length %d exceeds projection "
                                    "size %d" % (length, spec.max_len))
-    return ()
+    return [nd.slice_rows(p, 0, length)
+            for p in (weights.proj_p, weights.proj_f)]
 
 
 def _linformer_head(q, k, v, ctx, details):
     length = ctx.length
     heads, batch = _group_heads(q, ctx)
+    proj_p, proj_f = ctx.state
 
     def project(x, proj):
         # each sequence's length-L rows onto the proj_len slots, which
         # leaves the (h*dk, S*proj_len) map the attention op reads
-        p = nd.matmul(nd.reshape(x, (-1, length)), nd.slice_rows(proj, 0,
-                                                                 length))
+        p = nd.matmul(nd.reshape(x, (-1, length)), proj)
         return nd.reshape(p, (x.shape[0], -1))
 
-    out, a = nd.attention(q, project(k, ctx.weights.proj_p),
-                          project(v, ctx.weights.proj_f), heads, batch,
-                          ctx.scale)
+    out, a = nd.attention(q, project(k, proj_p), project(v, proj_f), heads,
+                          batch, ctx.scale)
     if details is not None:
         details["map"] = a.data.copy()                    # (h*S, L, k)
     return out
@@ -347,135 +347,47 @@ def hash_buckets(vectors, n_buckets, rotation):
     return np.argmax(both, axis=-1)
 
 
-def _reformer_mask(batch, length, m):
-    """Additive (B*padded, 2m) mask of the chunked shared-QK scores, in
-    bucket-sorted coordinates; it does not depend on the bucket order.
-
-    Keys beyond the real sequence (padding) and the missing look-back of
-    chunk 0 are removed outright; a position's own slot is soft-masked so
-    it only wins when nothing else is attendable.
-    """
-    n_chunks = -(-length // m)
-    csel = np.arange(n_chunks)[:, None, None]
-    qpos = csel * m + np.arange(m)[None, :, None]          # (nch, m, 1)
-    kpos = np.concatenate([(csel - 1) * m + np.arange(m)[None, None, :],
-                           csel * m + np.arange(m)[None, None, :]], axis=2)
-    valid = (kpos >= 0) & (kpos < length)
-    self_slot = kpos == qpos
-    mask = np.where(~valid, _HARD_MASK, np.where(self_slot, _SOFT_MASK, 0.0))
-    return np.tile(mask.reshape(n_chunks * m, 2 * m), (batch, 1))
-
-
-def _reformer_prepare(spec, batch, length, seed):
+def _reformer_prepare(spec, weights, batch, length, seed):
     """Per hash round, the (B, d_head, n_buckets / 2) rotations from each
-    sequence's seed (or one shared int), and the call's mask."""
+    sequence's seed (or one shared int)."""
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     if len(seeds) not in (1, batch):
         raise ValueError("%d seeds for %d sequences" % (len(seeds), batch))
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     shape = (spec.d_head, spec.n_buckets // 2)
-    rotations = [np.stack([rng.standard_normal(shape) for rng in rngs])
-                 for _ in range(spec.n_rounds)]
-    return rotations, _reformer_mask(batch, length, spec.bucket_chunk)
+    return [np.stack([rng.standard_normal(shape) for rng in rngs])
+            for _ in range(spec.n_rounds)]
 
 
-def _reformer_widen(state, n):
+def _reformer_widen(rotations, n):
     """Every head of a sequence hashes with that sequence's rotations."""
-    rotations, mask = state
-    return ([r if len(r) == 1 else np.tile(r, (n, 1, 1)) for r in rotations],
-            np.tile(mask, (n, 1)))
-
-
-def _round_indices(buckets, m):
-    """Gather indices of one hash round over the flat B*L positions.
-
-    Returns ``q_idx`` (B*padded,): each sequence's positions in bucket
-    order, padding pointing at row B*L (a zero query); ``kv_idx``
-    (B, nch, 2m): every chunk's look-back chunk then the chunk itself,
-    where padding and chunk 0's missing look-back point at real positions
-    that the mask removes; and ``inv`` (B*L,): the padded sorted row of
-    every position.
-    """
-    batch, length = buckets.shape
-    n_chunks = -(-length // m)
-    padded = n_chunks * m
-    order = np.argsort(buckets, axis=1, kind="stable")
-    rows = np.empty((batch, padded), dtype=np.intp)
-    rows[:, :length] = order + np.arange(batch)[:, None] * length
-    rows[:, length:] = batch * length
-    q_idx = rows.reshape(-1).copy()
-    rows[:, length:] = rows[:, :1]
-    chunks = rows.reshape(batch, n_chunks, m)
-    prev = np.concatenate([chunks[:, :1], chunks[:, :-1]], axis=1)
-    kv_idx = np.concatenate([prev, chunks], axis=2)
-    inv = np.empty(batch * length, dtype=np.intp)
-    inv[rows[:, :length]] = (np.arange(batch)[:, None] * padded
-                             + np.arange(length))
-    return q_idx, kv_idx, inv
+    return [r if len(r) == 1 else np.tile(r, (n, 1, 1)) for r in rotations]
 
 
 def _reformer_head(q, k, v, ctx, details):
-    """Shared-QK LSH attention of one head, one pass per hash round.
-
-    Each round sorts every sequence by bucket and gathers, by index and
-    positions-major, the queries of each m-wide chunk and the keys and
-    values of its look-back chunk plus itself, so the (B*nch, m, dk) and
-    (B*nch, 2m, dk) operands are plain reshapes (the keys are turned to
-    (dk, 2m) for the score bmm). One op takes the masked row softmax and
-    its log-sum-exp; the output rows and the lse are gathered back into
-    position order by the inverse index. Rounds are combined with weights
-    softmax(lse) per position. ``ctx.state`` holds rotations and mask.
-    """
+    """Hash the unit keys with each round's rotations (``ctx.state``), then
+    one ``ndkernel.lsh_attention`` op runs every round."""
     heads, _ = _group_heads(q, ctx)
     q, v = _side_by_side(q, heads), _side_by_side(v, heads)
     spec, batch, length = ctx.spec, ctx.batch, ctx.length
-    rotations, mask = ctx.state
-    dk = spec.d_head
-    m = spec.bucket_chunk
-    n_chunks = -(-length // m)
-    bc = batch * n_chunks
-    rows = bc * m
-    n = batch * length
     kq = nd.unit_columns(q)
-    # 1/sqrt(dk) rides on the queries; the extra zero row of qt (n+1, dk)
-    # is the query of every padding slot
-    qt = nd.permute(nd.pad_cols(nd.scale(q, ctx.scale), 0, 1), (1, 0))
-    kt = nd.permute(kq, (1, 0))                           # (n, dk)
-    vt = nd.permute(v, (1, 0))
-
-    round_outs = []
-    round_lses = []
-    for r in range(spec.n_rounds):
-        buckets = hash_buckets(kq.data.reshape(dk, batch, length)
-                               .transpose(1, 0, 2), spec.n_buckets,
-                               rotations[r])              # (B, L)
-        q_idx, kv_idx, inv = _round_indices(buckets, m)
-        qc = nd.reshape(nd.gather_rows(qt, q_idx), (bc, m, dk))
-        kcc = nd.permute(nd.reshape(nd.gather_rows(kt, kv_idx),
-                                    (bc, 2 * m, dk)), (0, 2, 1))
-        vcc = nd.reshape(nd.gather_rows(vt, kv_idx), (bc, 2 * m, dk))
-
-        a, lse = nd.softmax_lse_rows(
-            nd.reshape(nd.bmm(qc, kcc), (rows, 2 * m)), mask)
-        outc = nd.bmm(nd.reshape(a, (bc, m, 2 * m)), vcc)  # (B*nch, m, dk)
-        round_outs.append(nd.gather_rows(nd.reshape(outc, (rows, dk)), inv))
-        round_lses.append(nd.gather_rows(lse, inv))       # (B*L,)
-        if details is not None:
-            details.setdefault("rounds", []).append({
-                "buckets": buckets.copy(),
-                "map": a.data.reshape(batch, n_chunks, m, 2 * m).copy(),
-            })
-
-    if spec.n_rounds == 1:
-        return _head_major(nd.permute(round_outs[0], (1, 0)), heads)
-    lses = nd.reshape(nd.concat(round_lses, axis=0), (spec.n_rounds, n))
-    weights = nd.permute(nd.softmax_rows(nd.permute(lses, (1, 0))), (1, 0))
-    out = None
-    for r in range(spec.n_rounds):
-        wr = nd.reshape(nd.slice_rows(weights, r, r + 1), (n,))
-        term = nd.scale_cols(nd.permute(round_outs[r], (1, 0)), wr)
-        out = term if out is None else nd.add(out, term)
+    units = kq.data.reshape(spec.d_head, batch, length).transpose(1, 0, 2)
+    buckets = [hash_buckets(units, spec.n_buckets, r) for r in ctx.state]
+    order = np.argsort(np.stack(buckets), axis=-1, kind="stable")
+    out, maps = nd.lsh_attention(q, kq, v, order, spec.bucket_chunk,
+                                 ctx.scale, maps=details is not None)
+    if details is not None:
+        details["rounds"] = [{"buckets": b, "map": a}     # (B, nch, m, keys)
+                             for b, a in zip(buckets, maps)]
     return _head_major(out, heads)
+
+
+def _reformer_macs(spec, t):
+    # per round, as ndkernel.lsh_attention charges: chunks of m rows
+    # against 2m keys, or one chunk of a sequence of t <= bucket_chunk
+    m = min(spec.bucket_chunk, t)
+    keys = m if m == t else 2 * m
+    return spec.n_rounds * 2 * spec.d_head * -(-t // m) * m * keys
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +403,10 @@ def _same(state, _):
 
 # One variant. ``core`` names its per-head core in this module, looked up
 # per call so that patching the function replaces what runs. ``core_macs``
-# (spec, length) mirrors one head's matmul/bmm calls on one sequence.
-# ``prepare`` (spec, batch, length, seed) runs before the projections and
-# returns ``ctx.state`` or refuses the input; ``widen`` (state, n) turns
+# (spec, length) mirrors the MACs one head's core charges on one sequence.
+# ``prepare`` (spec, weights, batch, length, seed) runs once per call,
+# before the projections, and returns ``ctx.state`` (constants, or tensors
+# taken from the weights) or refuses the input; ``widen`` (state, n) turns
 # it into the state of a batch holding n heads of every sequence, head
 # major. ``extra`` (spec) yields the tensors beyond wq/wv/wo/wk.
 # ``shares_qk``: keys are the unit queries (no wk, two projections).
@@ -508,15 +421,13 @@ REGISTRY = {
                           prepare=_longformer_masks),
     "linformer": Variant(
         "_linformer_head", lambda spec, t: 4 * t * spec.proj_len * spec.d_head,
-        prepare=_linformer_check,
+        prepare=_linformer_prepare,
         extra=lambda spec: [(name, (spec.max_len, spec.proj_len),
                              uniform(spec.max_len))
                             for name in ("proj_p", "proj_f")]),
     "reformer": Variant(
-        "_reformer_head", lambda spec, t: spec.n_rounds * 4 * spec.d_head
-        * -(-t // spec.bucket_chunk) * spec.bucket_chunk ** 2,
-        prepare=_reformer_prepare, widen=_reformer_widen, shares_qk=True,
-        seeded=True),
+        "_reformer_head", _reformer_macs, prepare=_reformer_prepare,
+        widen=_reformer_widen, shares_qk=True, seeded=True),
 }
 VARIANTS = tuple(REGISTRY)
 
@@ -596,7 +507,7 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
                             % (x.shape,))
     entry = spec.entry
     heads, dk = spec.heads, spec.d_head
-    state = entry.prepare(spec, batch, length, seed)
+    state = entry.prepare(spec, weights, batch, length, seed)
     core = globals()[entry.core]      # by name, so a patched core runs
     hg = _heads_per_group(spec, batch, length)
     groups = heads // hg
@@ -605,8 +516,7 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     q, k, v = (None if w is None else nd.matmul(w, flat)
                for w in (weights.wq, None if entry.shares_qk else weights.wk,
                          weights.wv))
-    ctx = _Call(spec, weights, hg * batch, length, 1.0 / math.sqrt(dk),
-                state)
+    ctx = _Call(spec, hg * batch, length, 1.0 / math.sqrt(dk), state)
 
     outs = []
     head_details = [] if details is not None else None

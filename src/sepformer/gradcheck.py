@@ -109,16 +109,7 @@ def _ndkernel_suite():
         return run
 
     idx_g = np.array([3, 0, 0, 2])
-    idx_r = np.array([[3, 0], [0, 2], [1, 1]])
     idx_s = np.array([4, 1, 2])
-    # one removed slot per row and a mild bias on the rest
-    lse_mask = np.where(np.eye(4, 5, 1) > 0, -1e30,
-                        np.linspace(-0.5, 0.5, 20).reshape(4, 5))
-
-    def softmax_lse(x):
-        # both outputs feed the projected sum, so both backward rules run
-        soft, lse = nd.softmax_lse_rows(x, lse_mask)
-        return nd.concat([soft, nd.reshape(lse, (-1, 1))], axis=1)
 
     return {
         "matmul": _matmul_check,
@@ -133,7 +124,6 @@ def _ndkernel_suite():
         "slice_rows": unary(lambda x: nd.slice_rows(x, 1, 3), r, 4, 3),
         "slice_cols": unary(lambda x: nd.slice_cols(x, 1, 4), r, 3, 5),
         "gather_cols": unary(lambda x: nd.gather_cols(x, idx_g)),
-        "gather_rows": unary(lambda x: nd.gather_rows(x, idx_r), r, 4, 3),
         "scatter_cols": unary(lambda x: nd.scatter_cols(x, idx_s, 6),
                               r, 3, 3),
         "pad_cols": unary(lambda x: nd.pad_cols(x, 2, 3)),
@@ -147,7 +137,6 @@ def _ndkernel_suite():
         "prelu": _prelu_check,
         "softmax_rows": lambda rng: max(unary(nd.softmax_rows, r, 4, 5)(rng),
                                         unary(nd.softmax_rows, r, 2, 3, 4)(rng)),
-        "softmax_lse_rows": unary(softmax_lse, r, 4, 5),
         "layer_norm": (lambda rng: (lambda x, g, b: check_gradients(
             lambda: nd.layer_norm(x, g, b, axis=0), [x, g, b]))(
                 r(rng, 5, 4), r(rng, 5, low=0.5, high=1.5), r(rng, 5))),
@@ -159,6 +148,7 @@ def _ndkernel_suite():
                 r(rng, 3, 7), r(rng, 3, 1, 4))),
         "dot": binary(nd.dot, (3, 4), (3, 4)),
         "attention": _attention_op_check,
+        "lsh_attention": _lsh_attention_op_check,
     }
 
 
@@ -210,6 +200,19 @@ def _attention_op_check(rng):
                for n in (3, 4, 4))
     return check_gradients(lambda: nd.attention(q, k, v, 2, 3, 0.7)[0],
                            [q, k, v])
+
+
+def _lsh_attention_op_check(rng):
+    """Two rounds over two sequences: length 7 in chunks of 3 (a look-back
+    half, a padded last chunk) and length 2, one chunk of its own."""
+    def case(length):
+        q, k, v = (Tensor(rng.uniform(-1.0, 1.0, size=(3, 2 * length)))
+                   for _ in range(3))
+        order = np.stack([np.stack([rng.permutation(length)
+                                    for _ in range(2)]) for _ in range(2)])
+        return check_gradients(
+            lambda: nd.lsh_attention(q, k, v, order, 3, 0.7)[0], [q, k, v])
+    return max(case(7), case(2))
 
 
 def _prelu_check(rng):

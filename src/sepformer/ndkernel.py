@@ -20,7 +20,9 @@ buffer in place; :func:`permute` reads a flat map through a reshaped
 view, and :func:`softmax_rows` takes the last axis of any rank. A whole
 attention core (scores, row softmax, weighted values) is one
 :func:`attention` op that reads its head-major maps through strided
-views.
+views; the reformer's chunked LSH core, every hash round of it, is one
+:func:`lsh_attention` op that reads each chunk's keys through
+overlapping views.
 
 Ops see the active instruments through one object, ``_ACTIVE``, with one
 slot each; an empty slot costs one attribute test per op:
@@ -35,7 +37,6 @@ Every op reports to them through one hook, :func:`_record`.
 
 from __future__ import annotations
 
-import math
 import weakref
 from contextlib import contextmanager
 
@@ -47,11 +48,11 @@ __all__ = [
     "record_macs", "MacCounter", "DIFFERENTIABLE_OPS",
     "matmul", "bmm", "permute", "reshape", "concat",
     "slice_rows", "slice_cols",
-    "gather_cols", "gather_rows", "scatter_cols", "pad_cols", "frame",
+    "gather_cols", "scatter_cols", "pad_cols", "frame",
     "overlap_sum",
     "add", "mul", "scale", "scale_cols", "relu", "prelu",
-    "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
-    "conv1d", "conv1d_transpose", "dot", "attention",
+    "softmax_rows", "layer_norm", "unit_columns",
+    "conv1d", "conv1d_transpose", "dot", "attention", "lsh_attention",
 ]
 
 
@@ -247,11 +248,11 @@ def as_tensor(x):
 DIFFERENTIABLE_OPS = (
     "matmul", "bmm", "permute", "reshape", "concat",
     "slice_rows", "slice_cols",
-    "gather_cols", "gather_rows", "scatter_cols", "pad_cols", "frame",
+    "gather_cols", "scatter_cols", "pad_cols", "frame",
     "overlap_sum",
     "add", "mul", "scale", "scale_cols", "relu", "prelu",
-    "softmax_rows", "softmax_lse_rows", "layer_norm", "unit_columns",
-    "conv1d", "conv1d_transpose", "dot", "attention",
+    "softmax_rows", "layer_norm", "unit_columns",
+    "conv1d", "conv1d_transpose", "dot", "attention", "lsh_attention",
 )
 
 
@@ -398,23 +399,6 @@ def gather_cols(x, idx):
     def backward(g):
         gx = np.zeros(shape)
         np.add.at(gx, (slice(None), idx), g)
-        return (gx,)
-
-    _record(out, (x,), backward)
-    return out
-
-
-def gather_rows(x, idx):
-    """Select entries along axis 0 by an index array of any shape ->
-    ``idx.shape + x.shape[1:]``; duplicates allowed."""
-    x = as_tensor(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    shape = x.shape
-    out = Tensor(np.take(x.data, idx, axis=0))
-
-    def backward(g):
-        gx = np.zeros(shape)
-        np.add.at(gx, idx.reshape(-1), g.reshape((-1,) + shape[1:]))
         return (gx,)
 
     _record(out, (x,), backward)
@@ -604,33 +588,6 @@ def prelu(x, slope):
     return out
 
 
-def _softmax_parts(x, mask=None):
-    """Softmax over the last axis of an array of rank >= 2 (plus a
-    constant ``mask``) in one buffer, with the row sums and maxima it was
-    normalized by."""
-    if x.ndim < 2:
-        raise ShapeError("row softmax expects rank >= 2, got %r"
-                         % (x.shape,))
-    if mask is None:
-        m = x.max(axis=-1, keepdims=True)
-        y = x - m
-    else:
-        y = x + mask
-        m = y.max(axis=-1, keepdims=True)
-        y -= m
-    np.exp(y, out=y)
-    s = y.sum(axis=-1, keepdims=True)
-    y /= s
-    return y, s, m
-
-
-def _softmax_backward(y):
-    def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-    return backward
-
-
 def softmax_rows(x):
     """Softmax along the last axis of a tensor of rank >= 2 (each row),
     stabilized by the per-row max.
@@ -639,33 +596,20 @@ def softmax_rows(x):
     unchanged.
     """
     x = as_tensor(x)
-    y, _, _ = _softmax_parts(x.data)
-    out = Tensor(y)
-    _record(out, (x,), _softmax_backward(y))
-    return out
-
-
-def softmax_lse_rows(x, mask=None):
-    """Row softmax and row log-sum-exp of ``x + mask`` from one pass.
-
-    ``x`` is rank 2; ``mask`` is a constant array of its shape (no
-    gradient), for example large negative logits that remove slots.
-    Returns ``(softmax, lse)`` with lse of shape (rows,). Each output gets
-    its own tape record; both read the same softmax buffer.
-    """
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError("softmax_lse_rows expects rank 2, got %r"
+    if x.data.ndim < 2:
+        raise ShapeError("row softmax expects rank >= 2, got %r"
                          % (x.shape,))
-    if mask is not None and mask.shape != x.shape:
-        raise ShapeError("mask %r does not match scores %r"
-                         % (mask.shape, x.shape))
-    y, s, m = _softmax_parts(x.data, mask)
-    soft = Tensor(y)
-    lse = Tensor((np.log(s) + m).reshape(-1))
-    _record(soft, (x,), _softmax_backward(y))
-    _record(lse, (x,), lambda g: (y * g[:, None],))
-    return soft, lse
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = Tensor(y)
+
+    def backward(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return (y * (g - dot),)
+
+    _record(out, (x,), backward)
+    return out
 
 
 def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
@@ -894,3 +838,147 @@ def attention(q, k, v, heads, batch, scale):
 
     _record(out, (q, k, v), backward, macs=2 * heads * batch * lq * lk * dk)
     return out, weights
+
+
+# Logit biases of the LSH core: a removed key gets exactly zero weight; a
+# position's own key wins only when nothing else is attendable.
+_REMOVED = -1e30
+_OWN_KEY = 1e5
+
+
+def lsh_attention(q, k, v, order, chunk, scale, maps=False):
+    """Chunked shared-QK attention over hash rounds, one op.
+
+    ``q``, ``k`` (unit keys) and ``v`` are (dk, batch*L) maps, sequence b
+    in columns b*L..(b+1)*L; ``order`` (rounds, batch, L) holds every
+    round's bucket order of every sequence. Each round cuts the sorted
+    sequences into ``chunk``-wide chunks whose queries (times ``scale``)
+    attend to their own chunk and the one before; a sequence of
+    L <= ``chunk`` is one chunk of its own. Keys before chunk 0 or past
+    the sequence are removed (-1e30), a position's own key is biased by
+    -1e5, and the rounds are mixed per position by the softmax over rounds
+    of their log-sum-exp.
+
+    The sorted rows of all rounds and sequences are gathered once, K and V
+    after one leading chunk, so each chunk's keys and values are an
+    overlapping view. One score product serves all rounds; the masks are
+    slice assignments and a diagonal subtract, and the (m, dk) outputs,
+    not the maps, are divided by the row sums. Returns the (dk, batch*L)
+    output and, with ``maps``, the normalized (rounds, batch, chunks, m,
+    keys) maps, else None.
+
+    One tape record with a closed-form backward: with round weights w_r
+    and D = g . out per position, dO_r = w_r g, dS = A * (dO_r V^T - w_r D),
+    dV = A^T dO_r, dQ = scale dS K and dK = dS^T (scale Q), folded off the
+    chunk views and unsorted. Charges 2*rounds*batch*chunks*m*keys*dk MACs.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    order = np.asarray(order, dtype=np.intp)
+    if (order.ndim != 3 or q.data.ndim != 2 or q.shape != k.shape
+            or q.shape != v.shape or q.shape[1] != order[0].size):
+        raise ShapeError("lsh_attention of order %r cannot take q %r, k %r, "
+                         "v %r" % (order.shape, q.shape, k.shape, v.shape))
+    rounds, batch, length = order.shape
+    dk, n = q.shape
+    m = min(chunk, length)
+    n_chunks = -(-length // m)
+    padded = n_chunks * m
+    back = 0 if n_chunks == 1 else m      # look-back keys of a chunk
+    keys = back + m
+    total = rounds * batch * n_chunks
+    rix = np.arange(rounds)[:, None, None]
+    # the column of every sorted slot, round after round and sequence after
+    # sequence; padding slots and the leading look-back read column 0,
+    # whose keys the masks remove
+    slots = np.zeros((rounds, batch, padded), dtype=np.intp)
+    slots[:, :, :length] = order + np.arange(0, n, length)[:, None]
+    cols = np.concatenate([np.zeros(back, dtype=np.intp), slots.ravel()])
+    # and the flat slot of every position in every round
+    inv = np.empty((rounds, n), dtype=np.intp)
+    inv[rix, slots[:, :, :length]] = np.arange(0, total * m, padded).reshape(
+        rounds, batch, 1) + np.arange(length)
+
+    def per_sequence(x):
+        return x.reshape((rounds * batch, n_chunks) + x.shape[1:])
+
+    def unsorted(x):
+        # (total, m, d) per slot -> (rounds, n, d) in position order
+        return np.take(x.reshape(total * m, -1), inv, axis=0)
+
+    def per_slot(x):
+        # (rounds, n) per position -> (total, m, 1) per slot, 0 on padding
+        xs = x[rix, slots]
+        xs[:, :, length:] = 0.0
+        return xs.reshape(total, m, 1)
+
+    qc = q.data.T[cols[back:]].reshape(total, m, dk)
+    qc *= scale
+    if padded > length:     # padding queries are 0, as in a padded sequence
+        per_sequence(qc)[:, -1, length - padded:] = 0.0
+    # chunk j's keys are slots j*m .. j*m + keys: as (dk, keys) blocks,
+    # which BLAS reads untransposed, and its values as (keys, dk) rows
+    strided = np.lib.stride_tricks.as_strided
+    kb, vb = np.take(k.data, cols, axis=1), v.data.T[cols]
+    kt = strided(kb, (total, dk, keys), (m * kb.strides[1],) + kb.strides,
+                 writeable=False)
+    vw = strided(vb, (total, keys, dk), (m * vb.strides[0],) + vb.strides,
+                 writeable=False)
+    # the map is its own buffer (not a view), so the arena counts it
+    e = np.empty((total, m, keys))
+    np.matmul(qc, kt, out=e)
+    e.reshape(total, m * keys)[:, back::keys + 1] -= _OWN_KEY
+    if back:
+        per_sequence(e)[:, 0, :, :back] = _REMOVED
+    if padded > length:
+        per_sequence(e)[:, -1, :, length - padded:] = _REMOVED
+    top = e.max(axis=-1, keepdims=True)
+    e -= top
+    np.exp(e, out=e)
+    sums = e.sum(axis=-1, keepdims=True)
+    o = np.matmul(e, vw)
+    o /= sums
+    top += np.log(sums)                                   # the lse
+
+    # the softmax over rounds, then the rounds' outputs in position order
+    w = unsorted(top)[..., 0]                             # (rounds, n)
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    w /= w.sum(axis=0)
+    ou = unsorted(o)
+    ou *= w[..., None]
+    for r in range(1, rounds):
+        ou[0] += ou[r]
+    out, scores = Tensor(ou[0].T), Tensor(e)
+    normalized = ((e / sums).reshape(rounds, batch, n_chunks, m, keys)
+                  if maps else None)
+
+    def folded(gw):
+        # window gradients onto their slots: a chunk's look-back half
+        # belongs to the chunk before (across a sequence start it is 0)
+        gs = gw[:, back:]
+        if back:
+            gs = gs.reshape(total * m, dk)
+            gs[:-m] += gw[1:, :back].reshape(-1, dk)
+        return gs
+
+    def summed(gs):
+        # slot gradients unsorted and added over the rounds -> (dk, n)
+        return unsorted(gs).sum(axis=0).T
+
+    def backward(g):
+        # read through the Tensor: the arena counts the map while the
+        # record holds it; the replay runs once, so it normalizes in place
+        a = scores.data
+        a /= sums
+        do = g.T[cols[back:]].reshape(total, m, dk)
+        do *= per_slot(w)
+        ds = np.matmul(do, vw.swapaxes(1, 2))
+        ds -= per_slot(w * np.einsum("ij,ij->j", g, out.data))
+        ds *= a
+        gq = np.matmul(ds, kt.swapaxes(1, 2))
+        gq *= scale
+        return (summed(gq), summed(folded(np.matmul(ds.swapaxes(1, 2), qc))),
+                summed(folded(np.matmul(a.swapaxes(1, 2), do))))
+
+    _record(out, (q, k, v), backward, macs=2 * total * m * keys * dk)
+    return out, normalized

@@ -354,10 +354,11 @@ class TestReformer:
         assert same / total >= 0.95
 
 
-# The per-round reformer core as it was before the chunk operands were
-# gathered by index: sort, pad and permute each operand, build the
-# look-back chunk by shifting, and add the mask to the scores as a tensor.
-# Kept as the reference the index-gathered core must reproduce.
+# The per-round reformer core as it was before it became one op: sort, pad
+# and permute each operand, build the look-back chunk by shifting, add the
+# mask to the scores as a tensor, and mix the rounds with taped ops. Every
+# sequence is cut into whole bucket chunks, a short one padded to one.
+# Kept as the reference the fused core must reproduce.
 
 def reference_round_mask(n_chunks, m, length):
     csel = np.arange(n_chunks)[:, None, None]
@@ -367,6 +368,17 @@ def reference_round_mask(n_chunks, m, length):
     valid = (kpos >= 0) & (kpos < length)
     self_slot = kpos == qpos
     return np.where(~valid, -1e30, np.where(self_slot, -1e5, 0.0))
+
+
+def reference_softmax_lse(x):
+    """Row softmax and row log-sum-exp of a rank-2 tensor, each its own
+    tape record; the lse's backward is the softmax times its gradient."""
+    soft = nd.softmax_rows(x)
+    top = x.data.max(axis=1, keepdims=True)
+    lse = Tensor((np.log(np.exp(x.data - top).sum(axis=1, keepdims=True))
+                  + top).reshape(-1))
+    nd._record(lse, (x,), lambda g: (soft.data * g[:, None],))
+    return soft, lse
 
 
 def reference_previous_chunk(x):
@@ -418,7 +430,7 @@ def reference_reformer_head(q, v, scale, spec, batch, length, rotations,
 
         scores = nd.add(nd.scale(nd.bmm(qc, kcc), scale), mask)
         flat = nd.reshape(scores, (batch * padded, 2 * m))
-        a, lse = nd.softmax_lse_rows(flat)
+        a, lse = reference_softmax_lse(flat)
         outc = nd.bmm(nd.reshape(a, (batch * n_chunks, m, 2 * m)), vcc)
         outs = nd.permute(nd.reshape(outc, (batch, padded, dk)), (2, 0, 1))
         round_outs.append(unsort(outs))
@@ -444,13 +456,30 @@ def reference_reformer_head(q, v, scale, spec, batch, length, rotations,
 def use_reference_reformer(monkeypatch):
     # the reference reads a group's heads side by side
     def head(q, k, v, ctx, details):
-        rotations, _ = ctx.state
         heads = q.shape[0] // ctx.spec.d_head
         out = reference_reformer_head(
             attention._side_by_side(q, heads), attention._side_by_side(v, heads),
-            ctx.scale, ctx.spec, ctx.batch, ctx.length, rotations, details)
+            ctx.scale, ctx.spec, ctx.batch, ctx.length, ctx.state, details)
         return attention._head_major(out, heads)
     monkeypatch.setattr(attention, "_reformer_head", head)
+
+
+def assert_map_matches_reference(got, ref, length, m):
+    """One round's ([B,] nch, rows, keys) map against the reference's
+    ([B,] nch, m, 2m): the same within 1e-12, or, for length <= m, the
+    reference's real (L, L) block, whose real rows are exactly 0 outside
+    it."""
+    if length > m:
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12
+        return
+    block = ref[..., :length, m:m + length]
+    assert got.shape == block.shape
+    assert got.shape[-3:] == (1, length, length)
+    assert np.abs(got - block).max() <= 1e-12
+    rest = ref[..., :length, :].copy()
+    rest[..., m:m + length] = 0.0
+    assert not rest.any()
 
 
 class TestReformerMatchesReference:
@@ -481,23 +510,34 @@ class TestReformerMatchesReference:
             for rnd, ref_rnd in zip(head["rounds"], ref["rounds"]):
                 np.testing.assert_array_equal(rnd["buckets"],
                                               ref_rnd["buckets"])
-                assert rnd["map"].shape == ref_rnd["map"].shape
-                assert np.abs(rnd["map"] - ref_rnd["map"]).max() <= 1e-12
+                assert_map_matches_reference(rnd["map"], ref_rnd["map"],
+                                             length, 8)
 
-    def test_mask_built_once_per_call(self, monkeypatch, rng):
-        calls = []
-        build = attention._reformer_mask
+    def test_rotations_drawn_once_per_call(self, monkeypatch, rng):
+        entry = attention.REGISTRY["reformer"]
+        calls, states = [], []
 
-        def counting(*args):
-            calls.append(args)
-            return build(*args)
+        def counting(spec, weights, batch, length, seed):
+            calls.append((batch, length, seed))
+            return entry.prepare(spec, weights, batch, length, seed)
 
-        monkeypatch.setattr(attention, "_reformer_mask", counting)
+        def recording(q, k, v, ctx, details):
+            states.append(ctx.state)
+            return core(q, k, v, ctx, details)
+
+        core = attention._reformer_head
+        monkeypatch.setitem(attention.REGISTRY, "reformer",
+                            entry._replace(prepare=counting))
+        monkeypatch.setattr(attention, "_reformer_head", recording)
         spec = AttentionSpec("reformer", heads=4, d_model=8, n_buckets=4,
                              n_rounds=2, bucket_chunk=4)
+        # two heads' score bytes: the four heads run as two groups
+        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
+                            2 * 4 * 2 * entry.core_macs(spec, 9) // 2)
         multi_head_dispatch(Tensor(rng.standard_normal((6, 2, 9))),
                             make_weights(spec, 6), spec, seed=[1, 2])
-        assert calls == [(2, 9, 4)]
+        assert calls == [(2, 9, [1, 2])]
+        assert len(states) == 2 and states[0] is states[1]
 
     @pytest.mark.parametrize("n_rounds", [1, 3])
     def test_tape_gradients_agree(self, monkeypatch, n_rounds):
@@ -519,6 +559,155 @@ class TestReformerMatchesReference:
         want = grads()
         for g, ref in zip(got, want):
             assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+class TestReformerOpMatchesReference:
+    # bucket_chunk 64: lengths 1 and 7 are one chunk of their own length,
+    # 64 exactly one chunk, 65 two chunks with one real row in the second,
+    # 250 four chunks; "single" runs one head per core call, "whole" all
+    # four heads in one
+    @pytest.mark.parametrize("grouping", ["single", "whole"])
+    @pytest.mark.parametrize("n_rounds", [1, 3])
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("length", [1, 7, 64, 65, 250])
+    def test_outputs_gradients_buckets_and_maps(self, monkeypatch, length,
+                                                batch, n_rounds, grouping):
+        spec = AttentionSpec("reformer", heads=4, d_model=16, n_buckets=4,
+                             n_rounds=n_rounds, bucket_chunk=64)
+        w = make_weights(spec, 6, seed=length)
+        rng = np.random.default_rng(length + n_rounds)
+        if batch is None:
+            x, seed = Tensor(rng.standard_normal((6, length))), 13
+        else:
+            x = Tensor(rng.standard_normal((6, batch, length)))
+            seed = [13, 4, 27]
+        probe = Tensor(rng.standard_normal((16,) + x.shape[1:]))
+        sources = [x] + list(w.parameters().values())
+        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
+                            1 if grouping == "single" else 2**40)
+        batches = []
+        core = attention._reformer_head
+
+        def counting(q, k, v, ctx, details):
+            batches.append(ctx.batch)
+            return core(q, k, v, ctx, details)
+
+        def run():
+            details = {}
+            with Tape() as tape:
+                out = multi_head_dispatch(x, w, spec, seed=seed,
+                                          details=details)
+                grads = tape.gradient(nd.dot(out, probe), sources)
+            return out.data, grads, details
+
+        monkeypatch.setattr(attention, "_reformer_head", counting)
+        out, grads, got = run()
+        assert batches == ([batch or 1] * 4 if grouping == "single"
+                           else [4 * (batch or 1)])
+        use_reference_reformer(monkeypatch)
+        want_out, want_grads, want = run()
+        assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
+        # at length 1 the queries do not move the output: wq's gradient is
+        # exactly 0 in the reference and rounding-sized in the op, so a
+        # gradient is held to 1e-9 of its own size or, when smaller, of a
+        # thousandth of the largest
+        scale = max(np.abs(ref).max() for ref in want_grads)
+        for g, ref in zip(grads, want_grads):
+            assert np.abs(g - ref).max() <= 1e-9 * max(np.abs(ref).max(),
+                                                       1e-3 * scale)
+        for head, ref in zip(got["heads"], want["heads"]):
+            assert len(head["rounds"]) == len(ref["rounds"]) == n_rounds
+            for rnd, ref_rnd in zip(head["rounds"], ref["rounds"]):
+                np.testing.assert_array_equal(rnd["buckets"],
+                                              ref_rnd["buckets"])
+                assert_map_matches_reference(rnd["map"], ref_rnd["map"],
+                                             length, 64)
+
+    @pytest.mark.parametrize("length", [7, 65])
+    def test_one_record_per_core_call_charging_core_macs(self, monkeypatch,
+                                                         rng, length):
+        spec = AttentionSpec("reformer", heads=4, d_model=16, n_buckets=4,
+                             n_rounds=3, bucket_chunk=64)
+        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES", 1)
+        op = nd.lsh_attention
+        calls = []
+
+        def counting(*args, **kwargs):
+            active = nd._ACTIVE
+            records, macs = len(active.tape._records), active.macs.total
+            result = op(*args, **kwargs)
+            calls.append((len(active.tape._records) - records,
+                          active.macs.total - macs))
+            return result
+
+        monkeypatch.setattr(nd, "lsh_attention", counting)
+        x = Tensor(rng.standard_normal((6, 3, length)))
+        with nd.record_macs(), Tape():
+            multi_head_dispatch(x, make_weights(spec, 6), spec,
+                                seed=[1, 2, 3])
+        assert calls == [(1, 3 * spec.entry.core_macs(spec, length))] * 4
+
+    @pytest.mark.parametrize("length,keys", [(11, 8), (3, 3)])
+    def test_arena_counts_the_held_score_map(self, rng, length, keys):
+        # chunk 4: length 11 is three chunks of 4 rows against 8 keys,
+        # length 3 one chunk of 3 rows against 3
+        q, k, v = (Tensor(rng.standard_normal((5, 2 * length)))
+                   for _ in range(3))
+        order = np.stack([np.stack([rng.permutation(length)
+                                    for _ in range(2)]) for _ in range(3)])
+        rows = -(-length // 4) * 4 if length > 4 else length
+        with nd.track_memory() as arena, Tape():
+            out, maps = nd.lsh_attention(q, k, v, order, 4, 0.5)
+            held = arena.current - out.data.nbytes
+        assert maps is None
+        assert held == 3 * 2 * rows * keys * 8
+
+
+class TestLinformerSlicesOncePerCall:
+    def test_two_groups_match_slicing_per_group(self, monkeypatch, rng):
+        spec = AttentionSpec("linformer", heads=4, d_model=8, proj_len=4,
+                             max_len=64)
+        w = make_weights(spec, 6)
+        x = Tensor(rng.standard_normal((6, 3, 11)))
+        probe = Tensor(rng.standard_normal((8, 3, 11)))
+        sources = [x] + list(w.parameters().values())
+        per_head = 4 * 3 * spec.entry.core_macs(spec, 11) // spec.d_head
+        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES", 2 * per_head)
+        slice_rows = nd.slice_rows
+        sliced = []
+
+        def counting(t, start, stop):
+            if t is w.proj_p or t is w.proj_f:
+                sliced.append(stop - start)
+            return slice_rows(t, start, stop)
+
+        def run():
+            with Tape() as tape:
+                out = multi_head_dispatch(x, w, spec)
+                return tape.gradient(nd.dot(out, probe), sources)
+
+        def sliced_per_group(q, k, v, ctx, details):
+            # the core as it was when each head group sliced both
+            # projections itself
+            heads, batch = attention._group_heads(q, ctx)
+
+            def project(t, proj):
+                p = nd.matmul(nd.reshape(t, (-1, ctx.length)),
+                              nd.slice_rows(proj, 0, ctx.length))
+                return nd.reshape(p, (t.shape[0], -1))
+
+            return nd.attention(q, project(k, w.proj_p),
+                                project(v, w.proj_f), heads, batch,
+                                ctx.scale)[0]
+
+        monkeypatch.setattr(nd, "slice_rows", counting)
+        got = run()
+        assert sliced == [11, 11]
+        monkeypatch.setattr(attention, "_linformer_head", sliced_per_group)
+        want = run()
+        assert len(sliced) == 2 + 2 + 4
+        for g, ref in zip(got, want):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # The dispatch as it was before the heads joined the core's batch: one
@@ -544,8 +733,8 @@ def per_head_reference(x, weights, spec, seed=0, details=None):
         flat = nd.reshape(x, (x.shape[0], batch * length))
     entry = spec.entry
     dk = spec.d_head
-    ctx = attention._Call(spec, weights, batch, length, 1.0 / math.sqrt(dk),
-                          entry.prepare(spec, batch, length, seed))
+    ctx = attention._Call(spec, batch, length, 1.0 / math.sqrt(dk),
+                          entry.prepare(spec, weights, batch, length, seed))
     core = getattr(attention, entry.core)
     q = nd.matmul(weights.wq, flat)
     v = nd.matmul(weights.wv, flat)

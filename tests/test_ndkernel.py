@@ -79,53 +79,6 @@ class TestSoftmax:
                                       e / e.sum(axis=1, keepdims=True))
 
 
-class TestSoftmaxLse:
-    def test_bit_equal_to_separate_softmax_and_logsumexp(self, rng):
-        x = 3.0 * rng.standard_normal((6, 10))
-        mask = np.where(rng.uniform(size=(6, 10)) < 0.3, -1e30, 0.0)
-        mask[:, 0] = -1e5
-        soft, lse = nd.softmax_lse_rows(Tensor(x), mask)
-        z = x + mask
-        m = z.max(axis=1, keepdims=True)
-        e = np.exp(z - m)
-        s = e.sum(axis=1, keepdims=True)
-        np.testing.assert_array_equal(soft.data, e / s)
-        np.testing.assert_array_equal(lse.data, (np.log(s) + m).reshape(-1))
-        np.testing.assert_array_equal(
-            soft.data, nd.softmax_rows(Tensor(z)).data)
-
-    def test_without_mask_matches_softmax_rows(self, rng):
-        x = rng.standard_normal((4, 5))
-        soft, lse = nd.softmax_lse_rows(Tensor(x))
-        np.testing.assert_array_equal(soft.data,
-                                      nd.softmax_rows(Tensor(x)).data)
-        np.testing.assert_allclose(lse.data, np.log(np.exp(x).sum(axis=1)),
-                                   rtol=1e-14)
-
-    def test_masked_slots_get_zero_weight(self):
-        soft, lse = nd.softmax_lse_rows(Tensor([[1.0, 5.0, 2.0]]),
-                                        np.array([[0.0, -1e30, 0.0]]))
-        np.testing.assert_array_equal(soft.data[0, 1], 0.0)
-        np.testing.assert_allclose(lse.data, [np.log(np.e + np.e ** 2)],
-                                   rtol=1e-15)
-
-    def test_mask_of_another_shape_rejected(self):
-        with pytest.raises(nd.ShapeError, match=r"\(3,\).*\(1, 3\)"):
-            nd.softmax_lse_rows(Tensor([[1.0, 5.0, 2.0]]), np.zeros(3))
-
-    def test_gradients_of_both_outputs_add(self, rng):
-        x = Tensor(rng.standard_normal((3, 4)))
-        gs, gl = rng.standard_normal((3, 4)), rng.standard_normal(3)
-        with Tape() as tape:
-            soft, lse = nd.softmax_lse_rows(x)
-            loss = nd.add(nd.dot(soft, Tensor(gs)), nd.dot(lse, Tensor(gl)))
-            (gx,) = tape.gradient(loss, [x])
-        y = soft.data
-        expected = (y * (gs - (gs * y).sum(axis=1, keepdims=True))
-                    + y * gl[:, None])
-        np.testing.assert_allclose(gx, expected, atol=1e-14)
-
-
 class TestDot:
     def test_value_is_the_inner_product(self):
         out = nd.dot(Tensor([[1.0, 2.0], [3.0, 4.0]]),
@@ -229,23 +182,6 @@ class TestGather:
         out = nd.gather_cols(Tensor(x), idx).data
         np.testing.assert_array_equal(out, x[:, idx])
         assert out.flags.c_contiguous
-
-    def test_gather_rows_takes_index_shape(self, rng):
-        x = rng.standard_normal((9, 4))
-        idx = rng.integers(0, 9, (2, 3, 5))
-        out = nd.gather_rows(Tensor(x), idx).data
-        assert out.shape == (2, 3, 5, 4)
-        np.testing.assert_array_equal(out, x[idx])
-        assert out.flags.c_contiguous
-
-    def test_gather_rows_gradient_sums_duplicates(self):
-        x = Tensor(np.zeros((3, 2)))
-        with Tape() as tape:
-            out = nd.gather_rows(x, np.array([2, 0, 2, 2]))
-            (gx,) = tape.gradient(nd.dot(out, Tensor(np.ones(out.shape))),
-                                  [x])
-        np.testing.assert_array_equal(gx, [[1.0, 1.0], [0.0, 0.0],
-                                           [3.0, 3.0]])
 
 
 class TestLayerNorm:
