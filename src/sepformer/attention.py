@@ -20,13 +20,15 @@ Variants:
 
 Each variant is one :data:`REGISTRY` entry, which the dispatch, the
 parameter list, the cost model and the dual path's seeding all read:
-adding a variant takes one entry. Its per-call state (masks, LSH
-rotations, the linformer's projection rows) is built once per
+adding a variant takes one entry. Its per-call state (the longformer's
+blocks, LSH rotations, the linformer's projection rows) is built once per
 :func:`multi_head_dispatch` call. Full and linformer attention are one
-``ndkernel.attention`` op each. The reformer hashes here and runs every
-round of a head group in one ``ndkernel.lsh_attention`` op; a sequence no
-longer than ``bucket_chunk`` is one chunk of its own length. In every core
-the 1/sqrt(dk) scale rides on the queries rather than on the score maps.
+``ndkernel.attention`` op each, and the longformer runs its band in
+blocks on the same op under a logit bias (plain attention when the band
+covers the sequence). The reformer hashes here and runs every round of a
+head group in one ``ndkernel.lsh_attention`` op; a sequence no longer
+than ``bucket_chunk`` is one chunk of its own length. In every core the
+1/sqrt(dk) scale rides on the queries rather than on the score maps.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ __all__ = [
     "attention_tensors", "init_attention_weights", "hash_buckets",
     "longformer_allowed", "attention_core_macs", "derive_seed",
 ]
-
-# Additive logit bias that removes a slot outright.
-_HARD_MASK = -1e30
-
 
 class SequenceTooLongError(ValueError):
     """Input longer than the projection length the weights were built for."""
@@ -171,19 +169,6 @@ def positional_encoding(length, d_model):
 _Call = namedtuple("_Call", "spec batch length scale state")
 
 
-def _per_sequence(x, batch, length, axes):
-    """(rows, B*L) -> the (rows, B, L) view permuted by ``axes``."""
-    return nd.permute(x, axes, shape=(-1, batch, length))
-
-
-def _positions_last(x, batch, length):
-    return _per_sequence(x, batch, length, (1, 0, 2))     # (B, rows, L)
-
-
-def _features_last(x, batch, length):
-    return _per_sequence(x, batch, length, (1, 2, 0))     # (B, L, rows)
-
-
 def _group_heads(x, ctx):
     """The heads in a head-major map, and its sequences per head."""
     heads = x.shape[0] // ctx.spec.d_head
@@ -226,83 +211,85 @@ def longformer_allowed(length, window, global_stride):
     return allowed
 
 
-def _longformer_masks(spec, weights, batch, length, seed):
-    """Constant additive band mask and global indices, shared by the heads."""
+_Band = namedtuple("_Band", "globals map_cols bias queries keys "
+                   "global_queries picks", defaults=(None,) * 5)
+
+
+def _longformer_prepare(spec, weights, batch, length, seed):
+    """Cut each of ``batch`` sequences into blocks of c = max(half, 1)
+    queries, half = (w - 1) / 2, the last one padded. Block i sees the 3c
+    positions from (i - 1)c and the g ``globals``; its ``bias`` keeps band
+    slots in range, within |t - s| <= half and off the globals. ``picks``
+    takes a global's output from its row against all keys; ``map_cols``
+    finds each position's slots in its score row (-1: none). A band over
+    the whole sequence (half >= L - 1) sets just ``globals``, ``map_cols``."""
     half = (spec.window - 1) // 2
+    gidx = (np.zeros(0, dtype=np.intp) if spec.global_stride is None
+            else np.arange(0, length, spec.global_stride))
+    ng = len(gidx)
     t = np.arange(length)[:, None]
-    src = t + np.arange(-half, half + 1)[None, :]        # (T, w) band targets
-    in_range = (src >= 0) & (src < length)
-    if spec.global_stride is not None:
-        globals_idx = np.arange(0, length, spec.global_stride)
-        dup = in_range & np.isin(src, globals_idx)
-    else:
-        globals_idx = np.zeros(0, dtype=np.intp)
-        dup = np.zeros_like(in_range)
-    band_mask = np.where(in_range & ~dup, 0.0, _HARD_MASK)
-    return half, band_mask, globals_idx
+    slots = t + np.arange(-half, half + 1)
+    kept = (slots >= 0) & (slots < length) & ~np.isin(slots, gidx)
+    c = max(half, 1)
+    cols, gcols = ((slots, gidx) if half >= length - 1 else
+                   (slots - (t // c - 1) * c, 3 * c + np.arange(ng)))
+    map_cols = np.concatenate([np.where(kept, cols, -1),
+                               np.broadcast_to(gcols, (length, ng))], axis=1)
+    if half >= length - 1:
+        return _Band(gidx, map_cols)
+    n = -(-length // c) * c
+    bias = np.pad(np.full((n, 3 * c), -1e30), ((0, 0), (0, ng)))
+    bias[np.nonzero(kept)[0], cols[kept]] = 0.0
+    pos = np.arange(0, n, c)[:, None] - c + np.arange(3 * c)
+    keys = np.concatenate([np.clip(pos, 0, length - 1),
+                           np.broadcast_to(gidx, (len(pos), ng))], axis=1)
+    starts = np.arange(batch)[:, None] * length
+    picks = np.arange(batch)[:, None] * n + np.arange(length)
+    picks[:, gidx] = batch * n + np.arange(batch * ng).reshape(batch, ng)
+    return _Band(
+        gidx, map_cols, bias.reshape(-1, c, 3 * c + ng),
+        (starts + np.minimum(np.arange(n), length - 1)).ravel(),
+        (starts + keys.ravel()).ravel(), (starts + gidx).ravel(),
+        picks.ravel())
 
 
 def _longformer_head(q, k, v, ctx, details):
-    heads, _ = _group_heads(q, ctx)
-    q, k, v = (_side_by_side(t, heads) for t in (q, k, v))
-    batch, length = ctx.batch, ctx.length
-    half, band_mask, gidx = ctx.state
-    w = ctx.spec.window
-    ng = len(gidx)
-    n = batch * length
-
-    def windows(x, axes):
-        # the w-wide band around every position of every sequence
-        xp = nd.pad_cols(nd.reshape(x, (-1, length)), half, half)
-        win = nd.reshape(nd.frame(xp, w, 1), (-1, batch, w, length))
-        win = nd.permute(win, axes)                       # (B, L, ., .)
-        return nd.reshape(win, (n,) + win.shape[2:])
-
-    def globals_of(x):
-        cols = nd.gather_cols(nd.reshape(x, (-1, length)), gidx)
-        return nd.permute(nd.reshape(cols, (-1, batch, ng)), (1, 0, 2))
-
-    q = nd.scale(q, ctx.scale)
-    qt = _features_last(q, batch, length)                 # (B, L, dk)
-    loc = nd.bmm(windows(k, (1, 3, 2, 0)),                # (B*L, w, dk)
-                 nd.reshape(qt, (n, -1, 1)))              # (B*L, w, 1)
-    loc = nd.add(nd.reshape(loc, (n, w)),
-                 Tensor(np.tile(band_mask, (batch, 1))))
-    if ng:
-        sg = nd.bmm(qt, globals_of(k))                    # (B, L, g)
-        scores = nd.concat([loc, nd.reshape(sg, (n, ng))], axis=1)
+    heads, batch = _group_heads(q, ctx)
+    band = ctx.state
+    if band.bias is None:
+        # the band covers the sequence: every pair is allowed
+        out, a = nd.attention(q, k, v, heads, batch, ctx.scale)
+        rows = a.data
     else:
-        scores = loc
-    a = nd.softmax_rows(scores)                           # (B*L, w [+ g])
-
-    a_loc3 = nd.reshape(nd.slice_cols(a, 0, w), (n, w, 1))
-    out = nd.bmm(windows(v, (1, 3, 0, 2)), a_loc3)        # (B*L, dk, 1)
-    out = nd.permute(nd.reshape(out, (batch, length, -1)), (2, 0, 1))
+        out, a = nd.attention(
+            nd.gather_cols(q, band.queries), nd.gather_cols(k, band.keys),
+            nd.gather_cols(v, band.keys), heads, batch * len(band.bias),
+            ctx.scale, bias=band.bias)
+        rows = a.data.reshape(heads * batch, -1, a.shape[-1])
+        if len(band.globals):
+            # rows at global positions attend to every position
+            out_g, a_g = nd.attention(nd.gather_cols(q, band.global_queries),
+                                      k, v, heads, batch, ctx.scale)
+            out = nd.concat([out, out_g], axis=1)
+        out = nd.gather_cols(out, band.picks)
     if details is not None:
-        details["map"] = a.data.reshape(batch, length, -1).copy()
-    if ng:
-        ag = nd.permute(nd.reshape(nd.slice_cols(a, w, w + ng),
-                                   (batch, length, ng)), (0, 2, 1))
-        out = nd.add(out, nd.permute(nd.bmm(globals_of(v), ag), (1, 0, 2)))
-        # rows at global positions instead attend to everything
-        sgr = nd.bmm(nd.permute(globals_of(q), (0, 2, 1)),
-                     _positions_last(k, batch, length))   # (B, g, L)
-        agr = nd.softmax_rows(sgr)
-        outg = nd.bmm(agr, _features_last(v, batch, length))  # (B, g, dk)
-        outg = nd.reshape(nd.permute(outg, (2, 0, 1)), (-1, ng))
-        outg = nd.reshape(nd.scatter_cols(outg, gidx, length), out.shape)
-        keep = np.ones(length)
-        keep[gidx] = 0.0
-        out = nd.add(nd.scale_cols(out, Tensor(keep)), outg)
-        if details is not None:
-            details["global_rows"] = agr.data.copy()
-    return _head_major(nd.reshape(out, (-1, n)), heads)
+        padded = np.pad(rows, ((0, 0), (0, 0), (0, 1)))  # col -1 reads 0
+        details["map"] = padded[:, np.arange(ctx.length)[:, None],
+                                band.map_cols]            # (h*S, L, w + g)
+        if len(band.globals):                             # (h*S, g, L)
+            details["global_rows"] = (a_g.data.copy() if band.bias is not None
+                                      else rows[:, band.globals])
+    return out
 
 
 def _longformer_macs(spec, t):
-    # the band, plus the global columns and the global rows
+    # t x t when the band covers t, else blocks of c against 3c + g keys
+    # and the g global rows against all t
+    half = (spec.window - 1) // 2
+    c = max(half, 1)
     g = 0 if spec.global_stride is None else -(-t // spec.global_stride)
-    return 2 * t * (spec.window + 2 * g) * spec.d_head
+    return 2 * spec.d_head * (t * t if half >= t - 1
+                              else -(-t // c) * c * (3 * c + g) + g * t)
 
 
 def _linformer_prepare(spec, weights, batch, length, seed):
@@ -418,7 +405,7 @@ Variant = namedtuple(
 REGISTRY = {
     "full": Variant("_full_head", lambda spec, t: 2 * t * t * spec.d_head),
     "longformer": Variant("_longformer_head", _longformer_macs,
-                          prepare=_longformer_masks),
+                          prepare=_longformer_prepare),
     "linformer": Variant(
         "_linformer_head", lambda spec, t: 4 * t * spec.proj_len * spec.d_head,
         prepare=_linformer_prepare,

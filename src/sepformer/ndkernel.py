@@ -18,11 +18,11 @@ fresh buffer and which reads a weight stored (in, out) through a
 transposed view; :func:`layer_norm` centres once and normalizes that
 buffer in place; :func:`permute` reads a flat map through a reshaped
 view, and :func:`softmax_rows` takes the last axis of any rank. A whole
-attention core (scores, row softmax, weighted values) is one
-:func:`attention` op that reads its head-major maps through strided
-views; the reformer's chunked LSH core, every hash round of it, is one
-:func:`lsh_attention` op that reads each chunk's keys through
-overlapping views.
+attention core (scores, an optional constant logit bias, row softmax,
+weighted values) is one :func:`attention` op that reads its head-major
+maps through strided views; the reformer's chunked LSH core, every hash
+round of it, is one :func:`lsh_attention` op that reads each chunk's
+keys through overlapping views.
 
 Ops see the active instruments through one object, ``_ACTIVE``, with one
 slot each; an empty slot costs one attribute test per op:
@@ -774,17 +774,18 @@ def dot(a, b):
 # ---------------------------------------------------------------------------
 # the attention core
 
-def attention(q, k, v, heads, batch, scale):
-    """softmax(scale * Q^T K) V of ``heads`` x ``batch`` sequences, one op.
+def attention(q, k, v, heads, batch, scale, bias=None):
+    """softmax(scale * Q^T K + bias) V of ``heads`` x ``batch`` sequences.
 
     ``q`` is a head-major (heads*dk, batch*Lq) map: rows h*dk..(h+1)*dk
     are head h and columns b*Lq..(b+1)*Lq are sequence b. ``k`` and ``v``
-    are (heads*dk, batch*Lk) maps in the same order. The scores come from
-    BLAS on strided views of the maps, the row softmax runs in place on
-    the score buffer, and the output is written straight into a
-    (heads*dk, batch*Lq) map. Returns the output and the
-    (heads*batch, Lq, Lk) softmax map, head major; the map is a constant
-    to the tape.
+    are (heads*dk, batch*Lk) maps in the same order. A ``bias`` is a
+    constant (P, Lq, Lk) array of logits: sequence b of every head gets
+    ``bias[b % P]``, and -1e30 removes a key. The scores come from BLAS on
+    strided views of the maps, the row softmax runs in place on the score
+    buffer, and the output is written straight into a (heads*dk, batch*Lq)
+    map. Returns the output and the (heads*batch, Lq, Lk) softmax map,
+    head major; the map is a constant to the tape.
 
     One tape record, whose backward is closed form: with dA = dO V and
     dS = A * (dA - rowsum(dA * A)), dV = dO^T A, dQ = scale K dS^T and
@@ -793,10 +794,13 @@ def attention(q, k, v, heads, batch, scale):
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
             or k.shape[0] != q.shape[0] or q.shape[0] % heads
-            or q.shape[1] % batch or k.shape[1] % batch):
+            or q.shape[1] % batch or k.shape[1] % batch or bias is not None
+            and (bias.shape[1:] != (q.shape[1] // batch, k.shape[1] // batch)
+                 or batch % len(bias))):
         raise ShapeError("attention of %d heads x %d sequences cannot take "
-                         "q %r, k %r, v %r" % (heads, batch, q.shape,
-                                               k.shape, v.shape))
+                         "q %r, k %r, v %r, bias %r"
+                         % (heads, batch, q.shape, k.shape, v.shape,
+                            getattr(bias, "shape", None)))
     rows, nq = q.shape
     dk, lq, lk = rows // heads, nq // batch, k.shape[1] // batch
 
@@ -810,6 +814,9 @@ def attention(q, k, v, heads, batch, scale):
     amap = np.empty((heads * batch, lq, lk))
     a = amap.reshape(heads, batch, lq, lk)
     np.matmul((qd * scale).swapaxes(2, 3), kd, out=a)
+    if bias is not None:
+        runs = a.reshape((heads, -1) + bias.shape)
+        runs += bias
     a -= a.max(axis=-1, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)

@@ -5,7 +5,7 @@ MAC reference sheet (multiply-accumulates of the forward pass; only
 matmul-like ops count, matching the instrumented counter in ndkernel):
 
     matmul (M,K)@(K,N)          M*K*N
-    bmm    (B,M,K)@(B,K,N)      B*M*K*N
+    attention, h x B sequences  2*h*B*Lq*Lk*dk (scores and weighted values)
     conv / transposed conv      F*Kw*T'
 
     encoder                     F*Kw*T'
@@ -13,7 +13,9 @@ matmul-like ops count, matching the instrumented counter in ndkernel):
     per transformer layer, sequence length L:
         q/k/v projections       (3 or 2 for shared-QK) * d*F*L
         head recombination      d*d*L
-        attention cores         heads * attention.REGISTRY[variant].core_macs
+        attention cores         heads * attention.REGISTRY[variant].core_macs;
+                                longformer 2*dk*(ceil(L/c)*c*(3c+g) + g*L),
+                                c = max((w-1)/2, 1), or 2*dk*L^2 if w >= 2L-1
         feed-forward            2 * F*d_ff*L
     dual path, per repeat       intra_layers*Nc*layer(C) + inter_layers*C*layer(Nc)
                                 (the Nc chunks and the C offsets run as

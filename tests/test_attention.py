@@ -354,6 +354,155 @@ class TestReformer:
         assert same / total >= 0.95
 
 
+
+# The longformer core as it was before it ran on the attention op: every
+# position's w-wide band of keys and values framed out of the padded maps,
+# one bmm against the band and one against the globals, the global rows
+# scattered over the band rows. Kept as the reference the blocked core
+# must reproduce.
+
+def reference_longformer_masks(spec, length):
+    """Constant additive band mask and global indices, shared by the heads."""
+    half = (spec.window - 1) // 2
+    t = np.arange(length)[:, None]
+    src = t + np.arange(-half, half + 1)[None, :]        # (T, w) band targets
+    in_range = (src >= 0) & (src < length)
+    if spec.global_stride is not None:
+        globals_idx = np.arange(0, length, spec.global_stride)
+        dup = in_range & np.isin(src, globals_idx)
+    else:
+        globals_idx = np.zeros(0, dtype=np.intp)
+        dup = np.zeros_like(in_range)
+    band_mask = np.where(in_range & ~dup, 0.0, -1e30)
+    return half, band_mask, globals_idx
+
+
+def reference_longformer_head(q, k, v, ctx, details):
+    heads = q.shape[0] // ctx.spec.d_head
+    q, k, v = (attention._side_by_side(t, heads) for t in (q, k, v))
+    batch, length = ctx.batch, ctx.length
+    half, band_mask, gidx = reference_longformer_masks(ctx.spec, length)
+    w = ctx.spec.window
+    ng = len(gidx)
+    n = batch * length
+
+    def per_sequence(x, axes):
+        # (rows, B*L) -> the (rows, B, L) view permuted by ``axes``
+        return nd.permute(x, axes, shape=(-1, batch, length))
+
+    def windows(x, axes):
+        # the w-wide band around every position of every sequence
+        xp = nd.pad_cols(nd.reshape(x, (-1, length)), half, half)
+        win = nd.reshape(nd.frame(xp, w, 1), (-1, batch, w, length))
+        win = nd.permute(win, axes)                       # (B, L, ., .)
+        return nd.reshape(win, (n,) + win.shape[2:])
+
+    def globals_of(x):
+        cols = nd.gather_cols(nd.reshape(x, (-1, length)), gidx)
+        return nd.permute(nd.reshape(cols, (-1, batch, ng)), (1, 0, 2))
+
+    q = nd.scale(q, ctx.scale)
+    qt = per_sequence(q, (1, 2, 0))                       # (B, L, dk)
+    loc = nd.bmm(windows(k, (1, 3, 2, 0)),                # (B*L, w, dk)
+                 nd.reshape(qt, (n, -1, 1)))              # (B*L, w, 1)
+    loc = nd.add(nd.reshape(loc, (n, w)),
+                 Tensor(np.tile(band_mask, (batch, 1))))
+    if ng:
+        sg = nd.bmm(qt, globals_of(k))                    # (B, L, g)
+        scores = nd.concat([loc, nd.reshape(sg, (n, ng))], axis=1)
+    else:
+        scores = loc
+    a = nd.softmax_rows(scores)                           # (B*L, w [+ g])
+
+    a_loc3 = nd.reshape(nd.slice_cols(a, 0, w), (n, w, 1))
+    out = nd.bmm(windows(v, (1, 3, 0, 2)), a_loc3)        # (B*L, dk, 1)
+    out = nd.permute(nd.reshape(out, (batch, length, -1)), (2, 0, 1))
+    if details is not None:
+        details["map"] = a.data.reshape(batch, length, -1).copy()
+    if ng:
+        ag = nd.permute(nd.reshape(nd.slice_cols(a, w, w + ng),
+                                   (batch, length, ng)), (0, 2, 1))
+        out = nd.add(out, nd.permute(nd.bmm(globals_of(v), ag), (1, 0, 2)))
+        # rows at global positions instead attend to everything
+        sgr = nd.bmm(nd.permute(globals_of(q), (0, 2, 1)),
+                     per_sequence(k, (1, 0, 2)))          # (B, g, L)
+        agr = nd.softmax_rows(sgr)
+        outg = nd.bmm(agr, per_sequence(v, (1, 2, 0)))    # (B, g, dk)
+        outg = nd.reshape(nd.permute(outg, (2, 0, 1)), (-1, ng))
+        outg = nd.reshape(nd.scatter_cols(outg, gidx, length), out.shape)
+        keep = np.ones(length)
+        keep[gidx] = 0.0
+        out = nd.add(nd.scale_cols(out, Tensor(keep)), outg)
+        if details is not None:
+            details["global_rows"] = agr.data.copy()
+    return attention._head_major(nd.reshape(out, (-1, n)), heads)
+
+
+class TestLongformerMatchesReference:
+    # window 1 is a band of one position (blocks of one query), 3 blocks
+    # of one, 5 blocks of two with a global every 4th position, 101 blocks
+    # of 50 with the paper's global stride; the band covers lengths 1 and
+    # 7 at window 101 (and length 1 at every window), where the core runs
+    # clamped. "single" runs one head per core call, "whole" all four
+    # heads in one
+    @pytest.mark.parametrize("grouping", ["single", "whole"])
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("window,stride",
+                             [(1, None), (3, None), (5, 4), (101, 100)])
+    @pytest.mark.parametrize("length", [1, 7, 64, 65, 250])
+    def test_outputs_gradients_and_details(self, monkeypatch, length, window,
+                                           stride, batch, grouping):
+        spec = AttentionSpec("longformer", heads=4, d_model=16,
+                             window=window, global_stride=stride)
+        w = make_weights(spec, 6, seed=length)
+        rng = np.random.default_rng(length + window)
+        shape = (6, length) if batch is None else (6, batch, length)
+        x = Tensor(rng.standard_normal(shape))
+        probe = Tensor(rng.standard_normal((16,) + x.shape[1:]))
+        sources = [x] + list(w.parameters().values())
+        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
+                            1 if grouping == "single" else 2**40)
+
+        def run():
+            details = {}
+            with Tape() as tape:
+                out = multi_head_dispatch(x, w, spec, details=details)
+                grads = tape.gradient(nd.dot(out, probe), sources)
+            return out.data, grads, details
+
+        out, grads, got = run()
+        monkeypatch.setattr(attention, "_longformer_head",
+                            reference_longformer_head)
+        want_out, want_grads, want = run()
+        assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
+        for g, ref in zip(grads, want_grads):
+            assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
+        assert_same_details(got, want)
+
+    @pytest.mark.parametrize("length,stride,records",
+                             [(11, 4, 8), (11, None, 5), (3, 4, 1)])
+    def test_tape_records_per_core_call(self, monkeypatch, rng, length,
+                                        stride, records):
+        # window 5: length 3 is covered by the band and runs clamped
+        spec = AttentionSpec("longformer", heads=4, d_model=16, window=5,
+                             global_stride=stride)
+        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES", 1)
+        core = attention._longformer_head
+        calls = []
+
+        def counting(q, k, v, ctx, details):
+            before = len(nd._ACTIVE.tape._records)
+            out = core(q, k, v, ctx, details)
+            calls.append(len(nd._ACTIVE.tape._records) - before)
+            return out
+
+        monkeypatch.setattr(attention, "_longformer_head", counting)
+        x = Tensor(rng.standard_normal((6, 3, length)))
+        with Tape():
+            multi_head_dispatch(x, make_weights(spec, 6), spec)
+        assert calls == [records] * 4
+
+
 # The per-round reformer core as it was before it became one op: sort, pad
 # and permute each operand, build the look-back chunk by shifting, add the
 # mask to the scores as a tensor, and mix the rounds with taped ops. Every
@@ -948,8 +1097,10 @@ class TestRegistry:
         for name, g in zip(names, grads):
             assert np.any(g != 0), name
 
+    # window 5 covers lengths 1 and 3, which the longformer runs clamped;
+    # bucket_chunk 4 makes length 4 one whole reformer chunk
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("length", [16, 11])
+    @pytest.mark.parametrize("length", [16, 11, 1, 3, 4])
     @pytest.mark.parametrize("batch", [None, 3])
     def test_cost_model_matches_one_dispatch_call(self, variant, length,
                                                   batch):

@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import numpy as np
@@ -173,6 +174,36 @@ class TestAttention:
         with pytest.raises(nd.ShapeError, match=r"\(6, 8\).*\(6, 8\).*"
                                                  r"\(6, 6\)"):
             nd.attention(q, k, Tensor(np.zeros((6, 6))), 2, 2, 1.0)
+
+    def test_bias_is_added_to_every_run_of_sequences(self, rng):
+        # four sequences in runs of two: sequence b gets bias[b % 2], and
+        # -1e30 removes key 1 from the even sequences
+        heads, batch, lq, lk = 2, 4, 3, 5
+        q, k, v = self.operands(rng, heads, batch, lq, lk)
+        bias = rng.standard_normal((2, lq, lk))
+        bias[0, :, 1] = -1e30
+        out, a = nd.attention(q, k, v, heads, batch, 0.6, bias=bias)
+        qd, kd, vd = (x.data.reshape(heads, self.DK, batch, -1)
+                      for x in (q, k, v))
+        got = out.data.reshape(heads, self.DK, batch, lq)
+        for h in range(heads):
+            for b in range(batch):
+                s = 0.6 * qd[h, :, b].T @ kd[h, :, b] + bias[b % 2]
+                w = np.exp(s - s.max(axis=1, keepdims=True))
+                w /= w.sum(axis=1, keepdims=True)
+                assert np.abs(a.data[h * batch + b] - w).max() <= 1e-12
+                assert np.abs(got[h, :, b] - vd[h, :, b] @ w.T).max() \
+                    <= 1e-12
+        assert not a.data.reshape(heads, 2, 2, lq, lk)[:, :, 0, :, 1].any()
+
+    @pytest.mark.parametrize("shape", [(3, 3, 5), (2, 5, 3), (2, 3)])
+    def test_bias_of_another_shape_is_refused(self, rng, shape):
+        # batch 4 is not a whole number of runs of 3; the rows must be
+        # (Lq, Lk) = (3, 5)
+        q, k, v = self.operands(rng, 2, 4, 3, 5)
+        with pytest.raises(nd.ShapeError,
+                           match=re.escape("bias %r" % (shape,))):
+            nd.attention(q, k, v, 2, 4, 1.0, bias=np.zeros(shape))
 
 
 class TestGather:

@@ -3,6 +3,7 @@ import pytest
 
 import sepformer.ndkernel as nd
 from sepformer.attention import AttentionSpec
+from sepformer.cli import PAPER_DEFAULTS, build_run_config
 from sepformer.model import Sepformer, SepformerConfig
 from sepformer.profiler import (CostReport, SmallConvBaseline,
                                 bench_baseline, bench_forward, config_label,
@@ -166,6 +167,17 @@ class TestScalingLaws:
         narrow = count_macs_detailed(
             SepformerConfig(chunk_size=None, stride=8), 16000).attention
         assert 58 <= wide / narrow <= 70
+
+    @pytest.mark.parametrize("variant", ["longformer", "reformer"])
+    @pytest.mark.parametrize("seconds", [0.25, 1])
+    def test_efficient_attention_needs_no_more_macs_than_full_at_c250(
+            self, variant, seconds):
+        # the paper's chunked setting: full-size defaults, chunk 250
+        def macs(attention):
+            cfg, _ = build_run_config(dict(PAPER_DEFAULTS, chunk="250",
+                                           attention=attention))
+            return count_macs(cfg, int(seconds * 8000))
+        assert macs(variant) <= macs("full")
 
 
 class TestMemory:
