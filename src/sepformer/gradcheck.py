@@ -92,13 +92,9 @@ def _ndkernel_suite():
     def r(rng, *shape, low=-1.0, high=1.0):
         return Tensor(rng.uniform(low, high, size=shape))
 
-    def nonzero(rng, *shape):
-        signs = np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
-        return Tensor(signs * rng.uniform(0.2, 1.0, size=shape))
-
-    def unary(op, make=r, *shape, **kw):
+    def unary(op, *shape, **kw):
         def run(rng):
-            x = make(rng, *shape, **kw) if shape else make(rng, 3, 4)
+            x = r(rng, *(shape or (3, 4)), **kw)
             return check_gradients(lambda: op(x), [x])
         return run
 
@@ -109,39 +105,32 @@ def _ndkernel_suite():
         return run
 
     idx_g = np.array([3, 0, 0, 2])
-    idx_s = np.array([4, 1, 2])
 
     return {
         "matmul": _matmul_check,
-        "bmm": binary(nd.bmm, (2, 3, 4), (2, 4, 2)),
         "permute": lambda rng: max(
-            unary(lambda x: nd.permute(x, (2, 0, 1)), r, 2, 3, 4)(rng),
+            unary(lambda x: nd.permute(x, (2, 0, 1)), 2, 3, 4)(rng),
             unary(lambda x: nd.permute(x, (1, 0, 2), shape=(2, 3, -1)),
-                  r, 6, 4)(rng)),
+                  6, 4)(rng)),
         "reshape": unary(lambda x: nd.reshape(x, (2, 6))),
         "concat": binary(lambda a, b: nd.concat([a, b], axis=1),
                          (3, 2), (3, 3)),
-        "slice_rows": unary(lambda x: nd.slice_rows(x, 1, 3), r, 4, 3),
-        "slice_cols": unary(lambda x: nd.slice_cols(x, 1, 4), r, 3, 5),
+        "slice_rows": unary(lambda x: nd.slice_rows(x, 1, 3), 4, 3),
+        "slice_cols": unary(lambda x: nd.slice_cols(x, 1, 4), 3, 5),
         "gather_cols": unary(lambda x: nd.gather_cols(x, idx_g)),
-        "scatter_cols": unary(lambda x: nd.scatter_cols(x, idx_s, 6),
-                              r, 3, 3),
         "pad_cols": unary(lambda x: nd.pad_cols(x, 2, 3)),
-        "frame": unary(lambda x: nd.frame(x, 4, 2), r, 3, 8),
-        "overlap_sum": unary(lambda x: nd.overlap_sum(x, 2, 8), r, 3, 4, 3),
+        "frame": unary(lambda x: nd.frame(x, 4, 2), 3, 8),
+        "overlap_sum": unary(lambda x: nd.overlap_sum(x, 2, 8), 3, 4, 3),
         "add": binary(nd.add, (3, 4), (3, 4)),
         "mul": binary(nd.mul, (3, 4), (3, 4)),
         "scale": unary(lambda x: nd.scale(x, 0.37)),
         "scale_cols": binary(nd.scale_cols, (3, 4), (4,)),
-        "relu": unary(nd.relu, nonzero),
         "prelu": _prelu_check,
-        "softmax_rows": lambda rng: max(unary(nd.softmax_rows, r, 4, 5)(rng),
-                                        unary(nd.softmax_rows, r, 2, 3, 4)(rng)),
         "layer_norm": (lambda rng: (lambda x, g, b: check_gradients(
             lambda: nd.layer_norm(x, g, b, axis=0), [x, g, b]))(
                 r(rng, 5, 4), r(rng, 5, low=0.5, high=1.5), r(rng, 5))),
         "unit_columns": unary(lambda x: nd.unit_columns(x),
-                              r, 4, 3, low=0.3, high=1.0),
+                              4, 3, low=0.3, high=1.0),
         "conv1d": _conv1d_check,
         "conv1d_transpose": (lambda rng: (lambda x, w: check_gradients(
             lambda: nd.conv1d_transpose(x, w, 2), [x, w]))(

@@ -17,12 +17,11 @@ Work outside the products is kept to few passes: a linear layer is one
 fresh buffer and which reads a weight stored (in, out) through a
 transposed view; :func:`layer_norm` centres once and normalizes that
 buffer in place; :func:`permute` reads a flat map through a reshaped
-view, and :func:`softmax_rows` takes the last axis of any rank. A whole
-attention core (scores, an optional constant logit bias, row softmax,
-weighted values) is one :func:`attention` op that reads its head-major
-maps through strided views; the reformer's chunked LSH core, every hash
-round of it, is one :func:`lsh_attention` op that reads each chunk's
-keys through overlapping views.
+view. A whole attention core (scores, an optional constant logit bias,
+row softmax, weighted values) is one :func:`attention` op that reads its
+head-major maps through strided views; the reformer's chunked LSH core,
+every hash round of it, is one :func:`lsh_attention` op that reads each
+chunk's keys through overlapping views.
 
 Ops see the active instruments through one object, ``_ACTIVE``, with one
 slot each; an empty slot costs one attribute test per op:
@@ -46,12 +45,12 @@ __all__ = [
     "Tensor", "Tape", "ShapeError", "InputTooShortError",
     "set_debug_checks", "track_memory", "AllocationArena",
     "record_macs", "MacCounter", "DIFFERENTIABLE_OPS",
-    "matmul", "bmm", "permute", "reshape", "concat",
+    "matmul", "permute", "reshape", "concat",
     "slice_rows", "slice_cols",
-    "gather_cols", "scatter_cols", "pad_cols", "frame",
+    "gather_cols", "pad_cols", "frame",
     "overlap_sum",
-    "add", "mul", "scale", "scale_cols", "relu", "prelu",
-    "softmax_rows", "layer_norm", "unit_columns",
+    "add", "mul", "scale", "scale_cols", "prelu",
+    "layer_norm", "unit_columns",
     "conv1d", "conv1d_transpose", "dot", "attention", "lsh_attention",
 ]
 
@@ -136,7 +135,8 @@ class MacCounter:
 
 
 def record_macs():
-    """Count MACs of every matmul/bmm/conv executed inside the block."""
+    """Count MACs of every matmul, attention and conv executed inside the
+    block."""
     return _installed("macs", MacCounter())
 
 
@@ -246,12 +246,12 @@ def as_tensor(x):
 # Names of the tape-aware ops with nontrivial backward rules; the gradcheck
 # suite must cover each exactly once.
 DIFFERENTIABLE_OPS = (
-    "matmul", "bmm", "permute", "reshape", "concat",
+    "matmul", "permute", "reshape", "concat",
     "slice_rows", "slice_cols",
-    "gather_cols", "scatter_cols", "pad_cols", "frame",
+    "gather_cols", "pad_cols", "frame",
     "overlap_sum",
-    "add", "mul", "scale", "scale_cols", "relu", "prelu",
-    "softmax_rows", "layer_norm", "unit_columns",
+    "add", "mul", "scale", "scale_cols", "prelu",
+    "layer_norm", "unit_columns",
     "conv1d", "conv1d_transpose", "dot", "attention", "lsh_attention",
 )
 
@@ -302,25 +302,6 @@ def matmul(a, b, bias=None, relu=False, transpose_a=False):
         return ga, ad.T @ g, g.sum(axis=1)
 
     _record(out, inputs, backward, macs=m * k * n)
-    return out
-
-
-def bmm(a, b):
-    """Batched matmul over the leading axis: (B,M,K) @ (B,K,N) -> (B,M,N)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[1]):
-        raise ShapeError("bmm shapes incompatible: %r x %r"
-                         % (a.shape, b.shape))
-    bs, m, k = a.shape
-    n = b.shape[2]
-    out = Tensor(np.matmul(a.data, b.data))
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return np.matmul(g, bd.swapaxes(1, 2)), np.matmul(ad.swapaxes(1, 2), g)
-
-    _record(out, (a, b), backward, macs=bs * m * k * n)
     return out
 
 
@@ -400,24 +381,6 @@ def gather_cols(x, idx):
         gx = np.zeros(shape)
         np.add.at(gx, (slice(None), idx), g)
         return (gx,)
-
-    _record(out, (x,), backward)
-    return out
-
-
-def scatter_cols(x, idx, width):
-    """Place columns of ``x`` at positions ``idx`` of a zero (rows, width) array.
-
-    Indices must be unique; the op is the adjoint of :func:`gather_cols`.
-    """
-    x = as_tensor(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    buf = np.zeros((x.shape[0], width))
-    buf[:, idx] = x.data
-    out = Tensor(buf)
-
-    def backward(g):
-        return (np.ascontiguousarray(g[:, idx]),)
 
     _record(out, (x,), backward)
     return out
@@ -545,18 +508,6 @@ def scale_cols(x, v):
     return out
 
 
-def relu(x):
-    x = as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0
-
-    def backward(g):
-        return (g * mask,)
-
-    _record(out, (x,), backward)
-    return out
-
-
 def prelu(x, slope):
     """Leaky rectifier with a learned per-feature slope (feature axis 0).
 
@@ -585,30 +536,6 @@ def prelu(x, slope):
         return gx, np.asarray(gs.sum(axis=axes) if axes else gs)
 
     _record(out, (x, slope), backward)
-    return out
-
-
-def softmax_rows(x):
-    """Softmax along the last axis of a tensor of rank >= 2 (each row),
-    stabilized by the per-row max.
-
-    Each output row sums to 1; adding a constant to a row leaves it
-    unchanged.
-    """
-    x = as_tensor(x)
-    if x.data.ndim < 2:
-        raise ShapeError("row softmax expects rank >= 2, got %r"
-                         % (x.shape,))
-    y = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    _record(out, (x,), backward)
     return out
 
 
@@ -793,10 +720,11 @@ def attention(q, k, v, heads, batch, scale, bias=None):
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
-            or k.shape[0] != q.shape[0] or q.shape[0] % heads
-            or q.shape[1] % batch or k.shape[1] % batch or bias is not None
+            or k.shape[0] != q.shape[0] or heads < 1 or batch < 1
+            or q.shape[0] % heads or q.shape[1] % batch or k.shape[1] % batch
+            or bias is not None
             and (bias.shape[1:] != (q.shape[1] // batch, k.shape[1] // batch)
-                 or batch % len(bias))):
+                 or not len(bias) or batch % len(bias))):
         raise ShapeError("attention of %d heads x %d sequences cannot take "
                          "q %r, k %r, v %r, bias %r"
                          % (heads, batch, q.shape, k.shape, v.shape,

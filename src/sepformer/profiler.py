@@ -245,14 +245,14 @@ class SmallConvBaseline:
     def separate(self, x):
         x = nd.as_tensor(x)
         n = x.shape[0]
-        h = nd.relu(nd.conv1d(x, self.enc, self.stride))
+        h = nd.conv1d(x, self.enc, self.stride, relu=True)
         y = h
         for down, slope, up in self.blocks:
             z = nd.prelu(nd.matmul(down, y), slope)
             y = nd.add(y, nd.matmul(up, z))
         estimates = []
         for head in self.mask_heads:
-            mask = nd.relu(nd.matmul(head, y))
+            mask = nd.matmul(head, y, relu=True)
             est = nd.conv1d_transpose(nd.mul(mask, h), self.dec, self.stride)
             if est.shape[0] < n:
                 est = nd.pad_cols(est, 0, n - est.shape[0])

@@ -355,87 +355,42 @@ class TestReformer:
 
 
 
-# The longformer core as it was before it ran on the attention op: every
-# position's w-wide band of keys and values framed out of the padded maps,
-# one bmm against the band and one against the globals, the global rows
-# scattered over the band rows. Kept as the reference the blocked core
-# must reproduce.
-
-def reference_longformer_masks(spec, length):
-    """Constant additive band mask and global indices, shared by the heads."""
-    half = (spec.window - 1) // 2
-    t = np.arange(length)[:, None]
-    src = t + np.arange(-half, half + 1)[None, :]        # (T, w) band targets
-    in_range = (src >= 0) & (src < length)
-    if spec.global_stride is not None:
-        globals_idx = np.arange(0, length, spec.global_stride)
-        dup = in_range & np.isin(src, globals_idx)
-    else:
-        globals_idx = np.zeros(0, dtype=np.intp)
-        dup = np.zeros_like(in_range)
-    band_mask = np.where(in_range & ~dup, 0.0, -1e30)
-    return half, band_mask, globals_idx
-
+# The longformer core as dense attention: one attention op over every
+# pair of positions, under a bias that removes the pairs the realized
+# pattern (``longformer_allowed``) leaves out. A global's "map" row is its
+# softmax over its band and the globals, from a second call that drops
+# the global rows' extension to every key. Kept as the reference the
+# blocked core must reproduce.
 
 def reference_longformer_head(q, k, v, ctx, details):
-    heads = q.shape[0] // ctx.spec.d_head
-    q, k, v = (attention._side_by_side(t, heads) for t in (q, k, v))
-    batch, length = ctx.batch, ctx.length
-    half, band_mask, gidx = reference_longformer_masks(ctx.spec, length)
-    w = ctx.spec.window
-    ng = len(gidx)
-    n = batch * length
+    spec, length = ctx.spec, ctx.length
+    heads = q.shape[0] // spec.d_head
 
-    def per_sequence(x, axes):
-        # (rows, B*L) -> the (rows, B, L) view permuted by ``axes``
-        return nd.permute(x, axes, shape=(-1, batch, length))
+    def dense(allowed):
+        return nd.attention(q, k, v, heads, ctx.batch // heads, ctx.scale,
+                            bias=np.where(allowed, 0.0, -1e30)[None])
 
-    def windows(x, axes):
-        # the w-wide band around every position of every sequence
-        xp = nd.pad_cols(nd.reshape(x, (-1, length)), half, half)
-        win = nd.reshape(nd.frame(xp, w, 1), (-1, batch, w, length))
-        win = nd.permute(win, axes)                       # (B, L, ., .)
-        return nd.reshape(win, (n,) + win.shape[2:])
-
-    def globals_of(x):
-        cols = nd.gather_cols(nd.reshape(x, (-1, length)), gidx)
-        return nd.permute(nd.reshape(cols, (-1, batch, ng)), (1, 0, 2))
-
-    q = nd.scale(q, ctx.scale)
-    qt = per_sequence(q, (1, 2, 0))                       # (B, L, dk)
-    loc = nd.bmm(windows(k, (1, 3, 2, 0)),                # (B*L, w, dk)
-                 nd.reshape(qt, (n, -1, 1)))              # (B*L, w, 1)
-    loc = nd.add(nd.reshape(loc, (n, w)),
-                 Tensor(np.tile(band_mask, (batch, 1))))
-    if ng:
-        sg = nd.bmm(qt, globals_of(k))                    # (B, L, g)
-        scores = nd.concat([loc, nd.reshape(sg, (n, ng))], axis=1)
-    else:
-        scores = loc
-    a = nd.softmax_rows(scores)                           # (B*L, w [+ g])
-
-    a_loc3 = nd.reshape(nd.slice_cols(a, 0, w), (n, w, 1))
-    out = nd.bmm(windows(v, (1, 3, 0, 2)), a_loc3)        # (B*L, dk, 1)
-    out = nd.permute(nd.reshape(out, (batch, length, -1)), (2, 0, 1))
+    allowed = longformer_allowed(length, spec.window, spec.global_stride)
+    out, a = dense(allowed)
     if details is not None:
-        details["map"] = a.data.reshape(batch, length, -1).copy()
-    if ng:
-        ag = nd.permute(nd.reshape(nd.slice_cols(a, w, w + ng),
-                                   (batch, length, ng)), (0, 2, 1))
-        out = nd.add(out, nd.permute(nd.bmm(globals_of(v), ag), (1, 0, 2)))
-        # rows at global positions instead attend to everything
-        sgr = nd.bmm(nd.permute(globals_of(q), (0, 2, 1)),
-                     per_sequence(k, (1, 0, 2)))          # (B, g, L)
-        agr = nd.softmax_rows(sgr)
-        outg = nd.bmm(agr, per_sequence(v, (1, 2, 0)))    # (B, g, dk)
-        outg = nd.reshape(nd.permute(outg, (2, 0, 1)), (-1, ng))
-        outg = nd.reshape(nd.scatter_cols(outg, gidx, length), out.shape)
-        keep = np.ones(length)
-        keep[gidx] = 0.0
-        out = nd.add(nd.scale_cols(out, Tensor(keep)), outg)
-        if details is not None:
-            details["global_rows"] = agr.data.copy()
-    return attention._head_major(nd.reshape(out, (-1, n)), heads)
+        gidx = (np.zeros(0, dtype=np.intp) if spec.global_stride is None
+                else np.arange(0, length, spec.global_stride))
+        rows = a.data
+        if len(gidx):
+            details["global_rows"] = rows[:, gidx]       # (h*S, g, L)
+            band = longformer_allowed(length, spec.window, None)
+            band[:, gidx] = True
+            rows = dense(band)[1].data
+        # each position's w band slots, then the globals; a slot out of
+        # range or on a global reads the padded zero column L
+        half = (spec.window - 1) // 2
+        t = np.arange(length)[:, None]
+        cols = t + np.arange(-half, half + 1)
+        cols[(cols < 0) | (cols >= length) | np.isin(cols, gidx)] = length
+        cols = np.concatenate(
+            [cols, np.broadcast_to(gidx, (length, len(gidx)))], axis=1)
+        details["map"] = np.pad(rows, ((0, 0), (0, 0), (0, 1)))[:, t, cols]
+    return out
 
 
 class TestLongformerMatchesReference:
@@ -503,103 +458,65 @@ class TestLongformerMatchesReference:
         assert calls == [records] * 4
 
 
-# The per-round reformer core as it was before it became one op: sort, pad
-# and permute each operand, build the look-back chunk by shifting, add the
-# mask to the scores as a tensor, and mix the rounds with taped ops. Every
-# sequence is cut into whole bucket chunks, a short one padded to one.
-# Kept as the reference the fused core must reproduce.
+# The reformer core as dense attention. In each round a query sees the
+# keys in its own chunk and the chunk before of that round's bucket order,
+# and the rounds are mixed by the softmax of their log-sum-exps. That
+# mixture, sum_r Z_r o_r / sum_r Z_r, is one softmax over every key with
+# each key's exponent counted once per round that shows it to the query:
+# one attention op under the per-sequence bias log(count), -1e30 where the
+# count is 0, with -1e5 more on the own key. A sequence of L <= chunk is
+# one chunk. The per-round maps of the details come from numpy on the same
+# sorted order. Kept as the reference the fused op must reproduce.
 
-def reference_round_mask(n_chunks, m, length):
-    csel = np.arange(n_chunks)[:, None, None]
-    qpos = csel * m + np.arange(m)[None, :, None]
-    kpos = np.concatenate([(csel - 1) * m + np.arange(m)[None, None, :],
-                           csel * m + np.arange(m)[None, None, :]], axis=2)
-    valid = (kpos >= 0) & (kpos < length)
-    self_slot = kpos == qpos
-    return np.where(~valid, -1e30, np.where(self_slot, -1e5, 0.0))
+def reference_round_map(q, kq, order, scale, m):
+    """One round's (B, chunks, m, 2m) softmax maps: each chunk of the
+    sorted, zero-padded sequences against its look-back chunk and itself,
+    keys before chunk 0 or past the sequence removed, own keys at -1e5."""
+    dk = q.shape[0]
+    batch, length = order.shape
+    n_chunks = -(-length // m)
 
+    def sorted_chunks(x):
+        xs = np.zeros((batch, n_chunks * m, dk))
+        xs[:, :length] = np.take_along_axis(
+            x.reshape(dk, batch, length).transpose(1, 2, 0),
+            order[..., None], axis=1)
+        return xs.reshape(batch, n_chunks, m, dk)
 
-def reference_softmax_lse(x):
-    """Row softmax and row log-sum-exp of a rank-2 tensor, each its own
-    tape record; the lse's backward is the softmax times its gradient."""
-    soft = nd.softmax_rows(x)
-    top = x.data.max(axis=1, keepdims=True)
-    lse = Tensor((np.log(np.exp(x.data - top).sum(axis=1, keepdims=True))
-                  + top).reshape(-1))
-    nd._record(lse, (x,), lambda g: (soft.data * g[:, None],))
-    return soft, lse
-
-
-def reference_previous_chunk(x):
-    b, n_chunks = x.shape[:2]
-    per = x.size // (b * n_chunks)
-    flat = nd.slice_cols(nd.reshape(x, (b, n_chunks * per)), 0,
-                         (n_chunks - 1) * per)
-    return nd.reshape(nd.pad_cols(flat, per, 0), x.shape)
+    qc, kc = sorted_chunks(q), sorted_chunks(kq)
+    back = np.concatenate([np.zeros_like(kc[:, :1]), kc[:, :-1]], axis=1)
+    keys = np.concatenate([back, kc], axis=2)             # (B, chunks, 2m, dk)
+    scores = scale * (qc @ keys.swapaxes(2, 3))
+    qpos = np.arange(n_chunks * m).reshape(n_chunks, m, 1)
+    kpos = ((np.arange(n_chunks)[:, None] - 1) * m
+            + np.arange(2 * m))[:, None]                   # (chunks, 1, 2m)
+    scores = np.where((kpos >= 0) & (kpos < length),
+                      np.where(kpos == qpos, scores - 1e5, scores), -1e30)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def reference_reformer_head(q, v, scale, spec, batch, length, rotations,
                             details):
-    dk = spec.d_head
     m = spec.bucket_chunk
-    n_chunks = -(-length // m)
-    padded = n_chunks * m
-    n = batch * length
     kq = nd.unit_columns(q)
-    mask = Tensor(np.tile(reference_round_mask(n_chunks, m, length),
-                          (batch, 1, 1)))
-    starts = np.arange(batch)[:, None] * length
-
-    round_outs = []
-    round_lses = []
-    for r in range(spec.n_rounds):
-        buckets = hash_buckets(kq.data.reshape(dk, batch, length)
-                               .transpose(1, 0, 2), spec.n_buckets,
-                               rotations[r])
+    units = kq.data.reshape(spec.d_head, batch, length).transpose(1, 0, 2)
+    count = np.zeros((batch, length, length))
+    for rotation in rotations:
+        buckets = hash_buckets(units, spec.n_buckets, rotation)
         order = np.argsort(buckets, axis=1, kind="stable")
-        flat_order = (starts + order).reshape(-1)
-
-        def sorted_chunks(x, axes):
-            xs = nd.reshape(nd.gather_cols(x, flat_order), (dk, batch, length))
-            xs = nd.pad_cols(xs, 0, padded - length)
-            return nd.permute(nd.reshape(xs, (dk, batch, n_chunks, m)), axes)
-
-        def unsort(x):
-            x = nd.reshape(nd.slice_cols(x, 0, length), (x.shape[0], n))
-            return nd.scatter_cols(x, flat_order, n)
-
-        qc = nd.reshape(sorted_chunks(q, (1, 2, 3, 0)),
-                        (batch * n_chunks, m, dk))
-        kc = sorted_chunks(kq, (1, 2, 0, 3))
-        vc = sorted_chunks(v, (1, 2, 3, 0))
-        kcc = nd.reshape(nd.concat([reference_previous_chunk(kc), kc], axis=3),
-                         (batch * n_chunks, dk, 2 * m))
-        vcc = nd.reshape(nd.concat([reference_previous_chunk(vc), vc], axis=2),
-                         (batch * n_chunks, 2 * m, dk))
-
-        scores = nd.add(nd.scale(nd.bmm(qc, kcc), scale), mask)
-        flat = nd.reshape(scores, (batch * padded, 2 * m))
-        a, lse = reference_softmax_lse(flat)
-        outc = nd.bmm(nd.reshape(a, (batch * n_chunks, m, 2 * m)), vcc)
-        outs = nd.permute(nd.reshape(outc, (batch, padded, dk)), (2, 0, 1))
-        round_outs.append(unsort(outs))
-        round_lses.append(unsort(nd.reshape(lse, (1, batch, padded))))
+        chunk = np.empty((batch, length), dtype=np.intp)
+        chunk[np.arange(batch)[:, None], order] = np.arange(length) // m
+        ahead = chunk[:, :, None] - chunk[:, None, :]   # query's - key's
+        count += (ahead == 0) | (ahead == 1)
         if details is not None:
             details.setdefault("rounds", []).append({
-                "buckets": buckets.copy(),
-                "map": a.data.reshape(batch, n_chunks, m, 2 * m).copy(),
+                "buckets": buckets,
+                "map": reference_round_map(q.data, kq.data, order, scale, m),
             })
-
-    if spec.n_rounds == 1:
-        return round_outs[0]
-    lses = nd.concat(round_lses, axis=0)
-    weights = nd.permute(nd.softmax_rows(nd.permute(lses, (1, 0))), (1, 0))
-    out = None
-    for r in range(spec.n_rounds):
-        wr = nd.reshape(nd.slice_rows(weights, r, r + 1), (n,))
-        term = nd.scale_cols(round_outs[r], wr)
-        out = term if out is None else nd.add(out, term)
-    return out
+    bias = np.where(count > 0, np.log(np.maximum(count, 1.0)), -1e30)
+    bias[:, np.arange(length), np.arange(length)] -= 1e5
+    return nd.attention(q, kq, v, 1, batch, scale, bias=bias)[0]
 
 
 def use_reference_reformer(monkeypatch):
