@@ -25,10 +25,12 @@ blocks, LSH rotations, the linformer's projection rows) is built once per
 :func:`multi_head_dispatch` call. Full and linformer attention are one
 ``ndkernel.attention`` op each, and the longformer runs its band in
 blocks on the same op under a logit bias (plain attention when the band
-covers the sequence). The reformer hashes here and runs every round of a
-head group in one ``ndkernel.lsh_attention`` op; a sequence no longer
-than ``bucket_chunk`` is one chunk of its own length. In every core the
-1/sqrt(dk) scale rides on the queries rather than on the score maps.
+covers the sequence). Every core reads and returns head-major maps. The
+reformer core is one ``ndkernel.lsh_attention`` op, which normalizes the
+keys, hashes and sorts every round and attends chunkwise; a sequence no
+longer than ``bucket_chunk`` is one chunk of its own length. In every
+core the 1/sqrt(dk) scale rides on the queries rather than on the score
+maps.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import ndkernel as nd
-from .ndkernel import Tensor
+from .ndkernel import Tensor, hash_buckets
 from .params import Params, uniform
 
 __all__ = [
@@ -175,22 +177,6 @@ def _group_heads(x, ctx):
     return heads, ctx.batch // heads
 
 
-def _side_by_side(x, heads):
-    """Head-major (h*dk, n) -> (dk, h*n), the heads' maps side by side."""
-    if heads == 1:
-        return x
-    return nd.reshape(nd.permute(x, (1, 0, 2), shape=(heads, -1, x.shape[1])),
-                      (-1, heads * x.shape[1]))
-
-
-def _head_major(x, heads):
-    """Inverse of :func:`_side_by_side`: (dk, h*n) -> (h*dk, n)."""
-    if heads == 1:
-        return x
-    n = x.shape[1] // heads
-    return nd.reshape(nd.permute(x, (1, 0, 2), shape=(-1, heads, n)), (-1, n))
-
-
 def _full_head(q, k, v, ctx, details):
     heads, batch = _group_heads(q, ctx)
     out, a = nd.attention(q, k, v, heads, batch, ctx.scale)
@@ -211,8 +197,26 @@ def longformer_allowed(length, window, global_stride):
     return allowed
 
 
-_Band = namedtuple("_Band", "globals map_cols bias queries keys "
-                   "global_queries picks", defaults=(None,) * 5)
+_Band = namedtuple("_Band", "globals bias queries keys global_queries "
+                   "picks", defaults=(None,) * 5)
+
+
+def _band_slots(spec, length):
+    """The g global positions; each position's w band slots as columns of
+    its score row, with the mask of those ``kept`` (in range and off the
+    globals); and the globals' columns. A row holds its block's 3c band
+    slots, then the globals, or every position when the band covers the
+    sequence (half >= L - 1)."""
+    half = (spec.window - 1) // 2
+    gidx = (np.zeros(0, dtype=np.intp) if spec.global_stride is None
+            else np.arange(0, length, spec.global_stride))
+    t = np.arange(length)[:, None]
+    slots = t + np.arange(-half, half + 1)
+    kept = (slots >= 0) & (slots < length) & ~np.isin(slots, gidx)
+    if half >= length - 1:
+        return gidx, kept, slots, gidx
+    c = max(half, 1)
+    return gidx, kept, slots - (t // c - 1) * c, 3 * c + np.arange(len(gidx))
 
 
 def _longformer_prepare(spec, weights, batch, length, seed):
@@ -220,23 +224,14 @@ def _longformer_prepare(spec, weights, batch, length, seed):
     queries, half = (w - 1) / 2, the last one padded. Block i sees the 3c
     positions from (i - 1)c and the g ``globals``; its ``bias`` keeps band
     slots in range, within |t - s| <= half and off the globals. ``picks``
-    takes a global's output from its row against all keys; ``map_cols``
-    finds each position's slots in its score row (-1: none). A band over
-    the whole sequence (half >= L - 1) sets just ``globals``, ``map_cols``."""
+    takes a global's output from its row against all keys. A band over
+    the whole sequence (half >= L - 1) sets just ``globals``."""
     half = (spec.window - 1) // 2
-    gidx = (np.zeros(0, dtype=np.intp) if spec.global_stride is None
-            else np.arange(0, length, spec.global_stride))
-    ng = len(gidx)
-    t = np.arange(length)[:, None]
-    slots = t + np.arange(-half, half + 1)
-    kept = (slots >= 0) & (slots < length) & ~np.isin(slots, gidx)
-    c = max(half, 1)
-    cols, gcols = ((slots, gidx) if half >= length - 1 else
-                   (slots - (t // c - 1) * c, 3 * c + np.arange(ng)))
-    map_cols = np.concatenate([np.where(kept, cols, -1),
-                               np.broadcast_to(gcols, (length, ng))], axis=1)
+    gidx, kept, cols, _ = _band_slots(spec, length)
     if half >= length - 1:
-        return _Band(gidx, map_cols)
+        return _Band(gidx)
+    ng = len(gidx)
+    c = max(half, 1)
     n = -(-length // c) * c
     bias = np.pad(np.full((n, 3 * c), -1e30), ((0, 0), (0, ng)))
     bias[np.nonzero(kept)[0], cols[kept]] = 0.0
@@ -247,7 +242,7 @@ def _longformer_prepare(spec, weights, batch, length, seed):
     picks = np.arange(batch)[:, None] * n + np.arange(length)
     picks[:, gidx] = batch * n + np.arange(batch * ng).reshape(batch, ng)
     return _Band(
-        gidx, map_cols, bias.reshape(-1, c, 3 * c + ng),
+        gidx, bias.reshape(-1, c, 3 * c + ng),
         (starts + np.minimum(np.arange(n), length - 1)).ravel(),
         (starts + keys.ravel()).ravel(), (starts + gidx).ravel(),
         picks.ravel())
@@ -273,9 +268,14 @@ def _longformer_head(q, k, v, ctx, details):
             out = nd.concat([out, out_g], axis=1)
         out = nd.gather_cols(out, band.picks)
     if details is not None:
+        # each position's band slots (-1: none, read as 0) and globals
+        _, kept, cols, gcols = _band_slots(ctx.spec, ctx.length)
+        map_cols = np.concatenate(
+            [np.where(kept, cols, -1),
+             np.broadcast_to(gcols, (ctx.length, len(gcols)))], axis=1)
         padded = np.pad(rows, ((0, 0), (0, 0), (0, 1)))  # col -1 reads 0
         details["map"] = padded[:, np.arange(ctx.length)[:, None],
-                                band.map_cols]            # (h*S, L, w + g)
+                                map_cols]                 # (h*S, L, w + g)
         if len(band.globals):                             # (h*S, g, L)
             details["global_rows"] = (a_g.data.copy() if band.bias is not None
                                       else rows[:, band.globals])
@@ -321,22 +321,9 @@ def _linformer_head(q, k, v, ctx, details):
     return out
 
 
-def hash_buckets(vectors, n_buckets, rotation):
-    """Angular LSH: bucket ids for unit column vectors under one rotation.
-
-    ``vectors`` is (d, T) and ``rotation`` (d, n_buckets / 2), or both
-    carry a leading batch axis (a batch of one rotation is shared). The
-    bucket is the argmax over the concatenated [proj, -proj] coordinates.
-    """
-    proj = np.swapaxes(vectors, -1, -2) @ rotation        # (..., T, nb/2)
-    both = np.concatenate([proj, -proj], axis=-1)
-    assert both.shape[-1] == n_buckets
-    return np.argmax(both, axis=-1)
-
-
 def _reformer_prepare(spec, weights, batch, length, seed):
     """Per hash round, the (B, d_head, n_buckets / 2) rotations from each
-    sequence's seed (or one shared int)."""
+    sequence's seed, or (1, ...) from one shared int."""
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     if len(seeds) not in (1, batch):
         raise ValueError("%d seeds for %d sequences" % (len(seeds), batch))
@@ -346,27 +333,15 @@ def _reformer_prepare(spec, weights, batch, length, seed):
             for _ in range(spec.n_rounds)]
 
 
-def _reformer_widen(rotations, n):
-    """Every head of a sequence hashes with that sequence's rotations."""
-    return [r if len(r) == 1 else np.tile(r, (n, 1, 1)) for r in rotations]
-
-
 def _reformer_head(q, k, v, ctx, details):
-    """Hash the unit keys with each round's rotations (``ctx.state``), then
-    one ``ndkernel.lsh_attention`` op runs every round."""
-    heads, _ = _group_heads(q, ctx)
-    q, v = _side_by_side(q, heads), _side_by_side(v, heads)
-    spec, batch, length = ctx.spec, ctx.batch, ctx.length
-    kq = nd.unit_columns(q)
-    units = kq.data.reshape(spec.d_head, batch, length).transpose(1, 0, 2)
-    buckets = [hash_buckets(units, spec.n_buckets, r) for r in ctx.state]
-    order = np.argsort(np.stack(buckets), axis=-1, kind="stable")
-    out, maps = nd.lsh_attention(q, kq, v, order, spec.bucket_chunk,
-                                 ctx.scale, maps=details is not None)
+    heads, batch = _group_heads(q, ctx)
+    out, rounds = nd.lsh_attention(q, v, ctx.state, heads, batch,
+                                   ctx.spec.bucket_chunk, ctx.scale,
+                                   maps=details is not None)
     if details is not None:
-        details["rounds"] = [{"buckets": b, "map": a}     # (B, nch, m, keys)
-                             for b, a in zip(buckets, maps)]
-    return _head_major(out, heads)
+        details["rounds"] = [{"buckets": b, "map": a}     # (h*S, nch, m, keys)
+                             for b, a in rounds]
+    return out
 
 
 def _reformer_macs(spec, t):
@@ -384,23 +359,18 @@ def _nothing(*_):
     return ()
 
 
-def _same(state, _):
-    return state
-
-
 # One variant. ``core`` names its per-head core in this module, looked up
 # per call so that patching the function replaces what runs. ``core_macs``
 # (spec, length) mirrors the MACs one head's core charges on one sequence.
 # ``prepare`` (spec, weights, batch, length, seed) runs once per call,
 # before the projections, and returns ``ctx.state`` (constants, or tensors
-# taken from the weights) or refuses the input; ``widen`` (state, n) turns
-# it into the state of a batch holding n heads of every sequence, head
-# major. ``extra`` (spec) yields the tensors beyond wq/wv/wo/wk.
+# taken from the weights) or refuses the input; every head group's core
+# call reads it. ``extra`` (spec) yields the tensors beyond wq/wv/wo/wk.
 # ``shares_qk``: keys are the unit queries (no wk, two projections).
 # ``seeded``: prepare draws from the seed.
 Variant = namedtuple(
-    "Variant", "core core_macs prepare widen extra shares_qk seeded",
-    defaults=(_nothing, _same, _nothing, False, False))
+    "Variant", "core core_macs prepare extra shares_qk seeded",
+    defaults=(_nothing, _nothing, False, False))
 
 REGISTRY = {
     "full": Variant("_full_head", lambda spec, t: 2 * t * t * spec.d_head),
@@ -414,7 +384,7 @@ REGISTRY = {
                             for name in ("proj_p", "proj_f")]),
     "reformer": Variant(
         "_reformer_head", _reformer_macs, prepare=_reformer_prepare,
-        widen=_reformer_widen, shares_qk=True, seeded=True),
+        shares_qk=True, seeded=True),
 }
 VARIANTS = tuple(REGISTRY)
 
@@ -498,8 +468,6 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     core = globals()[entry.core]      # by name, so a patched core runs
     hg = _heads_per_group(spec, batch, length)
     groups = heads // hg
-    if hg > 1:
-        state = entry.widen(state, hg)
     q, k, v = (None if w is None else nd.matmul(w, flat)
                for w in (weights.wq, None if entry.shares_qk else weights.wk,
                          weights.wv))

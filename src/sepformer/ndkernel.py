@@ -19,9 +19,10 @@ transposed view; :func:`layer_norm` centres once and normalizes that
 buffer in place; :func:`permute` reads a flat map through a reshaped
 view. A whole attention core (scores, an optional constant logit bias,
 row softmax, weighted values) is one :func:`attention` op that reads its
-head-major maps through strided views; the reformer's chunked LSH core,
-every hash round of it, is one :func:`lsh_attention` op that reads each
-chunk's keys through overlapping views.
+head-major maps through strided views; the reformer's chunked LSH core
+is one :func:`lsh_attention` op on the same head-major maps, which makes
+its unit keys, hashes and sorts every round, and reads each chunk's keys
+through overlapping views.
 
 Ops see the active instruments through one object, ``_ACTIVE``, with one
 slot each; an empty slot costs one attribute test per op:
@@ -49,9 +50,9 @@ __all__ = [
     "slice_rows", "slice_cols",
     "gather_cols", "pad_cols", "frame",
     "overlap_sum",
-    "add", "mul", "scale", "scale_cols", "prelu",
-    "layer_norm", "unit_columns",
+    "add", "mul", "scale_cols", "prelu", "layer_norm",
     "conv1d", "conv1d_transpose", "dot", "attention", "lsh_attention",
+    "hash_buckets",
 ]
 
 
@@ -250,8 +251,7 @@ DIFFERENTIABLE_OPS = (
     "slice_rows", "slice_cols",
     "gather_cols", "pad_cols", "frame",
     "overlap_sum",
-    "add", "mul", "scale", "scale_cols", "prelu",
-    "layer_norm", "unit_columns",
+    "add", "mul", "scale_cols", "prelu", "layer_norm",
     "conv1d", "conv1d_transpose", "dot", "attention", "lsh_attention",
 )
 
@@ -480,15 +480,6 @@ def mul(a, b):
     return out
 
 
-def scale(x, c):
-    """Multiply by a python float constant (no gradient for the constant)."""
-    x = as_tensor(x)
-    c = float(c)
-    out = Tensor(x.data * c)
-    _record(out, (x,), lambda g: (g * c,))
-    return out
-
-
 def scale_cols(x, v):
     """Multiply along the last axis by a vector (one factor per column)."""
     x, v = as_tensor(x), as_tensor(v)
@@ -582,24 +573,6 @@ def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
         return dxhat, dgain.reshape(-1), dbias.reshape(-1)
 
     _record(out, (x, gain, bias), backward)
-    return out
-
-
-def unit_columns(x, eps=1e-12):
-    """Normalize each column of a rank-2 tensor to unit L2 norm."""
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError("unit_columns expects rank 2, got %r" % (x.shape,))
-    norm = np.sqrt((x.data ** 2).sum(axis=0, keepdims=True) + eps)
-    y = x.data / norm
-    out = Tensor(y)
-    xd = x.data
-
-    def backward(g):
-        return (g / norm - xd * ((xd * g).sum(axis=0, keepdims=True)
-                                 / norm ** 3),)
-
-    _record(out, (x,), backward)
     return out
 
 
@@ -781,60 +754,106 @@ _REMOVED = -1e30
 _OWN_KEY = 1e5
 
 
-def lsh_attention(q, k, v, order, chunk, scale, maps=False):
-    """Chunked shared-QK attention over hash rounds, one op.
+def hash_buckets(vectors, rotation):
+    """Angular LSH: bucket ids for unit column vectors under one rotation.
 
-    ``q``, ``k`` (unit keys) and ``v`` are (dk, batch*L) maps, sequence b
-    in columns b*L..(b+1)*L; ``order`` (rounds, batch, L) holds every
-    round's bucket order of every sequence. Each round cuts the sorted
-    sequences into ``chunk``-wide chunks whose queries (times ``scale``)
-    attend to their own chunk and the one before; a sequence of
-    L <= ``chunk`` is one chunk of its own. Keys before chunk 0 or past
-    the sequence are removed (-1e30), a position's own key is biased by
-    -1e5, and the rounds are mixed per position by the softmax over rounds
-    of their log-sum-exp.
+    ``vectors`` is (d, T) and ``rotation`` (d, n_buckets / 2), or both
+    carry leading batch axes that broadcast. The bucket is the argmax over
+    the coordinates [p, -p] of the projection p, taken as argmax(p) where
+    max(p) >= -min(p) and n_buckets / 2 + argmin(p) elsewhere: the same
+    ids, ties included, without building [p, -p]. The extremes are read
+    at the two arg indices, which beats two more reductions over the
+    short last axis.
+    """
+    half = rotation.shape[-1]
+    proj = np.swapaxes(vectors, -1, -2) @ rotation        # (..., T, nb/2)
+    up, down = proj.argmax(axis=-1), proj.argmin(axis=-1)
+    top = np.take_along_axis(proj, up[..., None], axis=-1)[..., 0]
+    low = np.take_along_axis(proj, down[..., None], axis=-1)[..., 0]
+    return np.where(top >= -low, up, half + down)
 
-    The sorted rows of all rounds and sequences are gathered once, K and V
-    after one leading chunk, so each chunk's keys and values are an
-    overlapping view. One score product serves all rounds; the masks are
-    slice assignments and a diagonal subtract, and the (m, dk) outputs,
-    not the maps, are divided by the row sums. Returns the (dk, batch*L)
-    output and, with ``maps``, the normalized (rounds, batch, chunks, m,
-    keys) maps, else None.
+
+def lsh_attention(q, v, rotations, heads, batch, chunk, scale, maps=False):
+    """Chunked shared-QK LSH attention of ``heads`` x ``batch`` sequences.
+
+    ``q`` and ``v`` are head-major (heads*dk, batch*L) maps, as in
+    :func:`attention`; the keys are the unit queries, q / sqrt(sum(q^2) +
+    1e-12) per column. ``rotations`` holds one (batch or 1, dk,
+    n_buckets / 2) array per round, shared by a sequence's heads: each
+    round hashes the keys (:func:`hash_buckets`), sorts every sequence
+    stably by bucket and cuts it into ``chunk``-wide chunks whose queries
+    (times ``scale``) attend to their own chunk and the one before; a
+    sequence of L <= ``chunk`` is one chunk of its own. Keys before chunk
+    0 or past the sequence are removed (-1e30), a position's own key is
+    biased by -1e5, and the rounds are mixed per position by the softmax
+    over rounds of their log-sum-exp.
+
+    The heads are laid side by side, (dk, heads*batch*L), in numpy and
+    off the tape (a view for one head). The sorted rows of all rounds and
+    sequences are gathered once, K and V after one leading chunk, so each
+    chunk's keys and values are an overlapping view. One score product
+    serves all rounds; the masks are slice assignments and a diagonal
+    subtract, and the (m, dk) outputs, not the maps, are divided by the
+    row sums. Returns the head-major output and, with ``maps``, per round
+    the (heads*batch, L) bucket ids and the normalized (heads*batch,
+    chunks, m, keys) map, head major, else None.
 
     One tape record with a closed-form backward: with round weights w_r
     and D = g . out per position, dO_r = w_r g, dS = A * (dO_r V^T - w_r D),
     dV = A^T dO_r, dQ = scale dS K and dK = dS^T (scale Q), folded off the
-    chunk views and unsorted. Charges 2*rounds*batch*chunks*m*keys*dk MACs.
+    chunk views and unsorted; the unit keys add dK / |q| - q (q . dK) / |q|^3
+    to dQ. Charges 2*rounds*heads*batch*chunks*m*keys*dk MACs.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    order = np.asarray(order, dtype=np.intp)
-    if (order.ndim != 3 or q.data.ndim != 2 or q.shape != k.shape
-            or q.shape != v.shape or q.shape[1] != order[0].size):
-        raise ShapeError("lsh_attention of order %r cannot take q %r, k %r, "
-                         "v %r" % (order.shape, q.shape, k.shape, v.shape))
-    rounds, batch, length = order.shape
-    dk, n = q.shape
+    q, v = as_tensor(q), as_tensor(v)
+    if (q.data.ndim != 2 or q.shape != v.shape or heads < 1 or batch < 1
+            or q.shape[0] % heads or q.shape[1] % batch or not len(rotations)
+            or any(np.ndim(r) != 3 or len(r) not in (1, batch)
+                   or r.shape[1] != q.shape[0] // heads for r in rotations)):
+        raise ShapeError("lsh_attention of %d heads x %d sequences cannot "
+                         "take q %r, v %r, rotations %r"
+                         % (heads, batch, q.shape, v.shape,
+                            [np.shape(r) for r in rotations]))
+    rows, width = q.shape
+    dk, length = rows // heads, width // batch
+    seqs = heads * batch
+    n = seqs * length
+
+    def side_by_side(x):
+        # head-major (heads*dk, batch*L) -> (dk, heads*batch*L), a view
+        # for one head
+        return x.reshape(heads, dk, width).transpose(1, 0, 2).reshape(dk, n)
+
+    def head_major(x):
+        return x.reshape(dk, heads, width).transpose(1, 0, 2).reshape(rows, -1)
+
+    qd, vd = side_by_side(q.data), side_by_side(v.data)
+    norm = np.sqrt((qd ** 2).sum(axis=0, keepdims=True) + 1e-12)
+    kd = qd / norm
+    # every head of a sequence hashes with that sequence's rotation
+    units = kd.reshape(dk, heads, batch, length).transpose(1, 2, 0, 3)
+    buckets = [hash_buckets(units, r).reshape(seqs, length) for r in rotations]
+    order = np.argsort(np.stack(buckets), axis=-1, kind="stable")
+    rounds = len(rotations)
     m = min(chunk, length)
     n_chunks = -(-length // m)
     padded = n_chunks * m
     back = 0 if n_chunks == 1 else m      # look-back keys of a chunk
     keys = back + m
-    total = rounds * batch * n_chunks
+    total = rounds * seqs * n_chunks
     rix = np.arange(rounds)[:, None, None]
     # the column of every sorted slot, round after round and sequence after
     # sequence; padding slots and the leading look-back read column 0,
     # whose keys the masks remove
-    slots = np.zeros((rounds, batch, padded), dtype=np.intp)
+    slots = np.zeros((rounds, seqs, padded), dtype=np.intp)
     slots[:, :, :length] = order + np.arange(0, n, length)[:, None]
     cols = np.concatenate([np.zeros(back, dtype=np.intp), slots.ravel()])
     # and the flat slot of every position in every round
     inv = np.empty((rounds, n), dtype=np.intp)
     inv[rix, slots[:, :, :length]] = np.arange(0, total * m, padded).reshape(
-        rounds, batch, 1) + np.arange(length)
+        rounds, seqs, 1) + np.arange(length)
 
     def per_sequence(x):
-        return x.reshape((rounds * batch, n_chunks) + x.shape[1:])
+        return x.reshape((rounds * seqs, n_chunks) + x.shape[1:])
 
     def unsorted(x):
         # (total, m, d) per slot -> (rounds, n, d) in position order
@@ -846,14 +865,14 @@ def lsh_attention(q, k, v, order, chunk, scale, maps=False):
         xs[:, :, length:] = 0.0
         return xs.reshape(total, m, 1)
 
-    qc = q.data.T[cols[back:]].reshape(total, m, dk)
+    qc = qd.T[cols[back:]].reshape(total, m, dk)
     qc *= scale
     if padded > length:     # padding queries are 0, as in a padded sequence
         per_sequence(qc)[:, -1, length - padded:] = 0.0
     # chunk j's keys are slots j*m .. j*m + keys: as (dk, keys) blocks,
     # which BLAS reads untransposed, and its values as (keys, dk) rows
     strided = np.lib.stride_tricks.as_strided
-    kb, vb = np.take(k.data, cols, axis=1), v.data.T[cols]
+    kb, vb = np.take(kd, cols, axis=1), vd.T[cols]
     kt = strided(kb, (total, dk, keys), (m * kb.strides[1],) + kb.strides,
                  writeable=False)
     vw = strided(vb, (total, keys, dk), (m * vb.strides[0],) + vb.strides,
@@ -883,9 +902,9 @@ def lsh_attention(q, k, v, order, chunk, scale, maps=False):
     ou *= w[..., None]
     for r in range(1, rounds):
         ou[0] += ou[r]
-    out, scores = Tensor(ou[0].T), Tensor(e)
-    normalized = ((e / sums).reshape(rounds, batch, n_chunks, m, keys)
-                  if maps else None)
+    out, scores = Tensor(head_major(ou[0].T)), Tensor(e)
+    per_round = (list(zip(buckets, (e / sums).reshape(
+        rounds, seqs, n_chunks, m, keys))) if maps else None)
 
     def folded(gw):
         # window gradients onto their slots: a chunk's look-back half
@@ -905,15 +924,19 @@ def lsh_attention(q, k, v, order, chunk, scale, maps=False):
         # record holds it; the replay runs once, so it normalizes in place
         a = scores.data
         a /= sums
+        g = side_by_side(g)
         do = g.T[cols[back:]].reshape(total, m, dk)
         do *= per_slot(w)
         ds = np.matmul(do, vw.swapaxes(1, 2))
-        ds -= per_slot(w * np.einsum("ij,ij->j", g, out.data))
+        ds -= per_slot(w * np.einsum("ij,ij->j", g, side_by_side(out.data)))
         ds *= a
         gq = np.matmul(ds, kt.swapaxes(1, 2))
         gq *= scale
-        return (summed(gq), summed(folded(np.matmul(ds.swapaxes(1, 2), qc))),
-                summed(folded(np.matmul(a.swapaxes(1, 2), do))))
+        gk = summed(folded(np.matmul(ds.swapaxes(1, 2), qc)))
+        through_keys = gk / norm - qd * ((qd * gk).sum(axis=0, keepdims=True)
+                                         / norm ** 3)
+        return (head_major(summed(gq) + through_keys),
+                head_major(summed(folded(np.matmul(a.swapaxes(1, 2), do)))))
 
-    _record(out, (q, k, v), backward, macs=2 * total * m * keys * dk)
-    return out, normalized
+    _record(out, (q, v), backward, macs=2 * total * m * keys * dk)
+    return out, per_round

@@ -176,10 +176,12 @@ def pit_loss(estimates, targets):
         # caller sees the non-finite loss instead of a crash here
         best_perm = tuple(range(ns))
         best_mean = float(matrix[range(ns), best_perm].mean())
-    picked = pairs[0][best_perm[0]]
-    for i in range(1, ns):
-        picked = nd.add(picked, pairs[i][best_perm[i]])
-    loss = nd.scale(picked, -1.0 / ns)
+    # minus the winning pairs' mean, one tape record that hands each pair
+    # the gradient times -1/ns
+    picked = tuple(pairs[i][j] for i, j in enumerate(best_perm))
+    c = -1.0 / ns
+    loss = Tensor(sum((p.data for p in picked[1:]), picked[0].data) * c)
+    nd._record(loss, picked, lambda g: (g * c,) * ns)
     return loss, PitResult(best_perm, matrix, float(best_mean))
 
 

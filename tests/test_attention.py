@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sepformer.attention import (VARIANTS, AttentionSpec,
                                  init_attention_weights, longformer_allowed,
                                  multi_head_dispatch, positional_encoding,
                                  projection_macs)
+from sepformer.gradcheck import TOLERANCE, check_gradients
 from sepformer.ndkernel import Tape, Tensor
 
 
@@ -344,7 +346,7 @@ class TestReformer:
         same = total = 0
         for _ in range(8):
             rotation = rng.standard_normal((d, 1))
-            buckets = hash_buckets(vectors, 2, rotation)
+            buckets = hash_buckets(vectors, rotation)
             for cluster in (buckets[:per_cluster], buckets[per_cluster:]):
                 n = len(cluster)
                 total += n * (n - 1) // 2
@@ -352,6 +354,28 @@ class TestReformer:
                     k = int((cluster == b).sum())
                     same += k * (k - 1) // 2
         assert same / total >= 0.95
+
+    def test_hash_equals_the_argmax_over_both_signs(self, rng):
+        # the argmax over [p, -p] of the projection p, on random data and
+        # on ties built into the projections (an identity rotation hashes
+        # the vectors' own coordinates)
+        def concatenated(vectors, rotation):
+            proj = np.swapaxes(vectors, -1, -2) @ rotation
+            return np.argmax(np.concatenate([proj, -proj], axis=-1), axis=-1)
+
+        ties = np.array([[1.0, -1.0, 0.5, 0.0],     # max == -min, max first
+                         [-1.0, 1.0, 0.5, 0.0],     # max == -min, min first
+                         [0.5, 0.5, -0.2, 0.1],     # repeated maxima
+                         [-0.5, 0.2, -0.5, 0.1],    # repeated minima win
+                         [0.3, -0.3, 0.3, -0.3],    # both repeated and tied
+                         [0.0, 0.0, 0.0, 0.0]]).T   # all tied
+        for vectors, rotation in [
+                (rng.standard_normal((3, 8, 500)),
+                 rng.standard_normal((3, 8, 8))),
+                (rng.standard_normal((8, 500)), rng.standard_normal((8, 1))),
+                (ties, np.eye(4))]:
+            np.testing.assert_array_equal(hash_buckets(vectors, rotation),
+                                          concatenated(vectors, rotation))
 
 
 
@@ -496,38 +520,63 @@ def reference_round_map(q, kq, order, scale, m):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def reference_reformer_head(q, v, scale, spec, batch, length, rotations,
-                            details):
-    m = spec.bucket_chunk
-    kq = nd.unit_columns(q)
-    units = kq.data.reshape(spec.d_head, batch, length).transpose(1, 0, 2)
-    count = np.zeros((batch, length, length))
-    for rotation in rotations:
-        buckets = hash_buckets(units, spec.n_buckets, rotation)
-        order = np.argsort(buckets, axis=1, kind="stable")
-        chunk = np.empty((batch, length), dtype=np.intp)
-        chunk[np.arange(batch)[:, None], order] = np.arange(length) // m
-        ahead = chunk[:, :, None] - chunk[:, None, :]   # query's - key's
-        count += (ahead == 0) | (ahead == 1)
-        if details is not None:
-            details.setdefault("rounds", []).append({
-                "buckets": buckets,
-                "map": reference_round_map(q.data, kq.data, order, scale, m),
-            })
-    bias = np.where(count > 0, np.log(np.maximum(count, 1.0)), -1e30)
-    bias[:, np.arange(length), np.arange(length)] -= 1e5
-    return nd.attention(q, kq, v, 1, batch, scale, bias=bias)[0]
+def unit_keys(x):
+    """The reformer's keys as a tape record of their own: each column of
+    ``x`` over sqrt(sum(x^2) + 1e-12), whose backward is
+    g / norm - x (x . g) / norm^3."""
+    xd = x.data
+    norm = np.sqrt((xd ** 2).sum(axis=0, keepdims=True) + 1e-12)
+    out = Tensor(xd / norm)
+    nd._record(out, (x,), lambda g: (
+        g / norm - xd * ((xd * g).sum(axis=0, keepdims=True) / norm ** 3),))
+    return out
+
+
+def reference_reformer_head(q, k, v, ctx, details):
+    """The reformer core one head at a time: the head's unit keys, hashed
+    with each round's rotations, then one dense ``nd.attention`` under
+    B[s,i,j] = log of the number of rounds in which key j falls in query
+    i's chunk or look-back chunk of the sorted order (-1e30 at 0), -1e5
+    more on the diagonal."""
+    spec, length, m = ctx.spec, ctx.length, ctx.spec.bucket_chunk
+    heads, batch = attention._group_heads(q, ctx)
+    dk = spec.d_head
+    outs, rounds = [], [[] for _ in ctx.state]
+    for h in range(heads):
+        qh, vh = (nd.slice_rows(t, h * dk, (h + 1) * dk) for t in (q, v))
+        kq = unit_keys(qh)
+        units = kq.data.reshape(dk, batch, length).transpose(1, 0, 2)
+        count = np.zeros((batch, length, length))
+        for rotation, per_head in zip(ctx.state, rounds):
+            buckets = hash_buckets(units, rotation)
+            order = np.argsort(buckets, axis=1, kind="stable")
+            chunk = np.empty((batch, length), dtype=np.intp)
+            chunk[np.arange(batch)[:, None], order] = np.arange(length) // m
+            ahead = chunk[:, :, None] - chunk[:, None, :]   # query's - key's
+            count += (ahead == 0) | (ahead == 1)
+            if details is not None:
+                per_head.append((buckets, reference_round_map(
+                    qh.data, kq.data, order, ctx.scale, m)))
+        bias = np.where(count > 0, np.log(np.maximum(count, 1.0)), -1e30)
+        bias[:, np.arange(length), np.arange(length)] -= 1e5
+        outs.append(nd.attention(qh, kq, vh, 1, batch, ctx.scale,
+                                 bias=bias)[0])
+    if details is not None:
+        # (h*S, L) bucket ids and (h*S, nch, m, 2m) maps, head major
+        details["rounds"] = [
+            {key: np.concatenate([part[i] for part in per_head])
+             for i, key in enumerate(("buckets", "map"))}
+            for per_head in rounds]
+    return outs[0] if heads == 1 else nd.concat(outs, axis=0)
 
 
 def use_reference_reformer(monkeypatch):
-    # the reference reads a group's heads side by side
-    def head(q, k, v, ctx, details):
-        heads = q.shape[0] // ctx.spec.d_head
-        out = reference_reformer_head(
-            attention._side_by_side(q, heads), attention._side_by_side(v, heads),
-            ctx.scale, ctx.spec, ctx.batch, ctx.length, ctx.state, details)
-        return attention._head_major(out, heads)
-    monkeypatch.setattr(attention, "_reformer_head", head)
+    monkeypatch.setattr(attention, "_reformer_head", reference_reformer_head)
+
+
+def test_unit_keys_record_matches_finite_differences(rng):
+    x = Tensor(rng.uniform(-1.0, 1.0, size=(4, 5)))
+    assert check_gradients(lambda: unit_keys(x), [x]) <= TOLERANCE
 
 
 def assert_map_matches_reference(got, ref, length, m):
@@ -689,44 +738,104 @@ class TestReformerOpMatchesReference:
                 assert_map_matches_reference(rnd["map"], ref_rnd["map"],
                                              length, 64)
 
+    # a core call of one or two heads adds one tape record, the op's
+    @pytest.mark.parametrize("group", [1, 2])
     @pytest.mark.parametrize("length", [7, 65])
     def test_one_record_per_core_call_charging_core_macs(self, monkeypatch,
-                                                         rng, length):
+                                                         rng, length, group):
         spec = AttentionSpec("reformer", heads=4, d_model=16, n_buckets=4,
                              n_rounds=3, bucket_chunk=64)
-        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES", 1)
-        op = nd.lsh_attention
+        core_macs = spec.entry.core_macs(spec, length)
+        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
+                            group * 4 * 3 * core_macs // spec.d_head)
+        core = attention._reformer_head
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(q, k, v, ctx, details):
             active = nd._ACTIVE
             records, macs = len(active.tape._records), active.macs.total
-            result = op(*args, **kwargs)
+            out = core(q, k, v, ctx, details)
             calls.append((len(active.tape._records) - records,
-                          active.macs.total - macs))
-            return result
+                          active.macs.total - macs,
+                          active.tape._records[-1][1] == (q, v)))
+            return out
 
-        monkeypatch.setattr(nd, "lsh_attention", counting)
+        monkeypatch.setattr(attention, "_reformer_head", counting)
         x = Tensor(rng.standard_normal((6, 3, length)))
         with nd.record_macs(), Tape():
             multi_head_dispatch(x, make_weights(spec, 6), spec,
                                 seed=[1, 2, 3])
-        assert calls == [(1, 3 * spec.entry.core_macs(spec, length))] * 4
+        assert calls == [(1, group * 3 * core_macs, True)] * (4 // group)
 
     @pytest.mark.parametrize("length,keys", [(11, 8), (3, 3)])
     def test_arena_counts_the_held_score_map(self, rng, length, keys):
         # chunk 4: length 11 is three chunks of 4 rows against 8 keys,
         # length 3 one chunk of 3 rows against 3
-        q, k, v = (Tensor(rng.standard_normal((5, 2 * length)))
-                   for _ in range(3))
-        order = np.stack([np.stack([rng.permutation(length)
-                                    for _ in range(2)]) for _ in range(3)])
+        q, v = (Tensor(rng.standard_normal((5, 2 * length)))
+                for _ in range(2))
+        rotations = [rng.standard_normal((2, 5, 2)) for _ in range(3)]
         rows = -(-length // 4) * 4 if length > 4 else length
         with nd.track_memory() as arena, Tape():
-            out, maps = nd.lsh_attention(q, k, v, order, 4, 0.5)
+            out, maps = nd.lsh_attention(q, v, rotations, 1, 2, 4, 0.5)
             held = arena.current - out.data.nbytes
         assert maps is None
         assert held == 3 * 2 * rows * keys * 8
+
+
+# Reformer dispatch results pinned before the op took head-major maps and
+# its own unit keys and hashing: each config's output, the tape gradients
+# of x and of every weight, and every head's bucket ids per round.
+# ``reformer_pinned`` recomputes them; ``tests/data/reformer_pinned.npz``
+# holds them as recorded then.
+PINNED_REFORMER = (pathlib.Path(__file__).parent / "data"
+                   / "reformer_pinned.npz")
+PINNED_CONFIGS = {
+    # name: spec fields, input shape, seed, heads per core call
+    "single_map": (dict(heads=2, d_model=8, n_buckets=4, n_rounds=2,
+                        bucket_chunk=4), (6, 13), 11, 2),
+    "two_head_groups": (dict(heads=4, d_model=16, n_buckets=8, n_rounds=3,
+                             bucket_chunk=4), (6, 3, 11), [3, 8, 5], 2),
+    "one_chunk": (dict(heads=2, d_model=8, n_buckets=4, n_rounds=2,
+                       bucket_chunk=8), (6, 2, 5), 4, 2),
+}
+
+
+def reformer_pinned(name, monkeypatch):
+    fields, shape, seed, group = PINNED_CONFIGS[name]
+    spec = AttentionSpec("reformer", **fields)
+    w = make_weights(spec, shape[0], seed=len(name))
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    x = Tensor(rng.standard_normal(shape))
+    probe = Tensor(rng.standard_normal((spec.d_model,) + shape[1:]))
+    batch = shape[1] if len(shape) == 3 else 1
+    per_head = 4 * batch * spec.entry.core_macs(spec, shape[-1]) // spec.d_head
+    monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES", group * per_head)
+    names = list(w.parameters())
+    details = {}
+    with Tape() as tape:
+        out = multi_head_dispatch(x, w, spec, seed=seed, details=details)
+        grads = tape.gradient(nd.dot(out, probe),
+                              [x] + list(w.parameters().values()))
+    pinned = {"out": out.data, "buckets": np.stack(
+        [np.stack([r["buckets"] for r in head["rounds"]])
+         for head in details["heads"]])}
+    pinned.update(("grad_" + n, g) for n, g in zip(["x"] + names, grads))
+    return pinned
+
+
+class TestReformerMatchesPinned:
+    @pytest.mark.parametrize("name", list(PINNED_CONFIGS))
+    def test_outputs_gradients_and_buckets(self, monkeypatch, name):
+        pinned = np.load(PINNED_REFORMER)
+        got = reformer_pinned(name, monkeypatch)
+        assert sorted(got) == sorted(key.split("/")[1] for key in pinned
+                                     if key.startswith(name + "/"))
+        np.testing.assert_array_equal(got["buckets"],
+                                      pinned[name + "/buckets"])
+        for key, value in got.items():
+            want = pinned[name + "/" + key]
+            assert value.shape == want.shape
+            assert np.abs(value - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestLinformerSlicesOncePerCall:

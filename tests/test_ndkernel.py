@@ -428,7 +428,7 @@ class TestTape:
     def test_replay_frees_forward_intermediates(self, rng):
         a = Tensor(rng.standard_normal((3, 3)))
         with Tape() as tape:
-            h = nd.scale(nd.mul(a, a), 3.0)
+            h = nd.scale_cols(nd.mul(a, a), np.full(3, 3.0))
             alive = weakref.ref(h)
             s = nd.dot(h, a)
             del h

@@ -121,12 +121,33 @@ class TestSiSnrMatchesReference:
             assert len(tape._records) == 1
 
     @pytest.mark.parametrize("ns", [1, 2, 3])
-    def test_pit_loss_records_ns_squared_plus_ns(self, rng, ns):
+    def test_pit_loss_records_ns_squared_plus_one(self, rng, ns):
         targets = [rng.standard_normal(40) for _ in range(ns)]
         estimates = [Tensor(rng.standard_normal(40)) for _ in range(ns)]
         with Tape() as tape:
             pit_loss(estimates, targets)
-            assert len(tape._records) == ns * ns + ns
+            assert len(tape._records) == ns * ns + 1
+
+    @pytest.mark.parametrize("ns", [1, 2, 3])
+    def test_pit_loss_is_bit_identical_to_the_op_chain(self, rng, ns):
+        # the winning pairs summed by ``add`` and times -1/ns by ``mul``
+        targets = [Tensor(rng.standard_normal(40)) for _ in range(ns)]
+        estimates = [Tensor(rng.standard_normal(40)) for _ in range(ns)]
+        sources = estimates + targets
+        with Tape() as tape:
+            loss, pit = pit_loss(estimates, targets)
+            got = tape.gradient(loss, sources)
+        with Tape() as tape:
+            pairs = [si_snr(estimates[i], targets[j])
+                     for i, j in enumerate(pit.permutation)]
+            total = pairs[0]
+            for pair in pairs[1:]:
+                total = nd.add(total, pair)
+            chain = nd.mul(total, Tensor(-1.0 / ns))
+            want = tape.gradient(chain, sources)
+        np.testing.assert_array_equal(loss.data, chain.data)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestSiSnr:
