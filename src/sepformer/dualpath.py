@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ndkernel as nd
 from .attention import AttentionSpec, derive_seed
-from .ndkernel import Tensor
+from .ndkernel import Tensor, padded_chunk_geometry
 from .params import Params
 from .transformer import stack_tensors, transformer_stack
 
@@ -55,48 +53,20 @@ class ChunkTensor:
         return self.data.shape[2]
 
 
-def padded_chunk_geometry(length, chunk_size):
-    """Padded length and frame count for 50%-overlap chunking.
-
-    The padded length is the smallest L >= chunk_size covering ``length``
-    with (L - chunk_size) divisible by the hop.
-    """
-    hop = chunk_size // 2
-    if length <= chunk_size:
-        padded = chunk_size
-    else:
-        padded = chunk_size + hop * (-(-(length - chunk_size) // hop))
-    n_chunks = 1 + (padded - chunk_size) // hop
-    return padded, n_chunks
-
-
 def chunk(feature_map, chunk_size):
     """Frame an (F, T') map into a 50%-overlap :class:`ChunkTensor`."""
     if chunk_size < 2 or chunk_size % 2 != 0:
         raise InvalidChunkSizeError(
             "chunk size must be even and >= 2, got %d" % chunk_size)
     feature_map = nd.as_tensor(feature_map)
-    length = feature_map.shape[1]
-    hop = chunk_size // 2
-    padded, _ = padded_chunk_geometry(length, chunk_size)
-    x = nd.pad_cols(feature_map, 0, padded - length)
-    frames = nd.frame(x, chunk_size, hop)
-    return ChunkTensor(frames, length, chunk_size)
+    return ChunkTensor(nd.frame(feature_map, chunk_size),
+                       feature_map.shape[1], chunk_size)
 
 
 def overlap_add(chunks):
-    """Invert :func:`chunk`: sum frames at offsets, divide by coverage,
+    """Invert :func:`chunk`: average the frames over each position and
     trim to the original length."""
-    c = chunks.chunk_size
-    hop = chunks.hop
-    n = chunks.n_chunks
-    padded = c + (n - 1) * hop
-    summed = nd.overlap_sum(chunks.data, hop, padded)
-    starts = hop * np.arange(n)[:, None]
-    coverage = np.bincount((starts + np.arange(c)).reshape(-1),
-                           minlength=padded).astype(np.float64)
-    out = nd.scale_cols(summed, Tensor(1.0 / coverage))
-    return nd.slice_cols(out, 0, chunks.original_length)
+    return nd.overlap_mean(chunks.data, chunks.original_length)
 
 
 @dataclass

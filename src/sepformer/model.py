@@ -6,8 +6,8 @@ The masking network normalizes it, chunks it, runs the repeated
 intra/inter transformer block, expands to one channel group per source,
 overlap-adds back to (F, T'), and finishes with a pair of position-wise
 feed-forward layers; ReLU keeps the masks nonnegative but unbounded.
-Each estimate is the transposed convolution of mask * latent, length-fixed
-to the input.
+Each estimate is the transposed convolution of mask * latent, written
+into a zeroed signal of the input's length.
 
 With chunking disabled only the intra stacks run, directly on the full
 sequence. With one source the same network acts as an enhancer.
@@ -175,7 +175,7 @@ class Sepformer(Params):
         f = cfg.n_filters
         length = latent.shape[1]
         m = self.masknet
-        normed = nd.layer_norm(latent, m.norm_gain, m.norm_bias, axis=0)
+        normed = nd.layer_norm(latent, m.norm_gain, m.norm_bias)
         hbar = nd.matmul(m.input_linear_weight, normed,
                          bias=m.input_linear_bias)
 
@@ -236,13 +236,9 @@ class Sepformer(Params):
         masks = self.mask_net(latent, details=details)
         estimates = []
         for mask in masks:
-            est = nd.conv1d_transpose(nd.mul(mask, latent),
-                                      self.decoder_filters, self.cfg.stride)
-            if est.shape[0] < n:
-                est = nd.pad_cols(est, 0, n - est.shape[0])
-            elif est.shape[0] > n:
-                est = nd.slice_cols(est, 0, n)
-            estimates.append(est)
+            estimates.append(nd.conv1d_transpose(
+                nd.mul(mask, latent), self.decoder_filters, self.cfg.stride,
+                n))
         if details is not None:
             details["estimates"] = estimates
         return SeparationOutput(estimates, masks)

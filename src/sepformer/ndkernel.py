@@ -16,13 +16,14 @@ Work outside the products is kept to few passes: a linear layer is one
 :func:`matmul`, whose bias and rectifier run in place on the product's
 fresh buffer and which reads a weight stored (in, out) through a
 transposed view; :func:`layer_norm` centres once and normalizes that
-buffer in place; :func:`permute` reads a flat map through a reshaped
-view. A whole attention core (scores, an optional constant logit bias,
-row softmax, weighted values) is one :func:`attention` op that reads its
-head-major maps through strided views; the reformer's chunked LSH core
-is one :func:`lsh_attention` op on the same head-major maps, which makes
-its unit keys, hashes and sorts every round, and reads each chunk's keys
-through overlapping views.
+buffer in place. The dual path's 50%-overlap framing is one op each way:
+:func:`frame` pads the map itself, and :func:`overlap_mean` averages the
+windows and trims the padding. A whole attention core (scores, an
+optional constant logit bias, row softmax, weighted values) is one
+:func:`attention` op that reads its head-major maps through strided
+views; the reformer's chunked LSH core is one :func:`lsh_attention` op on
+the same head-major maps, which makes its unit keys, hashes and sorts
+every round, and reads each chunk's keys through overlapping views.
 
 Ops see the active instruments through one object, ``_ACTIVE``, with one
 slot each; an empty slot costs one attribute test per op:
@@ -47,10 +48,9 @@ __all__ = [
     "set_debug_checks", "track_memory", "AllocationArena",
     "record_macs", "MacCounter", "DIFFERENTIABLE_OPS",
     "matmul", "permute", "reshape", "concat",
-    "slice_rows", "slice_cols",
-    "gather_cols", "pad_cols", "frame",
-    "overlap_sum",
-    "add", "mul", "scale_cols", "prelu", "layer_norm",
+    "slice_rows", "slice_cols", "gather_cols",
+    "frame", "overlap_mean", "padded_chunk_geometry",
+    "add", "mul", "prelu", "layer_norm",
     "conv1d", "conv1d_transpose", "dot", "attention", "lsh_attention",
     "hash_buckets",
 ]
@@ -248,10 +248,9 @@ def as_tensor(x):
 # suite must cover each exactly once.
 DIFFERENTIABLE_OPS = (
     "matmul", "permute", "reshape", "concat",
-    "slice_rows", "slice_cols",
-    "gather_cols", "pad_cols", "frame",
-    "overlap_sum",
-    "add", "mul", "scale_cols", "prelu", "layer_norm",
+    "slice_rows", "slice_cols", "gather_cols",
+    "frame", "overlap_mean",
+    "add", "mul", "prelu", "layer_norm",
     "conv1d", "conv1d_transpose", "dot", "attention", "lsh_attention",
 )
 
@@ -305,16 +304,13 @@ def matmul(a, b, bias=None, relu=False, transpose_a=False):
     return out
 
 
-def permute(x, axes, shape=None):
-    """Reorder the axes of ``x``, or of its row-major view as ``shape``
-    when given, in the order ``axes``."""
+def permute(x, axes):
+    """Reorder the axes of ``x`` in the order ``axes``."""
     x = as_tensor(x)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    old = x.shape
-    view = x.data if shape is None else x.data.reshape(shape)
-    out = Tensor(np.transpose(view, axes))
-    _record(out, (x,), lambda g: (np.transpose(g, inv).reshape(old),))
+    out = Tensor(np.transpose(x.data, axes))
+    _record(out, (x,), lambda g: (np.transpose(g, inv),))
     return out
 
 
@@ -371,90 +367,131 @@ def slice_cols(x, start, stop):
 
 
 def gather_cols(x, idx):
-    """Select columns by index array; duplicates allowed."""
+    """Select columns by index array; duplicates allowed.
+
+    Backward adds the gradient columns back in one pass per occurrence
+    rank: pass r adds every column's (r+1)-th copy, whose targets are all
+    distinct, so each column sums its copies in index order, the order
+    (and the bits) of ``np.add.at``.
+    """
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
     shape = x.shape
     out = Tensor(np.take(x.data, idx, axis=1))
 
     def backward(g):
+        order = np.argsort(idx, kind="stable")
+        cols = idx[order]
+        rank = np.arange(len(cols)) - np.searchsorted(cols, cols)
         gx = np.zeros(shape)
-        np.add.at(gx, (slice(None), idx), g)
+        for r in range(rank.max(initial=-1) + 1):
+            picks = rank == r
+            gx[:, cols[picks]] += g[:, order[picks]]
         return (gx,)
 
     _record(out, (x,), backward)
     return out
 
 
-def pad_cols(x, before, after):
-    """Zero-pad along the last axis."""
+def padded_chunk_geometry(length, size):
+    """Padded length and window count for windows of even ``size`` every
+    ``size / 2`` positions: the fewest windows that cover ``length``.
+
+    The padded length is the smallest L >= size covering ``length`` with
+    (L - size) divisible by the hop.
+    """
+    hop = size // 2
+    n = 1 if length <= size else 1 + -(-(length - size) // hop)
+    return (n + 1) * hop, n
+
+
+def _check_even(op, size):
+    if size < 2 or size % 2:
+        raise ShapeError("%s needs an even window size >= 2, got %d"
+                         % (op, size))
+
+
+def _padded(x, n, hop):
+    """(F, t) -> (F, n + 1, hop) hop blocks, zero past t."""
+    blocks = np.zeros((x.shape[0], n + 1, hop))
+    blocks.reshape(x.shape[0], -1)[:, :x.shape[1]] = x
+    return blocks
+
+
+def _trimmed(blocks, t):
+    """(F, n + 1, hop) hop blocks -> a copy of their first t positions,
+    (F, t); a copy even untrimmed, so the arena counts the buffer."""
+    return blocks.reshape(len(blocks), -1)[:, :t].copy()
+
+
+def _to_windows(blocks):
+    """(F, n + 1, hop) hop blocks -> (F, 2 * hop, n) windows: window j is
+    block j then block j + 1."""
+    f, n, hop = blocks.shape[0], blocks.shape[1] - 1, blocks.shape[2]
+    out = np.empty((f, 2 * hop, n))
+    out[:, :hop] = blocks[:, :n].transpose(0, 2, 1)
+    out[:, hop:] = blocks[:, 1:].transpose(0, 2, 1)
+    return out
+
+
+def _to_blocks(windows):
+    """Sum (F, 2 * hop, n) windows onto (F, n + 1, hop) hop blocks: block j
+    gets window j - 1's second half, then window j's first half, the
+    order of a loop over windows."""
+    f, size, n = windows.shape
+    hop = size // 2
+    blocks = np.zeros((f, n + 1, hop))
+    blocks[:, 1:] += windows[:, hop:].transpose(0, 2, 1)
+    blocks[:, :n] += windows[:, :hop].transpose(0, 2, 1)
+    return blocks
+
+
+def frame(x, size):
+    """Split (F, T) into (F, size, n) windows every ``size / 2`` positions.
+
+    The end is zero-padded to the fewest windows that cover T
+    (:func:`padded_chunk_geometry`). Backward adds each window's halves
+    back onto their positions and drops the padding.
+    """
     x = as_tensor(x)
-    n = x.shape[-1]
-    buf = np.zeros(x.shape[:-1] + (before + n + after,))
-    buf[..., before:before + n] = x.data
-    out = Tensor(buf)
+    _check_even("frame", size)
+    if x.data.ndim != 2:
+        raise ShapeError("frame expects (F, T), got %r" % (x.shape,))
+    t = x.shape[1]
+    _, n = padded_chunk_geometry(t, size)
+    out = Tensor(_to_windows(_padded(x.data, n, size // 2)))
+    _record(out, (x,), lambda g: (_trimmed(_to_blocks(g), t),))
+    return out
+
+
+def overlap_mean(x, length):
+    """Invert :func:`frame`: (F, size, n) windows at hop ``size / 2`` ->
+    (F, length), each position the mean of the windows covering it.
+
+    The windows are summed, the hop blocks two windows cover (all but the
+    first and the last) are halved, and the map is trimmed to ``length``,
+    at most the (n + 1) * size / 2 positions the windows span.
+    """
+    x = as_tensor(x)
+    if x.data.ndim != 3:
+        raise ShapeError("overlap_mean expects (F, size, n), got %r"
+                         % (x.shape,))
+    _, size, n = x.shape
+    _check_even("overlap_mean", size)
+    if not 0 < length <= (n + 1) * size // 2:
+        raise ShapeError("overlap_mean of %d windows of %d spans %d "
+                         "positions, cannot give %d"
+                         % (n, size, (n + 1) * size // 2, length))
+    blocks = _to_blocks(x.data)
+    blocks[:, 1:n] *= 0.5
+    out = Tensor(_trimmed(blocks, length))
 
     def backward(g):
-        return (np.ascontiguousarray(g[..., before:before + n]),)
+        blocks = _padded(g, n, size // 2)
+        blocks[:, 1:n] *= 0.5
+        return (_to_windows(blocks),)
 
     _record(out, (x,), backward)
-    return out
-
-
-def _frames(x, size, hop):
-    """(F, T) -> contiguous (F, size, n) windows starting every ``hop``."""
-    view = np.lib.stride_tricks.sliding_window_view(x, size, axis=1)
-    return np.ascontiguousarray(view[:, ::hop].transpose(0, 2, 1))
-
-
-def _overlap_frames(x, hop, length):
-    """Sum (F, size, n) windows at their hop offsets into (F, length).
-
-    Each window is cut into hop-wide pieces (the last one zero-filled), and
-    piece q of window j lands on hop block j + q. Adding the pieces from
-    the last to the first gives every position its windows in increasing
-    order, the order of a loop over windows.
-    """
-    f, size, n = x.shape
-    r = -(-size // hop)
-    pieces = x
-    if r * hop != size:
-        pieces = np.zeros((f, r * hop, n))
-        pieces[:, :size] = x
-    pieces = pieces.reshape(f, r, hop, n)
-    blocks = np.zeros((f, n + r - 1, hop))
-    for q in reversed(range(r)):
-        blocks[:, q:q + n] += pieces[:, q].transpose(0, 2, 1)
-    return blocks.reshape(f, -1)[:, :length]
-
-
-def frame(x, size, hop):
-    """Split (F,T) into overlapping windows -> (F, size, n_frames).
-
-    Requires (T - size) divisible by hop; callers pad first.
-    """
-    x = as_tensor(x)
-    f, t = x.shape
-    if t < size or (t - size) % hop != 0:
-        raise ShapeError("cannot frame length %d into size %d hop %d"
-                         % (t, size, hop))
-    out = Tensor(_frames(x.data, size, hop))
-    _record(out, (x,), lambda g: (_overlap_frames(g, hop, t),))
-    return out
-
-
-def overlap_sum(x, hop, length):
-    """Sum (F, size, n) windows at their hop offsets -> (F, length).
-
-    Exact adjoint of :func:`frame`; no coverage normalization here.
-    """
-    x = as_tensor(x)
-    f, size, n = x.shape
-    if length != size + (n - 1) * hop:
-        raise ShapeError("overlap_sum length %d inconsistent with "
-                         "size %d hop %d frames %d" % (length, size, hop, n))
-    out = Tensor(_overlap_frames(x.data, hop, length))
-    _record(out, (x,), lambda g: (_frames(g, size, hop),))
     return out
 
 
@@ -477,25 +514,6 @@ def mul(a, b):
     out = Tensor(a.data * b.data)
     ad, bd = a.data, b.data
     _record(out, (a, b), lambda g: (g * bd, g * ad))
-    return out
-
-
-def scale_cols(x, v):
-    """Multiply along the last axis by a vector (one factor per column)."""
-    x, v = as_tensor(x), as_tensor(v)
-    vd = v.data.reshape(-1)
-    if vd.shape[0] != x.shape[-1]:
-        raise ShapeError("scale_cols vector %r does not match columns of %r"
-                         % (v.shape, x.shape))
-    out = Tensor(x.data * vd)
-    xd = x.data
-    vshape = v.shape
-    axes = tuple(range(x.data.ndim - 1))
-
-    def backward(g):
-        return g * vd, (g * xd).sum(axis=axes).reshape(vshape)
-
-    _record(out, (x, v), backward)
     return out
 
 
@@ -530,41 +548,44 @@ def prelu(x, slope):
     return out
 
 
-def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
-    """Normalize to zero mean / unit variance along ``axis``, then affine.
+# under the square root of every layer norm, so constant inputs map to the
+# bias
+_NORM_EPS = 1e-5
 
-    ``gain`` and ``bias`` are vectors with the length of the normalized
-    axis. Variance is the population variance; ``eps`` sits under the
-    square root so constant inputs map to the bias.
+
+def layer_norm(x, gain, bias):
+    """Normalize each position to zero mean / unit variance over the
+    features (axis 0), then affine.
+
+    ``gain`` and ``bias`` have one entry per feature. Variance is the
+    population variance, with 1e-5 added under the square root.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    nd = x.data.ndim
-    ax = axis % nd
-    n = x.shape[ax]
+    n = x.shape[0]
     if gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError("layer_norm gain %r / bias %r do not match axis "
-                         "length %d" % (gain.shape, bias.shape, n))
-    bshape = tuple(n if i == ax else 1 for i in range(nd))
+        raise ShapeError("layer_norm gain %r / bias %r do not match %d "
+                         "features" % (gain.shape, bias.shape, n))
+    bshape = (n,) + (1,) * (x.data.ndim - 1)
     gd = gain.data.reshape(bshape)
     # centre once; the variance is the mean square of the centred map, and
     # the centred buffer is normalized in place into xhat
-    xhat = x.data - x.data.mean(axis=ax, keepdims=True)
+    xhat = x.data - x.data.mean(axis=0, keepdims=True)
     out = np.square(xhat)
-    inv = 1.0 / np.sqrt(out.mean(axis=ax, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(out.mean(axis=0, keepdims=True) + _NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gd, out=out)
     out += bias.data.reshape(bshape)
     out = Tensor(out)
-    other = tuple(i for i in range(nd) if i != ax)
+    other = tuple(range(1, x.data.ndim))
 
     def backward(g):
         dxhat = g * gd
         gx = g * xhat
         dgain = gx.sum(axis=other)
         dbias = g.sum(axis=other)
-        m1 = dxhat.mean(axis=ax, keepdims=True)
+        m1 = dxhat.mean(axis=0, keepdims=True)
         np.multiply(dxhat, xhat, out=gx)
-        m2 = gx.mean(axis=ax, keepdims=True)
+        m2 = gx.mean(axis=0, keepdims=True)
         # dx = inv * (dxhat - m1 - xhat * m2), in the two buffers above
         np.multiply(xhat, m2, out=gx)
         dxhat -= m1
@@ -619,9 +640,12 @@ def conv1d(x, filters, stride, relu=False):
     return out
 
 
-def conv1d_transpose(x, filters, stride):
-    """Adjoint of :func:`conv1d`: (F, T') feature map -> signal of length
-    (T' - 1) * stride + Kw, using the same (F, 1, Kw) filters.
+def conv1d_transpose(x, filters, stride, length):
+    """Adjoint of :func:`conv1d`: (F, T') feature map -> signal of
+    ``length``, using the same (F, 1, Kw) filters.
+
+    The frames cover the first t = (T' - 1) * stride + Kw samples; the rest
+    of the signal is zero. A ``length`` below t is refused.
     """
     x, filters = as_tensor(x), as_tensor(filters)
     if x.data.ndim != 2:
@@ -636,16 +660,20 @@ def conv1d_transpose(x, filters, stride):
                          % (filters.shape, x.shape))
     kw = filters.shape[2]
     t = (tp - 1) * stride + kw
+    if length < t:
+        raise ShapeError("conv1d_transpose of %d frames needs length >= %d, "
+                         "got %d" % (tp, t, length))
     w2 = filters.data.reshape(f, kw)
     contrib = w2.T @ x.data
-    buf = np.zeros(t)
+    buf = np.zeros(length)
     for k in range(kw):
         buf[k:k + stride * (tp - 1) + 1:stride] += contrib[k]
     out = Tensor(buf)
     xd = x.data
 
     def backward(g):
-        gcontrib = np.lib.stride_tricks.sliding_window_view(g, kw)[::stride].T
+        gcontrib = np.lib.stride_tricks.sliding_window_view(
+            g[:t], kw)[::stride].T
         gw = (xd @ gcontrib.T).reshape(f, 1, kw)
         gx = w2 @ gcontrib
         return gx, gw

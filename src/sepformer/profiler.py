@@ -253,10 +253,8 @@ class SmallConvBaseline:
         estimates = []
         for head in self.mask_heads:
             mask = nd.matmul(head, y, relu=True)
-            est = nd.conv1d_transpose(nd.mul(mask, h), self.dec, self.stride)
-            if est.shape[0] < n:
-                est = nd.pad_cols(est, 0, n - est.shape[0])
-            estimates.append(est)
+            estimates.append(nd.conv1d_transpose(nd.mul(mask, h), self.dec,
+                                                 self.stride, n))
         return estimates
 
     def count_macs(self, n_samples):

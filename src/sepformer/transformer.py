@@ -32,10 +32,7 @@ from .params import ONES, ZEROS, Params, uniform
 __all__ = [
     "layer_tensors", "stack_tensors", "init_transformer_layer",
     "init_transformer_stack", "transformer_layer", "transformer_stack",
-    "LAYER_NORM_EPS",
 ]
-
-LAYER_NORM_EPS = 1e-5
 
 
 def layer_tensors(spec, feat_dim, ffw_dim):
@@ -85,12 +82,10 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
     audited bit-for-bit: out == ffw_branch + attn_branch + input.
     """
     z = nd.as_tensor(z)
-    ln1 = nd.layer_norm(z, params.ln1_gain, params.ln1_bias,
-                        eps=LAYER_NORM_EPS, axis=0)
+    ln1 = nd.layer_norm(z, params.ln1_gain, params.ln1_bias)
     mid = multi_head_dispatch(ln1, params.attn, spec, seed=seed)
     res = nd.add(mid, z)
-    ln2 = nd.layer_norm(res, params.ln2_gain, params.ln2_bias,
-                        eps=LAYER_NORM_EPS, axis=0)
+    ln2 = nd.layer_norm(res, params.ln2_gain, params.ln2_bias)
     if ln2.data.ndim == 3:
         ln2 = nd.reshape(ln2, (ln2.shape[0], -1))        # (F, B*L)
     hid = nd.matmul(params.ffw_w1, ln2, bias=params.ffw_b1, relu=True,
@@ -105,23 +100,19 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
     return out
 
 
-def transformer_stack(z, params, spec, seed=0, use_positional_encoding=True):
+def transformer_stack(z, params, spec, seed=0):
     """K layers with a single position-table injection and outer residual.
 
     ``z`` is one (F, T) map or an (F, B, L) batch of B independent
     length-L sequences, each given positions 0..L-1. ``seed`` is an int or
     one per sequence; layer i of a sequence with seed s uses
-    ``derive_seed(s, i)``. ``use_positional_encoding=False`` skips the
-    position table.
+    ``derive_seed(s, i)``.
     """
     z = nd.as_tensor(z)
-    feat, length = z.shape[0], z.shape[-1]
-    x = z
-    if use_positional_encoding:
-        table = positional_encoding(length, feat).data.T
-        if z.data.ndim == 3:
-            table = table[:, None, :]
-        x = nd.add(z, Tensor(np.broadcast_to(table, z.shape)))
+    table = positional_encoding(z.shape[-1], z.shape[0]).data.T
+    if z.data.ndim == 3:
+        table = table[:, None, :]
+    x = nd.add(z, Tensor(np.broadcast_to(table, z.shape)))
     for i, layer in enumerate(params.children):
         x = transformer_layer(x, layer, spec, seed=_layer_seed(seed, i))
     return nd.add(x, z)

@@ -7,7 +7,7 @@ from sepformer.attention import (VARIANTS, AttentionSpec, derive_seed,
 from sepformer.dualpath import (ChunkTensor, InvalidChunkSizeError, chunk,
                                 init_sepformer_block, overlap_add,
                                 padded_chunk_geometry, sepformer_block)
-from sepformer.ndkernel import Tensor
+from sepformer.ndkernel import Tape, Tensor
 from sepformer.transformer import transformer_stack
 
 
@@ -92,6 +92,13 @@ class TestOverlapAdd:
     def test_zero_tensor_maps_to_zero(self):
         ct = ChunkTensor(Tensor(np.zeros((2, 4, 3))), 7, 4)
         np.testing.assert_array_equal(overlap_add(ct).data, np.zeros((2, 7)))
+
+    def test_round_trip_records_two_tape_entries(self, rng):
+        # one frame op each way: padding, averaging and trimming included
+        x = Tensor(rng.standard_normal((3, 251)))
+        with Tape() as tape:
+            overlap_add(chunk(x, 250))
+            assert len(tape._records) == 2
 
 
 class TestSepformerBlock:

@@ -154,10 +154,10 @@ class TestSeparate:
         x = rng.standard_normal(64)
         h = model.encode(x)
         expected = nd.conv1d_transpose(h, model.decoder_filters,
-                                       model.cfg.stride).data
+                                       model.cfg.stride, 64).data
         est = nd.conv1d_transpose(nd.mul(Tensor(np.ones(h.shape)), h),
                                   model.decoder_filters,
-                                  model.cfg.stride).data
+                                  model.cfg.stride, 64).data
         np.testing.assert_array_equal(est, expected)
 
     def test_zero_masks_give_zero_estimates(self, rng):
@@ -165,7 +165,7 @@ class TestSeparate:
         model = Sepformer(small_config(), seed=0)
         h = model.encode(rng.standard_normal(64))
         est = nd.conv1d_transpose(nd.mul(Tensor(np.zeros(h.shape)), h),
-                                  model.decoder_filters, model.cfg.stride)
+                                  model.decoder_filters, model.cfg.stride, 64)
         np.testing.assert_array_equal(est.data, np.zeros(est.shape))
 
     @pytest.mark.parametrize("length", [64, 65, 66, 71])

@@ -251,23 +251,39 @@ class TestGather:
         np.testing.assert_array_equal(out, x[:, idx])
         assert out.flags.c_contiguous
 
+    @pytest.mark.parametrize("n_idx", [0, 1, 97, 400])
+    def test_backward_adds_duplicates_as_add_at_does(self, rng, n_idx):
+        # every column sums its copies in index order, bit for bit
+        x = Tensor(rng.standard_normal((5, 40)))
+        idx = rng.integers(0, 40, n_idx)
+        g = rng.standard_normal((5, n_idx))
+        g[rng.uniform(size=g.shape) < 0.2] = -0.0
+        with Tape() as tape:
+            loss = nd.dot(nd.gather_cols(x, idx), Tensor(g))
+            (gx,) = tape.gradient(loss, [x])
+        want = np.zeros((5, 40))
+        np.add.at(want, (slice(None), idx), g)
+        assert gx.tobytes() == want.tobytes()
+
 
 class TestLayerNorm:
     def test_constant_input_maps_to_bias(self):
-        x = Tensor(np.full((3, 4), 2.5))
+        x = Tensor(np.full((4, 3), 2.5))
         out = nd.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
-    def test_two_point_row(self):
-        # mean 2, population std 1 -> normalized to [-1, 1]
-        out = nd.layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)),
-                            Tensor(np.zeros(2)), eps=1e-12)
-        np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
+    def test_two_point_column(self):
+        # mean 2, population variance 1 -> [-1, 1] / sqrt(1 + 1e-5)
+        out = nd.layer_norm(Tensor([[1.0], [3.0]]), Tensor(np.ones(2)),
+                            Tensor(np.zeros(2)))
+        np.testing.assert_allclose(out.data,
+                                   [[-1.0], [1.0]] / np.sqrt(1 + 1e-5),
+                                   rtol=1e-15)
 
     def test_leading_axis_normalization(self, rng):
         x = rng.standard_normal((5, 3))
         out = nd.layer_norm(Tensor(x), Tensor(np.ones(5)),
-                            Tensor(np.zeros(5)), axis=0)
+                            Tensor(np.zeros(5)))
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.var(axis=0), 1.0, atol=1e-4)
 
@@ -291,8 +307,34 @@ class TestConv:
 
     def test_transpose_length_inverts_formula(self, rng):
         out = nd.conv1d_transpose(Tensor(rng.standard_normal((3, 999))),
-                                  Tensor(rng.standard_normal((3, 1, 16))), 8)
+                                  Tensor(rng.standard_normal((3, 1, 16))), 8,
+                                  8000)
         assert out.shape == (8000,)
+
+    def test_transpose_zero_fills_its_tail(self, rng):
+        # 9 frames fill (9 - 1) * 3 + 5 = 29 samples; the rest is zero and
+        # its gradient goes nowhere
+        x = Tensor(rng.standard_normal((4, 9)))
+        filt = Tensor(rng.standard_normal((4, 1, 5)))
+        g = rng.standard_normal(35)
+        with Tape() as tape:
+            out = nd.conv1d_transpose(x, filt, 3, 35)
+            loss = nd.dot(out, Tensor(g))
+            gx, gw = tape.gradient(loss, [x, filt])
+        exact = nd.conv1d_transpose(x, filt, 3, 29).data
+        assert out.data[:29].tobytes() == exact.tobytes()
+        assert out.data[29:].tobytes() == np.zeros(6).tobytes()
+        with Tape() as tape:
+            loss = nd.dot(nd.conv1d_transpose(x, filt, 3, 29),
+                          Tensor(g[:29]))
+            want = tape.gradient(loss, [x, filt])
+        assert gx.tobytes() == want[0].tobytes()
+        assert gw.tobytes() == want[1].tobytes()
+
+    def test_transpose_refuses_a_short_length(self, rng):
+        with pytest.raises(nd.ShapeError, match="length >= 29, got 28"):
+            nd.conv1d_transpose(Tensor(rng.standard_normal((4, 9))),
+                                Tensor(rng.standard_normal((4, 1, 5))), 3, 28)
 
     def test_adjoint_identity(self, rng):
         # <conv(x), y> == <x, conv_transpose(y)> for random pairs
@@ -303,12 +345,12 @@ class TestConv:
             y = rng.standard_normal((4, tp))
             lhs = float((nd.conv1d(Tensor(x), filt, 3).data * y).sum())
             rhs = float(
-                (x * nd.conv1d_transpose(Tensor(y), filt, 3).data).sum())
+                (x * nd.conv1d_transpose(Tensor(y), filt, 3, 32).data).sum())
             assert abs(lhs - rhs) < 1e-9
 
     def test_zero_feature_map_gives_zero_signal(self):
         out = nd.conv1d_transpose(Tensor(np.zeros((2, 10))),
-                                  Tensor(np.ones((2, 1, 4))), 2)
+                                  Tensor(np.ones((2, 1, 4))), 2, 22)
         np.testing.assert_array_equal(out.data, np.zeros(22))
 
 
@@ -366,12 +408,6 @@ class TestActivations:
         for a, b in zip(got_grads, want_grads):
             assert a.tobytes() == b.tobytes()
 
-    def test_pad_cols_matches_np_pad(self, rng):
-        x = rng.standard_normal((2, 3, 5))
-        out = nd.pad_cols(Tensor(x), 2, 4).data
-        assert out.tobytes() == np.pad(x, [(0, 0), (0, 0), (2, 4)]).tobytes()
-        assert out.flags.c_contiguous
-
 
 class TestTape:
     def test_unused_array_gets_exactly_zero(self, rng):
@@ -428,7 +464,7 @@ class TestTape:
     def test_replay_frees_forward_intermediates(self, rng):
         a = Tensor(rng.standard_normal((3, 3)))
         with Tape() as tape:
-            h = nd.scale_cols(nd.mul(a, a), np.full(3, 3.0))
+            h = nd.mul(nd.mul(a, a), np.full((3, 3), 3.0))
             alive = weakref.ref(h)
             s = nd.dot(h, a)
             del h
@@ -521,70 +557,128 @@ class TestInstruments:
         assert Tensor([np.inf]).data[0] == np.inf
 
 
-class TestFrameOverlap:
-    def test_frame_then_overlap_sum_is_coverage_weighted(self, rng):
-        x = rng.standard_normal((2, 10))
-        frames = nd.frame(Tensor(x), 4, 2)
-        back = nd.overlap_sum(frames, 2, 10)
-        coverage = np.zeros(10)
-        for j in range(4):
-            coverage[2 * j:2 * j + 4] += 1
-        np.testing.assert_allclose(back.data, x * coverage, atol=1e-12)
-
-    def test_frame_rejects_ragged_length(self):
-        with pytest.raises(nd.ShapeError):
-            nd.frame(Tensor(np.zeros((2, 9))), 4, 2)
+def loop_windows(t, size):
+    """Reference: the fewest size/2-spaced windows that cover t positions."""
+    n = 1
+    while size + (n - 1) * (size // 2) < t:
+        n += 1
+    return n
 
 
-def loop_frame(x, size, hop):
-    """Reference: one window per loop step."""
+def loop_frame(x, size):
+    """Reference: x zero-padded to its windows, one window per loop step."""
     f, t = x.shape
-    n = 1 + (t - size) // hop
+    hop = size // 2
+    n = loop_windows(t, size)
+    padded = np.zeros((f, (n + 1) * hop))
+    padded[:, :t] = x
     buf = np.empty((f, size, n))
     for j in range(n):
-        buf[:, :, j] = x[:, j * hop:j * hop + size]
+        buf[:, :, j] = padded[:, j * hop:j * hop + size]
     return buf
 
 
-def loop_overlap_sum(x, hop, length):
-    """Reference: windows added one at a time, in window order."""
+def loop_overlap_sum(x, length):
+    """Reference: windows added one at a time, in window order, trimmed."""
     f, size, n = x.shape
-    buf = np.zeros((f, length))
+    hop = size // 2
+    buf = np.zeros((f, (n + 1) * hop))
     for j in range(n):
         buf[:, j * hop:j * hop + size] += x[:, :, j]
-    return buf
+    return buf[:, :length]
 
 
-class TestFramingMatchesLoops:
-    # (size, hop): chunking (hop = size/2), longformer bands (hop 1), a hop
-    # that does not divide the window, a hop wider than the window
-    GEOMETRIES = [(8, 4), (250, 125), (5, 1), (101, 1), (6, 4), (3, 5),
-                  (4, 4), (7, 7)]
+def loop_coverage(size, n):
+    """Reference: how many windows cover each position."""
+    return loop_overlap_sum(np.ones((1, size, n)), (n + 1) * size // 2)[0]
 
-    @pytest.mark.parametrize("size,hop", GEOMETRIES)
-    def test_forward_and_backward_equal_loops_exactly(self, rng, size, hop):
-        # both vectorized ops add each position's windows in window order,
-        # so the sums match the loops bit for bit
-        for n in (1, 2, 9):
-            length = size + (n - 1) * hop
-            x = rng.standard_normal((3, length))
-            frames = rng.standard_normal((3, size, n))
-            g_frames = rng.standard_normal((3, size, n))
-            g_signal = rng.standard_normal((3, length))
+
+def framing_cases(size):
+    # T < size, T = size, T = size + 1 (odd, padded last window), a padded
+    # odd T three windows on, and an exact fit
+    hop = size // 2
+    return sorted({1, max(1, size - 3), size, size + 1, size + 3 * hop - 1,
+                   size + 3 * hop})
+
+
+class TestFraming:
+    @pytest.mark.parametrize("size", [2, 8, 250])
+    def test_frame_and_its_backward_equal_loops_exactly(self, rng, size):
+        for t in framing_cases(size):
+            x = Tensor(rng.standard_normal((3, t)))
+            n = loop_windows(t, size)
+            g = rng.standard_normal((3, size, n))
+            g[rng.uniform(size=g.shape) < 0.2] = -0.0
             with Tape() as tape:
-                xt, ft = Tensor(x), Tensor(frames)
-                framed = nd.frame(xt, size, hop)
-                summed = nd.overlap_sum(ft, hop, length)
-                loss = nd.add(nd.dot(framed, Tensor(g_frames)),
-                              nd.dot(summed, Tensor(g_signal)))
-                gx, gf = tape.gradient(loss, [xt, ft])
-            np.testing.assert_array_equal(framed.data,
-                                          loop_frame(x, size, hop))
-            np.testing.assert_array_equal(
-                summed.data, loop_overlap_sum(frames, hop, length))
-            np.testing.assert_array_equal(
-                gx, loop_overlap_sum(g_frames, hop, length))
-            np.testing.assert_array_equal(gf, loop_frame(g_signal, size, hop))
+                framed = nd.frame(x, size)
+                (gx,) = tape.gradient(nd.dot(framed, Tensor(g)), [x])
+            assert framed.data.tobytes() == loop_frame(x.data, size).tobytes()
+            assert gx.tobytes() == loop_overlap_sum(g, t).tobytes()
+
+    @pytest.mark.parametrize("size", [2, 8, 250])
+    def test_overlap_mean_and_its_backward_equal_loops_exactly(self, rng,
+                                                               size):
+        # the loops add each position's windows in window order, then
+        # divide by the coverage; the op halves the doubly covered blocks
+        hop = size // 2
+        for t in framing_cases(size):
+            n = loop_windows(t, size)
+            padded = (n + 1) * hop
+            coverage = loop_coverage(size, n)
+            for length in sorted({1, t, padded - 1, padded}):
+                x = Tensor(rng.standard_normal((3, size, n)))
+                g = rng.standard_normal((3, length))
+                g[rng.uniform(size=g.shape) < 0.2] = -0.0
+                with Tape() as tape:
+                    out = nd.overlap_mean(x, length)
+                    (gx,) = tape.gradient(nd.dot(out, Tensor(g)), [x])
+                want = loop_overlap_sum(x.data, padded) / coverage
+                assert out.data.tobytes() == want[:, :length].tobytes()
+                g_full = np.zeros((3, padded))
+                g_full[:, :length] = g
+                assert gx.tobytes() == loop_frame(g_full / coverage,
+                                                  size).tobytes()
+
+    def test_geometry_is_the_fewest_covering_windows(self):
+        for size in (2, 8, 250):
+            for t in framing_cases(size) + [0, 3999]:
+                n = loop_windows(t, size)
+                assert nd.padded_chunk_geometry(t, size) == (
+                    (n + 1) * size // 2, n)
+
+    @pytest.mark.parametrize("length", [7, 8])
+    def test_arena_counts_each_output_once(self, rng, length):
+        # untrimmed too: the output owns its buffer, not a view of one
+        x = Tensor(rng.standard_normal((2, length)))
+        with nd.track_memory() as arena:
+            framed = nd.frame(x, 4)
+            out = nd.overlap_mean(framed, length)
+        assert out.data.base is None
+        assert arena.current == framed.data.nbytes + out.data.nbytes
+
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_frame_refuses_a_size_that_is_not_even(self, size):
+        with pytest.raises(nd.ShapeError, match="even"):
+            nd.frame(Tensor(np.zeros((2, 9))), size)
+
+    def test_frame_refuses_a_map_that_is_not_2d(self):
+        with pytest.raises(nd.ShapeError, match=r"\(F, T\)"):
+            nd.frame(Tensor(np.zeros((2, 3, 9))), 4)
+
+    def test_overlap_mean_refuses_an_odd_size(self):
+        with pytest.raises(nd.ShapeError, match="even"):
+            nd.overlap_mean(Tensor(np.zeros((2, 5, 3))), 6)
+
+    def test_overlap_mean_refuses_a_map_that_is_not_3d(self):
+        with pytest.raises(nd.ShapeError, match=r"\(F, size, n\)"):
+            nd.overlap_mean(Tensor(np.zeros((2, 8))), 4)
+
+    @pytest.mark.parametrize("length", [-1, 0, 9])
+    def test_overlap_mean_refuses_a_length_its_windows_do_not_span(self,
+                                                                   length):
+        # three windows of 4 at hop 2 span 8 positions
+        with pytest.raises(nd.ShapeError, match="spans 8 positions"):
+            nd.overlap_mean(Tensor(np.zeros((2, 4, 3))), length)
 
 
 def test_full_op_gradient_suite_under_tolerance():

@@ -69,26 +69,6 @@ class TestStack:
         table = positional_encoding(5, 8).data.T
         np.testing.assert_array_equal(out.data, (z + table) + z)
 
-    def test_positional_encoding_can_be_disabled(self, spec, rng):
-        params = init_transformer_stack(spec, 8, 12, 2,
-                                        np.random.default_rng(0))
-        zero_params(params)
-        z = rng.standard_normal((8, 5))
-        out = transformer_stack(Tensor(z), params, spec,
-                                use_positional_encoding=False)
-        np.testing.assert_array_equal(out.data, 2 * z)
-
-    def test_disabling_positions_changes_real_output(self, spec, rng):
-        z = Tensor(rng.standard_normal((8, 5)))
-        with_pe = transformer_stack(
-            z, init_transformer_stack(spec, 8, 12, 2,
-                                      np.random.default_rng(4)), spec)
-        without_pe = transformer_stack(
-            z, init_transformer_stack(spec, 8, 12, 2,
-                                      np.random.default_rng(4)), spec,
-            use_positional_encoding=False)
-        assert not np.allclose(with_pe.data, without_pe.data)
-
     @pytest.mark.parametrize("depth", [1, 4, 8])
     def test_output_shape_preserved(self, spec, rng, depth):
         params = init_transformer_stack(spec, 8, 12, depth,
