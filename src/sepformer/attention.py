@@ -201,48 +201,70 @@ _Band = namedtuple("_Band", "globals bias queries keys global_queries "
                    "picks", defaults=(None,) * 5)
 
 
+def _globals(spec, length):
+    """The global positions: every ``global_stride``-th, from 0."""
+    if spec.global_stride is None:
+        return np.zeros(0, dtype=np.intp)
+    return np.arange(0, length, spec.global_stride)
+
+
 def _band_slots(spec, length):
-    """The g global positions; each position's w band slots as columns of
-    its score row, with the mask of those ``kept`` (in range and off the
-    globals); and the globals' columns. A row holds its block's 3c band
-    slots, then the globals, or every position when the band covers the
-    sequence (half >= L - 1)."""
+    """Each position's w band slots as columns of its score row, with the
+    mask of those ``kept`` (in range and off the globals), and the
+    globals' columns. A row holds its block's 3c band slots, then the
+    globals, or every position when the band covers the sequence
+    (half >= L - 1)."""
     half = (spec.window - 1) // 2
-    gidx = (np.zeros(0, dtype=np.intp) if spec.global_stride is None
-            else np.arange(0, length, spec.global_stride))
     t = np.arange(length)[:, None]
     slots = t + np.arange(-half, half + 1)
-    kept = (slots >= 0) & (slots < length) & ~np.isin(slots, gidx)
+    kept = (slots >= 0) & (slots < length)
+    if spec.global_stride is not None:
+        kept &= slots % spec.global_stride != 0
+    gcols = _globals(spec, length)
     if half >= length - 1:
-        return gidx, kept, slots, gidx
+        return kept, slots, gcols
     c = max(half, 1)
-    return gidx, kept, slots - (t // c - 1) * c, 3 * c + np.arange(len(gidx))
+    return kept, slots - (t // c - 1) * c, 3 * c + np.arange(len(gcols))
 
 
 def _longformer_prepare(spec, weights, batch, length, seed):
     """Cut each of ``batch`` sequences into blocks of c = max(half, 1)
     queries, half = (w - 1) / 2, the last one padded. Block i sees the 3c
     positions from (i - 1)c and the g ``globals``; its ``bias`` keeps band
-    slots in range, within |t - s| <= half and off the globals. ``picks``
-    takes a global's output from its row against all keys. A band over
-    the whole sequence (half >= L - 1) sets just ``globals``."""
+    slots in range, within |t - s| <= half of an in-range query and off
+    the globals. A removed slot reads its position modulo L, a column of
+    its own sequence, so removed slots spread over the sequence rather
+    than pile onto its ends. ``picks`` takes a global's output from its
+    row against all keys. A band over the whole sequence (half >= L - 1)
+    sets just ``globals``."""
     half = (spec.window - 1) // 2
-    gidx, kept, cols, _ = _band_slots(spec, length)
+    gidx = _globals(spec, length)
     if half >= length - 1:
         return _Band(gidx)
     ng = len(gidx)
     c = max(half, 1)
-    n = -(-length // c) * c
-    bias = np.pad(np.full((n, 3 * c), -1e30), ((0, 0), (0, ng)))
-    bias[np.nonzero(kept)[0], cols[kept]] = 0.0
-    pos = np.arange(0, n, c)[:, None] - c + np.arange(3 * c)
-    keys = np.concatenate([np.clip(pos, 0, length - 1),
-                           np.broadcast_to(gidx, (len(pos), ng))], axis=1)
+    blocks = -(-length // c)
+    n = blocks * c
+    pos = np.arange(-c, n - c, c)[:, None] + np.arange(3 * c)  # (blocks, 3c)
+    # slot j of query r in a block is |j - c - r| from it; a slot is kept
+    # when that is <= half, its position is in range and off the globals,
+    # and the query is in range
+    near = np.abs(np.arange(3 * c) - c - np.arange(c)[:, None]) <= half
+    valid = (pos >= 0) & (pos < length)
+    if spec.global_stride is not None:
+        valid &= pos % spec.global_stride != 0
+    live = (np.arange(n) < length).reshape(blocks, c, 1)
+    bias = np.zeros((blocks, c, 3 * c + ng))
+    band = bias[..., :3 * c]
+    band.fill(-1e30)
+    np.copyto(band, 0.0, where=near & valid[:, None] & live)
+    keys = np.concatenate([pos % length,
+                           np.broadcast_to(gidx, (blocks, ng))], axis=1)
     starts = np.arange(batch)[:, None] * length
     picks = np.arange(batch)[:, None] * n + np.arange(length)
     picks[:, gidx] = batch * n + np.arange(batch * ng).reshape(batch, ng)
     return _Band(
-        gidx, bias.reshape(-1, c, 3 * c + ng),
+        gidx, bias,
         (starts + np.minimum(np.arange(n), length - 1)).ravel(),
         (starts + keys.ravel()).ravel(), (starts + gidx).ravel(),
         picks.ravel())
@@ -269,7 +291,7 @@ def _longformer_head(q, k, v, ctx, details):
         out = nd.gather_cols(out, band.picks)
     if details is not None:
         # each position's band slots (-1: none, read as 0) and globals
-        _, kept, cols, gcols = _band_slots(ctx.spec, ctx.length)
+        kept, cols, gcols = _band_slots(ctx.spec, ctx.length)
         map_cols = np.concatenate(
             [np.where(kept, cols, -1),
              np.broadcast_to(gcols, (ctx.length, len(gcols)))], axis=1)
@@ -453,10 +475,11 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     per head, which lead with the sequence axis for batched input.
     """
     x = nd.as_tensor(x)
+    batched = x.data.ndim == 3
     if x.data.ndim == 2:
         batch, length = 1, x.shape[1]
         flat = x
-    elif x.data.ndim == 3:
+    elif batched:
         batch, length = x.shape[1], x.shape[2]
         flat = nd.reshape(x, (x.shape[0], batch * length))
     else:
@@ -471,6 +494,7 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     q, k, v = (None if w is None else nd.matmul(w, flat)
                for w in (weights.wq, None if entry.shares_qk else weights.wk,
                          weights.wv))
+    del x, flat
     ctx = _Call(spec, hg * batch, length, 1.0 / math.sqrt(dk), state)
 
     outs = []
@@ -482,15 +506,17 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
                for t in (q, k, v)]
         hd = {} if details is not None else None
         outs.append(core(*qkv, ctx, hd))
+        del qkv
         if head_details is not None:
             head_details += [_head_part(hd, slice(i * batch, (i + 1) * batch)
-                                        if x.data.ndim == 3 else i)
+                                        if batched else i)
                              for i in range(hg)]
-
-    out = nd.matmul(weights.wo,
-                    outs[0] if groups == 1 else nd.concat(outs, axis=0))
+    del q, k, v
+    heads_out = outs[0] if groups == 1 else nd.concat(outs, axis=0)
+    del outs
+    out = nd.matmul(weights.wo, heads_out)
     if details is not None:
         details["heads"] = head_details
-    if x.data.ndim == 3:
+    if batched:
         out = nd.reshape(out, (out.shape[0], batch, length))
     return out

@@ -152,8 +152,11 @@ def sepformer_block(chunks, params, seed=0):
     """
     x = chunks.data                                       # (F, C, Nc)
     for r in range(params.n_repeats):
-        x = _stack_over(nd.permute(x, (0, 2, 1)), params.intra_stacks[r],
-                        params.intra_spec, seed, r, 0)    # (F, Nc, C)
-        x = _stack_over(nd.permute(x, (0, 2, 1)), params.inter_stacks[r],
-                        params.inter_spec, seed, r, 1)    # (F, C, Nc)
+        # rebinding x to the permuted map frees the stage before it
+        x = nd.permute(x, (0, 2, 1))                      # (F, Nc, C)
+        x = _stack_over(x, params.intra_stacks[r], params.intra_spec, seed,
+                        r, 0)
+        x = nd.permute(x, (0, 2, 1))                      # (F, C, Nc)
+        x = _stack_over(x, params.inter_stacks[r], params.inter_spec, seed,
+                        r, 1)
     return ChunkTensor(x, chunks.original_length, chunks.chunk_size)

@@ -175,33 +175,39 @@ class Sepformer(Params):
         f = cfg.n_filters
         length = latent.shape[1]
         m = self.masknet
-        normed = nd.layer_norm(latent, m.norm_gain, m.norm_bias)
-        hbar = nd.matmul(m.input_linear_weight, normed,
+        hbar = nd.matmul(m.input_linear_weight,
+                         nd.layer_norm(latent, m.norm_gain, m.norm_bias),
                          bias=m.input_linear_bias)
 
         if cfg.chunk_size is not None:
             chunked = chunk(hbar, cfg.chunk_size)
+            del hbar
             processed = sepformer_block(chunked, self.block,
                                         seed=derive_seed(self.seed, 101))
             if details is not None:
                 details["chunked"] = chunked.data
                 details["dual_out"] = processed.data
+            del chunked
             activated = nd.prelu(processed.data, m.prelu_slope)
+            del processed
             c, n_chunks = activated.shape[1], activated.shape[2]
             positions = c * n_chunks
             flat = nd.reshape(activated, (f, positions))
         else:
             x = hbar
+            del hbar
             for r, stack in enumerate(self.block.intra_stacks):
                 x = transformer_stack(x, stack, cfg.intra_attention,
                                       seed=derive_seed(self.seed, 101, r))
             if details is not None:
                 details["dual_out"] = x
             flat = nd.prelu(x, m.prelu_slope)
+            del x
             positions = length
 
         expanded = nd.matmul(m.output_linear_weight, flat,
                              bias=m.output_linear_bias)  # (Ns*F, positions)
+        del flat
         if cfg.chunk_size is not None:
             expanded = nd.reshape(expanded, (cfg.n_sources * f, c, n_chunks))
             if details is not None:
@@ -211,18 +217,17 @@ class Sepformer(Params):
                                                cfg.chunk_size))
 
         masks = []
-        per_source = []
         for k in range(cfg.n_sources):
-            mk = nd.slice_rows(expanded, k * f, (k + 1) * f)
-            per_source.append(mk)
-            mask = nd.matmul(m.mask_ffw1_weight, mk, bias=m.mask_ffw1_bias,
-                             relu=True)
+            mask = nd.matmul(m.mask_ffw1_weight,
+                             nd.slice_rows(expanded, k * f, (k + 1) * f),
+                             bias=m.mask_ffw1_bias, relu=True)
             mask = nd.matmul(m.mask_ffw2_weight, mask, bias=m.mask_ffw2_bias,
                              relu=True)
             masks.append(mask)
         if details is not None:
-            details["per_source"] = np.stack(
-                [t.data for t in per_source], axis=1)  # (F, Ns, T')
+            # (F, Ns, T'): each source's rows of the expanded map
+            details["per_source"] = expanded.data.reshape(
+                cfg.n_sources, f, length).transpose(1, 0, 2)
             details["masks"] = masks
         return masks
 

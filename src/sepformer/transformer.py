@@ -80,24 +80,28 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
     When ``internals`` is a dict it receives the attention branch output
     and the feed-forward branch output, so the residual wiring can be
     audited bit-for-bit: out == ffw_branch + attn_branch + input.
+    Without a tape each intermediate is freed after its last reader: the
+    first feed-forward product holds only the input, the attention
+    branch, ln2 and the hidden map.
     """
     z = nd.as_tensor(z)
-    ln1 = nd.layer_norm(z, params.ln1_gain, params.ln1_bias)
-    mid = multi_head_dispatch(ln1, params.attn, spec, seed=seed)
-    res = nd.add(mid, z)
-    ln2 = nd.layer_norm(res, params.ln2_gain, params.ln2_bias)
+    mid = multi_head_dispatch(
+        nd.layer_norm(z, params.ln1_gain, params.ln1_bias), params.attn,
+        spec, seed=seed)
+    ln2 = nd.layer_norm(nd.add(mid, z), params.ln2_gain, params.ln2_bias)
     if ln2.data.ndim == 3:
         ln2 = nd.reshape(ln2, (ln2.shape[0], -1))        # (F, B*L)
     hid = nd.matmul(params.ffw_w1, ln2, bias=params.ffw_b1, relu=True,
                     transpose_a=True)
+    del ln2
     ffw = nd.matmul(params.ffw_w2, hid, bias=params.ffw_b2, transpose_a=True)
+    del hid
     if ffw.shape != z.shape:
         ffw = nd.reshape(ffw, z.shape)
-    out = nd.add(nd.add(ffw, mid), z)
     if internals is not None:
         internals["attn_branch"] = mid
         internals["ffw_branch"] = ffw
-    return out
+    return nd.add(nd.add(ffw, mid), z)
 
 
 def transformer_stack(z, params, spec, seed=0):
@@ -113,6 +117,7 @@ def transformer_stack(z, params, spec, seed=0):
     if z.data.ndim == 3:
         table = table[:, None, :]
     x = nd.add(z, Tensor(np.broadcast_to(table, z.shape)))
+    del table
     for i, layer in enumerate(params.children):
         x = transformer_layer(x, layer, spec, seed=_layer_seed(seed, i))
     return nd.add(x, z)

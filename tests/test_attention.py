@@ -482,6 +482,83 @@ class TestLongformerMatchesReference:
         assert calls == [records] * 4
 
 
+# ``_longformer_prepare`` built by scatter, with each removed band slot
+# reading the first or last column of its sequence. Kept as the reference
+# the broadcast build must reproduce: every array equal, the keys
+# wherever a slot is kept.
+
+def reference_longformer_prepare(spec, batch, length):
+    half = (spec.window - 1) // 2
+    gidx = (np.zeros(0, dtype=np.intp) if spec.global_stride is None
+            else np.arange(0, length, spec.global_stride))
+    if half >= length - 1:
+        return gidx, None
+    t = np.arange(length)[:, None]
+    slots = t + np.arange(-half, half + 1)
+    kept = (slots >= 0) & (slots < length) & ~np.isin(slots, gidx)
+    c = max(half, 1)
+    cols = slots - (t // c - 1) * c
+    ng = len(gidx)
+    n = -(-length // c) * c
+    bias = np.pad(np.full((n, 3 * c), -1e30), ((0, 0), (0, ng)))
+    bias[np.nonzero(kept)[0], cols[kept]] = 0.0
+    pos = np.arange(0, n, c)[:, None] - c + np.arange(3 * c)
+    keys = np.concatenate([np.clip(pos, 0, length - 1),
+                           np.broadcast_to(gidx, (len(pos), ng))], axis=1)
+    starts = np.arange(batch)[:, None] * length
+    picks = np.arange(batch)[:, None] * n + np.arange(length)
+    picks[:, gidx] = batch * n + np.arange(batch * ng).reshape(batch, ng)
+    return gidx, dict(
+        bias=bias.reshape(-1, c, 3 * c + ng),
+        queries=(starts + np.minimum(np.arange(n), length - 1)).ravel(),
+        keys=(starts + keys.ravel()).ravel(),
+        global_queries=(starts + gidx).ravel(), picks=picks.ravel())
+
+
+class TestLongformerPrepare:
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("window,stride",
+                             [(1, None), (3, None), (5, 4), (7, None),
+                              (101, 100)])
+    @pytest.mark.parametrize("length", [1, 7, 64, 65, 250, 1000])
+    def test_arrays_match_reference(self, length, window, stride, batch):
+        spec = AttentionSpec("longformer", heads=4, d_model=16,
+                             window=window, global_stride=stride)
+        band = attention._longformer_prepare(spec, None, batch, length, 0)
+        gidx, want = reference_longformer_prepare(spec, batch, length)
+        np.testing.assert_array_equal(band.globals, gidx)
+        if want is None:
+            assert band.bias is None
+            return
+        for name in ("bias", "queries", "global_queries", "picks"):
+            got = getattr(band, name)
+            assert got.dtype == want[name].dtype
+            np.testing.assert_array_equal(got, want[name])
+        # a key slot is kept when any query of its block keeps it; a
+        # removed one still reads a column of its own sequence
+        kept = np.tile((want["bias"] > -1).any(axis=1).ravel(), batch)
+        np.testing.assert_array_equal(band.keys[kept], want["keys"][kept])
+        np.testing.assert_array_equal(band.keys // length,
+                                      want["keys"] // length)
+
+    @pytest.mark.parametrize("window,stride,length",
+                             [(101, 100, 250), (101, 100, 1000),
+                              (5, 4, 250), (7, None, 250)])
+    def test_removed_slots_spread_over_the_sequence(self, window, stride,
+                                                    length):
+        # a position sits in 3 blocks' band windows, plus at most one
+        # removed slot past a sequence end; a global is also every
+        # block's global key
+        spec = AttentionSpec("longformer", heads=4, d_model=16,
+                             window=window, global_stride=stride)
+        band = attention._longformer_prepare(spec, None, 2, length, 0)
+        copies = np.bincount(band.keys, minlength=2 * length)
+        on_global = np.isin(np.arange(2 * length) % length, band.globals)
+        assert copies[~on_global].max() <= 4
+        if on_global.any():
+            assert copies[on_global].max() <= 3 + len(band.bias)
+
+
 # The reformer core as dense attention. In each round a query sees the
 # keys in its own chunk and the chunk before of that round's bucket order,
 # and the rounds are mixed by the softmax of their log-sum-exps. That

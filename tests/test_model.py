@@ -184,6 +184,28 @@ class TestSeparate:
         for ea, eb in zip(a.estimates, b.estimates):
             np.testing.assert_array_equal(ea.data, eb.data)
 
+    def test_unchunked_forward_holds_only_live_maps(self):
+        # without a tape a map is freed after its last reader, so the peak
+        # is the live set at the first feed-forward product: the latent,
+        # the stack input, the layer input, the attention branch, ln2 and
+        # the hidden map. F = 128: at F = 64 one head's LSH score map
+        # (2 rounds x 128 keys a query) is 4 F-row maps, and the
+        # attention core, not the liveness, would set the peak
+        from sepformer import ndkernel as nd
+        f, ffw = 128, 512
+        cfg = SepformerConfig(
+            n_filters=f, ffw_dim=ffw, chunk_size=None, intra_layers=2,
+            intra_attention=AttentionSpec("reformer", d_model=f))
+        x = np.random.default_rng(0).uniform(-0.5, 0.5, 16000)
+        model = Sepformer(cfg, seed=0)
+        with nd.track_memory() as arena:
+            model.separate(x)
+        f_map = f * encoded_length(cfg, len(x)) * 8       # bytes
+        # 5 F-row maps and the hidden map, plus one F-row map of slack
+        bound = (5 * f + ffw) // f * f_map + f_map
+        assert arena.peak <= bound, \
+            "peak %.2f F-row maps" % (arena.peak / f_map)
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("cfg", [

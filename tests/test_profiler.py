@@ -206,9 +206,10 @@ class TestMemory:
         assert arena.peak >= tp * tp * 8     # one dense score matrix
 
     def test_reformer_without_chunking_close_to_small_conv_baseline(self):
-        # full-size LSH model against the bundled conv stand-in: same
-        # memory class (the counting arena sees every owned intermediate,
-        # so parity is approximate on CPU)
+        # full-size LSH model against the bundled conv stand-in: the
+        # abstract's memory parity. A forward without a tape frees each
+        # map after its last reader, so the reformer's peak is the live
+        # set (about 9 F-row maps), near the baseline's
         x = np.random.default_rng(0).uniform(-0.5, 0.5, 32000)
         model = Sepformer(paper_no_chunk("reformer"), seed=0)
         with nd.track_memory() as arena:
@@ -217,7 +218,8 @@ class TestMemory:
         baseline = SmallConvBaseline(seed=0)
         with nd.track_memory() as arena:
             baseline.separate(x)
-        assert reformer_peak <= 2.0 * arena.peak
+        ratio = reformer_peak / arena.peak
+        assert ratio <= 1.25, "reformer peak %.2fx the conv baseline's" % ratio
 
 
 class TestBench:

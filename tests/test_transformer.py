@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from sepformer import ndkernel as nd
 from sepformer.attention import AttentionSpec, positional_encoding
 from sepformer.gradcheck import check_gradients
 from sepformer.ndkernel import Tensor
@@ -48,6 +51,35 @@ class TestLayer:
         transformer_layer(z, params, spec, internals=internals)
         np.testing.assert_array_equal(internals["attn_branch"].data,
                                       np.zeros((8, 6)))
+
+    @pytest.mark.parametrize("shape", [(8, 6), (8, 3, 5)])
+    def test_feed_forward_maps_die_after_their_last_reader(
+            self, spec, rng, monkeypatch, shape):
+        # without a tape, ln2 is gone before the second feed-forward
+        # product allocates its output, and the hidden map before the
+        # residual sum
+        params = init_transformer_layer(spec, 8, 12,
+                                        np.random.default_rng(4))
+        matmul, add = nd.matmul, nd.add
+        refs, alive = {}, {}
+
+        def watched_matmul(a, b, **kwargs):
+            if a is params.ffw_w1:
+                refs["ln2"] = weakref.ref(b)
+            elif a is params.ffw_w2:
+                alive["ln2"] = refs["ln2"]() is not None
+                refs["hidden"] = weakref.ref(b)
+            return matmul(a, b, **kwargs)
+
+        def watched_add(a, b):
+            if "hidden" in refs and "hidden" not in alive:
+                alive["hidden"] = refs["hidden"]() is not None
+            return add(a, b)
+
+        monkeypatch.setattr(nd, "matmul", watched_matmul)
+        monkeypatch.setattr(nd, "add", watched_add)
+        transformer_layer(Tensor(rng.standard_normal(shape)), params, spec)
+        assert alive == {"ln2": False, "hidden": False}
 
     def test_gradient_through_full_layer(self, spec):
         rng = np.random.default_rng(3)
