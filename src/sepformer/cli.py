@@ -32,8 +32,8 @@ from .datagen import MixSpec, Signal, WavFormatError, dynamic_mix, \
 from .gradcheck import TOLERANCE, run_suite
 from .model import CheckpointError, Sepformer, SepformerConfig, \
     load_checkpoint, parse_field, save_checkpoint
-from .objectives import TrainingDivergedError, si_snr_improvement, \
-    train_toy, write_trace
+from .objectives import TrainingDivergedError, has_energy, \
+    si_snr_improvement, train_toy, write_trace
 from .profiler import bench_baseline, bench_forward, render_csv, \
     render_json, render_markdown
 
@@ -221,6 +221,12 @@ def _cmd_separate(args):
                       "%d Hz" % (path, ref.sample_rate, signal.sample_rate),
                       file=sys.stderr)
                 return 1
+        n = min(min(len(r) for r in refs), len(signal))
+        for path, sig in [(args.input, signal)] + list(zip(args.ref, refs)):
+            if not has_energy(sig.samples[:n]):
+                print("%s has zero energy after mean removal in its first %d "
+                      "samples" % (path, n), file=sys.stderr)
+                return 1
     out = model.separate(signal.samples)
     os.makedirs(args.out_dir, exist_ok=True)
     for k, est in enumerate(out.estimates, start=1):
@@ -228,7 +234,6 @@ def _cmd_separate(args):
         wav_write(path, Signal(est.data, signal.sample_rate))
         print("wrote %s" % path)
     if refs:
-        n = min(min(len(r) for r in refs), len(signal))
         gain, pit = si_snr_improvement(
             signal.samples[:n], [e.data[:n] for e in out.estimates],
             [r.samples[:n] for r in refs])
@@ -383,7 +388,7 @@ def main(argv=None):
         print(str(exc), file=sys.stderr)
         return 1
     except (ConfigError, CheckpointError, WavFormatError,
-            SequenceTooLongError, OSError, ValueError) as exc:
+            SequenceTooLongError, OSError, ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (TrainingDivergedError, FloatingPointError) as exc:

@@ -3,9 +3,10 @@ conv decoder, and mask application.
 
 The encoder turns a mono waveform into a nonnegative (F, T') latent map.
 The masking network normalizes it, chunks it, runs the repeated
-intra/inter transformer block, expands to one channel group per source,
-overlap-adds back to (F, T'), and finishes with a pair of position-wise
-feed-forward layers; ReLU keeps the masks nonnegative but unbounded.
+intra/inter transformer block, applies a PReLU, overlap-adds back to
+(F, T'), expands to one channel group per source, and finishes with a
+pair of position-wise feed-forward layers per source; ReLU keeps the
+masks nonnegative but unbounded.
 Each estimate is the transposed convolution of mask * latent, written
 into a zeroed signal of the input's length.
 
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import ndkernel as nd
 from .attention import AttentionSpec, FieldError, derive_seed
-from .dualpath import ChunkTensor, block_params, block_tensors, chunk, \
-    overlap_add, sepformer_block
+from .dualpath import block_params, block_tensors, chunk, overlap_add, \
+    sepformer_block
 from .params import ONES, ZEROS, Params, declared_shapes, fill, uniform
 from .transformer import transformer_stack
 
@@ -173,7 +174,6 @@ class Sepformer(Params):
         """Latent map -> one nonnegative (F, T') mask per source."""
         cfg = self.cfg
         f = cfg.n_filters
-        length = latent.shape[1]
         m = self.masknet
         hbar = nd.matmul(m.input_linear_weight,
                          nd.layer_norm(latent, m.norm_gain, m.norm_bias),
@@ -188,11 +188,11 @@ class Sepformer(Params):
                 details["chunked"] = chunked.data
                 details["dual_out"] = processed.data
             del chunked
-            activated = nd.prelu(processed.data, m.prelu_slope)
+            # the output linear, affine per position, commutes with the
+            # overlap-add's per-position mean, so it runs on T' positions
+            activated = overlap_add(replace(
+                processed, data=nd.prelu(processed.data, m.prelu_slope)))
             del processed
-            c, n_chunks = activated.shape[1], activated.shape[2]
-            positions = c * n_chunks
-            flat = nd.reshape(activated, (f, positions))
         else:
             x = hbar
             del hbar
@@ -201,20 +201,14 @@ class Sepformer(Params):
                                       seed=derive_seed(self.seed, 101, r))
             if details is not None:
                 details["dual_out"] = x
-            flat = nd.prelu(x, m.prelu_slope)
+            activated = nd.prelu(x, m.prelu_slope)
             del x
-            positions = length
 
-        expanded = nd.matmul(m.output_linear_weight, flat,
-                             bias=m.output_linear_bias)  # (Ns*F, positions)
-        del flat
-        if cfg.chunk_size is not None:
-            expanded = nd.reshape(expanded, (cfg.n_sources * f, c, n_chunks))
-            if details is not None:
-                details["expanded"] = expanded
-            # every source's chunks overlap-add in one pass
-            expanded = overlap_add(ChunkTensor(expanded, length,
-                                               cfg.chunk_size))
+        expanded = nd.matmul(m.output_linear_weight, activated,
+                             bias=m.output_linear_bias)  # (Ns*F, T')
+        del activated
+        if details is not None:
+            details["expanded"] = expanded
 
         masks = []
         for k in range(cfg.n_sources):
@@ -225,9 +219,6 @@ class Sepformer(Params):
                              relu=True)
             masks.append(mask)
         if details is not None:
-            # (F, Ns, T'): each source's rows of the expanded map
-            details["per_source"] = expanded.data.reshape(
-                cfg.n_sources, f, length).transpose(1, 0, 2)
             details["masks"] = masks
         return masks
 

@@ -34,8 +34,8 @@ from .ndkernel import Tape, Tensor
 __all__ = [
     "SISNR_TAU", "SISNR_CEILING_DB", "SDR_CAP_DB",
     "UndefinedTargetError", "TrainingDivergedError",
-    "si_snr", "si_snr_db", "sdr_simple", "pit_loss", "PitResult",
-    "improvement", "si_snr_improvement",
+    "has_energy", "si_snr", "si_snr_db", "sdr_simple", "pit_loss",
+    "PitResult", "improvement", "si_snr_improvement",
     "OptimState", "init_optim_state", "clip_gradients", "adam_step",
     "PlateauScheduler", "TraceRow", "write_trace", "train_toy",
 ]
@@ -58,6 +58,11 @@ class TrainingDivergedError(RuntimeError):
         self.step = step
 
 
+def has_energy(x):
+    """Whether array ``x`` is nonzero after mean removal, as SI-SNR needs."""
+    return bool(np.any(x - x.mean()))
+
+
 def si_snr(estimate, target):
     """Scale-invariant SNR in dB as a differentiable 0-d tensor.
 
@@ -71,7 +76,7 @@ def si_snr(estimate, target):
     if estimate.shape != target.shape or estimate.data.ndim != 1:
         raise ValueError("signals must be 1-d and equal length, got %r / %r"
                          % (estimate.shape, target.shape))
-    if not np.any(target.data - target.data.mean()):
+    if not has_energy(target.data):
         raise UndefinedTargetError("target has zero energy after mean removal")
     c = -1.0 / target.shape[0]
     e0 = estimate.data + estimate.data.sum() * c

@@ -21,7 +21,7 @@ matmul-like ops count, matching the instrumented counter in ndkernel):
                                 (the Nc chunks and the C offsets run as
                                 batched groups; grouping adds no MACs)
     no chunking, per repeat     intra_layers*layer(T')
-    masknet output linear       (Ns*F)*F*positions
+    masknet output linear       (Ns*F)*F*T'
     mask feed-forward pair      Ns * 2 * F*F*T'
     decoder                     Ns * F*Kw*T'
 
@@ -104,16 +104,14 @@ def count_macs_detailed(cfg, n_samples):
     if cfg.chunk_size is not None:
         c = cfg.chunk_size
         _, n_chunks = padded_chunk_geometry(tp, c)
-        positions = c * n_chunks
         _add_layers(out, cfg.n_repeats * cfg.intra_layers * n_chunks,
                     cfg.intra_attention, f, cfg.ffw_dim, c)
         _add_layers(out, cfg.n_repeats * cfg.inter_layers * c,
                     cfg.inter_attention, f, cfg.ffw_dim, n_chunks)
     else:
-        positions = tp
         _add_layers(out, cfg.n_repeats * cfg.intra_layers,
                     cfg.intra_attention, f, cfg.ffw_dim, tp)
-    out.linear += (cfg.n_sources * f) * f * positions        # output linear
+    out.linear += (cfg.n_sources * f) * f * tp               # output linear
     out.linear += cfg.n_sources * 2 * f * f * tp             # mask ffw pair
     out.conv += cfg.n_sources * f * cfg.kernel_size * tp     # decoder
     return out

@@ -1,10 +1,16 @@
+import os
 import pathlib
 import re
+import resource
+import subprocess
+import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import sepformer
 from sepformer.attention import VARIANTS, AttentionSpec
 from sepformer.cli import (PAPER_DEFAULTS, TOY_DEFAULTS, ConfigError,
                            build_run_config, main, parse_config_file)
@@ -232,6 +238,48 @@ class TestSeparate:
         assert named in captured.err
         assert "wrote" not in captured.out and not out_dir.exists()
 
+    def _refused_before_the_model(self, tmp_path, capsys, mixture, refs):
+        """Run ``separate`` on the given samples; it must exit 1 without
+        writing, printing a score or warning. Returns stderr."""
+        ckpt = train_tiny(tmp_path)
+        wav = tmp_path / "mix.wav"
+        wav_write(wav, Signal(mixture, 8000))
+        argv = ["separate", "--model", ckpt, "--in", str(wav)]
+        for k, samples in enumerate(refs, start=1):
+            ref = tmp_path / ("ref%d.wav" % k)
+            wav_write(ref, Signal(samples, 8000))
+            argv += ["--ref", str(ref)]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert caught == []
+        assert "nan" not in captured.out and "wrote" not in captured.out
+        assert "Warning" not in captured.err
+        assert list(out_dir.iterdir()) == []
+        return captured.err
+
+    @pytest.mark.parametrize("level", [0.0, 0.1])
+    def test_zero_energy_reference_refused_before_the_model(
+            self, tmp_path, capsys, level):
+        rng = np.random.default_rng(9)
+        err = self._refused_before_the_model(
+            tmp_path, capsys, rng.uniform(-0.5, 0.5, 800),
+            [rng.uniform(-0.5, 0.5, 800), np.full(800, level)])
+        assert "ref2.wav" in err and "zero energy" in err
+
+    @pytest.mark.parametrize("level", [0.0, 0.1])
+    def test_silent_input_with_references_refused(self, tmp_path, capsys,
+                                                  level):
+        rng = np.random.default_rng(10)
+        err = self._refused_before_the_model(
+            tmp_path, capsys, np.full(800, level),
+            [rng.uniform(-0.5, 0.5, 800) for _ in range(2)])
+        assert "mix.wav" in err and "zero energy" in err
+
     def test_bad_checkpoint_magic_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"JUNK" + b"\x00" * 32)
@@ -317,6 +365,27 @@ def test_os_error_exits_one_without_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_memory_error_exits_one_with_one_error_line(tmp_path):
+    # the child caps its own address space, so a miss fails fast
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(sepformer.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepformer.cli", "bench", "--config",
+         tiny_cfg_file(tmp_path), "--attention", "full", "--seconds", "1e9",
+         "--repeats", "1"],
+        capture_output=True, text=True, env=env, preexec_fn=limit,
+        timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestBench:

@@ -9,12 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepformer.attention import AttentionSpec, FieldError
+from sepformer import ndkernel as nd
+from sepformer.attention import AttentionSpec, FieldError, derive_seed
+from sepformer.dualpath import ChunkTensor, chunk, overlap_add, \
+    sepformer_block
 from sepformer.model import (CheckpointError, Sepformer, SepformerConfig,
                              encoded_length, load_checkpoint,
                              parameter_census, parameter_shapes,
                              save_checkpoint)
 from sepformer.ndkernel import InputTooShortError, Tensor
+from sepformer.objectives import pit_loss
 
 
 def small_config(**overrides):
@@ -141,10 +145,67 @@ class TestMaskNet:
         assert details["latent"].shape == (f, tp)
         assert details["chunked"].shape == (f, c, nc)
         assert details["dual_out"].shape == (f, c, nc)
-        assert details["expanded"].shape == (ns * f, c, nc)
-        assert details["per_source"].shape == (f, ns, tp)
+        assert details["expanded"].shape == (ns * f, tp)
         assert all(m.shape == (f, tp) for m in details["masks"])
         assert all(e.shape == (64,) for e in out.estimates)
+
+    @staticmethod
+    def expand_then_overlap_masks(model, latent):
+        """The masks with the output linear before the overlap-add: PReLU
+        on the block's frames, the linear over all C * Nc positions, then
+        one overlap-add of the Ns * F rows."""
+        cfg, m = model.cfg, model.masknet
+        f, ns = cfg.n_filters, cfg.n_sources
+        hbar = nd.matmul(m.input_linear_weight,
+                         nd.layer_norm(latent, m.norm_gain, m.norm_bias),
+                         bias=m.input_linear_bias)
+        processed = sepformer_block(chunk(hbar, cfg.chunk_size), model.block,
+                                    seed=derive_seed(model.seed, 101))
+        activated = nd.prelu(processed.data, m.prelu_slope)
+        _, c, n_chunks = activated.shape
+        expanded = nd.matmul(m.output_linear_weight,
+                             nd.reshape(activated, (f, c * n_chunks)),
+                             bias=m.output_linear_bias)
+        expanded = overlap_add(ChunkTensor(
+            nd.reshape(expanded, (ns * f, c, n_chunks)), latent.shape[1],
+            cfg.chunk_size))
+        masks = []
+        for k in range(ns):
+            mask = nd.matmul(m.mask_ffw1_weight,
+                             nd.slice_rows(expanded, k * f, (k + 1) * f),
+                             bias=m.mask_ffw1_bias, relu=True)
+            masks.append(nd.matmul(m.mask_ffw2_weight, mask,
+                                   bias=m.mask_ffw2_bias, relu=True))
+        return masks
+
+    # chunk 6, hop 3: T' = 5 is shorter than a chunk, 12 ends on a hop
+    # boundary, 13 one past it
+    @pytest.mark.parametrize("frames", [5, 12, 13])
+    def test_overlap_before_expansion_matches_expansion_first(self, rng,
+                                                              frames):
+        cfg = small_config()
+        n = (frames - 1) * cfg.stride + cfg.kernel_size
+        assert encoded_length(cfg, n) == frames
+        model = Sepformer(cfg, seed=3)
+        x = rng.standard_normal(n)
+        targets = [rng.standard_normal(n) for _ in range(cfg.n_sources)]
+        params = list(model.parameters().values())
+
+        def masks_and_grads(masks_of):
+            with nd.Tape() as tape:
+                latent = model.encode(x)
+                masks = masks_of(latent)
+                loss, _ = pit_loss([nd.conv1d_transpose(
+                    nd.mul(mask, latent), model.decoder_filters, cfg.stride,
+                    n) for mask in masks], targets)
+            return ([mask.data for mask in masks],
+                    tape.gradient(loss, params))
+
+        got = masks_and_grads(model.mask_net)
+        want = masks_and_grads(
+            lambda latent: self.expand_then_overlap_masks(model, latent))
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 class TestSeparate:
