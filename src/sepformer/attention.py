@@ -25,12 +25,12 @@ blocks, LSH rotations, the linformer's projection rows) is built once per
 :func:`multi_head_dispatch` call. Full and linformer attention are one
 ``ndkernel.attention`` op each, and the longformer runs its band in
 blocks on the same op under a logit bias (plain attention when the band
-covers the sequence). Every core reads and returns head-major maps. The
-reformer core is one ``ndkernel.lsh_attention`` op, which normalizes the
-keys, hashes and sorts every round and attends chunkwise; a sequence no
-longer than ``bucket_chunk`` is one chunk of its own length. In every
-core the 1/sqrt(dk) scale rides on the queries rather than on the score
-maps.
+covers the sequence). Every core reads head-major maps and returns only
+its head-major output. The reformer core is one ``ndkernel.lsh_attention``
+op, which normalizes the keys, hashes and sorts every round and attends
+chunkwise; a sequence no longer than ``bucket_chunk`` is one chunk of its
+own length. In every core the 1/sqrt(dk) scale rides on the queries
+rather than on the score maps.
 """
 
 from __future__ import annotations
@@ -158,15 +158,15 @@ def positional_encoding(length, d_model):
 # ---------------------------------------------------------------------------
 # per-head cores
 #
-# core(q, k, v, ctx, details) receives head-major (h*dk, S*L) maps of
+# core(q, k, v, ctx) -> out receives head-major (h*dk, S*L) maps of
 # Q/K/V (``k`` is None when the variant shares QK): rows i*dk..(i+1)*dk
 # are head i, in projection order, and the columns hold S independent
 # length-L sequences side by side. ``ctx.batch`` counts h*S, every head
 # of every sequence, and ``h`` is the map's rows over dk. The core returns
-# the (h*dk, S*L) output in the same order, so a group's output is a row
-# slice of the heads' concat as ``wo`` reads it. Diagnostics lead with the
-# h*S sequences, head major. Work that mixes positions runs batched over
-# the sequences; queries are scaled by 1/sqrt(dk) before they meet a key.
+# only the (h*dk, S*L) output, in the same order, so a group's output is
+# a row slice of the heads' concat as ``wo`` reads it. Work that mixes
+# positions runs batched over the sequences; queries are scaled by
+# 1/sqrt(dk) before they meet a key.
 
 _Call = namedtuple("_Call", "spec batch length scale state")
 
@@ -177,12 +177,9 @@ def _group_heads(x, ctx):
     return heads, ctx.batch // heads
 
 
-def _full_head(q, k, v, ctx, details):
+def _full_head(q, k, v, ctx):
     heads, batch = _group_heads(q, ctx)
-    out, a = nd.attention(q, k, v, heads, batch, ctx.scale)
-    if details is not None:
-        details["map"] = a.data.copy()                    # (h*S, L, L)
-    return out
+    return nd.attention(q, k, v, heads, batch, ctx.scale)[0]
 
 
 def longformer_allowed(length, window, global_stride):
@@ -206,25 +203,6 @@ def _globals(spec, length):
     if spec.global_stride is None:
         return np.zeros(0, dtype=np.intp)
     return np.arange(0, length, spec.global_stride)
-
-
-def _band_slots(spec, length):
-    """Each position's w band slots as columns of its score row, with the
-    mask of those ``kept`` (in range and off the globals), and the
-    globals' columns. A row holds its block's 3c band slots, then the
-    globals, or every position when the band covers the sequence
-    (half >= L - 1)."""
-    half = (spec.window - 1) // 2
-    t = np.arange(length)[:, None]
-    slots = t + np.arange(-half, half + 1)
-    kept = (slots >= 0) & (slots < length)
-    if spec.global_stride is not None:
-        kept &= slots % spec.global_stride != 0
-    gcols = _globals(spec, length)
-    if half >= length - 1:
-        return kept, slots, gcols
-    c = max(half, 1)
-    return kept, slots - (t // c - 1) * c, 3 * c + np.arange(len(gcols))
 
 
 def _longformer_prepare(spec, weights, batch, length, seed):
@@ -270,38 +248,22 @@ def _longformer_prepare(spec, weights, batch, length, seed):
         picks.ravel())
 
 
-def _longformer_head(q, k, v, ctx, details):
+def _longformer_head(q, k, v, ctx):
     heads, batch = _group_heads(q, ctx)
     band = ctx.state
     if band.bias is None:
         # the band covers the sequence: every pair is allowed
-        out, a = nd.attention(q, k, v, heads, batch, ctx.scale)
-        rows = a.data
-    else:
-        out, a = nd.attention(
-            nd.gather_cols(q, band.queries), nd.gather_cols(k, band.keys),
-            nd.gather_cols(v, band.keys), heads, batch * len(band.bias),
-            ctx.scale, bias=band.bias)
-        rows = a.data.reshape(heads * batch, -1, a.shape[-1])
-        if len(band.globals):
-            # rows at global positions attend to every position
-            out_g, a_g = nd.attention(nd.gather_cols(q, band.global_queries),
-                                      k, v, heads, batch, ctx.scale)
-            out = nd.concat([out, out_g], axis=1)
-        out = nd.gather_cols(out, band.picks)
-    if details is not None:
-        # each position's band slots (-1: none, read as 0) and globals
-        kept, cols, gcols = _band_slots(ctx.spec, ctx.length)
-        map_cols = np.concatenate(
-            [np.where(kept, cols, -1),
-             np.broadcast_to(gcols, (ctx.length, len(gcols)))], axis=1)
-        padded = np.pad(rows, ((0, 0), (0, 0), (0, 1)))  # col -1 reads 0
-        details["map"] = padded[:, np.arange(ctx.length)[:, None],
-                                map_cols]                 # (h*S, L, w + g)
-        if len(band.globals):                             # (h*S, g, L)
-            details["global_rows"] = (a_g.data.copy() if band.bias is not None
-                                      else rows[:, band.globals])
-    return out
+        return nd.attention(q, k, v, heads, batch, ctx.scale)[0]
+    out = nd.attention(
+        nd.gather_cols(q, band.queries), nd.gather_cols(k, band.keys),
+        nd.gather_cols(v, band.keys), heads, batch * len(band.bias),
+        ctx.scale, bias=band.bias)[0]
+    if len(band.globals):
+        # rows at global positions attend to every position
+        out_g = nd.attention(nd.gather_cols(q, band.global_queries), k, v,
+                             heads, batch, ctx.scale)[0]
+        out = nd.concat([out, out_g], axis=1)
+    return nd.gather_cols(out, band.picks)
 
 
 def _longformer_macs(spec, t):
@@ -325,7 +287,7 @@ def _linformer_prepare(spec, weights, batch, length, seed):
             for p in (weights.proj_p, weights.proj_f)]
 
 
-def _linformer_head(q, k, v, ctx, details):
+def _linformer_head(q, k, v, ctx):
     length = ctx.length
     heads, batch = _group_heads(q, ctx)
     proj_p, proj_f = ctx.state
@@ -336,11 +298,8 @@ def _linformer_head(q, k, v, ctx, details):
         p = nd.matmul(nd.reshape(x, (-1, length)), proj)
         return nd.reshape(p, (x.shape[0], -1))
 
-    out, a = nd.attention(q, project(k, proj_p), project(v, proj_f), heads,
-                          batch, ctx.scale)
-    if details is not None:
-        details["map"] = a.data.copy()                    # (h*S, L, k)
-    return out
+    return nd.attention(q, project(k, proj_p), project(v, proj_f), heads,
+                        batch, ctx.scale)[0]
 
 
 def _reformer_prepare(spec, weights, batch, length, seed):
@@ -355,15 +314,10 @@ def _reformer_prepare(spec, weights, batch, length, seed):
             for _ in range(spec.n_rounds)]
 
 
-def _reformer_head(q, k, v, ctx, details):
+def _reformer_head(q, k, v, ctx):
     heads, batch = _group_heads(q, ctx)
-    out, rounds = nd.lsh_attention(q, v, ctx.state, heads, batch,
-                                   ctx.spec.bucket_chunk, ctx.scale,
-                                   maps=details is not None)
-    if details is not None:
-        details["rounds"] = [{"buckets": b, "map": a}     # (h*S, nch, m, keys)
-                             for b, a in rounds]
-    return out
+    return nd.lsh_attention(q, v, ctx.state, heads, batch,
+                            ctx.spec.bucket_chunk, ctx.scale)
 
 
 def _reformer_macs(spec, t):
@@ -446,17 +400,7 @@ def _heads_per_group(spec, batch, length):
                if spec.heads % h == 0 and (h == 1 or h <= fit))
 
 
-def _head_part(details, index):
-    """One head's share of a group's diagnostics: ``index`` into the
-    leading (head-major) sequence axis of every array."""
-    if isinstance(details, dict):
-        return {key: _head_part(value, index) for key, value in details.items()}
-    if isinstance(details, list):
-        return [_head_part(value, index) for value in details]
-    return details[index]
-
-
-def multi_head_dispatch(x, weights, spec, seed=0, details=None):
+def multi_head_dispatch(x, weights, spec, seed=0):
     """Project, run the variant core over the heads, recombine.
 
     ``x`` is one (F, T) map or a batch (F, B, L) of B independent length-L
@@ -470,9 +414,7 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     for a seeded variant (the reformer, whose LSH rotations are drawn per
     call from it): one int shared by every sequence, or one per sequence;
     every head of a sequence uses its rotations. Equal seeds give
-    bit-identical outputs. When ``details`` is a dict, ``details["heads"]``
-    receives one dict of diagnostics (attention maps, bucket assignments)
-    per head, which lead with the sequence axis for batched input.
+    bit-identical outputs.
     """
     x = nd.as_tensor(x)
     batched = x.data.ndim == 3
@@ -498,25 +440,17 @@ def multi_head_dispatch(x, weights, spec, seed=0, details=None):
     ctx = _Call(spec, hg * batch, length, 1.0 / math.sqrt(dk), state)
 
     outs = []
-    head_details = [] if details is not None else None
     rows = dk * hg
     for g in range(groups):
         qkv = [t if t is None or groups == 1
                else nd.slice_rows(t, g * rows, (g + 1) * rows)
                for t in (q, k, v)]
-        hd = {} if details is not None else None
-        outs.append(core(*qkv, ctx, hd))
+        outs.append(core(*qkv, ctx))
         del qkv
-        if head_details is not None:
-            head_details += [_head_part(hd, slice(i * batch, (i + 1) * batch)
-                                        if batched else i)
-                             for i in range(hg)]
     del q, k, v
     heads_out = outs[0] if groups == 1 else nd.concat(outs, axis=0)
     del outs
     out = nd.matmul(weights.wo, heads_out)
-    if details is not None:
-        details["heads"] = head_details
     if batched:
         out = nd.reshape(out, (out.shape[0], batch, length))
     return out

@@ -801,7 +801,7 @@ def hash_buckets(vectors, rotation):
     return np.where(top >= -low, up, half + down)
 
 
-def lsh_attention(q, v, rotations, heads, batch, chunk, scale, maps=False):
+def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
     """Chunked shared-QK LSH attention of ``heads`` x ``batch`` sequences.
 
     ``q`` and ``v`` are head-major (heads*dk, batch*L) maps, as in
@@ -822,9 +822,7 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale, maps=False):
     chunk's keys and values are an overlapping view. One score product
     serves all rounds; the masks are slice assignments and a diagonal
     subtract, and the (m, dk) outputs, not the maps, are divided by the
-    row sums. Returns the head-major output and, with ``maps``, per round
-    the (heads*batch, L) bucket ids and the normalized (heads*batch,
-    chunks, m, keys) map, head major, else None.
+    row sums. Returns the head-major output.
 
     One tape record with a closed-form backward: with round weights w_r
     and D = g . out per position, dO_r = w_r g, dS = A * (dO_r V^T - w_r D),
@@ -931,8 +929,6 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale, maps=False):
     for r in range(1, rounds):
         ou[0] += ou[r]
     out, scores = Tensor(head_major(ou[0].T)), Tensor(e)
-    per_round = (list(zip(buckets, (e / sums).reshape(
-        rounds, seqs, n_chunks, m, keys))) if maps else None)
 
     def folded(gw):
         # window gradients onto their slots: a chunk's look-back half
@@ -967,4 +963,4 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale, maps=False):
                 head_major(summed(folded(np.matmul(a.swapaxes(1, 2), do)))))
 
     _record(out, (q, v), backward, macs=2 * total * m * keys * dk)
-    return out, per_round
+    return out

@@ -62,6 +62,44 @@ def shared_qk_full_oracle(x, weights, spec):
     return weights.wo.data @ np.concatenate(heads, axis=0)
 
 
+def weight_rows(spec, weights, shape, rng, seed=0):
+    """Every query's attention weights, read off the variant core's output
+    on random queries and keys: with one-hot values (position j's value is
+    the unit vector e_j of a head's d_head rows, zero for j >= d_head),
+    output column i of a head is query i's weight row. ``shape`` is
+    (batch, L); returns (heads*batch, L, min(d_head, L)), head major."""
+    batch, length = shape
+    heads, dk = spec.heads, spec.d_head
+    n = min(dk, length)
+    q, k = (Tensor(rng.standard_normal((heads * dk, batch * length)))
+            for _ in range(2))
+    v = np.zeros((heads, dk, batch, length))
+    v[:, np.arange(n), :, np.arange(n)] = 1.0
+    v = Tensor(v.reshape(heads * dk, batch * length))
+    ctx = attention._Call(spec, heads * batch, length, 1.0 / math.sqrt(dk),
+                          spec.entry.prepare(spec, weights, batch, length,
+                                             seed))
+    core = getattr(attention, spec.entry.core)
+    out = core(q, None if spec.entry.shares_qk else k, v, ctx)
+    return out.data.reshape(heads, dk, batch, length)[:, :n].transpose(
+        0, 2, 3, 1).reshape(heads * batch, length, n)
+
+
+def reformer_buckets(spec, weights, x, seed):
+    """Every head's bucket ids per round, (heads, rounds, batch, L): the
+    head's unit queries hashed with ``_reformer_prepare``'s rotations, the
+    keys and rotations the reformer op hashes."""
+    xd = x.data if x.data.ndim == 3 else x.data[:, None]
+    feat, batch, length = xd.shape
+    q = (weights.wq.data @ xd.reshape(feat, -1)).reshape(
+        spec.heads, spec.d_head, batch, length)
+    units = q / np.sqrt((q ** 2).sum(axis=1, keepdims=True) + 1e-12)
+    rotations = attention._reformer_prepare(spec, weights, batch, length,
+                                            seed)
+    return np.stack([hash_buckets(units.transpose(0, 2, 1, 3), r)
+                     for r in rotations], axis=1)
+
+
 class TestPositionalEncoding:
     def test_position_zero_alternates_zero_one(self):
         pe = positional_encoding(3, 8).data
@@ -105,12 +143,8 @@ class TestPositionalEncoding:
 class TestFullAttention:
     def test_single_position_map_is_one(self, rng):
         spec = AttentionSpec("full", heads=2, d_model=8)
-        w = make_weights(spec, 6)
-        details = {}
-        multi_head_dispatch(Tensor(rng.standard_normal((6, 1))), w, spec,
-                            details=details)
-        for head in details["heads"]:
-            np.testing.assert_array_equal(head["map"], [[1.0]])
+        rows = weight_rows(spec, None, (3, 1), rng)
+        np.testing.assert_array_equal(rows, np.ones((6, 1, 1)))
 
     def test_duplicate_positions_share_output(self, rng):
         spec = AttentionSpec("full", heads=2, d_model=8)
@@ -166,19 +200,40 @@ class TestLongformer:
         allowed = longformer_allowed(5, 3, None)
         assert allowed.sum() == 13
 
-    def test_realized_rows_are_distributions(self, rng):
-        spec = AttentionSpec("longformer", heads=2, d_model=8, window=5,
+    @pytest.mark.parametrize("length", [11, 3])
+    def test_realized_rows_are_distributions_over_the_pattern(self, rng,
+                                                              length):
+        # length 11 runs in blocks with three globals, length 3 is covered
+        # by the band; rows of non-global and global positions alike
+        spec = AttentionSpec("longformer", heads=2, d_model=32, window=5,
                              global_stride=4)
+        rows = weight_rows(spec, None, (3, length), rng)
+        allowed = longformer_allowed(length, 5, 4)
+        assert np.all(rows >= 0)
+        np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
+        assert not rows[:, ~allowed].any()
+
+    @pytest.mark.parametrize("length,window,stride",
+                             [(11, 5, 4), (16, 3, None), (65, 5, 4),
+                              (7, 101, 100)])
+    def test_off_pattern_keys_leave_a_query_unchanged(self, rng, length,
+                                                      window, stride):
+        # perturbing position j moves query i's output bit for bit exactly
+        # when the realized pattern lets i see j (i == j included); the
+        # other sequences of the batch never move
+        spec = AttentionSpec("longformer", heads=2, d_model=8, window=window,
+                             global_stride=stride)
         w = make_weights(spec, 6)
-        details = {}
-        multi_head_dispatch(Tensor(rng.standard_normal((6, 11))), w, spec,
-                            details=details)
-        for head in details["heads"]:
-            assert np.all(head["map"] >= 0)
-            np.testing.assert_allclose(head["map"].sum(axis=1), 1.0,
-                                       atol=1e-9)
-            np.testing.assert_allclose(head["global_rows"].sum(axis=1), 1.0,
-                                       atol=1e-9)
+        x = rng.standard_normal((6, 2, length))
+        base = multi_head_dispatch(Tensor(x), w, spec).data
+        allowed = longformer_allowed(length, window, stride)
+        for j in range(length):
+            moved = x.copy()
+            moved[:, 1, j] += rng.standard_normal(6)
+            out = multi_head_dispatch(Tensor(moved), w, spec).data
+            np.testing.assert_array_equal(out[:, 0], base[:, 0])
+            changed = (out[:, 1] != base[:, 1]).any(axis=0)
+            np.testing.assert_array_equal(changed, allowed[:, j])
 
     def test_mask_matches_banded_oracle(self, rng):
         # dense masked-softmax oracle over the allowed set == banded path
@@ -230,17 +285,17 @@ class TestLinformer:
             multi_head_dispatch(Tensor(x), w, spec).data,
             multi_head_dispatch(Tensor(x), w, full_spec).data, atol=1e-9)
 
-    def test_attention_map_shape_is_t_by_k(self, rng):
-        spec = AttentionSpec("linformer", heads=2, d_model=8, proj_len=16,
+    def test_rows_are_distributions_over_the_slots(self, rng):
+        # an identity value projection puts position s's value in slot s,
+        # so one-hot values read each query's weights over the 16 slots
+        spec = AttentionSpec("linformer", heads=2, d_model=32, proj_len=16,
                              max_len=200)
         w = make_weights(spec, 6)
-        details = {}
-        multi_head_dispatch(Tensor(rng.standard_normal((6, 100))), w, spec,
-                            details=details)
-        for head in details["heads"]:
-            assert head["map"].shape == (100, 16)
-            np.testing.assert_allclose(head["map"].sum(axis=1), 1.0,
-                                       atol=1e-9)
+        w.proj_f = Tensor(np.eye(200, 16))
+        rows = weight_rows(spec, w, (1, 100), rng)
+        assert rows.shape == (2, 100, 16)
+        assert np.all(rows >= 0)
+        np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_sequence_longer_than_max_rejected(self, rng):
         spec = AttentionSpec("linformer", heads=2, d_model=8, proj_len=4,
@@ -257,12 +312,10 @@ class TestReformer:
         w = make_weights(spec, 6)
         col = rng.standard_normal(6)
         x = np.tile(col[:, None], (1, 8))
-        details = {}
-        out = multi_head_dispatch(Tensor(x), w, spec, seed=3,
-                                  details=details).data
-        for head in details["heads"]:
-            for rnd in head["rounds"]:
-                assert len(set(rnd["buckets"])) == 1
+        out = multi_head_dispatch(Tensor(x), w, spec, seed=3).data
+        for head in reformer_buckets(spec, w, Tensor(x), 3):
+            for rnd in head:
+                assert len(set(rnd.ravel())) == 1
         np.testing.assert_allclose(out, shared_qk_full_oracle(x, w, spec),
                                    atol=1e-6)
 
@@ -295,17 +348,12 @@ class TestReformer:
         assert not np.array_equal(a, b)
 
     def test_rows_are_distributions_over_realized_slots(self, rng):
-        spec = AttentionSpec("reformer", heads=2, d_model=8, n_buckets=4,
+        # the rounds' maps mixed per query, as the output reads them
+        spec = AttentionSpec("reformer", heads=2, d_model=32, n_buckets=4,
                              n_rounds=2, bucket_chunk=4)
-        w = make_weights(spec, 6)
-        details = {}
-        multi_head_dispatch(Tensor(rng.standard_normal((6, 15))), w, spec,
-                            seed=5, details=details)
-        for head in details["heads"]:
-            for rnd in head["rounds"]:
-                maps = rnd["map"].reshape(-1, rnd["map"].shape[-1])
-                assert np.all(maps >= 0)
-                np.testing.assert_allclose(maps.sum(axis=1), 1.0, atol=1e-9)
+        rows = weight_rows(spec, None, (2, 15), rng, seed=[5, 6])
+        assert np.all(rows >= 0)
+        np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_single_position_attends_to_itself(self, rng):
         # soft self-masking keeps a lone position alive
@@ -317,18 +365,14 @@ class TestReformer:
         v = w.wv.data @ x
         np.testing.assert_allclose(out, w.wo.data @ v, atol=1e-12)
 
-    def test_self_slots_get_no_weight_when_alternatives_exist(self, rng):
+    @pytest.mark.parametrize("length", [8, 3])
+    def test_self_slots_get_no_weight_when_alternatives_exist(self, rng,
+                                                             length):
+        # two chunks of 4, or one chunk of its own length
         spec = AttentionSpec("reformer", heads=1, d_model=8, n_buckets=2,
                              n_rounds=1, bucket_chunk=4)
-        w = make_weights(spec, 6)
-        details = {}
-        multi_head_dispatch(Tensor(rng.standard_normal((6, 8))), w, spec,
-                            seed=2, details=details)
-        maps = details["heads"][0]["rounds"][0]["map"]   # (nch, m, 2m)
-        n_chunks, m, _ = maps.shape
-        for i in range(n_chunks):
-            for j in range(m):
-                assert maps[i, j, m + j] <= 1e-12
+        rows = weight_rows(spec, None, (1, length), rng, seed=2)
+        assert np.all(np.diagonal(rows, axis1=1, axis2=2) <= 1e-12)
 
     def test_lsh_keeps_clusters_together(self):
         # two tight clusters of directions: over 8 rounds at least 95% of
@@ -381,40 +425,15 @@ class TestReformer:
 
 # The longformer core as dense attention: one attention op over every
 # pair of positions, under a bias that removes the pairs the realized
-# pattern (``longformer_allowed``) leaves out. A global's "map" row is its
-# softmax over its band and the globals, from a second call that drops
-# the global rows' extension to every key. Kept as the reference the
+# pattern (``longformer_allowed``) leaves out. Kept as the reference the
 # blocked core must reproduce.
 
-def reference_longformer_head(q, k, v, ctx, details):
+def reference_longformer_head(q, k, v, ctx):
     spec, length = ctx.spec, ctx.length
     heads = q.shape[0] // spec.d_head
-
-    def dense(allowed):
-        return nd.attention(q, k, v, heads, ctx.batch // heads, ctx.scale,
-                            bias=np.where(allowed, 0.0, -1e30)[None])
-
     allowed = longformer_allowed(length, spec.window, spec.global_stride)
-    out, a = dense(allowed)
-    if details is not None:
-        gidx = (np.zeros(0, dtype=np.intp) if spec.global_stride is None
-                else np.arange(0, length, spec.global_stride))
-        rows = a.data
-        if len(gidx):
-            details["global_rows"] = rows[:, gidx]       # (h*S, g, L)
-            band = longformer_allowed(length, spec.window, None)
-            band[:, gidx] = True
-            rows = dense(band)[1].data
-        # each position's w band slots, then the globals; a slot out of
-        # range or on a global reads the padded zero column L
-        half = (spec.window - 1) // 2
-        t = np.arange(length)[:, None]
-        cols = t + np.arange(-half, half + 1)
-        cols[(cols < 0) | (cols >= length) | np.isin(cols, gidx)] = length
-        cols = np.concatenate(
-            [cols, np.broadcast_to(gidx, (length, len(gidx)))], axis=1)
-        details["map"] = np.pad(rows, ((0, 0), (0, 0), (0, 1)))[:, t, cols]
-    return out
+    return nd.attention(q, k, v, heads, ctx.batch // heads, ctx.scale,
+                        bias=np.where(allowed, 0.0, -1e30)[None])[0]
 
 
 class TestLongformerMatchesReference:
@@ -429,8 +448,8 @@ class TestLongformerMatchesReference:
     @pytest.mark.parametrize("window,stride",
                              [(1, None), (3, None), (5, 4), (101, 100)])
     @pytest.mark.parametrize("length", [1, 7, 64, 65, 250])
-    def test_outputs_gradients_and_details(self, monkeypatch, length, window,
-                                           stride, batch, grouping):
+    def test_outputs_and_gradients(self, monkeypatch, length, window, stride,
+                                   batch, grouping):
         spec = AttentionSpec("longformer", heads=4, d_model=16,
                              window=window, global_stride=stride)
         w = make_weights(spec, 6, seed=length)
@@ -443,20 +462,18 @@ class TestLongformerMatchesReference:
                             1 if grouping == "single" else 2**40)
 
         def run():
-            details = {}
             with Tape() as tape:
-                out = multi_head_dispatch(x, w, spec, details=details)
+                out = multi_head_dispatch(x, w, spec)
                 grads = tape.gradient(nd.dot(out, probe), sources)
-            return out.data, grads, details
+            return out.data, grads
 
-        out, grads, got = run()
+        out, grads = run()
         monkeypatch.setattr(attention, "_longformer_head",
                             reference_longformer_head)
-        want_out, want_grads, want = run()
+        want_out, want_grads = run()
         assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
         for g, ref in zip(grads, want_grads):
             assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
-        assert_same_details(got, want)
 
     @pytest.mark.parametrize("length,stride,records",
                              [(11, 4, 8), (11, None, 5), (3, 4, 1)])
@@ -469,9 +486,9 @@ class TestLongformerMatchesReference:
         core = attention._longformer_head
         calls = []
 
-        def counting(q, k, v, ctx, details):
+        def counting(q, k, v, ctx):
             before = len(nd._ACTIVE.tape._records)
-            out = core(q, k, v, ctx, details)
+            out = core(q, k, v, ctx)
             calls.append(len(nd._ACTIVE.tape._records) - before)
             return out
 
@@ -566,36 +583,7 @@ class TestLongformerPrepare:
 # each key's exponent counted once per round that shows it to the query:
 # one attention op under the per-sequence bias log(count), -1e30 where the
 # count is 0, with -1e5 more on the own key. A sequence of L <= chunk is
-# one chunk. The per-round maps of the details come from numpy on the same
-# sorted order. Kept as the reference the fused op must reproduce.
-
-def reference_round_map(q, kq, order, scale, m):
-    """One round's (B, chunks, m, 2m) softmax maps: each chunk of the
-    sorted, zero-padded sequences against its look-back chunk and itself,
-    keys before chunk 0 or past the sequence removed, own keys at -1e5."""
-    dk = q.shape[0]
-    batch, length = order.shape
-    n_chunks = -(-length // m)
-
-    def sorted_chunks(x):
-        xs = np.zeros((batch, n_chunks * m, dk))
-        xs[:, :length] = np.take_along_axis(
-            x.reshape(dk, batch, length).transpose(1, 2, 0),
-            order[..., None], axis=1)
-        return xs.reshape(batch, n_chunks, m, dk)
-
-    qc, kc = sorted_chunks(q), sorted_chunks(kq)
-    back = np.concatenate([np.zeros_like(kc[:, :1]), kc[:, :-1]], axis=1)
-    keys = np.concatenate([back, kc], axis=2)             # (B, chunks, 2m, dk)
-    scores = scale * (qc @ keys.swapaxes(2, 3))
-    qpos = np.arange(n_chunks * m).reshape(n_chunks, m, 1)
-    kpos = ((np.arange(n_chunks)[:, None] - 1) * m
-            + np.arange(2 * m))[:, None]                   # (chunks, 1, 2m)
-    scores = np.where((kpos >= 0) & (kpos < length),
-                      np.where(kpos == qpos, scores - 1e5, scores), -1e30)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
+# one chunk. Kept as the reference the fused op must reproduce.
 
 def unit_keys(x):
     """The reformer's keys as a tape record of their own: each column of
@@ -609,69 +597,49 @@ def unit_keys(x):
     return out
 
 
-def reference_reformer_head(q, k, v, ctx, details):
+def reference_reformer_head(q, k, v, ctx, buckets=None):
     """The reformer core one head at a time: the head's unit keys, hashed
     with each round's rotations, then one dense ``nd.attention`` under
     B[s,i,j] = log of the number of rounds in which key j falls in query
     i's chunk or look-back chunk of the sorted order (-1e30 at 0), -1e5
-    more on the diagonal."""
+    more on the diagonal. A ``buckets`` list receives each head's
+    (rounds, batch, L) bucket ids."""
     spec, length, m = ctx.spec, ctx.length, ctx.spec.bucket_chunk
     heads, batch = attention._group_heads(q, ctx)
     dk = spec.d_head
-    outs, rounds = [], [[] for _ in ctx.state]
+    outs = []
     for h in range(heads):
         qh, vh = (nd.slice_rows(t, h * dk, (h + 1) * dk) for t in (q, v))
         kq = unit_keys(qh)
         units = kq.data.reshape(dk, batch, length).transpose(1, 0, 2)
+        hashed = [hash_buckets(units, rotation) for rotation in ctx.state]
+        if buckets is not None:
+            buckets.append(np.stack(hashed))
         count = np.zeros((batch, length, length))
-        for rotation, per_head in zip(ctx.state, rounds):
-            buckets = hash_buckets(units, rotation)
-            order = np.argsort(buckets, axis=1, kind="stable")
+        for ids in hashed:
+            order = np.argsort(ids, axis=1, kind="stable")
             chunk = np.empty((batch, length), dtype=np.intp)
             chunk[np.arange(batch)[:, None], order] = np.arange(length) // m
             ahead = chunk[:, :, None] - chunk[:, None, :]   # query's - key's
             count += (ahead == 0) | (ahead == 1)
-            if details is not None:
-                per_head.append((buckets, reference_round_map(
-                    qh.data, kq.data, order, ctx.scale, m)))
         bias = np.where(count > 0, np.log(np.maximum(count, 1.0)), -1e30)
         bias[:, np.arange(length), np.arange(length)] -= 1e5
         outs.append(nd.attention(qh, kq, vh, 1, batch, ctx.scale,
                                  bias=bias)[0])
-    if details is not None:
-        # (h*S, L) bucket ids and (h*S, nch, m, 2m) maps, head major
-        details["rounds"] = [
-            {key: np.concatenate([part[i] for part in per_head])
-             for i, key in enumerate(("buckets", "map"))}
-            for per_head in rounds]
     return outs[0] if heads == 1 else nd.concat(outs, axis=0)
 
 
-def use_reference_reformer(monkeypatch):
-    monkeypatch.setattr(attention, "_reformer_head", reference_reformer_head)
+def use_reference_reformer(monkeypatch, buckets=None):
+    """Run the reference core in place of the op, collecting each head's
+    bucket ids in ``buckets``, head after head, when it is a list."""
+    monkeypatch.setattr(attention, "_reformer_head",
+                        lambda q, k, v, ctx: reference_reformer_head(
+                            q, k, v, ctx, buckets))
 
 
 def test_unit_keys_record_matches_finite_differences(rng):
     x = Tensor(rng.uniform(-1.0, 1.0, size=(4, 5)))
     assert check_gradients(lambda: unit_keys(x), [x]) <= TOLERANCE
-
-
-def assert_map_matches_reference(got, ref, length, m):
-    """One round's ([B,] nch, rows, keys) map against the reference's
-    ([B,] nch, m, 2m): the same within 1e-12, or, for length <= m, the
-    reference's real (L, L) block, whose real rows are exactly 0 outside
-    it."""
-    if length > m:
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-12
-        return
-    block = ref[..., :length, m:m + length]
-    assert got.shape == block.shape
-    assert got.shape[-3:] == (1, length, length)
-    assert np.abs(got - block).max() <= 1e-12
-    rest = ref[..., :length, :].copy()
-    rest[..., m:m + length] = 0.0
-    assert not rest.any()
 
 
 class TestReformerMatchesReference:
@@ -680,30 +648,23 @@ class TestReformerMatchesReference:
     @pytest.mark.parametrize("n_rounds", [1, 3])
     @pytest.mark.parametrize("length", [24, 21, 5])
     @pytest.mark.parametrize("batch", [None, 3])
-    def test_outputs_buckets_and_maps(self, monkeypatch, batch, length,
-                                      n_rounds):
+    def test_outputs_and_buckets(self, monkeypatch, batch, length, n_rounds):
         spec = AttentionSpec("reformer", heads=2, d_model=8, n_buckets=4,
                              n_rounds=n_rounds, bucket_chunk=8)
         w = make_weights(spec, 6, seed=length)
         rng = np.random.default_rng(length + n_rounds)
         if batch is None:
-            x, seed = rng.standard_normal((6, length)), 13
+            x, seed = Tensor(rng.standard_normal((6, length))), 13
         else:
-            x, seed = rng.standard_normal((6, batch, length)), [13, 4, 27]
-        got, want = {}, {}
-        out = multi_head_dispatch(Tensor(x), w, spec, seed=seed,
-                                  details=got).data
-        use_reference_reformer(monkeypatch)
-        expected = multi_head_dispatch(Tensor(x), w, spec, seed=seed,
-                                       details=want).data
+            x, seed = Tensor(rng.standard_normal((6, batch, length))), \
+                [13, 4, 27]
+        out = multi_head_dispatch(x, w, spec, seed=seed).data
+        buckets = []
+        use_reference_reformer(monkeypatch, buckets)
+        expected = multi_head_dispatch(x, w, spec, seed=seed).data
         assert np.abs(out - expected).max() <= 1e-9 * np.abs(expected).max()
-        for head, ref in zip(got["heads"], want["heads"]):
-            assert len(head["rounds"]) == len(ref["rounds"]) == n_rounds
-            for rnd, ref_rnd in zip(head["rounds"], ref["rounds"]):
-                np.testing.assert_array_equal(rnd["buckets"],
-                                              ref_rnd["buckets"])
-                assert_map_matches_reference(rnd["map"], ref_rnd["map"],
-                                             length, 8)
+        np.testing.assert_array_equal(np.stack(buckets),
+                                      reformer_buckets(spec, w, x, seed))
 
     def test_rotations_drawn_once_per_call(self, monkeypatch, rng):
         entry = attention.REGISTRY["reformer"]
@@ -713,9 +674,9 @@ class TestReformerMatchesReference:
             calls.append((batch, length, seed))
             return entry.prepare(spec, weights, batch, length, seed)
 
-        def recording(q, k, v, ctx, details):
+        def recording(q, k, v, ctx):
             states.append(ctx.state)
-            return core(q, k, v, ctx, details)
+            return core(q, k, v, ctx)
 
         core = attention._reformer_head
         monkeypatch.setitem(attention.REGISTRY, "reformer",
@@ -762,8 +723,8 @@ class TestReformerOpMatchesReference:
     @pytest.mark.parametrize("n_rounds", [1, 3])
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("length", [1, 7, 64, 65, 250])
-    def test_outputs_gradients_buckets_and_maps(self, monkeypatch, length,
-                                                batch, n_rounds, grouping):
+    def test_outputs_gradients_and_buckets(self, monkeypatch, length, batch,
+                                           n_rounds, grouping):
         spec = AttentionSpec("reformer", heads=4, d_model=16, n_buckets=4,
                              n_rounds=n_rounds, bucket_chunk=64)
         w = make_weights(spec, 6, seed=length)
@@ -780,24 +741,23 @@ class TestReformerOpMatchesReference:
         batches = []
         core = attention._reformer_head
 
-        def counting(q, k, v, ctx, details):
+        def counting(q, k, v, ctx):
             batches.append(ctx.batch)
-            return core(q, k, v, ctx, details)
+            return core(q, k, v, ctx)
 
         def run():
-            details = {}
             with Tape() as tape:
-                out = multi_head_dispatch(x, w, spec, seed=seed,
-                                          details=details)
+                out = multi_head_dispatch(x, w, spec, seed=seed)
                 grads = tape.gradient(nd.dot(out, probe), sources)
-            return out.data, grads, details
+            return out.data, grads
 
         monkeypatch.setattr(attention, "_reformer_head", counting)
-        out, grads, got = run()
+        out, grads = run()
         assert batches == ([batch or 1] * 4 if grouping == "single"
                            else [4 * (batch or 1)])
-        use_reference_reformer(monkeypatch)
-        want_out, want_grads, want = run()
+        buckets = []
+        use_reference_reformer(monkeypatch, buckets)
+        want_out, want_grads = run()
         assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
         # at length 1 the queries do not move the output: wq's gradient is
         # exactly 0 in the reference and rounding-sized in the op, so a
@@ -807,13 +767,8 @@ class TestReformerOpMatchesReference:
         for g, ref in zip(grads, want_grads):
             assert np.abs(g - ref).max() <= 1e-9 * max(np.abs(ref).max(),
                                                        1e-3 * scale)
-        for head, ref in zip(got["heads"], want["heads"]):
-            assert len(head["rounds"]) == len(ref["rounds"]) == n_rounds
-            for rnd, ref_rnd in zip(head["rounds"], ref["rounds"]):
-                np.testing.assert_array_equal(rnd["buckets"],
-                                              ref_rnd["buckets"])
-                assert_map_matches_reference(rnd["map"], ref_rnd["map"],
-                                             length, 64)
+        np.testing.assert_array_equal(np.stack(buckets),
+                                      reformer_buckets(spec, w, x, seed))
 
     # a core call of one or two heads adds one tape record, the op's
     @pytest.mark.parametrize("group", [1, 2])
@@ -828,10 +783,10 @@ class TestReformerOpMatchesReference:
         core = attention._reformer_head
         calls = []
 
-        def counting(q, k, v, ctx, details):
+        def counting(q, k, v, ctx):
             active = nd._ACTIVE
             records, macs = len(active.tape._records), active.macs.total
-            out = core(q, k, v, ctx, details)
+            out = core(q, k, v, ctx)
             calls.append((len(active.tape._records) - records,
                           active.macs.total - macs,
                           active.tape._records[-1][1] == (q, v)))
@@ -853,16 +808,15 @@ class TestReformerOpMatchesReference:
         rotations = [rng.standard_normal((2, 5, 2)) for _ in range(3)]
         rows = -(-length // 4) * 4 if length > 4 else length
         with nd.track_memory() as arena, Tape():
-            out, maps = nd.lsh_attention(q, v, rotations, 1, 2, 4, 0.5)
+            out = nd.lsh_attention(q, v, rotations, 1, 2, 4, 0.5)
             held = arena.current - out.data.nbytes
-        assert maps is None
         assert held == 3 * 2 * rows * keys * 8
 
 
 # Reformer dispatch results pinned before the op took head-major maps and
 # its own unit keys and hashing: each config's output, the tape gradients
 # of x and of every weight, and every head's bucket ids per round.
-# ``reformer_pinned`` recomputes them; ``tests/data/reformer_pinned.npz``
+# ``reformer_pinned`` recomputes them, the buckets by ``reformer_buckets``; ``tests/data/reformer_pinned.npz``
 # holds them as recorded then.
 PINNED_REFORMER = (pathlib.Path(__file__).parent / "data"
                    / "reformer_pinned.npz")
@@ -888,14 +842,13 @@ def reformer_pinned(name, monkeypatch):
     per_head = 4 * batch * spec.entry.core_macs(spec, shape[-1]) // spec.d_head
     monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES", group * per_head)
     names = list(w.parameters())
-    details = {}
     with Tape() as tape:
-        out = multi_head_dispatch(x, w, spec, seed=seed, details=details)
+        out = multi_head_dispatch(x, w, spec, seed=seed)
         grads = tape.gradient(nd.dot(out, probe),
                               [x] + list(w.parameters().values()))
-    pinned = {"out": out.data, "buckets": np.stack(
-        [np.stack([r["buckets"] for r in head["rounds"]])
-         for head in details["heads"]])}
+    buckets = reformer_buckets(spec, w, x, seed)
+    pinned = {"out": out.data,
+              "buckets": buckets if batch > 1 else buckets[:, :, 0]}
     pinned.update(("grad_" + n, g) for n, g in zip(["x"] + names, grads))
     return pinned
 
@@ -938,7 +891,7 @@ class TestLinformerSlicesOncePerCall:
                 out = multi_head_dispatch(x, w, spec)
                 return tape.gradient(nd.dot(out, probe), sources)
 
-        def sliced_per_group(q, k, v, ctx, details):
+        def sliced_per_group(q, k, v, ctx):
             # the core as it was when each head group sliced both
             # projections itself
             heads, batch = attention._group_heads(q, ctx)
@@ -967,16 +920,7 @@ class TestLinformerSlicesOncePerCall:
 # and then recombined. Kept as the reference the grouped dispatch must
 # reproduce.
 
-def reference_unbatched(details):
-    if isinstance(details, dict):
-        return {key: reference_unbatched(value)
-                for key, value in details.items()}
-    if isinstance(details, list):
-        return [reference_unbatched(value) for value in details]
-    return details[0]
-
-
-def per_head_reference(x, weights, spec, seed=0, details=None):
+def per_head_reference(x, weights, spec, seed=0):
     if x.data.ndim == 2:
         batch, length = 1, x.shape[1]
         flat = x
@@ -992,41 +936,15 @@ def per_head_reference(x, weights, spec, seed=0, details=None):
     v = nd.matmul(weights.wv, flat)
     k = None if entry.shares_qk else nd.matmul(weights.wk, flat)
     heads = []
-    head_details = [] if details is not None else None
     for i in range(spec.heads):
         qi, vi = (nd.slice_rows(t, i * dk, (i + 1) * dk) for t in (q, v))
         ki = nd.slice_rows(k, i * dk, (i + 1) * dk) if k is not None else None
-        hd = {} if details is not None else None
-        heads.append(core(qi, ki, vi, ctx, hd))
-        if head_details is not None:
-            head_details.append(hd if x.data.ndim == 3
-                                else reference_unbatched(hd))
+        heads.append(core(qi, ki, vi, ctx))
     cat = heads[0] if spec.heads == 1 else nd.concat(heads, axis=0)
     out = nd.matmul(weights.wo, cat)
-    if details is not None:
-        details["heads"] = head_details
     if x.data.ndim == 3:
         out = nd.reshape(out, (out.shape[0], batch, length))
     return out
-
-
-def assert_same_details(got, want, path="details"):
-    """Same keys, lists and array shapes; buckets bit-identical, every
-    other array within 1e-12."""
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), path
-        for key in want:
-            assert_same_details(got[key], want[key], "%s[%r]" % (path, key))
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), path
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_same_details(g, w, "%s[%d]" % (path, i))
-    else:
-        assert got.shape == want.shape, path
-        if path.endswith("['buckets']"):
-            np.testing.assert_array_equal(got, want, err_msg=path)
-        else:
-            assert np.abs(got - want).max() <= 1e-12, path
 
 
 class TestHeadsInBatchMatchReference:
@@ -1045,11 +963,10 @@ class TestHeadsInBatchMatchReference:
                              n_buckets=4, n_rounds=2, bucket_chunk=4)
 
     @pytest.mark.parametrize("grouping", sorted(GROUPS))
-    @pytest.mark.parametrize("with_details", [False, True])
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_outputs_details_and_gradients(self, monkeypatch, variant, batch,
-                                           with_details, grouping):
+    def test_outputs_and_gradients(self, monkeypatch, variant, batch,
+                                   grouping):
         spec = self.spec(variant)
         w = make_weights(spec, 6, seed=batch or 1)
         rng = np.random.default_rng(len(variant))
@@ -1071,31 +988,28 @@ class TestHeadsInBatchMatchReference:
                                 fit * per_head)
 
         def run(dispatch):
-            details = {} if with_details else None
             with Tape() as tape:
-                out = dispatch(x, w, spec, seed=seed, details=details)
+                out = dispatch(x, w, spec, seed=seed)
                 grads = tape.gradient(nd.dot(out, probe), sources)
-            return out.data, grads, details
+            return out.data, grads
 
         core = getattr(attention, spec.entry.core)
         batches = []
 
-        def counting(q, k, v, ctx, details):
+        def counting(q, k, v, ctx):
             batches.append(ctx.batch)
-            return core(q, k, v, ctx, details)
+            return core(q, k, v, ctx)
 
         monkeypatch.setattr(attention, spec.entry.core, counting)
-        out, grads, details = run(multi_head_dispatch)
+        out, grads = run(multi_head_dispatch)
         assert batches == [g * (batch or 1) for g in groups]
-        want_out, want_grads, want_details = run(per_head_reference)
+        want_out, want_grads = run(per_head_reference)
 
         assert out.shape == want_out.shape
         assert np.abs(out - want_out).max() <= \
             1e-12 * np.abs(want_out).max()
         for g, ref in zip(grads, want_grads):
             assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
-        if with_details:
-            assert_same_details(details, want_details)
 
 
 class TestDispatch:
