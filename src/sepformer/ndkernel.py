@@ -100,26 +100,33 @@ def _installed(slot, instrument):
 class AllocationArena:
     """Live-byte counter for tensor payloads; ``peak`` is the high-water mark.
 
-    Tensors register their buffer size on creation and release it when the
-    interpreter frees them, so the peak reflects what is simultaneously
-    alive under CPython's deterministic refcounting. Views that share a
-    buffer (e.g. reshapes) are not counted twice.
+    A tensor's buffer, the base array its data views or the data itself,
+    is counted once, from the first tensor that holds it until the
+    interpreter frees the buffer, so the peak reflects what is
+    simultaneously alive under CPython's deterministic refcounting. A view
+    that outlives the tensor owning its buffer (e.g. a reshape) keeps the
+    buffer counted; views of one buffer are not counted twice.
     """
 
     def __init__(self):
         self.current = 0
         self.peak = 0
+        self._held = set()          # ids of the buffers counted and alive
 
     def _register(self, tensor):
-        if tensor.data.base is not None:
+        buf = tensor.data
+        while isinstance(buf.base, np.ndarray):
+            buf = buf.base
+        if id(buf) in self._held:
             return
-        n = tensor.data.nbytes
-        self.current += n
+        self._held.add(id(buf))
+        self.current += buf.nbytes
         if self.current > self.peak:
             self.peak = self.current
-        weakref.finalize(tensor, self._release, n)
+        weakref.finalize(buf, self._release, id(buf), buf.nbytes)
 
-    def _release(self, n):
+    def _release(self, key, n):
+        self._held.discard(key)
         self.current -= n
 
 

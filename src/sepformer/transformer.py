@@ -1,11 +1,11 @@
 """Transformer encoder layer and the K-layer stacks used on both axes of
 the dual-path pipeline.
 
-The layer is pre-norm with a doubled residual: the attention branch output
-AND the layer input are both added back after the feed-forward branch,
+The layer is the standard pre-norm block: each branch reads a normalized
+copy of the residual stream and adds its output back to it,
 
-    mid = MHA(LayerNorm(x))
-    out = FFW(LayerNorm(mid + x)) + mid + x
+    h = MHA(LayerNorm(x)) + x
+    out = FFW(LayerNorm(h)) + h
 
 and the stack adds the sinusoidal position table once before the first
 layer plus an outer residual around the whole stack,
@@ -64,7 +64,9 @@ def init_transformer_stack(spec, feat_dim, ffw_dim, depth, rng):
     return Params(stack_tensors(spec, feat_dim, ffw_dim, depth), rng)
 
 
-def _layer_seed(seed, index):
+def _layer_seed(spec, seed, index):
+    if not spec.entry.seeded:
+        return seed             # only a seeded variant draws from it
     if np.ndim(seed) == 0:
         return derive_seed(seed, index)
     return [derive_seed(s, index) for s in seed]
@@ -79,16 +81,20 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
     is an int or one per sequence (it only matters for the reformer).
     When ``internals`` is a dict it receives the attention branch output
     and the feed-forward branch output, so the residual wiring can be
-    audited bit-for-bit: out == ffw_branch + attn_branch + input.
+    audited bit-for-bit: out == ffw_branch + (attn_branch + input).
     Without a tape each intermediate is freed after its last reader: the
-    first feed-forward product holds only the input, the attention
-    branch, ln2 and the hidden map.
+    first feed-forward product holds only the input, the residual stream
+    ``h``, ln2 and the hidden map.
     """
     z = nd.as_tensor(z)
     mid = multi_head_dispatch(
         nd.layer_norm(z, params.ln1_gain, params.ln1_bias), params.attn,
         spec, seed=seed)
-    ln2 = nd.layer_norm(nd.add(mid, z), params.ln2_gain, params.ln2_bias)
+    h = nd.add(mid, z)
+    if internals is not None:
+        internals["attn_branch"] = mid
+    del mid
+    ln2 = nd.layer_norm(h, params.ln2_gain, params.ln2_bias)
     if ln2.data.ndim == 3:
         ln2 = nd.reshape(ln2, (ln2.shape[0], -1))        # (F, B*L)
     hid = nd.matmul(params.ffw_w1, ln2, bias=params.ffw_b1, relu=True,
@@ -99,9 +105,8 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
     if ffw.shape != z.shape:
         ffw = nd.reshape(ffw, z.shape)
     if internals is not None:
-        internals["attn_branch"] = mid
         internals["ffw_branch"] = ffw
-    return nd.add(nd.add(ffw, mid), z)
+    return nd.add(ffw, h)
 
 
 def transformer_stack(z, params, spec, seed=0):
@@ -109,8 +114,8 @@ def transformer_stack(z, params, spec, seed=0):
 
     ``z`` is one (F, T) map or an (F, B, L) batch of B independent
     length-L sequences, each given positions 0..L-1. ``seed`` is an int or
-    one per sequence; layer i of a sequence with seed s uses
-    ``derive_seed(s, i)``.
+    one per sequence; under a seeded variant layer i of a sequence with
+    seed s uses ``derive_seed(s, i)``, and every other variant ignores it.
     """
     z = nd.as_tensor(z)
     table = positional_encoding(z.shape[-1], z.shape[0]).data.T
@@ -119,5 +124,5 @@ def transformer_stack(z, params, spec, seed=0):
     x = nd.add(z, Tensor(np.broadcast_to(table, z.shape)))
     del table
     for i, layer in enumerate(params.children):
-        x = transformer_layer(x, layer, spec, seed=_layer_seed(seed, i))
+        x = transformer_layer(x, layer, spec, seed=_layer_seed(spec, seed, i))
     return nd.add(x, z)

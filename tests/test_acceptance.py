@@ -68,10 +68,10 @@ def test_criterion_03_residual_wiring_bit_exact():
     z = Tensor(rng.standard_normal((16, 12)))
     internals = {}
     out = transformer_layer(z, params, spec, internals=internals)
-    expected = (internals["ffw_branch"].data
-                + internals["attn_branch"].data) + z.data
+    expected = internals["ffw_branch"].data + (
+        internals["attn_branch"].data + z.data)
     assert np.array_equal(out.data, expected)
-    report(3, "layer output == ffw_branch + attention_branch + input, "
+    report(3, "layer output == ffw_branch + (attention_branch + input), "
               "bit-for-bit")
 
 

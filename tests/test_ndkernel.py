@@ -1,7 +1,9 @@
 import ast
+import inspect
 import math
 import re
 import weakref
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +507,18 @@ class TestInstruments:
         assert peak_with_both == 12000
         assert arena.peak == 12000
 
+    def test_arena_counts_a_view_that_outlives_its_owner(self):
+        # the reshape's owner dies at once, but its buffer lives on in the
+        # view; views of one buffer count it once
+        with nd.track_memory() as arena:
+            view = nd.reshape(Tensor(np.zeros((256, 1000))), (256, 10, 100))
+            assert arena.current == 2_048_000
+            again = nd.reshape(view, (256, 1000))
+            assert arena.current == 2_048_000
+            del view, again
+            assert arena.current == 0
+        assert arena.peak == 2_048_000
+
     def test_arena_inside_mac_counter_both_count(self, rng):
         # the tracer's pattern: one counter around a fresh arena per operation
         with nd.record_macs() as macs:
@@ -696,9 +710,11 @@ def test_suite_covers_every_differentiable_op_once():
 
 def test_every_op_but_the_probe_runs_in_the_package():
     # every differentiable op but dot (the gradcheck probe) is called as
-    # nd.<op> by a package module other than the kernel and gradcheck, so
-    # no op lives on for tests alone
-    called = set()
+    # nd.<op> by a package module other than the kernel and gradcheck, and
+    # every defaulted parameter of an op is passed, by position or by
+    # keyword, by one of those calls, so no op or flag lives on for tests
+    # alone
+    calls = defaultdict(list)
     for path in Path(nd.__file__).parent.glob("*.py"):
         if path.name in ("ndkernel.py", "gradcheck.py"):
             continue
@@ -707,8 +723,18 @@ def test_every_op_but_the_probe_runs_in_the_package():
                     and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id == "nd"):
-                called.add(node.func.attr)
-    assert sorted(set(nd.DIFFERENTIABLE_OPS) - {"dot"} - called) == []
+                calls[node.func.attr].append(node)
+    assert sorted(set(nd.DIFFERENTIABLE_OPS) - {"dot"} - set(calls)) == []
+    unpassed = []
+    for op in nd.DIFFERENTIABLE_OPS:
+        params = inspect.signature(getattr(nd, op)).parameters.values()
+        for i, param in enumerate(params):
+            if param.default is not param.empty and not any(
+                    len(call.args) > i
+                    or any(kw.arg == param.name for kw in call.keywords)
+                    for call in calls[op]):
+                unpassed.append("%s(%s)" % (op, param.name))
+    assert unpassed == []
 
 
 def test_injected_sign_bug_is_detected(rng):

@@ -37,8 +37,8 @@ class TestLayer:
         z = Tensor(rng.standard_normal((8, 6)))
         internals = {}
         out = transformer_layer(z, params, spec, internals=internals)
-        expected = (internals["ffw_branch"].data
-                    + internals["attn_branch"].data) + z.data
+        expected = internals["ffw_branch"].data + (
+            internals["attn_branch"].data + z.data)
         assert np.array_equal(out.data, expected)
 
     def test_attention_branch_is_zero_when_output_matrix_is_zero(
