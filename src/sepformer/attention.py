@@ -198,17 +198,11 @@ _Band = namedtuple("_Band", "globals bias queries keys global_queries "
                    "picks", defaults=(None,) * 5)
 
 
-def _globals(spec, length):
-    """The global positions: every ``global_stride``-th, from 0."""
-    if spec.global_stride is None:
-        return np.zeros(0, dtype=np.intp)
-    return np.arange(0, length, spec.global_stride)
-
-
 def _longformer_prepare(spec, weights, batch, length, seed):
     """Cut each of ``batch`` sequences into blocks of c = max(half, 1)
     queries, half = (w - 1) / 2, the last one padded. Block i sees the 3c
-    positions from (i - 1)c and the g ``globals``; its ``bias`` keeps band
+    positions from (i - 1)c and the g ``globals``, every
+    ``global_stride``-th position from 0; its ``bias`` keeps band
     slots in range, within |t - s| <= half of an in-range query and off
     the globals. A removed slot reads its position modulo L, a column of
     its own sequence, so removed slots spread over the sequence rather
@@ -216,7 +210,8 @@ def _longformer_prepare(spec, weights, batch, length, seed):
     row against all keys. A band over the whole sequence (half >= L - 1)
     sets just ``globals``."""
     half = (spec.window - 1) // 2
-    gidx = _globals(spec, length)
+    gidx = (np.zeros(0, dtype=np.intp) if spec.global_stride is None
+            else np.arange(0, length, spec.global_stride))
     if half >= length - 1:
         return _Band(gidx)
     ng = len(gidx)
