@@ -93,11 +93,11 @@ def reformer_buckets(spec, weights, x, seed):
     feat, batch, length = xd.shape
     q = (weights.wq.data @ xd.reshape(feat, -1)).reshape(
         spec.heads, spec.d_head, batch, length)
-    units = q / np.sqrt((q ** 2).sum(axis=1, keepdims=True) + 1e-12)
+    units = (q / np.sqrt((q ** 2).sum(axis=1, keepdims=True) + 1e-12)
+             ).transpose(0, 2, 1, 3)                      # (heads, B, dk, L)
     rotations = attention._reformer_prepare(spec, weights, batch, length,
                                             seed)
-    return np.stack([hash_buckets(units.transpose(0, 2, 1, 3), r)
-                     for r in rotations], axis=1)
+    return np.stack([hash_buckets(units, r) for r in rotations], axis=1)
 
 
 class TestPositionalEncoding:
@@ -208,7 +208,7 @@ class TestLongformer:
         spec = AttentionSpec("longformer", heads=2, d_model=32, window=5,
                              global_stride=4)
         rows = weight_rows(spec, None, (3, length), rng)
-        allowed = longformer_allowed(length, 5, 4)
+        allowed = longformer_allowed(length, spec.window, spec.global_stride)
         assert np.all(rows >= 0)
         np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
         assert not rows[:, ~allowed].any()
