@@ -962,11 +962,9 @@ class TestHeadsInBatchMatchReference:
                              global_stride=4, proj_len=4, max_len=64,
                              n_buckets=4, n_rounds=2, bucket_chunk=4)
 
-    @pytest.mark.parametrize("grouping", sorted(GROUPS))
-    @pytest.mark.parametrize("batch", [None, 3])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_outputs_and_gradients(self, monkeypatch, variant, batch,
-                                   grouping):
+    def case(self, monkeypatch, variant, batch, grouping):
+        """The spec, weights, input, seed, output probe and expected group
+        sizes of one case, with the score bound patched to its grouping."""
         spec = self.spec(variant)
         w = make_weights(spec, 6, seed=batch or 1)
         rng = np.random.default_rng(len(variant))
@@ -977,7 +975,6 @@ class TestHeadsInBatchMatchReference:
             x = Tensor(rng.standard_normal((6, batch, self.LENGTH)))
             seed = [13, 4, 27]
         probe = Tensor(rng.standard_normal((12,) + x.shape[1:]))
-        sources = [x] + list(w.parameters().values())
         per_head = (4 * (batch or 1)
                     * spec.entry.core_macs(spec, self.LENGTH) // spec.d_head)
         fit, groups = self.GROUPS[grouping]
@@ -986,6 +983,16 @@ class TestHeadsInBatchMatchReference:
         else:
             monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
                                 fit * per_head)
+        return spec, w, x, seed, probe, groups
+
+    @pytest.mark.parametrize("grouping", sorted(GROUPS))
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_outputs_and_gradients(self, monkeypatch, variant, batch,
+                                   grouping):
+        spec, w, x, seed, probe, groups = self.case(monkeypatch, variant,
+                                                    batch, grouping)
+        sources = [x] + list(w.parameters().values())
 
         def run(dispatch):
             with Tape() as tape:
@@ -1010,6 +1017,52 @@ class TestHeadsInBatchMatchReference:
             1e-12 * np.abs(want_out).max()
         for g, ref in zip(grads, want_grads):
             assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @staticmethod
+    def read_rows(core, q, k, ctx):
+        """Every query's weights over the keys in one core call, read off
+        its output on one-hot values, d_head keys at a time: (heads, L
+        keys, B, L queries), head major."""
+        dk, length = ctx.spec.d_head, ctx.length
+        heads, batch = q.shape[0] // dk, q.shape[1] // length
+        blocks = []
+        for start in range(0, length, dk):
+            n = min(dk, length - start)
+            v = np.zeros((heads, dk, batch, length))
+            v[:, np.arange(n), :, start + np.arange(n)] = 1.0
+            out = core(q, k, Tensor(v.reshape(heads * dk, -1)), ctx)
+            blocks.append(out.data.reshape(heads, dk, batch, length)[:, :n])
+        return np.concatenate(blocks, axis=1)
+
+    @pytest.mark.parametrize("grouping", sorted(GROUPS))
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_weight_rows(self, monkeypatch, variant, batch, grouping):
+        # every core call is also read on one-hot values: the heads of a
+        # group weigh the keys (the reformer's through its buckets) as the
+        # same heads run one by one, within 1e-12
+        spec, w, x, seed, _, groups = self.case(monkeypatch, variant,
+                                                batch, grouping)
+        core = getattr(attention, spec.entry.core)
+
+        def rows(dispatch):
+            read = []
+
+            def reading(q, k, v, ctx):
+                read.append(self.read_rows(core, q, k, ctx))
+                return core(q, k, v, ctx)
+
+            monkeypatch.setattr(attention, spec.entry.core, reading)
+            dispatch(x, w, spec, seed=seed)
+            return read
+
+        read = rows(multi_head_dispatch)
+        assert [r.shape[0] for r in read] == groups
+        got = np.concatenate(read)
+        want = np.concatenate(rows(per_head_reference))
+        assert got.shape == want.shape == (
+            4, self.LENGTH, batch or 1, self.LENGTH)
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestDispatch:
