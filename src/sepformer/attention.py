@@ -376,21 +376,13 @@ def projection_macs(spec, feat_dim, length):
 # ---------------------------------------------------------------------------
 # dispatch
 
-# Most score-map bytes one core call holds. The heads of a call run side
-# by side in the core's batch, in equal groups that fit under it (a single
-# head runs even when it does not). The per-call counterpart of
-# ``dualpath._GROUP_POSITIONS``, chosen by a sweep of latency and peak
-# memory over 2-16 MiB on the full-size forwards.
-_GROUP_SCORE_BYTES = 4 * 2**20
-
-
 def _heads_per_group(spec, batch, length):
-    """The most heads, dividing the head count, whose score maps fit the
-    bound together (at least one). A core's maps hold about
-    core_macs / (2 d_head) float64 entries: every score is a d_head-long
-    product, and one more product of that size consumes it."""
+    """The most heads, dividing the head count, whose score maps fit
+    ``ndkernel._GROUP_SCORE_BYTES`` together (at least one). A core's maps
+    hold about core_macs / (2 d_head) float64 entries: every score is a
+    d_head-long product, and one more product of that size consumes it."""
     per_head = 4 * batch * spec.entry.core_macs(spec, length) // spec.d_head
-    fit = _GROUP_SCORE_BYTES // max(1, per_head)
+    fit = nd._GROUP_SCORE_BYTES // max(1, per_head)
     return max(h for h in range(1, spec.heads + 1)
                if spec.heads % h == 0 and (h == 1 or h <= fit))
 
@@ -405,7 +397,7 @@ def multi_head_dispatch(x, weights, spec, seed=0):
     contiguous rows of the projections, (heads*dk, B*L) in projection
     order, and the output matrix recombines the groups' concat as stored.
     The groups are equal and hold as many heads as keep their
-    score maps under ``_GROUP_SCORE_BYTES``. ``seed`` only matters
+    score maps under ``ndkernel._GROUP_SCORE_BYTES``. ``seed`` only matters
     for a seeded variant (the reformer, whose LSH rotations are drawn per
     call from it): one int shared by every sequence, or one per sequence;
     every head of a sequence uses its rotations. Equal seeds give

@@ -5,10 +5,11 @@ A feature map (F, T') becomes a (F, C, Nc) chunk tensor whose frames start
 every C/2 positions. The intra stack treats each chunk as a length-C
 sequence; the inter stack treats each within-chunk offset as a length-Nc
 sequence across chunks. Each stack runs on a batch of those sequences at
-once, in groups of whole sequences holding at most ``_GROUP_POSITIONS``
-positions, which bounds the memory a call holds. Overlap-add sums frames
-at their offsets, divides by coverage, and trims the padding, which makes
-chunk -> overlap_add an exact identity.
+once, in groups of whole sequences holding at most
+``ndkernel._GROUP_POSITIONS`` positions, which bounds the memory a call
+holds; a longer sequence runs alone. Overlap-add sums frames at their
+offsets, divides by coverage, and trims the padding, which makes chunk ->
+overlap_add an exact identity.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ __all__ = [
     "SepformerBlockParams", "block_tensors", "block_params",
     "init_sepformer_block", "sepformer_block", "padded_chunk_geometry",
 ]
-
-# Most positions one batched stack call holds. Sequences are grouped up to
-# it and never split, so a longer sequence runs alone.
-_GROUP_POSITIONS = 1024
-
 
 class InvalidChunkSizeError(ValueError):
     """Chunk size must be even (hop is exactly half the chunk)."""
@@ -122,7 +118,7 @@ def _stack_over(x, stack, spec, seed, repeat, axis):
     seeds = seed
     if spec.entry.seeded:
         seeds = [derive_seed(seed, repeat, axis, j) for j in range(batch)]
-    per_group = max(1, _GROUP_POSITIONS // length)
+    per_group = max(1, nd._GROUP_POSITIONS // length)
     if per_group >= batch:
         return transformer_stack(x, stack, spec, seed=seeds)
     flat = nd.reshape(x, (feat, batch * length))
@@ -145,8 +141,8 @@ def sepformer_block(chunks, params, seed=0):
     length-Nc sequence for the inter stack (strided attention). The intra
     stack runs on the chunk map permuted to (F, Nc, C), the inter stack on
     (F, C, Nc), each as one batched call per group of whole sequences
-    holding at most ``_GROUP_POSITIONS`` positions. Sequence j of axis a
-    (0 intra, 1 inter) in repeat r is seeded by
+    holding at most ``ndkernel._GROUP_POSITIONS`` positions. Sequence j of
+    axis a (0 intra, 1 inter) in repeat r is seeded by
     ``derive_seed(seed, r, a, j)``, so the grouping does not change which
     LSH rotations a sequence sees, and the result is deterministic.
     """

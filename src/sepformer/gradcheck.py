@@ -108,6 +108,7 @@ def _ndkernel_suite():
 
     return {
         "matmul": _matmul_check,
+        "feed_forward": _feed_forward_check,
         "permute": unary(lambda x: nd.permute(x, (2, 0, 1)), 2, 3, 4),
         "reshape": unary(lambda x: nd.reshape(x, (2, 6))),
         "concat": binary(lambda a, b: nd.concat([a, b], axis=1),
@@ -136,11 +137,15 @@ def _ndkernel_suite():
     }
 
 
+def _away_from_kink(pre):
+    """Every pre-activation at least 0.1 from the rectifier's kink at
+    zero, and both signs present."""
+    return np.abs(pre).min() >= 0.1 and (pre > 0).any() and (pre < 0).any()
+
+
 def _matmul_check(rng):
     """The bare product, the bias epilogue, and the bias-plus-rectifier
-    epilogue on a weight read transposed. The rectifier's kink sits at
-    zero, so that case redraws its data until every pre-activation is at
-    least 0.1 away from it."""
+    epilogue, whose data is redrawn until it is away from the kink."""
     def draw(*shape):
         return Tensor(rng.uniform(-1.0, 1.0, size=shape))
 
@@ -149,19 +154,32 @@ def _matmul_check(rng):
                 check_gradients(lambda: nd.matmul(a, b, bias=bias),
                                 [a, b, bias]))
     while True:
-        w, x, bias = draw(3, 4), draw(3, 5), draw(4)
-        pre = w.data.T @ x.data + bias.data[:, None]
-        if np.abs(pre).min() >= 0.1 and (pre > 0).any() and (pre < 0).any():
+        a, b, bias = draw(4, 3), draw(3, 5), draw(4)
+        if _away_from_kink(a.data @ b.data + bias.data[:, None]):
             break
     return max(worst, check_gradients(
-        lambda: nd.matmul(w, x, bias=bias, relu=True, transpose_a=True),
-        [w, x, bias]))
+        lambda: nd.matmul(a, b, bias=bias, relu=True), [a, b, bias]))
+
+
+def _feed_forward_check(rng):
+    """Both linears on 5 positions of 3 features through 4 hidden rows,
+    the weights stored (in, out); the data is redrawn until the hidden
+    pre-activations are away from the kink."""
+    def draw(*shape):
+        return Tensor(rng.uniform(-1.0, 1.0, size=shape))
+
+    while True:
+        x, w1, b1, w2, b2 = draw(3, 5), draw(3, 4), draw(4), draw(4, 3), \
+            draw(3)
+        if _away_from_kink(w1.data.T @ x.data + b1.data[:, None]):
+            break
+    return check_gradients(lambda: nd.feed_forward(x, w1, b1, w2, b2),
+                           [x, w1, b1, w2, b2])
 
 
 def _conv1d_check(rng):
     """The bare convolution and its rectifier epilogue; as for matmul, the
-    epilogue's data is redrawn until every pre-activation is at least 0.1
-    away from the kink."""
+    epilogue's data is redrawn until it is away from the kink."""
     def draw(*shape):
         return Tensor(rng.uniform(-1.0, 1.0, size=shape))
 
@@ -169,8 +187,7 @@ def _conv1d_check(rng):
     worst = check_gradients(lambda: nd.conv1d(x, w, 2), [x, w])
     while True:
         x, w = draw(9), draw(2, 1, 3)
-        pre = nd.conv1d(x, w, 2).data
-        if np.abs(pre).min() >= 0.1 and (pre > 0).any() and (pre < 0).any():
+        if _away_from_kink(nd.conv1d(x, w, 2).data):
             break
     return max(worst, check_gradients(lambda: nd.conv1d(x, w, 2, relu=True),
                                       [x, w]))

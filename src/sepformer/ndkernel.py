@@ -14,16 +14,25 @@ about orientation say so in their docstring.
 
 Work outside the products is kept to few passes: a linear layer is one
 :func:`matmul`, whose bias and rectifier run in place on the product's
-fresh buffer and which reads a weight stored (in, out) through a
-transposed view; :func:`layer_norm` centres once and normalizes that
-buffer in place. The dual path's 50%-overlap framing is one op each way:
-:func:`frame` pads the map itself, and :func:`overlap_mean` averages the
-windows and trims the padding. A whole attention core (scores, an
-optional constant logit bias, row softmax, weighted values) is one
-:func:`attention` op that reads its head-major maps through strided
-views; the reformer's chunked LSH core is one :func:`lsh_attention` op on
-the same head-major maps, which makes its unit keys, hashes and sorts
-every round, and reads each chunk's keys through overlapping views.
+fresh buffer; the transformer's feed-forward, both linears and the
+rectifier between them, is one :func:`feed_forward` op that reads its
+weights stored (in, out) through transposed views; :func:`layer_norm`
+centres once and normalizes that buffer in place. The dual path's
+50%-overlap framing is one op each way: :func:`frame` pads the map
+itself, and :func:`overlap_mean` averages the windows and trims the
+padding. A whole attention core (scores, an optional constant logit bias,
+row softmax, weighted values) is one :func:`attention` op that reads its
+head-major maps through strided views; the reformer's chunked LSH core is
+one :func:`lsh_attention` op on the same head-major maps, which makes its
+unit keys, hashes and sorts every round, and reads each chunk's keys
+through overlapping views.
+
+Two ops bound their scratch on long inputs: :func:`feed_forward` runs in
+blocks of at most ``_GROUP_POSITIONS`` positions and :func:`lsh_attention`
+in blocks of chunks whose scores fit ``_GROUP_SCORE_BYTES``. Under a tape
+they fill the whole maps the record keeps for its backward; without one
+every block reuses one block's buffers, so a forward with no tape holds
+only its live maps and one block. Row slices are views.
 
 Ops see the active instruments through one object, ``_ACTIVE``, with one
 slot each; an empty slot costs one attribute test per op:
@@ -47,7 +56,7 @@ __all__ = [
     "Tensor", "Tape", "ShapeError", "InputTooShortError",
     "set_debug_checks", "track_memory", "AllocationArena",
     "record_macs", "MacCounter", "DIFFERENTIABLE_OPS",
-    "matmul", "permute", "reshape", "concat",
+    "matmul", "feed_forward", "permute", "reshape", "concat",
     "slice_rows", "slice_cols", "gather_cols",
     "frame", "overlap_mean", "padded_chunk_geometry",
     "add", "mul", "prelu", "layer_norm",
@@ -101,11 +110,15 @@ class AllocationArena:
     """Live-byte counter for tensor payloads; ``peak`` is the high-water mark.
 
     A tensor's buffer, the base array its data views or the data itself,
-    is counted once, from the first tensor that holds it until the
+    is counted once, from the first tensor that owns it until the
     interpreter frees the buffer, so the peak reflects what is
     simultaneously alive under CPython's deterministic refcounting. A view
     that outlives the tensor owning its buffer (e.g. a reshape) keeps the
-    buffer counted; views of one buffer are not counted twice.
+    buffer counted; views of one buffer are not counted twice. A view of a
+    buffer no tensor made inside the arena owns, such as a slice of a
+    parameter, adds no bytes and is not counted. Scratch an op frees
+    before it returns, such as a feed-forward block without a tape, is
+    not a tensor and is not counted either; what a tape record keeps is.
     """
 
     def __init__(self):
@@ -117,7 +130,7 @@ class AllocationArena:
         buf = tensor.data
         while isinstance(buf.base, np.ndarray):
             buf = buf.base
-        if id(buf) in self._held:
+        if id(buf) in self._held or buf is not tensor.data:
             return
         self._held.add(id(buf))
         self.current += buf.nbytes
@@ -251,10 +264,22 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# Work bounds of the ops that run in blocks. Most positions one
+# feed-forward block, or one batched stack call of the dual path, holds;
+# the dual path groups whole sequences up to it and never splits one, so a
+# longer sequence runs alone.
+_GROUP_POSITIONS = 1024
+# Most score-map bytes one attention core call, or one block of chunks of
+# the LSH core, holds. The per-call counterpart of ``_GROUP_POSITIONS``,
+# chosen by a sweep of latency and peak memory over 2-16 MiB on the
+# full-size forwards.
+_GROUP_SCORE_BYTES = 4 * 2**20
+
+
 # Names of the tape-aware ops with nontrivial backward rules; the gradcheck
 # suite must cover each exactly once.
 DIFFERENTIABLE_OPS = (
-    "matmul", "permute", "reshape", "concat",
+    "matmul", "feed_forward", "permute", "reshape", "concat",
     "slice_rows", "slice_cols", "gather_cols",
     "frame", "overlap_mean",
     "add", "mul", "prelu", "layer_norm",
@@ -265,22 +290,18 @@ DIFFERENTIABLE_OPS = (
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a, b, bias=None, relu=False, transpose_a=False):
+def matmul(a, b, bias=None, relu=False):
     """Matrix product of two rank-2 tensors, with an optional epilogue.
 
-    ``transpose_a`` multiplies by the transpose of ``a`` through a view, so
-    a weight stored (K, M) is read without a copy. ``bias`` (one entry per
-    output row) is added and then, with ``relu``, the rectifier applied,
-    both in place on the product's own buffer: a linear layer is one op
-    and one tape record.
+    ``bias`` (one entry per output row) is added and then, with ``relu``,
+    the rectifier applied, both in place on the product's own buffer: a
+    linear layer is one op and one tape record.
 
     Backward: with dC masked by the rectifier, dA = dC @ B^T,
     dB = A^T @ dC and dbias = the row sums of dC.
     """
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if transpose_a:
-        ad = ad.T
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError("matmul shapes incompatible: %r x %r"
                          % (ad.shape, bd.shape))
@@ -302,12 +323,66 @@ def matmul(a, b, bias=None, relu=False, transpose_a=False):
     def backward(g):
         if relu:
             g = g * (y > 0)
-        ga = bd @ g.T if transpose_a else g @ bd.T
         if bias is None:
-            return ga, ad.T @ g
-        return ga, ad.T @ g, g.sum(axis=1)
+            return g @ bd.T, ad.T @ g
+        return g @ bd.T, ad.T @ g, g.sum(axis=1)
 
     _record(out, inputs, backward, macs=m * k * n)
+    return out
+
+
+def feed_forward(x, w1, b1, w2, b2):
+    """Position-wise feed-forward network W2^T relu(W1^T x + b1) + b2 of
+    an (F, N) map.
+
+    The weights are stored (in, out), ``w1`` (F, H) and ``w2`` (H, F'),
+    and read through transposed views. The positions run in blocks of at
+    most ``_GROUP_POSITIONS``: each block's hidden rows are rectified in
+    place and multiplied straight into its columns of the output. Under a
+    tape the blocks fill the whole (H, N) hidden map, which the record
+    keeps; without one every block reuses one block-sized buffer, so the
+    op's scratch is bounded whatever N is.
+
+    One tape record, whose backward is closed form: with dH = W2 dY masked
+    by the rectifier, dW2 = H dY^T, dW1 = x dH^T, dx = W1 dH, and the bias
+    gradients are the row sums of dY and dH. Charges the MACs of the two
+    products, (F + F') * H * N.
+    """
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    xd, a1, a2 = x.data, w1.data.T, w2.data.T
+    if (xd.ndim != 2 or a1.ndim != 2 or a2.ndim != 2
+            or a1.shape[1] != xd.shape[0] or a2.shape[1] != a1.shape[0]
+            or b1.shape != a1.shape[:1] or b2.shape != a2.shape[:1]):
+        raise ShapeError("feed_forward cannot take x %r, w1 %r, b1 %r, "
+                         "w2 %r, b2 %r" % (x.shape, w1.shape, b1.shape,
+                                           w2.shape, b2.shape))
+    hid, n = a1.shape[0], xd.shape[1]
+    taped = _ACTIVE.tape is not None
+    step = _GROUP_POSITIONS
+    y = np.empty((a2.shape[0], n))
+    h = np.empty((hid, n if taped else min(n, step)))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        hb = h[:, start:stop] if taped else h[:, :stop - start]
+        np.matmul(a1, xd[:, start:stop], out=hb)
+        hb += b1.data[:, None]
+        np.maximum(hb, 0.0, out=hb)
+        yb = y[:, start:stop]
+        np.matmul(a2, hb, out=yb)
+        yb += b2.data[:, None]
+    out = Tensor(y)
+    # the record keeps the hidden map: as a tensor, the arena counts it
+    held = Tensor(h) if taped else None
+
+    def backward(g):
+        h = held.data
+        gh = w2.data @ g
+        gh *= h > 0
+        return (w1.data @ gh, xd @ gh.T, gh.sum(axis=1), h @ g.T,
+                g.sum(axis=1))
+
+    macs = (a1.shape[1] + a2.shape[0]) * hid * n
+    _record(out, (x, w1, b1, w2, b2), backward, macs=macs)
     return out
 
 
@@ -344,10 +419,12 @@ def concat(tensors, axis):
 
 
 def slice_rows(x, start, stop):
-    """Slice along axis 0; gradient scatters back into zeros."""
+    """Slice along axis 0, as a view: the rows of a row-major map are
+    contiguous, so no bytes are copied. Gradient scatters back into
+    zeros."""
     x = as_tensor(x)
     shape = x.shape
-    out = Tensor(x.data[start:stop].copy())
+    out = Tensor(x.data[start:stop])
 
     def backward(g):
         gx = np.zeros(shape)
@@ -824,12 +901,16 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
     over rounds of their log-sum-exp.
 
     The heads are laid side by side, (dk, heads*batch*L), in numpy and
-    off the tape (a view for one head). The sorted rows of all rounds and
-    sequences are gathered once, K and V after one leading chunk, so each
-    chunk's keys and values are an overlapping view. One score product
-    serves all rounds; the masks are slice assignments and a diagonal
-    subtract, and the (m, dk) outputs, not the maps, are divided by the
-    row sums. Returns the head-major output.
+    off the tape (a view for one head). The chunks of all rounds and
+    sequences run in blocks whose score map fits ``_GROUP_SCORE_BYTES``,
+    every block in the same block-sized buffers. A block's sorted rows
+    are gathered, K and V after one leading chunk, so each chunk's keys
+    and values are an overlapping view; one score product serves the
+    block, the masks are slice assignments and a diagonal subtract, and
+    the (m, dk) outputs, not the maps, are divided by the row sums. Under
+    a tape every chunk runs in one block, whose map and gathers the record
+    keeps. The rounds are mixed once every block has run. Returns the
+    head-major output.
 
     One tape record with a closed-form backward: with round weights w_r
     and D = g . out per position, dO_r = w_r g, dS = A * (dO_r V^T - w_r D),
@@ -857,7 +938,12 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
         return x.reshape(heads, dk, width).transpose(1, 0, 2).reshape(dk, n)
 
     def head_major(x):
-        return x.reshape(dk, heads, width).transpose(1, 0, 2).reshape(rows, -1)
+        # (dk, heads*batch*L) -> head-major (heads*dk, batch*L) in a buffer
+        # of its own, one copy from the (heads*batch*L, dk) rows of x.T
+        y = np.empty((rows, width))
+        y.reshape(heads, dk, width)[...] = x.T.reshape(
+            heads, width, dk).transpose(0, 2, 1)
+        return y
 
     qd, vd = side_by_side(q.data), side_by_side(v.data)
     norm = np.sqrt((qd ** 2).sum(axis=0, keepdims=True) + 1e-12)
@@ -885,9 +971,6 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
     inv[rix, slots[:, :, :length]] = np.arange(0, total * m, padded).reshape(
         rounds, seqs, 1) + np.arange(length)
 
-    def per_sequence(x):
-        return x.reshape((rounds * seqs, n_chunks) + x.shape[1:])
-
     def unsorted(x):
         # (total, m, d) per slot -> (rounds, n, d) in position order
         return np.take(x.reshape(total * m, -1), inv, axis=0)
@@ -898,36 +981,66 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
         xs[:, :, length:] = 0.0
         return xs.reshape(total, m, 1)
 
-    qc = qd.T[cols[back:]].reshape(total, m, dk)
-    qc *= scale
-    if padded > length:     # padding queries are 0, as in a padded sequence
-        per_sequence(qc)[:, -1, length - padded:] = 0.0
-    # chunk j's keys are slots j*m .. j*m + keys: as (dk, keys) blocks,
-    # which BLAS reads untransposed, and its values as (keys, dk) rows
+    # a sequence's first chunk has no look-back keys, its last may pad
+    place = np.arange(total) % n_chunks
+    first, last = place == 0, place == n_chunks - 1
     strided = np.lib.stride_tricks.as_strided
-    kb, vb = np.take(kd, cols, axis=1), vd.T[cols]
-    kt = strided(kb, (total, dk, keys), (m * kb.strides[1],) + kb.strides,
-                 writeable=False)
-    vw = strided(vb, (total, keys, dk), (m * vb.strides[0],) + vb.strides,
-                 writeable=False)
-    # the map is its own buffer (not a view), so the arena counts it
-    e = np.empty((total, m, keys))
-    np.matmul(qc, kt, out=e)
-    e.reshape(total, m * keys)[:, back::keys + 1] -= _OWN_KEY
-    if back:
-        per_sequence(e)[:, 0, :, :back] = _REMOVED
-    if padded > length:
-        per_sequence(e)[:, -1, :, length - padded:] = _REMOVED
-    top = e.max(axis=-1, keepdims=True)
-    e -= top
-    np.exp(e, out=e)
-    sums = e.sum(axis=-1, keepdims=True)
-    o = np.matmul(e, vw)
-    o /= sums
-    top += np.log(sums)                                   # the lse
+
+    def gathered(c0, c1):
+        # chunks c0..c1 into the buffers: the queries as (m, dk) rows times
+        # the scale, 0 on padding as in a padded sequence; chunk j's keys
+        # are slots j*m .. j*m + keys, as (dk, keys) blocks, which BLAS
+        # reads untransposed, and its values as (keys, dk) rows, overlapping
+        # views of one gather
+        count, picks = c1 - c0, cols[c0 * m:c1 * m + back]
+        qc, kb, vb = (bufs[0][:count], bufs[1][:, :len(picks)],
+                      bufs[2][:len(picks)])
+        np.take(qd.T, picks[back:], axis=0, out=qc.reshape(-1, dk),
+                mode="clip")
+        qc *= scale
+        if padded > length:
+            qc[last[c0:c1], length - padded:] = 0.0
+        np.take(kd, picks, axis=1, out=kb, mode="clip")
+        np.take(vd.T, picks, axis=0, out=vb, mode="clip")
+        kt = strided(kb, (count, dk, keys),
+                     (m * kb.strides[1],) + kb.strides, writeable=False)
+        vw = strided(vb, (count, keys, dk),
+                     (m * vb.strides[0],) + vb.strides, writeable=False)
+        return qc, kt, vw
+
+    # blocks of chunks whose score map fits the bound, each gathered into
+    # and scored in one block's buffers; under a tape one block of every
+    # chunk, whose map and gathers the record keeps
+    taped = _ACTIVE.tape is not None
+    step = total if taped else min(
+        total, max(1, _GROUP_SCORE_BYTES // (8 * m * keys)))
+    bufs = (np.empty((step, m, dk)), np.empty((dk, step * m + back)),
+            np.empty((step * m + back, dk)))
+    e = np.empty((step, m, keys))
+    o = np.empty((total, m, dk))
+    sums, lse = np.empty((total, m, 1)), np.empty((total, m, 1))
+    for c0 in range(0, total, step):
+        blk = slice(c0, min(c0 + step, total))
+        qc, kt, vw = gathered(blk.start, blk.stop)
+        eb = e[:len(qc)]
+        np.matmul(qc, kt, out=eb)
+        eb.reshape(len(qc), m * keys)[:, back::keys + 1] -= _OWN_KEY
+        if back:
+            eb[first[blk], :, :back] = _REMOVED
+        if padded > length:
+            eb[last[blk], :, length - padded:] = _REMOVED
+        top = eb.max(axis=-1, keepdims=True)
+        eb -= top
+        np.exp(eb, out=eb)
+        sums[blk] = eb.sum(axis=-1, keepdims=True)
+        np.matmul(eb, vw, out=o[blk])
+        o[blk] /= sums[blk]
+        lse[blk] = top + np.log(sums[blk])
+    # the record keeps the map: as a tensor, the arena counts it
+    scores = Tensor(e) if taped else None
 
     # the softmax over rounds, then the rounds' outputs in position order
-    w = unsorted(top)[..., 0]                             # (rounds, n)
+    w = unsorted(lse)[..., 0]                             # (rounds, n)
     w -= w.max(axis=0)
     np.exp(w, out=w)
     w /= w.sum(axis=0)
@@ -935,7 +1048,7 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
     ou *= w[..., None]
     for r in range(1, rounds):
         ou[0] += ou[r]
-    out, scores = Tensor(head_major(ou[0].T)), Tensor(e)
+    out = Tensor(head_major(ou[0].T))
 
     def folded(gw):
         # window gradients onto their slots: a chunk's look-back half

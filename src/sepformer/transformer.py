@@ -14,9 +14,10 @@ layer plus an outer residual around the whole stack,
 
 No final normalization after the stack, no dropout. Layer and stack also
 take an (F, B, L) batch of B independent length-L sequences, the form the
-dual path feeds them. Each feed-forward linear is one ``ndkernel.matmul``
-with its bias (and the ReLU) fused in, reading the weight stored
-(in, out) through a transposed view.
+dual path feeds them. The feed-forward is one ``ndkernel.feed_forward``
+op and one tape record: both linears with their biases and the ReLU,
+run over blocks of positions, so without a tape a long map never holds
+its whole hidden map.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
     and the feed-forward branch output, so the residual wiring can be
     audited bit-for-bit: out == ffw_branch + (attn_branch + input).
     Without a tape each intermediate is freed after its last reader: the
-    first feed-forward product holds only the input, the residual stream
-    ``h``, ln2 and the hidden map.
+    feed-forward holds only the input, the residual stream ``h``, ln2,
+    its output and one block of hidden rows.
     """
     z = nd.as_tensor(z)
     mid = multi_head_dispatch(
@@ -97,11 +98,9 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
     ln2 = nd.layer_norm(h, params.ln2_gain, params.ln2_bias)
     if ln2.data.ndim == 3:
         ln2 = nd.reshape(ln2, (ln2.shape[0], -1))        # (F, B*L)
-    hid = nd.matmul(params.ffw_w1, ln2, bias=params.ffw_b1, relu=True,
-                    transpose_a=True)
+    ffw = nd.feed_forward(ln2, params.ffw_w1, params.ffw_b1, params.ffw_w2,
+                          params.ffw_b2)
     del ln2
-    ffw = nd.matmul(params.ffw_w2, hid, bias=params.ffw_b2, transpose_a=True)
-    del hid
     if ffw.shape != z.shape:
         ffw = nd.reshape(ffw, z.shape)
     if internals is not None:

@@ -458,7 +458,7 @@ class TestLongformerMatchesReference:
         x = Tensor(rng.standard_normal(shape))
         probe = Tensor(rng.standard_normal((16,) + x.shape[1:]))
         sources = [x] + list(w.parameters().values())
-        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
+        monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
                             1 if grouping == "single" else 2**40)
 
         def run():
@@ -482,7 +482,7 @@ class TestLongformerMatchesReference:
         # window 5: length 3 is covered by the band and runs clamped
         spec = AttentionSpec("longformer", heads=4, d_model=16, window=5,
                              global_stride=stride)
-        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES", 1)
+        monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES", 1)
         core = attention._longformer_head
         calls = []
 
@@ -685,7 +685,7 @@ class TestReformerMatchesReference:
         spec = AttentionSpec("reformer", heads=4, d_model=8, n_buckets=4,
                              n_rounds=2, bucket_chunk=4)
         # two heads' score bytes: the four heads run as two groups
-        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
+        monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
                             2 * 4 * 2 * entry.core_macs(spec, 9) // 2)
         multi_head_dispatch(Tensor(rng.standard_normal((6, 2, 9))),
                             make_weights(spec, 6), spec, seed=[1, 2])
@@ -736,7 +736,7 @@ class TestReformerOpMatchesReference:
             seed = [13, 4, 27]
         probe = Tensor(rng.standard_normal((16,) + x.shape[1:]))
         sources = [x] + list(w.parameters().values())
-        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
+        monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
                             1 if grouping == "single" else 2**40)
         batches = []
         core = attention._reformer_head
@@ -778,7 +778,7 @@ class TestReformerOpMatchesReference:
         spec = AttentionSpec("reformer", heads=4, d_model=16, n_buckets=4,
                              n_rounds=3, bucket_chunk=64)
         core_macs = spec.entry.core_macs(spec, length)
-        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
+        monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
                             group * 4 * 3 * core_macs // spec.d_head)
         core = attention._reformer_head
         calls = []
@@ -812,6 +812,28 @@ class TestReformerOpMatchesReference:
             held = arena.current - out.data.nbytes
         assert held == 3 * 2 * rows * keys * 8
 
+    @pytest.mark.parametrize("length,keys", [(11, 8), (3, 3)])
+    def test_blocks_of_chunks_match_the_taped_op(self, rng, monkeypatch,
+                                                 length, keys):
+        # the 2 sequences x 3 rounds of chunks (3 chunks each at length
+        # 11, 1 at length 3) without a tape in blocks of 1, 4 or all of
+        # them: outputs bit-identical to the taped op's, which runs every
+        # chunk in one block whose whole map the tape holds
+        q, v = (Tensor(rng.standard_normal((5, 2 * length)))
+                for _ in range(2))
+        rotations = [rng.standard_normal((2, 5, 2)) for _ in range(3)]
+        rows = -(-length // 4) * 4 if length > 4 else length
+        monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES", 8 * min(4, length)
+                            * keys)
+        with nd.track_memory() as arena, Tape():
+            want = nd.lsh_attention(q, v, rotations, 1, 2, 4, 0.5).data
+            assert arena.current - want.nbytes == 3 * 2 * rows * keys * 8
+        for chunks in (1, 4, 18):
+            monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
+                                chunks * 8 * min(4, length) * keys)
+            np.testing.assert_array_equal(
+                nd.lsh_attention(q, v, rotations, 1, 2, 4, 0.5).data, want)
+
 
 # Reformer dispatch results pinned before the op took head-major maps and
 # its own unit keys and hashing: each config's output, the tape gradients
@@ -840,7 +862,7 @@ def reformer_pinned(name, monkeypatch):
     probe = Tensor(rng.standard_normal((spec.d_model,) + shape[1:]))
     batch = shape[1] if len(shape) == 3 else 1
     per_head = 4 * batch * spec.entry.core_macs(spec, shape[-1]) // spec.d_head
-    monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES", group * per_head)
+    monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES", group * per_head)
     names = list(w.parameters())
     with Tape() as tape:
         out = multi_head_dispatch(x, w, spec, seed=seed)
@@ -877,7 +899,7 @@ class TestLinformerSlicesOncePerCall:
         probe = Tensor(rng.standard_normal((8, 3, 11)))
         sources = [x] + list(w.parameters().values())
         per_head = 4 * 3 * spec.entry.core_macs(spec, 11) // spec.d_head
-        monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES", 2 * per_head)
+        monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES", 2 * per_head)
         slice_rows = nd.slice_rows
         sliced = []
 
@@ -979,9 +1001,9 @@ class TestHeadsInBatchMatchReference:
                     * spec.entry.core_macs(spec, self.LENGTH) // spec.d_head)
         fit, groups = self.GROUPS[grouping]
         if fit is None:
-            assert 4 * per_head <= attention._GROUP_SCORE_BYTES
+            assert 4 * per_head <= nd._GROUP_SCORE_BYTES
         else:
-            monkeypatch.setattr(attention, "_GROUP_SCORE_BYTES",
+            monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
                                 fit * per_head)
         return spec, w, x, seed, probe, groups
 

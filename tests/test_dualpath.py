@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sepformer import dualpath
+from sepformer import ndkernel as nd
 from sepformer.attention import (VARIANTS, AttentionSpec, derive_seed,
                                  positional_encoding)
 from sepformer.dualpath import (ChunkTensor, InvalidChunkSizeError, chunk,
@@ -231,7 +232,7 @@ class TestBatchedMatchesPerChunk:
         params = make_block(intra, inter, repeats=2, kwargs=self.KWARGS)
         x = np.random.default_rng(length).standard_normal((6, length))
         chunks = chunk(Tensor(x), size)
-        bound = dualpath._GROUP_POSITIONS
+        bound = nd._GROUP_POSITIONS
         groups = []
 
         def counting_stack(z, stack, spec, seed=0):

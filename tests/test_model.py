@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepformer import ndkernel as nd
-from sepformer.attention import AttentionSpec, FieldError, derive_seed
+from sepformer.attention import VARIANTS, AttentionSpec, FieldError, \
+    derive_seed
 from sepformer.dualpath import ChunkTensor, chunk, overlap_add, \
     sepformer_block
 from sepformer.model import (CheckpointError, Sepformer, SepformerConfig,
@@ -246,13 +247,14 @@ class TestSeparate:
             np.testing.assert_array_equal(ea.data, eb.data)
 
     def test_unchunked_forward_holds_only_live_maps(self):
-        # without a tape a map is freed after its last reader, so the peak
-        # is the live set at the first feed-forward product: the latent,
-        # the stack input, the layer input, the attention branch, ln2 and
-        # the hidden map. F = 128: at F = 64 one head's LSH score map
-        # (2 rounds x 128 keys a query) is 4 F-row maps, and the
-        # attention core, not the liveness, would set the peak
-        from sepformer import ndkernel as nd
+        # without a tape a map is freed after its last reader, and the
+        # feed-forward runs in blocks of positions that reuse one hidden
+        # block, which the op frees and the arena does not count. So the
+        # peak is the live set at the feed-forward: 5 F-row maps (the
+        # latent, the stack input, the layer input, the residual stream h
+        # and ln2) and its output. T' = 1,999 > 1,024, so the blocks
+        # engage. The bound, 5 F-row maps, one hidden block and one map of
+        # slack (8.05 maps), fails a whole hidden map (9.06 maps)
         f, ffw = 128, 512
         cfg = SepformerConfig(
             n_filters=f, ffw_dim=ffw, chunk_size=None, intra_layers=2,
@@ -261,11 +263,60 @@ class TestSeparate:
         model = Sepformer(cfg, seed=0)
         with nd.track_memory() as arena:
             model.separate(x)
-        f_map = f * encoded_length(cfg, len(x)) * 8       # bytes
-        # 5 F-row maps and the hidden map, plus one F-row map of slack
-        bound = (5 * f + ffw) // f * f_map + f_map
+        positions = encoded_length(cfg, len(x))
+        assert positions > nd._GROUP_POSITIONS
+        f_map = f * positions * 8                           # bytes
+        bound = 5 * f_map + ffw * nd._GROUP_POSITIONS * 8 + f_map
         assert arena.peak <= bound, \
             "peak %.2f F-row maps" % (arena.peak / f_map)
+
+    def test_unchunked_forward_with_or_without_tape_agrees(self):
+        # T' = 1,999: the feed-forward runs two blocks of positions, and
+        # each LSH call (one head of 4 rounds x 32 chunks of 64 rows
+        # against 128 keys, 8.4 MB of scores) two blocks of chunks; the
+        # taped forward fills whole maps, the tape-free one reuses blocks
+        spec = AttentionSpec("reformer", heads=2, d_model=32, n_rounds=4)
+        cfg = SepformerConfig(n_filters=32, ffw_dim=64, chunk_size=None,
+                              intra_layers=1, intra_attention=spec)
+        x = np.random.default_rng(1).uniform(-0.5, 0.5, 16000)
+        positions = encoded_length(cfg, len(x))
+        assert positions > nd._GROUP_POSITIONS
+        assert 4 * 32 > nd._GROUP_SCORE_BYTES // (8 * 64 * 128)
+        model = Sepformer(cfg, seed=3)
+        free = model.separate(x).estimates
+        with nd.Tape():
+            taped = model.separate(x).estimates
+        for a, b in zip(free, taped):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("chunk_size", [6, None])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_arena_counts_every_tensor_but_parameter_views(
+            self, monkeypatch, rng, variant, chunk_size):
+        # every tensor a taped forward makes owns a counted buffer or views
+        # one; the only views of uncounted buffers are parameter slices
+        spec = AttentionSpec(variant, heads=2, d_model=8, window=5,
+                             global_stride=4, proj_len=4, max_len=64,
+                             n_buckets=4, bucket_chunk=4)
+        model = Sepformer(small_config(chunk_size=chunk_size,
+                                       intra_attention=spec), seed=0)
+        params = {id(t.data) for t in model.parameters().values()}
+        uncounted = set()
+        register = nd.AllocationArena._register
+
+        def watched(arena, tensor):
+            register(arena, tensor)
+            buf = tensor.data
+            while isinstance(buf.base, np.ndarray):
+                buf = buf.base
+            if id(buf) not in arena._held:
+                uncounted.add(id(buf))
+
+        monkeypatch.setattr(nd.AllocationArena, "_register", watched)
+        with nd.track_memory(), nd.Tape():
+            model.separate(rng.standard_normal(64))
+        assert uncounted <= params
+        assert bool(uncounted) == (variant == "linformer")
 
 
 class TestCheckpoint:

@@ -47,6 +47,99 @@ class TestMatmul:
             np.testing.assert_allclose(left.data, right.data, atol=1e-9)
 
 
+class TestFeedForward:
+    # 3 features through 5 hidden rows to 2 outputs, weights stored
+    # (in, out)
+    @staticmethod
+    def operands(rng, n):
+        return [Tensor(rng.standard_normal(shape))
+                for shape in ((3, n), (3, 5), (5,), (5, 2), (2,))]
+
+    @pytest.mark.parametrize("n", [1, 11])
+    def test_equals_the_two_linears_bit_for_bit(self, rng, n):
+        x, w1, b1, w2, b2 = self.operands(rng, n)
+        hidden = np.maximum(w1.data.T @ x.data + b1.data[:, None], 0.0)
+        want = w2.data.T @ hidden + b2.data[:, None]
+        got = nd.feed_forward(x, w1, b1, w2, b2)
+        np.testing.assert_array_equal(got.data, want)
+
+    @pytest.mark.parametrize("block", [3, 4, 11])
+    def test_blocks_taped_or_not_match_one_block(self, rng, monkeypatch,
+                                                 block):
+        # 11 positions in blocks of 3 (the last of 2), 4 (the last of 3) or
+        # all 11: outputs and gradients bit-identical to one block. A
+        # block of one position runs as a matrix-vector product, whose
+        # sums round differently (by about 1e-15), so none is used here
+        operands = self.operands(rng, 11)
+        probe = Tensor(rng.standard_normal((2, 11)))
+
+        def run(taped):
+            if not taped:
+                return nd.feed_forward(*operands).data, None
+            with Tape() as tape:
+                out = nd.feed_forward(*operands)
+                grads = tape.gradient(nd.dot(out, probe), operands)
+            return out.data, grads
+
+        want, want_grads = run(True)
+        monkeypatch.setattr(nd, "_GROUP_POSITIONS", block)
+        for taped in (False, True):
+            out, grads = run(taped)
+            np.testing.assert_array_equal(out, want)
+        for g, ref in zip(grads, want_grads):
+            np.testing.assert_array_equal(g, ref)
+        assert check_gradients(lambda: nd.feed_forward(*operands),
+                               operands) < 1e-4
+
+    def test_one_record_charging_both_products(self, rng):
+        operands = self.operands(rng, 7)
+        with nd.record_macs() as macs, Tape() as tape:
+            nd.feed_forward(*operands)
+            assert len(tape._records) == 1
+        assert macs.total == 5 * 3 * 7 + 2 * 5 * 7
+
+    def test_record_holds_the_whole_hidden_map(self, rng, monkeypatch):
+        # blocks of 4: under a tape the arena counts the output and the
+        # (5, 11) hidden map the record keeps; without one, only the output
+        operands = self.operands(rng, 11)
+        monkeypatch.setattr(nd, "_GROUP_POSITIONS", 4)
+        with nd.track_memory() as arena, Tape():
+            nd.feed_forward(*operands)
+            assert arena.current == 8 * (2 + 5) * 11
+        with nd.track_memory() as arena:
+            nd.feed_forward(*operands)
+        assert arena.peak == 8 * 2 * 11
+
+    @pytest.mark.parametrize("shapes", [
+        ((4, 6), (3, 5), (5,), (5, 2), (2,)),      # x rows != w1 rows
+        ((3, 6), (3, 5), (4,), (5, 2), (2,)),      # b1
+        ((3, 6), (3, 5), (5,), (4, 2), (2,)),      # w2 rows != hidden
+        ((3, 6), (3, 5), (5,), (5, 2), (3,)),      # b2
+        ((3, 2, 3), (3, 5), (5,), (5, 2), (2,)),   # x not (F, N)
+    ])
+    def test_mismatched_operands_name_every_shape(self, shapes):
+        with pytest.raises(nd.ShapeError, match=re.escape(repr(shapes[3]))):
+            nd.feed_forward(*(Tensor(np.zeros(s)) for s in shapes))
+
+
+class TestSliceRows:
+    def test_slice_is_a_view_of_its_source(self, rng):
+        x = Tensor(rng.standard_normal((5, 4)))
+        out = nd.slice_rows(x, 1, 3)
+        assert np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(out.data, x.data[1:3])
+
+    def test_gradient_scatters_into_zeros(self, rng):
+        x = Tensor(rng.standard_normal((5, 4)))
+        g = rng.standard_normal((2, 4))
+        with Tape() as tape:
+            s = nd.dot(nd.slice_rows(x, 1, 3), Tensor(g))
+            (gx,) = tape.gradient(s, [x])
+        want = np.zeros((5, 4))
+        want[1:3] = g
+        np.testing.assert_array_equal(gx, want)
+
+
 class TestDot:
     def test_value_is_the_inner_product(self):
         out = nd.dot(Tensor([[1.0, 2.0], [3.0, 4.0]]),
@@ -518,6 +611,18 @@ class TestInstruments:
             del view, again
             assert arena.current == 0
         assert arena.peak == 2_048_000
+
+    def test_arena_skips_views_of_buffers_older_than_it(self, rng):
+        # a slice of a tensor made before the arena (a parameter) adds no
+        # bytes; a slice of one made inside it keeps its owner's count
+        weight = Tensor(np.zeros((1000, 8)))
+        with nd.track_memory() as arena:
+            rows = nd.slice_rows(weight, 0, 250)
+            assert arena.current == 0
+            rows = nd.slice_rows(Tensor(np.zeros((1000, 8))), 0, 250)
+            assert arena.current == 64_000
+            del rows
+        assert arena.current == 0 and arena.peak == 64_000
 
     def test_arena_inside_mac_counter_both_count(self, rng):
         # the tracer's pattern: one counter around a fresh arena per operation

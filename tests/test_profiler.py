@@ -208,8 +208,9 @@ class TestMemory:
     def test_reformer_without_chunking_close_to_small_conv_baseline(self):
         # full-size LSH model against the bundled conv stand-in: the
         # abstract's memory parity. A forward without a tape frees each
-        # map after its last reader, so the reformer's peak is the live
-        # set (about 9 F-row maps), near the baseline's
+        # map after its last reader and runs the feed-forward and the LSH
+        # core in blocks, so the reformer's peak is the live set (6 F-row
+        # maps, 0.61x), below the baseline's
         x = np.random.default_rng(0).uniform(-0.5, 0.5, 32000)
         model = Sepformer(paper_no_chunk("reformer"), seed=0)
         with nd.track_memory() as arena:
@@ -219,7 +220,7 @@ class TestMemory:
         with nd.track_memory() as arena:
             baseline.separate(x)
         ratio = reformer_peak / arena.peak
-        assert ratio <= 1.25, "reformer peak %.2fx the conv baseline's" % ratio
+        assert ratio <= 1.0, "reformer peak %.2fx the conv baseline's" % ratio
 
 
 class TestBench:

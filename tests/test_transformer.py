@@ -55,31 +55,28 @@ class TestLayer:
     @pytest.mark.parametrize("shape", [(8, 6), (8, 3, 5)])
     def test_feed_forward_maps_die_after_their_last_reader(
             self, spec, rng, monkeypatch, shape):
-        # without a tape, ln2 is gone before the second feed-forward
-        # product allocates its output, and the hidden map before the
-        # residual sum
+        # without a tape the feed-forward is one op reading ln2 with the
+        # layer's weights, and ln2 is gone before the residual sum
         params = init_transformer_layer(spec, 8, 12,
                                         np.random.default_rng(4))
-        matmul, add = nd.matmul, nd.add
+        feed_forward, add = nd.feed_forward, nd.add
         refs, alive = {}, {}
 
-        def watched_matmul(a, b, **kwargs):
-            if a is params.ffw_w1:
-                refs["ln2"] = weakref.ref(b)
-            elif a is params.ffw_w2:
-                alive["ln2"] = refs["ln2"]() is not None
-                refs["hidden"] = weakref.ref(b)
-            return matmul(a, b, **kwargs)
+        def watched_feed_forward(x, *weights):
+            assert weights == (params.ffw_w1, params.ffw_b1, params.ffw_w2,
+                               params.ffw_b2)
+            refs["ln2"] = weakref.ref(x)
+            return feed_forward(x, *weights)
 
         def watched_add(a, b):
-            if "hidden" in refs and "hidden" not in alive:
-                alive["hidden"] = refs["hidden"]() is not None
+            if "ln2" in refs and "ln2" not in alive:
+                alive["ln2"] = refs["ln2"]() is not None
             return add(a, b)
 
-        monkeypatch.setattr(nd, "matmul", watched_matmul)
+        monkeypatch.setattr(nd, "feed_forward", watched_feed_forward)
         monkeypatch.setattr(nd, "add", watched_add)
         transformer_layer(Tensor(rng.standard_normal(shape)), params, spec)
-        assert alive == {"ln2": False, "hidden": False}
+        assert alive == {"ln2": False}
 
     def test_gradient_through_full_layer(self, spec):
         rng = np.random.default_rng(3)
