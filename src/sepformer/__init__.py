@@ -6,7 +6,7 @@ from .attention import (AttentionSpec, SequenceTooLongError,
                         multi_head_dispatch, positional_encoding)
 from .datagen import (MixSpec, Signal, WavFormatError, dynamic_mix,
                       speed_perturb, synth_sources, wav_read, wav_write)
-from .dualpath import ChunkTensor, InvalidChunkSizeError, chunk, overlap_add
+from .dualpath import InvalidChunkSizeError, chunk, overlap_add
 from .model import (CheckpointError, SeparationOutput, Sepformer,
                     SepformerConfig, load_checkpoint, parameter_census,
                     save_checkpoint)
@@ -14,8 +14,8 @@ from .ndkernel import (InputTooShortError, ShapeError, Tape, Tensor,
                        record_macs, set_debug_checks, track_memory)
 from .objectives import (OptimState, PitResult, TrainingDivergedError,
                          UndefinedTargetError, adam_step, clip_gradients,
-                         improvement, pit_loss, sdr_simple, si_snr,
-                         si_snr_db, si_snr_improvement, train_toy)
+                         pit_loss, si_snr, si_snr_db, si_snr_improvement,
+                         train_toy)
 from .profiler import (CostReport, bench_forward, count_macs,
                        count_macs_detailed)
 

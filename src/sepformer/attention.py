@@ -49,7 +49,7 @@ __all__ = [
     "VARIANTS", "REGISTRY", "Variant", "AttentionSpec", "FieldError",
     "SequenceTooLongError", "positional_encoding", "multi_head_dispatch",
     "attention_tensors", "init_attention_weights", "hash_buckets",
-    "longformer_allowed", "attention_core_macs", "derive_seed",
+    "attention_core_macs", "derive_seed",
 ]
 
 class SequenceTooLongError(ValueError):
@@ -180,18 +180,6 @@ def _group_heads(x, ctx):
 def _full_head(q, k, v, ctx):
     heads, batch = _group_heads(q, ctx)
     return nd.attention(q, k, v, heads, batch, ctx.scale)[0]
-
-
-def longformer_allowed(length, window, global_stride):
-    """Boolean (T x T) matrix of the realized longformer attention pattern."""
-    half = (window - 1) // 2
-    t = np.arange(length)
-    allowed = np.abs(t[:, None] - t[None, :]) <= half
-    if global_stride is not None:
-        g = np.arange(0, length, global_stride)
-        allowed[g, :] = True
-        allowed[:, g] = True
-    return allowed
 
 
 _Band = namedtuple("_Band", "globals bias queries keys global_queries "

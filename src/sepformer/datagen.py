@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Signal", "MixSpec", "WavFormatError", "wav_read", "wav_write",
     "speed_perturb", "dynamic_mix", "synth_sources", "SOURCE_KINDS",
-    "read_manifest", "load_pool",
 ]
 
 SOURCE_KINDS = ("multi_sine", "filtered_noise", "chirp")
@@ -139,21 +138,6 @@ def wav_write(path, signal):
         fh.write(header + payload)
 
 
-def read_manifest(path):
-    """Newline-separated file paths; blank lines and # comments skipped."""
-    paths = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                paths.append(line)
-    return paths
-
-
-def load_pool(manifest_path):
-    return [wav_read(p) for p in read_manifest(manifest_path)]
-
-
 # ---------------------------------------------------------------------------
 # augmentation
 
@@ -179,19 +163,15 @@ def _rms(x):
     return float(np.sqrt(np.mean(x * x)))
 
 
-def dynamic_mix(pool, spec, noise=None):
+def dynamic_mix(pool, spec):
     """Draw, perturb, gain and sum sources into one training item.
 
-    Returns (mixture, targets); the targets sum to the mixture exactly
-    (before any optional additive noise, which joins the mixture only --
-    with a single source this exercises the enhancement mode).
+    Returns (mixture, targets); the targets sum to the mixture exactly.
     """
     if len(pool) < spec.n_sources:
         raise ValueError("pool holds %d sources, need %d"
                          % (len(pool), spec.n_sources))
     rates = {s.sample_rate for s in pool}
-    if noise is not None:
-        rates.add(noise.sample_rate)
     if len(rates) != 1:
         raise ValueError("sample rates differ across sources: %s"
                          % sorted(rates))
@@ -208,8 +188,6 @@ def dynamic_mix(pool, spec, noise=None):
     perturbed = [speed_perturb(pool[i], f).samples
                  for i, f in zip(idx, factors)]
     n = min(len(p) for p in perturbed)
-    if noise is not None:
-        n = min(n, len(noise))
     perturbed = [p[:n] for p in perturbed]
 
     ref_rms = _rms(perturbed[0])
@@ -225,8 +203,6 @@ def dynamic_mix(pool, spec, noise=None):
     mixture = np.zeros(n)
     for t in targets:
         mixture = mixture + t.samples
-    if noise is not None:
-        mixture = mixture + noise.samples[:n]
     return Signal(mixture, rate), targets
 
 

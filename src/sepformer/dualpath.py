@@ -1,8 +1,8 @@
 """Dual-path sequence processing: 50%-overlap chunking, alternating
 within-chunk and across-chunk transformer stacks, overlap-add inversion.
 
-A feature map (F, T') becomes a (F, C, Nc) chunk tensor whose frames start
-every C/2 positions. The intra stack treats each chunk as a length-C
+A feature map (F, T') becomes a plain (F, C, Nc) tensor of frames that
+start every C/2 positions. The intra stack treats each chunk as a length-C
 sequence; the inter stack treats each within-chunk offset as a length-Nc
 sequence across chunks. Each stack runs on a batch of those sequences at
 once, in groups of whole sequences holding at most
@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 from . import ndkernel as nd
 from .attention import AttentionSpec, derive_seed
-from .ndkernel import Tensor, padded_chunk_geometry
+from .ndkernel import padded_chunk_geometry
 from .params import Params
 from .transformer import stack_tensors, transformer_stack
 
 __all__ = [
-    "ChunkTensor", "InvalidChunkSizeError", "chunk", "overlap_add",
+    "InvalidChunkSizeError", "chunk", "overlap_add",
     "SepformerBlockParams", "block_tensors", "block_params",
     "init_sepformer_block", "sepformer_block", "padded_chunk_geometry",
 ]
@@ -32,37 +32,18 @@ class InvalidChunkSizeError(ValueError):
     """Chunk size must be even (hop is exactly half the chunk)."""
 
 
-@dataclass
-class ChunkTensor:
-    """(F, C, Nc) frames of a feature map plus what is needed to invert."""
-
-    data: Tensor
-    original_length: int
-    chunk_size: int
-
-    @property
-    def hop(self):
-        return self.chunk_size // 2
-
-    @property
-    def n_chunks(self):
-        return self.data.shape[2]
-
-
 def chunk(feature_map, chunk_size):
-    """Frame an (F, T') map into a 50%-overlap :class:`ChunkTensor`."""
+    """Frame an (F, T') map into (F, C, Nc) frames at 50% overlap."""
     if chunk_size < 2 or chunk_size % 2 != 0:
         raise InvalidChunkSizeError(
             "chunk size must be even and >= 2, got %d" % chunk_size)
-    feature_map = nd.as_tensor(feature_map)
-    return ChunkTensor(nd.frame(feature_map, chunk_size),
-                       feature_map.shape[1], chunk_size)
+    return nd.frame(nd.as_tensor(feature_map), chunk_size)
 
 
-def overlap_add(chunks):
+def overlap_add(frames, length):
     """Invert :func:`chunk`: average the frames over each position and
-    trim to the original length."""
-    return nd.overlap_mean(chunks.data, chunks.original_length)
+    trim to the original ``length``."""
+    return nd.overlap_mean(frames, length)
 
 
 @dataclass
@@ -133,8 +114,9 @@ def _stack_over(x, stack, spec, seed, repeat, axis):
     return nd.concat(outs, axis=1)
 
 
-def sepformer_block(chunks, params, seed=0):
-    """Apply N repeats of intra-chunk then inter-chunk modeling.
+def sepformer_block(frames, params, seed=0):
+    """Apply N repeats of intra-chunk then inter-chunk modeling to the
+    (F, C, Nc) ``frames``; the result has their shape.
 
     Each chunk is an independent length-C sequence for the intra stack
     (block-diagonal attention); each within-chunk offset is an independent
@@ -146,7 +128,7 @@ def sepformer_block(chunks, params, seed=0):
     ``derive_seed(seed, r, a, j)``, so the grouping does not change which
     LSH rotations a sequence sees, and the result is deterministic.
     """
-    x = chunks.data                                       # (F, C, Nc)
+    x = frames                                            # (F, C, Nc)
     for r in range(params.n_repeats):
         # rebinding x to the permuted map frees the stage before it
         x = nd.permute(x, (0, 2, 1))                      # (F, Nc, C)
@@ -155,4 +137,4 @@ def sepformer_block(chunks, params, seed=0):
         x = nd.permute(x, (0, 2, 1))                      # (F, C, Nc)
         x = _stack_over(x, params.inter_stacks[r], params.inter_spec, seed,
                         r, 1)
-    return ChunkTensor(x, chunks.original_length, chunks.chunk_size)
+    return x

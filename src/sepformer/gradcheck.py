@@ -29,15 +29,15 @@ from .transformer import init_transformer_layer, init_transformer_stack, \
     transformer_layer, transformer_stack
 
 __all__ = ["numerical_gradient", "check_gradients", "run_suite",
-           "SUITE_NAMES", "TOLERANCE"]
+           "TOLERANCE"]
 
-SUITE_NAMES = ("ndkernel", "attention", "model")
 TOLERANCE = 1e-4
 STEP = 1e-6
 
 
-def numerical_gradient(f, arrays, step=STEP):
-    """Central finite differences of the scalar ``f()`` over ``arrays``.
+def numerical_gradient(f, arrays):
+    """Central finite differences, at ``STEP``, of the scalar ``f()`` over
+    ``arrays``.
 
     The arrays are perturbed in place, so ``f`` must read them afresh on
     every call.
@@ -49,12 +49,12 @@ def numerical_gradient(f, arrays, step=STEP):
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             up = f()
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             down = f()
             flat[i] = orig
-            gflat[i] = (up - down) / (2 * step)
+            gflat[i] = (up - down) / (2 * STEP)
         grads.append(g)
     return grads
 
@@ -64,7 +64,7 @@ def _rel_err(analytic, numeric):
     return float(np.abs(analytic - numeric).max(initial=0.0)) / scale
 
 
-def check_gradients(build, tensors, step=STEP):
+def check_gradients(build, tensors):
     """Max relative error between taped and finite-difference gradients.
 
     ``build()`` runs the forward path reading the given tensors; their
@@ -80,8 +80,7 @@ def check_gradients(build, tensors, step=STEP):
     def forward():
         return float((build().data * proj.data).sum())
 
-    numeric = numerical_gradient(forward, [t.data for t in tensors],
-                                 step=step)
+    numeric = numerical_gradient(forward, [t.data for t in tensors])
     return max(_rel_err(a, n) for a, n in zip(analytic, numeric))
 
 
@@ -286,15 +285,14 @@ def _check_transformer_stack(rng):
 
 def _check_chunk_roundtrip(rng):
     x = Tensor(rng.uniform(-1, 1, size=(3, 11)))
-    return check_gradients(lambda: overlap_add(chunk(x, 4)), [x])
+    return check_gradients(lambda: overlap_add(chunk(x, 4), 11), [x])
 
 
 def _check_sepformer_block(rng):
     intra = AttentionSpec("full", heads=2, d_model=6)
     params = init_sepformer_block(intra, intra, 6, 8, 1, 1, 1, rng)
     x = Tensor(rng.uniform(-1, 1, size=(6, 9)))
-    return check_gradients(lambda: sepformer_block(chunk(x, 4), params).data,
-                           [x])
+    return check_gradients(lambda: sepformer_block(chunk(x, 4), params), [x])
 
 
 def _check_si_snr(rng):
@@ -355,7 +353,7 @@ def suites():
             "model": _model_suite()}
 
 
-def run_suite(module="all", seed=0):
+def run_suite(module="all"):
     """Run the named suite (or everything); returns [(name, max_rel_err)]."""
     selected = suites()
     if module != "all":
@@ -369,6 +367,6 @@ def run_suite(module="all", seed=0):
             # entry's data does not move when another is added or removed
             full = "%s.%s" % (suite_name, name)
             rng = np.random.default_rng(np.random.SeedSequence(
-                [seed, zlib.crc32(full.encode())]))
+                [0, zlib.crc32(full.encode())]))
             results.append((full, fn(rng)))
     return results

@@ -170,7 +170,7 @@ class Sepformer(Params):
         x = nd.as_tensor(x)
         return nd.conv1d(x, self.encoder_filters, self.cfg.stride, relu=True)
 
-    def mask_net(self, latent, details=None):
+    def mask_net(self, latent):
         """Latent map -> one nonnegative (F, T') mask per source."""
         cfg = self.cfg
         f = cfg.n_filters
@@ -184,14 +184,11 @@ class Sepformer(Params):
             del hbar
             processed = sepformer_block(chunked, self.block,
                                         seed=derive_seed(self.seed, 101))
-            if details is not None:
-                details["chunked"] = chunked.data
-                details["dual_out"] = processed.data
             del chunked
             # the output linear, affine per position, commutes with the
             # overlap-add's per-position mean, so it runs on T' positions
-            activated = overlap_add(replace(
-                processed, data=nd.prelu(processed.data, m.prelu_slope)))
+            activated = overlap_add(nd.prelu(processed, m.prelu_slope),
+                                    latent.shape[1])
             del processed
         else:
             x = hbar
@@ -199,16 +196,12 @@ class Sepformer(Params):
             for r, stack in enumerate(self.block.intra_stacks):
                 x = transformer_stack(x, stack, cfg.intra_attention,
                                       seed=derive_seed(self.seed, 101, r))
-            if details is not None:
-                details["dual_out"] = x
             activated = nd.prelu(x, m.prelu_slope)
             del x
 
         expanded = nd.matmul(m.output_linear_weight, activated,
                              bias=m.output_linear_bias)  # (Ns*F, T')
         del activated
-        if details is not None:
-            details["expanded"] = expanded
 
         masks = []
         for k in range(cfg.n_sources):
@@ -218,25 +211,19 @@ class Sepformer(Params):
             mask = nd.matmul(m.mask_ffw2_weight, mask, bias=m.mask_ffw2_bias,
                              relu=True)
             masks.append(mask)
-        if details is not None:
-            details["masks"] = masks
         return masks
 
-    def separate(self, x, details=None):
+    def separate(self, x):
         """Waveform -> per-source estimates (input length) plus masks."""
         x = nd.as_tensor(x)
         n = x.shape[0]
         latent = self.encode(x)
-        if details is not None:
-            details["latent"] = latent
-        masks = self.mask_net(latent, details=details)
+        masks = self.mask_net(latent)
         estimates = []
         for mask in masks:
             estimates.append(nd.conv1d_transpose(
                 nd.mul(mask, latent), self.decoder_filters, self.cfg.stride,
                 n))
-        if details is not None:
-            details["estimates"] = estimates
         return SeparationOutput(estimates, masks)
 
 

@@ -645,6 +645,9 @@ def layer_norm(x, gain, bias):
     population variance, with 1e-5 added under the square root.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    if x.data.ndim < 2:
+        raise ShapeError("layer_norm needs a map of rank >= 2, features "
+                         "first, got %r" % (x.shape,))
     n = x.shape[0]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError("layer_norm gain %r / bias %r do not match %d "
@@ -697,6 +700,8 @@ def conv1d(x, filters, stride, relu=False):
     if filters.data.ndim != 3 or filters.shape[1] != 1:
         raise ShapeError("conv1d filters must be (F, 1, Kw), got %r"
                          % (filters.shape,))
+    if stride < 1:
+        raise ShapeError("conv1d needs a stride >= 1, got %d" % stride)
     t = x.shape[0]
     f, _, kw = filters.shape
     if t < kw:
@@ -742,6 +747,9 @@ def conv1d_transpose(x, filters, stride, length):
     if filters.shape[0] != f:
         raise ShapeError("filters %r do not match feature map %r"
                          % (filters.shape, x.shape))
+    if stride < 1:
+        raise ShapeError("conv1d_transpose needs a stride >= 1, got %d"
+                         % stride)
     kw = filters.shape[2]
     t = (tp - 1) * stride + kw
     if length < t:
@@ -927,6 +935,8 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
                          "take q %r, v %r, rotations %r"
                          % (heads, batch, q.shape, v.shape,
                             [np.shape(r) for r in rotations]))
+    if chunk < 1:
+        raise ShapeError("lsh_attention needs a chunk >= 1, got %d" % chunk)
     rows, width = q.shape
     dk, length = rows // heads, width // batch
     seqs = heads * batch

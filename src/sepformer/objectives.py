@@ -4,10 +4,9 @@ The training loss is negative scale-invariant SNR under an exhaustive
 utterance-level permutation search. SI-SNR uses a soft ceiling: a tau
 fraction of the projected-target energy is added to the residual, so a
 perfect estimate tops out at 10*log10(1/tau) = 30 dB while gradients stay
-alive near the ceiling. A simplified scalar-fit SDR ("SDR-simple", not
-BSS-Eval) is provided for reporting, along with improvement-over-mixture
-metrics, Adam with global-norm gradient clipping, and a small
-deterministic training loop with plateau-halved learning rate.
+alive near the ceiling. SI-SNR improvement over the mixture is provided
+for reporting, along with Adam with global-norm gradient clipping, and a
+small deterministic training loop with plateau-halved learning rate.
 
 SI-SNR is one tape record: its arithmetic runs in numpy and its backward
 is closed form, to the estimate and to the target, so a PIT loss over Ns
@@ -32,17 +31,14 @@ from . import ndkernel as nd
 from .ndkernel import Tape, Tensor
 
 __all__ = [
-    "SISNR_TAU", "SISNR_CEILING_DB", "SDR_CAP_DB",
-    "UndefinedTargetError", "TrainingDivergedError",
-    "has_energy", "si_snr", "si_snr_db", "sdr_simple", "pit_loss",
-    "PitResult", "improvement", "si_snr_improvement",
+    "SISNR_TAU", "UndefinedTargetError", "TrainingDivergedError",
+    "has_energy", "si_snr", "si_snr_db", "pit_loss", "PitResult",
+    "si_snr_improvement",
     "OptimState", "init_optim_state", "clip_gradients", "adam_step",
     "PlateauScheduler", "TraceRow", "write_trace", "train_toy",
 ]
 
 SISNR_TAU = 1e-3
-SISNR_CEILING_DB = 10.0 * math.log10(1.0 / SISNR_TAU)
-SDR_CAP_DB = 60.0
 _LOG10_SCALE = 10.0 / math.log(10.0)
 
 
@@ -119,31 +115,6 @@ def si_snr_db(estimate, target):
     return si_snr(estimate, target).item()
 
 
-def sdr_simple(estimate, target):
-    """Scaled-SNR distortion ratio in dB (labelled SDR-simple in reports).
-
-    The target is fitted to the estimate with a least-squares scalar; the
-    value is capped at 60 dB when the residual vanishes. Reporting only,
-    not differentiable.
-    """
-    e = np.asarray(estimate.data if isinstance(estimate, Tensor) else estimate,
-                   dtype=np.float64)
-    s = np.asarray(target.data if isinstance(target, Tensor) else target,
-                   dtype=np.float64)
-    if e.shape != s.shape or e.ndim != 1:
-        raise ValueError("signals must be 1-d and equal length")
-    energy = float(s @ s)
-    if energy == 0.0:
-        raise UndefinedTargetError("target has zero energy")
-    beta = float(e @ s) / energy
-    fitted = beta * s
-    resid = float((e - fitted) @ (e - fitted))
-    if resid == 0.0:
-        return SDR_CAP_DB
-    value = 10.0 * math.log10((beta * beta * energy) / resid)
-    return min(value, SDR_CAP_DB)
-
-
 @dataclass
 class PitResult:
     """Outcome of the exhaustive permutation search."""
@@ -188,22 +159,6 @@ def pit_loss(estimates, targets):
     loss = Tensor(sum((p.data for p in picked[1:]), picked[0].data) * c)
     nd._record(loss, picked, lambda g: (g * c,) * ns)
     return loss, PitResult(best_perm, matrix, float(best_mean))
-
-
-def improvement(metric, mixture, estimates, targets, permutation=None):
-    """Mean metric gain over using the mixture as every source estimate.
-
-    ``metric`` maps (estimate, target) to dB. The source assignment is the
-    SI-SNR PIT choice unless given explicitly.
-    """
-    if permutation is None:
-        _, pit = pit_loss(estimates, targets)
-        permutation = pit.permutation
-    gains = []
-    for i, j in enumerate(permutation):
-        gains.append(metric(estimates[i], targets[j])
-                     - metric(mixture, targets[j]))
-    return float(np.mean(gains))
 
 
 def si_snr_improvement(mixture, estimates, targets):

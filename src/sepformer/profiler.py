@@ -53,7 +53,7 @@ from .ndkernel import Tensor, track_memory
 __all__ = [
     "CostReport", "MacsBreakdown", "count_macs", "count_macs_detailed",
     "bench_forward", "render_csv", "render_markdown", "render_json",
-    "parse_csv", "config_label", "SmallConvBaseline", "bench_baseline",
+    "config_label", "SmallConvBaseline", "bench_baseline",
     "CSV_HEADER",
 ]
 
@@ -152,14 +152,14 @@ def _bench_model(separate, label, cfg_macs, durations, repeats, seed,
     return reports
 
 
-def bench_forward(cfg, durations, repeats=5, seed=0, label=None):
+def bench_forward(cfg, durations, repeats=5, seed=0):
     """Profile one configuration over a list of input durations (seconds).
 
     Deterministic seeded-noise inputs, single worker, one warm-up run,
     median wall time over ``repeats``.
     """
     model = Sepformer(cfg, seed=seed)
-    return _bench_model(model.separate, label or config_label(cfg),
+    return _bench_model(model.separate, config_label(cfg),
                         lambda n: count_macs(cfg, n), durations, repeats,
                         seed, cfg.sample_rate)
 
@@ -177,18 +177,6 @@ def render_csv(reports):
         lines.append("%s,%g,%d,%.6g,%d"
                      % (r.label, r.seconds, r.macs, r.wall_ms, r.peak_bytes))
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header %r" % lines[0])
-    reports = []
-    for ln in lines[1:]:
-        label, seconds, macs, wall, peak = ln.split(",")
-        reports.append(CostReport(label, float(seconds), int(macs),
-                                  float(wall), int(peak)))
-    return reports
 
 
 def render_markdown(reports):
@@ -215,35 +203,36 @@ class SmallConvBaseline:
 
     Encoder/decoder convolutions around a stack of bottlenecked pointwise
     blocks with residual connections; per-source masks from a linear head.
+    Its size is fixed, and its weights are drawn from seed 0.
     """
 
-    def __init__(self, seed=0, n_filters=512, bottleneck=128, n_blocks=6,
-                 kernel_size=16, stride=8, n_sources=2, sample_rate=8000):
-        rng = np.random.default_rng(seed)
-        self.stride = stride
-        self.sample_rate = sample_rate
-        self.n_sources = n_sources
-        self.kernel_size = kernel_size
-        self.n_filters = n_filters
-        self.bottleneck = bottleneck
+    N_FILTERS = 512
+    BOTTLENECK = 128
+    N_BLOCKS = 6
+    KERNEL_SIZE = 16
+    STRIDE = 8
+    N_SOURCES = 2
+    SAMPLE_RATE = 8000
+
+    def __init__(self):
+        rng = np.random.default_rng(0)
+        f, b, kw = self.N_FILTERS, self.BOTTLENECK, self.KERNEL_SIZE
 
         def uni(shape, fan):
             return Tensor(rng.uniform(-1 / np.sqrt(fan), 1 / np.sqrt(fan),
                                       size=shape))
 
-        self.enc = uni((n_filters, 1, kernel_size), kernel_size)
-        self.blocks = [(uni((bottleneck, n_filters), n_filters),
-                        Tensor(np.full(bottleneck, 0.25)),
-                        uni((n_filters, bottleneck), bottleneck))
-                       for _ in range(n_blocks)]
-        self.mask_heads = [uni((n_filters, n_filters), n_filters)
-                           for _ in range(n_sources)]
-        self.dec = uni((n_filters, 1, kernel_size), kernel_size)
+        self.enc = uni((f, 1, kw), kw)
+        self.blocks = [(uni((b, f), f), Tensor(np.full(b, 0.25)),
+                        uni((f, b), b))
+                       for _ in range(self.N_BLOCKS)]
+        self.mask_heads = [uni((f, f), f) for _ in range(self.N_SOURCES)]
+        self.dec = uni((f, 1, kw), kw)
 
     def separate(self, x):
         x = nd.as_tensor(x)
         n = x.shape[0]
-        h = nd.conv1d(x, self.enc, self.stride, relu=True)
+        h = nd.conv1d(x, self.enc, self.STRIDE, relu=True)
         y = h
         for down, slope, up in self.blocks:
             z = nd.prelu(nd.matmul(down, y), slope)
@@ -252,19 +241,21 @@ class SmallConvBaseline:
         for head in self.mask_heads:
             mask = nd.matmul(head, y, relu=True)
             estimates.append(nd.conv1d_transpose(nd.mul(mask, h), self.dec,
-                                                 self.stride, n))
+                                                 self.STRIDE, n))
         return estimates
 
     def count_macs(self, n_samples):
-        tp = (n_samples - self.kernel_size) // self.stride + 1
-        f, b = self.n_filters, self.bottleneck
-        macs = f * self.kernel_size * tp
-        macs += len(self.blocks) * (b * f * tp + f * b * tp)
-        macs += self.n_sources * (f * f * tp + f * self.kernel_size * tp)
+        tp = (n_samples - self.KERNEL_SIZE) // self.STRIDE + 1
+        f, b = self.N_FILTERS, self.BOTTLENECK
+        macs = f * self.KERNEL_SIZE * tp
+        macs += self.N_BLOCKS * (b * f * tp + f * b * tp)
+        macs += self.N_SOURCES * (f * f * tp + f * self.KERNEL_SIZE * tp)
         return macs
 
 
-def bench_baseline(durations, repeats=5, seed=0, **kwargs):
-    model = SmallConvBaseline(seed=seed, **kwargs)
+def bench_baseline(durations, repeats=5):
+    """Profile :class:`SmallConvBaseline` as :func:`bench_forward` does a
+    configuration, on the inputs of seed 0."""
+    model = SmallConvBaseline()
     return _bench_model(model.separate, "smallconv/none", model.count_macs,
-                        durations, repeats, seed, model.sample_rate)
+                        durations, repeats, 0, model.SAMPLE_RATE)

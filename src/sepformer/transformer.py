@@ -73,16 +73,13 @@ def _layer_seed(spec, seed, index):
     return [derive_seed(s, index) for s in seed]
 
 
-def transformer_layer(z, params, spec, seed=0, internals=None):
+def transformer_layer(z, params, spec, seed=0):
     """One encoder layer on an (F, T) map or on an (F, B, L) batch of B
     independent length-L sequences; features normalized per position.
 
     Norms, projections, feed-forward and residuals run once over all
     positions; only the attention cores see sequence boundaries. ``seed``
     is an int or one per sequence (it only matters for the reformer).
-    When ``internals`` is a dict it receives the attention branch output
-    and the feed-forward branch output, so the residual wiring can be
-    audited bit-for-bit: out == ffw_branch + (attn_branch + input).
     Without a tape each intermediate is freed after its last reader: the
     feed-forward holds only the input, the residual stream ``h``, ln2,
     its output and one block of hidden rows.
@@ -92,8 +89,6 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
         nd.layer_norm(z, params.ln1_gain, params.ln1_bias), params.attn,
         spec, seed=seed)
     h = nd.add(mid, z)
-    if internals is not None:
-        internals["attn_branch"] = mid
     del mid
     ln2 = nd.layer_norm(h, params.ln2_gain, params.ln2_bias)
     if ln2.data.ndim == 3:
@@ -103,8 +98,6 @@ def transformer_layer(z, params, spec, seed=0, internals=None):
     del ln2
     if ffw.shape != z.shape:
         ffw = nd.reshape(ffw, z.shape)
-    if internals is not None:
-        internals["ffw_branch"] = ffw
     return nd.add(ffw, h)
 
 

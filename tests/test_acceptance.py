@@ -24,6 +24,7 @@ from sepformer.transformer import init_transformer_layer, transformer_layer
 
 from test_attention import (brute_force_attention, make_weights,
                             shared_qk_full_oracle)
+from test_transformer import record_branches
 
 
 def report(n, text):
@@ -52,7 +53,7 @@ def test_criterion_02_chunk_overlap_add_round_trip():
     worst = 0.0
     for f, tp, c in cases:
         x = rng.standard_normal((f, tp))
-        back = overlap_add(chunk(Tensor(x), c)).data
+        back = overlap_add(chunk(Tensor(x), c), tp).data
         worst = max(worst, float(np.abs(back - x).max()))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-12
@@ -61,15 +62,15 @@ def test_criterion_02_chunk_overlap_add_round_trip():
            % (len(cases), worst, elapsed))
 
 
-def test_criterion_03_residual_wiring_bit_exact():
+def test_criterion_03_residual_wiring_bit_exact(monkeypatch):
     rng = np.random.default_rng(3)
     spec = AttentionSpec("full", heads=4, d_model=16)
     params = init_transformer_layer(spec, 16, 32, rng)
     z = Tensor(rng.standard_normal((16, 12)))
-    internals = {}
-    out = transformer_layer(z, params, spec, internals=internals)
-    expected = internals["ffw_branch"].data + (
-        internals["attn_branch"].data + z.data)
+    branches = record_branches(monkeypatch)
+    out = transformer_layer(z, params, spec)
+    expected = branches["ffw_branch"].data + (
+        branches["attn_branch"].data + z.data)
     assert np.array_equal(out.data, expected)
     report(3, "layer output == ffw_branch + (attention_branch + input), "
               "bit-for-bit")

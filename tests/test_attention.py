@@ -9,11 +9,25 @@ from sepformer import ndkernel as nd
 from sepformer.attention import (VARIANTS, AttentionSpec,
                                  SequenceTooLongError, attention_core_macs,
                                  attention_tensors, hash_buckets,
-                                 init_attention_weights, longformer_allowed,
+                                 init_attention_weights,
                                  multi_head_dispatch, positional_encoding,
                                  projection_macs)
 from sepformer.gradcheck import TOLERANCE, check_gradients
 from sepformer.ndkernel import Tape, Tensor
+
+
+def longformer_allowed(length, window, global_stride):
+    """Boolean (T x T) matrix of the longformer's attention pattern: a
+    band of half-width (window - 1) / 2, plus every ``global_stride``-th
+    position attending to and attended by all."""
+    half = (window - 1) // 2
+    t = np.arange(length)
+    allowed = np.abs(t[:, None] - t[None, :]) <= half
+    if global_stride is not None:
+        g = np.arange(0, length, global_stride)
+        allowed[g, :] = True
+        allowed[:, g] = True
+    return allowed
 
 
 def make_weights(spec, feat_dim, seed=0):

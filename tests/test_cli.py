@@ -18,6 +18,8 @@ from sepformer.datagen import Signal, wav_read, wav_write
 from sepformer.model import CheckpointError, Sepformer, SepformerConfig, \
     load_checkpoint, save_checkpoint
 
+from test_profiler import parse_csv
+
 SHIPPED_TOY_CFG = pathlib.Path(__file__).resolve().parent.parent / "toy.cfg"
 
 
@@ -390,7 +392,6 @@ def test_memory_error_exits_one_with_one_error_line(tmp_path):
 
 class TestBench:
     def test_row_count_is_product_of_axes(self, tmp_path, capsys):
-        from sepformer.profiler import parse_csv
         assert main(["bench", "--config", tiny_cfg_file(tmp_path),
                      "--attention", "full", "reformer",
                      "--chunking", "c250", "none",
@@ -405,7 +406,6 @@ class TestBench:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_registry_variant_is_a_choice(self, tmp_path, capsys,
                                                 variant):
-        from sepformer.profiler import parse_csv
         assert main(["bench", "--config", tiny_cfg_file(tmp_path),
                      "--attention", variant, "--chunking", "c250",
                      "--seconds", "0.05", "--repeats", "1"]) == 0
@@ -423,7 +423,6 @@ class TestBench:
         assert rows[0]["label"] == "full/none" and rows[0]["macs"] > 0
 
     def test_baseline_rows_included_on_request(self, tmp_path, capsys):
-        from sepformer.profiler import parse_csv
         assert main(["bench", "--config", tiny_cfg_file(tmp_path),
                      "--attention", "full", "--chunking", "c250",
                      "--seconds", "0.05", "--repeats", "1",
@@ -441,7 +440,6 @@ class TestBench:
         assert "exceeds" in capsys.readouterr().err
 
     def test_inter_attention_full_option(self, tmp_path, capsys):
-        from sepformer.profiler import parse_csv
         assert main(["bench", "--config", tiny_cfg_file(tmp_path),
                      "--attention", "reformer", "--chunking", "c250",
                      "--seconds", "0.05", "--repeats", "1",
@@ -451,7 +449,6 @@ class TestBench:
 
 
     def test_config_file_alone_sets_the_rows(self, tmp_path, capsys):
-        from sepformer.profiler import parse_csv
         cfg = tiny_cfg_file(tmp_path, attention="reformer",
                             inter_attention="full")
         assert main(["bench", "--config", cfg, "--seconds", "0.05",

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepformer.datagen import (MixSpec, Signal, WavFormatError, dynamic_mix,
-                               load_pool, read_manifest, speed_perturb,
-                               synth_sources, wav_read, wav_write)
+                               speed_perturb, synth_sources, wav_read,
+                               wav_write)
 from sepformer.objectives import si_snr_db
 
 
@@ -231,17 +231,6 @@ class TestDynamicMix:
         with pytest.raises(ValueError, match="rates"):
             dynamic_mix(pool, MixSpec(n_sources=3, seed=0))
 
-    def test_additive_noise_hook_for_enhancement(self):
-        pool = self._pool()
-        noise = Signal(np.random.default_rng(0).uniform(-0.05, 0.05, 3200),
-                       8000)
-        mixture, targets = dynamic_mix(pool, MixSpec(n_sources=1, seed=4),
-                                       noise=noise)
-        n = len(mixture)
-        np.testing.assert_allclose(
-            mixture.samples, targets[0].samples + noise.samples[:n],
-            atol=1e-15)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MixSpec(n_sources=4)
@@ -290,16 +279,3 @@ class TestSynthSources:
         mix_vs_s1 = si_snr_db(s1 + s2, s1)
         assert abs(mix_vs_s1 - expected) < 0.05
 
-
-class TestManifest:
-    def test_round_trip_with_comments(self, tmp_path, rng):
-        paths = []
-        for i in range(2):
-            p = tmp_path / ("s%d.wav" % i)
-            wav_write(p, Signal(rng.uniform(-0.5, 0.5, 100), 8000))
-            paths.append(str(p))
-        manifest = tmp_path / "pool.txt"
-        manifest.write_text("# pool\n%s\n\n%s\n" % tuple(paths))
-        assert read_manifest(manifest) == paths
-        pool = load_pool(manifest)
-        assert len(pool) == 2 and all(len(s) == 100 for s in pool)

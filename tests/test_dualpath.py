@@ -5,7 +5,7 @@ from sepformer import dualpath
 from sepformer import ndkernel as nd
 from sepformer.attention import (VARIANTS, AttentionSpec, derive_seed,
                                  positional_encoding)
-from sepformer.dualpath import (ChunkTensor, InvalidChunkSizeError, chunk,
+from sepformer.dualpath import (InvalidChunkSizeError, chunk,
                                 init_sepformer_block, overlap_add,
                                 padded_chunk_geometry, sepformer_block)
 from sepformer.ndkernel import Tape, Tensor
@@ -36,20 +36,21 @@ def make_block(intra_variant="full", inter_variant="full", feat=6,
 
 class TestChunk:
     def test_frame_count_without_padding(self, rng):
-        ct = chunk(Tensor(rng.standard_normal((3, 1000))), 250)
-        assert ct.hop == 125
-        assert ct.n_chunks == 7
-        assert ct.data.shape == (3, 250, 7)
+        x = rng.standard_normal((3, 1000))
+        frames = chunk(Tensor(x), 250)
+        assert frames.shape == (3, 250, 7)
+        # the hop is half the chunk
+        np.testing.assert_array_equal(frames.data[:, :, 1], x[:, 125:375])
 
     def test_short_input_padded_to_single_chunk(self, rng):
-        ct = chunk(Tensor(rng.standard_normal((3, 100))), 250)
-        assert ct.n_chunks == 1
+        frames = chunk(Tensor(rng.standard_normal((3, 100))), 250)
+        assert frames.shape == (3, 250, 1)
         assert padded_chunk_geometry(100, 250) == (250, 1)
 
     def test_one_sample_overflow_adds_frame(self, rng):
-        ct = chunk(Tensor(rng.standard_normal((3, 251))), 250)
+        frames = chunk(Tensor(rng.standard_normal((3, 251))), 250)
         assert padded_chunk_geometry(251, 250) == (375, 2)
-        assert ct.n_chunks == 2
+        assert frames.shape == (3, 250, 2)
 
     def test_odd_chunk_size_rejected(self, rng):
         with pytest.raises(InvalidChunkSizeError):
@@ -57,10 +58,10 @@ class TestChunk:
 
     def test_frames_match_direct_slices(self, rng):
         x = rng.standard_normal((2, 12))
-        ct = chunk(Tensor(x), 8)
-        np.testing.assert_array_equal(ct.data.data[:, :, 0], x[:, :8])
+        frames = chunk(Tensor(x), 8).data
+        np.testing.assert_array_equal(frames[:, :, 0], x[:, :8])
         padded = np.pad(x, ((0, 0), (0, 4)))
-        np.testing.assert_array_equal(ct.data.data[:, :, 1], padded[:, 4:12])
+        np.testing.assert_array_equal(frames[:, :, 1], padded[:, 4:12])
 
 
 class TestOverlapAdd:
@@ -71,7 +72,7 @@ class TestOverlapAdd:
             c = 2 * int(rng.integers(1, 40))
             tp = int(rng.integers(1, 400))
             x = rng.standard_normal((f, tp))
-            back = overlap_add(chunk(Tensor(x), c)).data
+            back = overlap_add(chunk(Tensor(x), c), tp).data
             assert back.shape == (f, tp)
             assert np.abs(back - x).max() <= 1e-12
 
@@ -80,25 +81,24 @@ class TestOverlapAdd:
         c = 10
         tp = c + tp_offset
         x = rng.standard_normal((2, tp))
-        back = overlap_add(chunk(Tensor(x), c)).data
+        back = overlap_add(chunk(Tensor(x), c), tp).data
         assert np.abs(back - x).max() <= 1e-12
 
     def test_coverage_division_on_all_ones(self):
         # two width-4 frames at hop 2 cover positions with counts
         # 1,1,2,2,1,1; dividing restores the all-ones map
-        ct = ChunkTensor(Tensor(np.ones((2, 4, 2))), 6, 4)
-        out = overlap_add(ct).data
+        out = overlap_add(Tensor(np.ones((2, 4, 2))), 6).data
         np.testing.assert_allclose(out, np.ones((2, 6)), atol=1e-15)
 
     def test_zero_tensor_maps_to_zero(self):
-        ct = ChunkTensor(Tensor(np.zeros((2, 4, 3))), 7, 4)
-        np.testing.assert_array_equal(overlap_add(ct).data, np.zeros((2, 7)))
+        np.testing.assert_array_equal(
+            overlap_add(Tensor(np.zeros((2, 4, 3))), 7).data, np.zeros((2, 7)))
 
     def test_round_trip_records_two_tape_entries(self, rng):
         # one frame op each way: padding, averaging and trimming included
         x = Tensor(rng.standard_normal((3, 251)))
         with Tape() as tape:
-            overlap_add(chunk(x, 250))
+            overlap_add(chunk(x, 250), 251)
             assert len(tape._records) == 2
 
 
@@ -106,9 +106,8 @@ class TestSepformerBlock:
     def test_single_chunk_degenerates_to_intra_plus_near_identity(self, rng):
         params = make_block()
         x = chunk(Tensor(rng.standard_normal((6, 3))), 8)
-        assert x.n_chunks == 1
-        out = sepformer_block(x, params)
-        assert out.data.shape == (6, 8, 1)
+        assert x.shape == (6, 8, 1)
+        assert sepformer_block(x, params).shape == (6, 8, 1)
 
     def test_zero_weight_hand_trace(self, rng):
         # zero-weight stacks reduce to out = 2*in + positions, so two
@@ -117,8 +116,7 @@ class TestSepformerBlock:
         zero_stacks(params.intra_stacks)
         zero_stacks(params.inter_stacks)
         x = rng.standard_normal((2, 4, 2))
-        ct = ChunkTensor(Tensor(x), 6, 4)
-        out = sepformer_block(ct, params).data.data
+        out = sepformer_block(Tensor(x), params).data
         e_intra = positional_encoding(4, 2).data.T   # (F, C)
         e_inter = positional_encoding(2, 2).data.T   # (F, Nc)
         expected = np.empty_like(x)
@@ -135,10 +133,8 @@ class TestSepformerBlock:
         base = rng.standard_normal((6, 8, 3))
         bumped = base.copy()
         bumped[:, :, 1] += rng.standard_normal((6, 8))
-        out_a = sepformer_block(ChunkTensor(Tensor(base), 20, 8),
-                                params).data.data
-        out_b = sepformer_block(ChunkTensor(Tensor(bumped), 20, 8),
-                                params).data.data
+        out_a = sepformer_block(Tensor(base), params).data
+        out_b = sepformer_block(Tensor(bumped), params).data
         diff = np.abs(out_a - out_b).sum(axis=(0, 1))
         assert diff[1] > 0
         assert diff[0] == 0 and diff[2] == 0
@@ -149,10 +145,8 @@ class TestSepformerBlock:
         base = rng.standard_normal((6, 8, 3))
         bumped = base.copy()
         bumped[:, 5, :] += rng.standard_normal((6, 3))
-        out_a = sepformer_block(ChunkTensor(Tensor(base), 20, 8),
-                                params).data.data
-        out_b = sepformer_block(ChunkTensor(Tensor(bumped), 20, 8),
-                                params).data.data
+        out_a = sepformer_block(Tensor(base), params).data
+        out_b = sepformer_block(Tensor(bumped), params).data
         diff = np.abs(out_a - out_b).sum(axis=(0, 2))
         assert diff[5] > 0
         assert np.all(diff[np.arange(8) != 5] == 0)
@@ -163,8 +157,7 @@ class TestSepformerBlock:
         params = make_block(intra_variant=intra_variant,
                             inter_variant="full")
         x = chunk(Tensor(rng.standard_normal((6, 20))), 8)
-        out = sepformer_block(x, params, seed=3)
-        assert out.data.shape == x.data.shape
+        assert sepformer_block(x, params, seed=3).shape == x.shape
 
     def test_repeats_apply_distinct_parameters(self, rng):
         params = make_block(repeats=2)
@@ -174,9 +167,9 @@ class TestSepformerBlock:
 
     def test_block_is_deterministic(self, rng):
         params = make_block(intra_variant="reformer")
-        x = ChunkTensor(Tensor(rng.standard_normal((6, 8, 3))), 20, 8)
-        out_a = sepformer_block(x, params, seed=5).data.data
-        out_b = sepformer_block(x, params, seed=5).data.data
+        x = Tensor(rng.standard_normal((6, 8, 3)))
+        out_a = sepformer_block(x, params, seed=5).data
+        out_b = sepformer_block(x, params, seed=5).data
         np.testing.assert_array_equal(out_a, out_b)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -193,15 +186,16 @@ class TestSepformerBlock:
         x = chunk(Tensor(rng.standard_normal((6, 20))), 8)
         sepformer_block(x, params, seed=3)
         # one seed per intra sequence (chunk) and inter sequence (offset)
-        sequences = x.n_chunks + x.chunk_size
+        _, size, n_chunks = x.shape
+        sequences = n_chunks + size
         assert len(calls) == (sequences if params.intra_spec.entry.seeded
                               else 0)
 
 
-def per_chunk_reference(chunks, params, seed):
+def per_chunk_reference(frames, params, seed):
     """The dual path one sequence at a time: a 2-D stack call per chunk,
     then one per within-chunk offset, each with its own derived seed."""
-    x = chunks.data.data
+    x = frames.data
     for r in range(params.n_repeats):
         x = np.stack([transformer_stack(
             Tensor(x[:, :, j]), params.intra_stacks[r], params.intra_spec,
@@ -240,11 +234,11 @@ class TestBatchedMatchesPerChunk:
             return transformer_stack(z, stack, spec, seed=seed)
 
         monkeypatch.setattr(dualpath, "transformer_stack", counting_stack)
-        out = sepformer_block(chunks, params, seed=11).data.data
+        out = sepformer_block(chunks, params, seed=11).data
         expected = per_chunk_reference(chunks, params, seed=11)
         scale = np.abs(expected).max()
         assert np.abs(out - expected).max() <= 1e-9 * scale
-        n_chunks = chunks.n_chunks
+        n_chunks = chunks.shape[2]
         intra_groups = -(-n_chunks // (bound // size))
         inter_groups = -(-size // (bound // n_chunks))
         assert len(groups) == 2 * (intra_groups + inter_groups)

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepformer import model as model_module
 from sepformer import ndkernel as nd
 from sepformer.attention import VARIANTS, AttentionSpec, FieldError, \
     derive_seed
-from sepformer.dualpath import ChunkTensor, chunk, overlap_add, \
+from sepformer.dualpath import chunk, overlap_add, padded_chunk_geometry, \
     sepformer_block
 from sepformer.model import (CheckpointError, Sepformer, SepformerConfig,
                              encoded_length, load_checkpoint,
@@ -134,20 +135,37 @@ class TestMaskNet:
         masks = model.mask_net(h)
         assert all(m.shape == h.shape for m in masks)
 
-    def test_shape_chain_audit(self, rng):
+    def test_shape_chain_audit(self, rng, monkeypatch):
+        # (input shape, output shape) of each stage, read through the
+        # names the model looks up; the mask head slices the expanded map
         cfg = small_config()
         model = Sepformer(cfg, seed=0)
-        details = {}
-        out = model.separate(rng.standard_normal(64), details=details)
+        shapes = {}
+
+        def watch(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                shapes[name] = (args[0].shape, out.shape)
+                return out
+            monkeypatch.setattr(owner, name, wrapper)
+
+        watch(model, "encode")
+        for name in ("chunk", "sepformer_block", "overlap_add"):
+            watch(model_module, name)
+        watch(nd, "slice_rows")
+        out = model.separate(rng.standard_normal(64))
         f, ns = cfg.n_filters, cfg.n_sources
         tp = encoded_length(cfg, 64)
         c = cfg.chunk_size
-        nc = details["chunked"].shape[2]
-        assert details["latent"].shape == (f, tp)
-        assert details["chunked"].shape == (f, c, nc)
-        assert details["dual_out"].shape == (f, c, nc)
-        assert details["expanded"].shape == (ns * f, tp)
-        assert all(m.shape == (f, tp) for m in details["masks"])
+        _, nc = padded_chunk_geometry(tp, c)
+        assert shapes["encode"] == ((64,), (f, tp))
+        assert shapes["chunk"] == ((f, tp), (f, c, nc))
+        assert shapes["sepformer_block"] == ((f, c, nc), (f, c, nc))
+        assert shapes["overlap_add"] == ((f, c, nc), (f, tp))
+        assert shapes["slice_rows"] == ((ns * f, tp), (f, tp))
+        assert all(m.shape == (f, tp) for m in out.masks)
         assert all(e.shape == (64,) for e in out.estimates)
 
     @staticmethod
@@ -162,14 +180,13 @@ class TestMaskNet:
                          bias=m.input_linear_bias)
         processed = sepformer_block(chunk(hbar, cfg.chunk_size), model.block,
                                     seed=derive_seed(model.seed, 101))
-        activated = nd.prelu(processed.data, m.prelu_slope)
+        activated = nd.prelu(processed, m.prelu_slope)
         _, c, n_chunks = activated.shape
         expanded = nd.matmul(m.output_linear_weight,
                              nd.reshape(activated, (f, c * n_chunks)),
                              bias=m.output_linear_bias)
-        expanded = overlap_add(ChunkTensor(
-            nd.reshape(expanded, (ns * f, c, n_chunks)), latent.shape[1],
-            cfg.chunk_size))
+        expanded = overlap_add(nd.reshape(expanded, (ns * f, c, n_chunks)),
+                               latent.shape[1])
         masks = []
         for k in range(ns):
             mask = nd.matmul(m.mask_ffw1_weight,

@@ -338,6 +338,13 @@ class TestAttention:
                                           e / e.sum(axis=-1, keepdims=True))
 
 
+def test_lsh_attention_refuses_a_chunk_below_1(rng):
+    q, v = (Tensor(rng.standard_normal((4, 6))) for _ in range(2))
+    with pytest.raises(nd.ShapeError, match="chunk >= 1, got 0"):
+        nd.lsh_attention(q, v, [rng.standard_normal((1, 4, 2))], 1, 1, 0,
+                         0.5)
+
+
 class TestGather:
     def test_gather_cols_equals_fancy_index_and_is_contiguous(self, rng):
         x = rng.standard_normal((5, 40))
@@ -382,6 +389,11 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.var(axis=0), 1.0, atol=1e-4)
 
+    def test_refuses_a_map_of_rank_below_2(self):
+        with pytest.raises(nd.ShapeError, match="rank >= 2"):
+            nd.layer_norm(Tensor(np.ones(4)), Tensor(np.ones(4)),
+                          Tensor(np.zeros(4)))
+
 
 class TestConv:
     def test_output_length_formula(self, rng):
@@ -399,6 +411,17 @@ class TestConv:
     def test_too_short_input_rejected(self):
         with pytest.raises(nd.InputTooShortError):
             nd.conv1d(Tensor(np.zeros(3)), Tensor(np.zeros((2, 1, 4))), 1)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_refuses_a_stride_below_1(self, stride):
+        with pytest.raises(nd.ShapeError, match="stride >= 1, got %d"
+                           % stride):
+            nd.conv1d(Tensor(np.zeros(16)), Tensor(np.zeros((2, 1, 4))),
+                      stride)
+        with pytest.raises(nd.ShapeError, match="stride >= 1, got %d"
+                           % stride):
+            nd.conv1d_transpose(Tensor(np.zeros((2, 5))),
+                                Tensor(np.zeros((2, 1, 4))), stride, 40)
 
     def test_transpose_length_inverts_formula(self, rng):
         out = nd.conv1d_transpose(Tensor(rng.standard_normal((3, 999))),

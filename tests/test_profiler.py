@@ -5,10 +5,22 @@ import sepformer.ndkernel as nd
 from sepformer.attention import AttentionSpec
 from sepformer.cli import PAPER_DEFAULTS, build_run_config
 from sepformer.model import Sepformer, SepformerConfig
-from sepformer.profiler import (CostReport, SmallConvBaseline,
+from sepformer.profiler import (CSV_HEADER, CostReport, SmallConvBaseline,
                                 bench_baseline, bench_forward, config_label,
-                                count_macs, count_macs_detailed, parse_csv,
-                                render_csv, render_json, render_markdown)
+                                count_macs, count_macs_detailed, render_csv,
+                                render_json, render_markdown)
+
+
+def parse_csv(text):
+    """Inverse of ``render_csv``: one CostReport per row."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    assert lines[0] == CSV_HEADER
+    reports = []
+    for ln in lines[1:]:
+        label, seconds, macs, wall, peak = ln.split(",")
+        reports.append(CostReport(label, float(seconds), int(macs),
+                                  float(wall), int(peak)))
+    return reports
 
 
 def small_base(**overrides):
@@ -216,7 +228,7 @@ class TestMemory:
         with nd.track_memory() as arena:
             model.separate(x)
         reformer_peak = arena.peak
-        baseline = SmallConvBaseline(seed=0)
+        baseline = SmallConvBaseline()
         with nd.track_memory() as arena:
             baseline.separate(x)
         ratio = reformer_peak / arena.peak

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sepformer import ndkernel as nd
+from sepformer import transformer
 from sepformer.attention import AttentionSpec, positional_encoding
 from sepformer.gradcheck import check_gradients
 from sepformer.ndkernel import Tensor
@@ -16,6 +17,24 @@ def zero_params(params):
     for t in params.parameters().values():
         t.data[...] = 0.0
     return params
+
+
+def record_branches(monkeypatch):
+    """Wrap the attention and the feed-forward where ``transformer_layer``
+    looks them up; the returned dict receives each branch's output."""
+    branches = {}
+
+    def wrap(owner, name, key):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            branches[key] = out = fn(*args, **kwargs)
+            return out
+        monkeypatch.setattr(owner, name, wrapper)
+
+    wrap(transformer, "multi_head_dispatch", "attn_branch")
+    wrap(nd, "feed_forward", "ffw_branch")
+    return branches
 
 
 @pytest.fixture
@@ -31,25 +50,25 @@ class TestLayer:
         out = transformer_layer(Tensor(z), params, spec)
         np.testing.assert_array_equal(out.data, z)
 
-    def test_residual_wiring_audit_bit_exact(self, spec, rng):
+    def test_residual_wiring_audit_bit_exact(self, spec, rng, monkeypatch):
         params = init_transformer_layer(spec, 8, 12,
                                         np.random.default_rng(1))
         z = Tensor(rng.standard_normal((8, 6)))
-        internals = {}
-        out = transformer_layer(z, params, spec, internals=internals)
-        expected = internals["ffw_branch"].data + (
-            internals["attn_branch"].data + z.data)
+        branches = record_branches(monkeypatch)
+        out = transformer_layer(z, params, spec)
+        expected = branches["ffw_branch"].data + (
+            branches["attn_branch"].data + z.data)
         assert np.array_equal(out.data, expected)
 
     def test_attention_branch_is_zero_when_output_matrix_is_zero(
-            self, spec, rng):
+            self, spec, rng, monkeypatch):
         params = init_transformer_layer(spec, 8, 12,
                                         np.random.default_rng(2))
         params.attn.wo.data[...] = 0.0
         z = Tensor(rng.standard_normal((8, 6)))
-        internals = {}
-        transformer_layer(z, params, spec, internals=internals)
-        np.testing.assert_array_equal(internals["attn_branch"].data,
+        branches = record_branches(monkeypatch)
+        transformer_layer(z, params, spec)
+        np.testing.assert_array_equal(branches["attn_branch"].data,
                                       np.zeros((8, 6)))
 
     @pytest.mark.parametrize("shape", [(8, 6), (8, 3, 5)])
