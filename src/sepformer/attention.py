@@ -161,25 +161,17 @@ def positional_encoding(length, d_model):
 # core(q, k, v, ctx) -> out receives head-major (h*dk, S*L) maps of
 # Q/K/V (``k`` is None when the variant shares QK): rows i*dk..(i+1)*dk
 # are head i, in projection order, and the columns hold S independent
-# length-L sequences side by side. ``ctx.batch`` counts h*S, every head
-# of every sequence, and ``h`` is the map's rows over dk. The core returns
-# only the (h*dk, S*L) output, in the same order, so a group's output is
-# a row slice of the heads' concat as ``wo`` reads it. Work that mixes
-# positions runs batched over the sequences; queries are scaled by
-# 1/sqrt(dk) before they meet a key.
+# length-L sequences side by side; ``ctx.heads`` counts h and
+# ``ctx.batch`` counts S. The core returns only the (h*dk, S*L) output, in
+# the same order, so a group's output is a row slice of the heads' concat
+# as ``wo`` reads it. Work that mixes positions runs batched over the
+# sequences; queries are scaled by 1/sqrt(dk) before they meet a key.
 
-_Call = namedtuple("_Call", "spec batch length scale state")
-
-
-def _group_heads(x, ctx):
-    """The heads in a head-major map, and its sequences per head."""
-    heads = x.shape[0] // ctx.spec.d_head
-    return heads, ctx.batch // heads
+_Call = namedtuple("_Call", "spec heads batch length scale state")
 
 
 def _full_head(q, k, v, ctx):
-    heads, batch = _group_heads(q, ctx)
-    return nd.attention(q, k, v, heads, batch, ctx.scale)[0]
+    return nd.attention(q, k, v, ctx.heads, ctx.batch, ctx.scale)
 
 
 _Band = namedtuple("_Band", "globals bias queries keys global_queries "
@@ -232,19 +224,18 @@ def _longformer_prepare(spec, weights, batch, length, seed):
 
 
 def _longformer_head(q, k, v, ctx):
-    heads, batch = _group_heads(q, ctx)
     band = ctx.state
     if band.bias is None:
         # the band covers the sequence: every pair is allowed
-        return nd.attention(q, k, v, heads, batch, ctx.scale)[0]
+        return nd.attention(q, k, v, ctx.heads, ctx.batch, ctx.scale)
     out = nd.attention(
         nd.gather_cols(q, band.queries), nd.gather_cols(k, band.keys),
-        nd.gather_cols(v, band.keys), heads, batch * len(band.bias),
-        ctx.scale, bias=band.bias)[0]
+        nd.gather_cols(v, band.keys), ctx.heads,
+        ctx.batch * len(band.bias), ctx.scale, bias=band.bias)
     if len(band.globals):
         # rows at global positions attend to every position
         out_g = nd.attention(nd.gather_cols(q, band.global_queries), k, v,
-                             heads, batch, ctx.scale)[0]
+                             ctx.heads, ctx.batch, ctx.scale)
         out = nd.concat([out, out_g], axis=1)
     return nd.gather_cols(out, band.picks)
 
@@ -272,7 +263,6 @@ def _linformer_prepare(spec, weights, batch, length, seed):
 
 def _linformer_head(q, k, v, ctx):
     length = ctx.length
-    heads, batch = _group_heads(q, ctx)
     proj_p, proj_f = ctx.state
 
     def project(x, proj):
@@ -281,8 +271,8 @@ def _linformer_head(q, k, v, ctx):
         p = nd.matmul(nd.reshape(x, (-1, length)), proj)
         return nd.reshape(p, (x.shape[0], -1))
 
-    return nd.attention(q, project(k, proj_p), project(v, proj_f), heads,
-                        batch, ctx.scale)[0]
+    return nd.attention(q, project(k, proj_p), project(v, proj_f),
+                        ctx.heads, ctx.batch, ctx.scale)
 
 
 def _reformer_prepare(spec, weights, batch, length, seed):
@@ -298,8 +288,7 @@ def _reformer_prepare(spec, weights, batch, length, seed):
 
 
 def _reformer_head(q, k, v, ctx):
-    heads, batch = _group_heads(q, ctx)
-    return nd.lsh_attention(q, v, ctx.state, heads, batch,
+    return nd.lsh_attention(q, v, ctx.state, ctx.heads, ctx.batch,
                             ctx.spec.bucket_chunk, ctx.scale)
 
 
@@ -318,8 +307,7 @@ def _nothing(*_):
     return ()
 
 
-# One variant. ``core`` names its per-head core in this module, looked up
-# per call so that patching the function replaces what runs. ``core_macs``
+# One variant. ``core`` is its per-head core function. ``core_macs``
 # (spec, length) mirrors the MACs one head's core charges on one sequence.
 # ``prepare`` (spec, weights, batch, length, seed) runs once per call,
 # before the projections, and returns ``ctx.state`` (constants, or tensors
@@ -332,17 +320,17 @@ Variant = namedtuple(
     defaults=(_nothing, _nothing, False, False))
 
 REGISTRY = {
-    "full": Variant("_full_head", lambda spec, t: 2 * t * t * spec.d_head),
-    "longformer": Variant("_longformer_head", _longformer_macs,
+    "full": Variant(_full_head, lambda spec, t: 2 * t * t * spec.d_head),
+    "longformer": Variant(_longformer_head, _longformer_macs,
                           prepare=_longformer_prepare),
     "linformer": Variant(
-        "_linformer_head", lambda spec, t: 4 * t * spec.proj_len * spec.d_head,
+        _linformer_head, lambda spec, t: 4 * t * spec.proj_len * spec.d_head,
         prepare=_linformer_prepare,
         extra=lambda spec: [(name, (spec.max_len, spec.proj_len),
                              uniform(spec.max_len))
                             for name in ("proj_p", "proj_f")]),
     "reformer": Variant(
-        "_reformer_head", _reformer_macs, prepare=_reformer_prepare,
+        _reformer_head, _reformer_macs, prepare=_reformer_prepare,
         shares_qk=True, seeded=True),
 }
 VARIANTS = tuple(REGISTRY)
@@ -405,14 +393,13 @@ def multi_head_dispatch(x, weights, spec, seed=0):
     entry = spec.entry
     heads, dk = spec.heads, spec.d_head
     state = entry.prepare(spec, weights, batch, length, seed)
-    core = globals()[entry.core]      # by name, so a patched core runs
     hg = _heads_per_group(spec, batch, length)
     groups = heads // hg
     q, k, v = (None if w is None else nd.matmul(w, flat)
                for w in (weights.wq, None if entry.shares_qk else weights.wk,
                          weights.wv))
     del x, flat
-    ctx = _Call(spec, hg * batch, length, 1.0 / math.sqrt(dk), state)
+    ctx = _Call(spec, hg, batch, length, 1.0 / math.sqrt(dk), state)
 
     outs = []
     rows = dk * hg
@@ -420,7 +407,7 @@ def multi_head_dispatch(x, weights, spec, seed=0):
         qkv = [t if t is None or groups == 1
                else nd.slice_rows(t, g * rows, (g + 1) * rows)
                for t in (q, k, v)]
-        outs.append(core(*qkv, ctx))
+        outs.append(entry.core(*qkv, ctx))
         del qkv
     del q, k, v
     heads_out = outs[0] if groups == 1 else nd.concat(outs, axis=0)

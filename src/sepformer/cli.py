@@ -27,12 +27,12 @@ from dataclasses import fields
 
 from .attention import VARIANTS, AttentionSpec, FieldError, \
     SequenceTooLongError
-from .datagen import MixSpec, Signal, WavFormatError, dynamic_mix, \
-    synth_sources, wav_read, wav_write
+from .datagen import SPEED_RANGE, MixSpec, Signal, WavFormatError, \
+    dynamic_mix, synth_sources, wav_read, wav_write
 from .gradcheck import TOLERANCE, run_suite
 from .model import CheckpointError, Sepformer, SepformerConfig, \
     load_checkpoint, parse_field, save_checkpoint
-from .objectives import TrainingDivergedError, has_energy, \
+from .objectives import TrainingDivergedError, has_energy, pit_loss, \
     si_snr_improvement, train_toy, write_trace
 from .profiler import bench_baseline, bench_forward, render_csv, \
     render_json, render_markdown
@@ -169,7 +169,7 @@ def build_run_config(values):
     # the toy mixture is `duration` long before speed perturbation shortens
     # it by up to the fastest factor; the encoder needs one whole kernel
     samples = int(round(run["duration"] * cfg.sample_rate))
-    shortest = int(round(samples / MixSpec().speed_range[1]))
+    shortest = int(round(samples / SPEED_RANGE[1]))
     if shortest < cfg.kernel_size:
         raise ConfigError(
             "key 'duration' %r gives %d samples at %d Hz (%d after speed "
@@ -234,10 +234,11 @@ def _cmd_separate(args):
         wav_write(path, Signal(est.data, signal.sample_rate))
         print("wrote %s" % path)
     if refs:
-        gain, pit = si_snr_improvement(
-            signal.samples[:n], [e.data[:n] for e in out.estimates],
-            [r.samples[:n] for r in refs])
-        print("si_snr_db=%.4f si_snri_db=%.4f" % (pit.mean_db, gain))
+        targets = [r.samples[:n] for r in refs]
+        _, pit = pit_loss([e.data[:n] for e in out.estimates], targets)
+        print("si_snr_db=%.4f si_snri_db=%.4f" % (
+            pit.mean_db, si_snr_improvement(signal.samples[:n], targets,
+                                            pit)))
     return 0
 
 

@@ -1,10 +1,11 @@
 """Synthetic audio sources, dynamic mixing, and WAV PCM16 mono I/O.
 
 Training data is created on the fly: draw distinct sources from a pool,
-resample each by a random speed factor, truncate to the shortest, apply
-gains so the level offsets between sources are uniform on the configured
-dB range, and sum. The targets are the gained, truncated sources, so they
-add up to the mixture exactly. All randomness flows from the MixSpec seed.
+resample each by a speed factor uniform on ``SPEED_RANGE``, truncate to
+the shortest, apply gains so the level offsets between sources are
+uniform on ``LEVEL_RANGE_DB``, and sum. The targets are the gained,
+truncated sources, so they add up to the mixture exactly. All randomness
+flows from the MixSpec seed.
 """
 
 from __future__ import annotations
@@ -17,9 +18,14 @@ import numpy as np
 __all__ = [
     "Signal", "MixSpec", "WavFormatError", "wav_read", "wav_write",
     "speed_perturb", "dynamic_mix", "synth_sources", "SOURCE_KINDS",
+    "SPEED_RANGE", "LEVEL_RANGE_DB",
 ]
 
 SOURCE_KINDS = ("multi_sine", "filtered_noise", "chirp")
+# dynamic mixing draws each source's speed factor, and each level offset
+# from the first source in dB, uniformly from these bounds
+SPEED_RANGE = (0.95, 1.05)
+LEVEL_RANGE_DB = (0.0, 5.0)
 
 
 class WavFormatError(ValueError):
@@ -44,29 +50,17 @@ class Signal:
     def __len__(self):
         return self.samples.shape[0]
 
-    @property
-    def duration(self):
-        return len(self) / self.sample_rate
-
 
 @dataclass
 class MixSpec:
-    """How to draw one mixture: source count, level and speed ranges, seed."""
+    """How to draw one mixture: source count and seed."""
 
     n_sources: int = 2
-    level_range: tuple = (0.0, 5.0)
-    speed_range: tuple = (0.95, 1.05)
     seed: int = 0
 
     def __post_init__(self):
         if self.n_sources not in (1, 2, 3):
             raise ValueError("n_sources must be 1, 2 or 3")
-        lo, hi = self.level_range
-        if lo < 0 or hi < lo:
-            raise ValueError("level_range must satisfy 0 <= lo <= hi")
-        slo, shi = self.speed_range
-        if not (0.95 - 1e-12 <= slo <= shi <= 1.05 + 1e-12):
-            raise ValueError("speed_range must lie within [0.95, 1.05]")
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +136,16 @@ def wav_write(path, signal):
 # augmentation
 
 def speed_perturb(signal, factor):
-    """Resample by a speed factor in [0.95, 1.05].
+    """Resample by a speed factor in ``SPEED_RANGE``.
 
     Output length is round(T / factor); linear interpolation at input
     positions n * factor, so pitch scales with the factor (plain
     resampling, not a time stretch). factor == 1 returns an exact copy.
     """
-    if not (0.95 - 1e-12 <= factor <= 1.05 + 1e-12):
-        raise ValueError("speed factor %g outside [0.95, 1.05]" % factor)
+    lo, hi = SPEED_RANGE
+    if not (lo - 1e-12 <= factor <= hi + 1e-12):
+        raise ValueError("speed factor %g outside [%g, %g]"
+                         % (factor, lo, hi))
     x = signal.samples
     t = len(x)
     if factor == 1.0:
@@ -179,9 +175,9 @@ def dynamic_mix(pool, spec):
 
     rng = np.random.default_rng(spec.seed)
     idx = rng.choice(len(pool), size=spec.n_sources, replace=False)
-    factors = rng.uniform(spec.speed_range[0], spec.speed_range[1],
+    factors = rng.uniform(SPEED_RANGE[0], SPEED_RANGE[1],
                           size=spec.n_sources)
-    offsets = rng.uniform(spec.level_range[0], spec.level_range[1],
+    offsets = rng.uniform(LEVEL_RANGE_DB[0], LEVEL_RANGE_DB[1],
                           size=spec.n_sources)
     offsets[0] = 0.0   # first source is the 0 dB reference
 

@@ -128,13 +128,13 @@ def sepformer_block(frames, params, seed=0):
     ``derive_seed(seed, r, a, j)``, so the grouping does not change which
     LSH rotations a sequence sees, and the result is deterministic.
     """
-    x = frames                                            # (F, C, Nc)
     for r in range(params.n_repeats):
-        # rebinding x to the permuted map frees the stage before it
-        x = nd.permute(x, (0, 2, 1))                      # (F, Nc, C)
-        x = _stack_over(x, params.intra_stacks[r], params.intra_spec, seed,
-                        r, 0)
-        x = nd.permute(x, (0, 2, 1))                      # (F, C, Nc)
-        x = _stack_over(x, params.inter_stacks[r], params.inter_spec, seed,
-                        r, 1)
-    return x
+        # rebinding the parameter frees each stage once the next has
+        # read it, the caller's frames included
+        frames = nd.permute(frames, (0, 2, 1))            # (F, Nc, C)
+        frames = _stack_over(frames, params.intra_stacks[r],
+                             params.intra_spec, seed, r, 0)
+        frames = nd.permute(frames, (0, 2, 1))            # (F, C, Nc)
+        frames = _stack_over(frames, params.inter_stacks[r],
+                             params.inter_spec, seed, r, 1)
+    return frames

@@ -195,13 +195,13 @@ def _conv1d_check(rng):
 def _attention_op_check(rng):
     """Two heads of three sequences, queries of length 3 against keys and
     values of length 4, bare and under a bias that shifts the scores and
-    removes (-1e30) keys but never a query's last; only ``out`` is probed."""
+    removes (-1e30) keys but never a query's last."""
     q, k, v = (Tensor(rng.uniform(-1.0, 1.0, size=(4, 3 * n)))
                for n in (3, 4, 4))
     bias = rng.uniform(-1.0, 1.0, size=(3, 3, 4))
     bias[..., :3][rng.uniform(size=(3, 3, 3)) < 0.4] = -1e30
     return max(check_gradients(
-        lambda: nd.attention(q, k, v, 2, 3, 0.7, bias=b)[0], [q, k, v])
+        lambda: nd.attention(q, k, v, 2, 3, 0.7, bias=b), [q, k, v])
         for b in (None, bias))
 
 

@@ -8,7 +8,10 @@ intra/inter transformer block, applies a PReLU, overlap-adds back to
 pair of position-wise feed-forward layers per source; ReLU keeps the
 masks nonnegative but unbounded.
 Each estimate is the transposed convolution of mask * latent, written
-into a zeroed signal of the input's length.
+into a zeroed signal of the input's length; ``separate`` returns only the
+estimates, and the masks die with its call. The chunked path binds
+neither the input linear's map nor its frames while the block runs, so
+the block frees them once its first stack has read them.
 
 With chunking disabled only the intra stacks run, directly on the full
 sequence. With one source the same network acts as an enhancer.
@@ -102,7 +105,6 @@ def encoded_length(cfg, n_samples):
 @dataclass
 class SeparationOutput:
     estimates: list
-    masks: list
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +177,25 @@ class Sepformer(Params):
         cfg = self.cfg
         f = cfg.n_filters
         m = self.masknet
-        hbar = nd.matmul(m.input_linear_weight,
-                         nd.layer_norm(latent, m.norm_gain, m.norm_bias),
-                         bias=m.input_linear_bias)
 
         if cfg.chunk_size is not None:
-            chunked = chunk(hbar, cfg.chunk_size)
-            del hbar
-            processed = sepformer_block(chunked, self.block,
-                                        seed=derive_seed(self.seed, 101))
-            del chunked
+            # no name here holds the input linear or its frames, so the
+            # block frees them once it has read them
+            processed = sepformer_block(
+                chunk(nd.matmul(m.input_linear_weight,
+                                nd.layer_norm(latent, m.norm_gain,
+                                              m.norm_bias),
+                                bias=m.input_linear_bias), cfg.chunk_size),
+                self.block, seed=derive_seed(self.seed, 101))
             # the output linear, affine per position, commutes with the
             # overlap-add's per-position mean, so it runs on T' positions
             activated = overlap_add(nd.prelu(processed, m.prelu_slope),
                                     latent.shape[1])
             del processed
         else:
-            x = hbar
-            del hbar
+            x = nd.matmul(m.input_linear_weight,
+                          nd.layer_norm(latent, m.norm_gain, m.norm_bias),
+                          bias=m.input_linear_bias)
             for r, stack in enumerate(self.block.intra_stacks):
                 x = transformer_stack(x, stack, cfg.intra_attention,
                                       seed=derive_seed(self.seed, 101, r))
@@ -214,17 +217,16 @@ class Sepformer(Params):
         return masks
 
     def separate(self, x):
-        """Waveform -> per-source estimates (input length) plus masks."""
+        """Waveform -> per-source estimates of the input's length."""
         x = nd.as_tensor(x)
         n = x.shape[0]
         latent = self.encode(x)
-        masks = self.mask_net(latent)
         estimates = []
-        for mask in masks:
+        for mask in self.mask_net(latent):
             estimates.append(nd.conv1d_transpose(
                 nd.mul(mask, latent), self.decoder_filters, self.cfg.stride,
                 n))
-        return SeparationOutput(estimates, masks)
+        return SeparationOutput(estimates)
 
 
 # ---------------------------------------------------------------------------

@@ -804,8 +804,8 @@ def attention(q, k, v, heads, batch, scale, bias=None):
     ``bias[b % P]``, and -1e30 removes a key. The scores come from BLAS on
     strided views of the maps, the row softmax runs in place on the score
     buffer, and the output is written straight into a (heads*dk, batch*Lq)
-    map. Returns the output and the (heads*batch, Lq, Lk) softmax map,
-    head major; the map is a constant to the tape.
+    map. Returns the output; the (heads*batch, Lq, Lk) softmax map is
+    a tensor the record keeps for its backward.
 
     One tape record, whose backward is closed form: with dA = dO V and
     dS = A * (dA - rowsum(dA * A)), dV = dO^T A, dQ = scale K dS^T and
@@ -865,7 +865,7 @@ def attention(q, k, v, heads, batch, scale, bias=None):
         return gq, gk, gv
 
     _record(out, (q, k, v), backward, macs=2 * heads * batch * lq * lk * dk)
-    return out, weights
+    return out
 
 
 # Logit biases of the LSH core: a removed key gets exactly zero weight; a

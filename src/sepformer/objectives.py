@@ -4,9 +4,11 @@ The training loss is negative scale-invariant SNR under an exhaustive
 utterance-level permutation search. SI-SNR uses a soft ceiling: a tau
 fraction of the projected-target energy is added to the residual, so a
 perfect estimate tops out at 10*log10(1/tau) = 30 dB while gradients stay
-alive near the ceiling. SI-SNR improvement over the mixture is provided
-for reporting, along with Adam with global-norm gradient clipping, and a
-small deterministic training loop with plateau-halved learning rate.
+alive near the ceiling. SI-SNR improvement over the mixture is read off
+a permutation search's result, by the training loop and by reporting
+alike. Adam (betas and epsilon are module constants) follows global-norm
+gradient clipping in a small deterministic training loop with
+plateau-halved learning rate.
 
 SI-SNR is one tape record: its arithmetic runs in numpy and its backward
 is closed form, to the estimate and to the target, so a PIT loss over Ns
@@ -33,7 +35,7 @@ from .ndkernel import Tape, Tensor
 __all__ = [
     "SISNR_TAU", "UndefinedTargetError", "TrainingDivergedError",
     "has_energy", "si_snr", "si_snr_db", "pit_loss", "PitResult",
-    "si_snr_improvement",
+    "si_snr_improvement", "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS",
     "OptimState", "init_optim_state", "clip_gradients", "adam_step",
     "PlateauScheduler", "TraceRow", "write_trace", "train_toy",
 ]
@@ -120,7 +122,6 @@ class PitResult:
     """Outcome of the exhaustive permutation search."""
 
     permutation: tuple          # estimate index -> target index
-    matrix: np.ndarray          # pairwise SI-SNR in dB, (Ns, Ns)
     mean_db: float              # mean SI-SNR under the best permutation
 
 
@@ -158,19 +159,27 @@ def pit_loss(estimates, targets):
     c = -1.0 / ns
     loss = Tensor(sum((p.data for p in picked[1:]), picked[0].data) * c)
     nd._record(loss, picked, lambda g: (g * c,) * ns)
-    return loss, PitResult(best_perm, matrix, float(best_mean))
+    return loss, PitResult(best_perm, float(best_mean))
 
 
-def si_snr_improvement(mixture, estimates, targets):
-    """SI-SNRi plus the permutation search result it used."""
-    loss, pit = pit_loss(estimates, targets)
+def si_snr_improvement(mixture, targets, pit):
+    """SI-SNRi of the estimates that :func:`pit_loss` scored as ``pit``:
+    their mean SI-SNR minus the mixture's against the targets it paired
+    with them."""
     baseline = np.mean([si_snr_db(mixture, targets[j])
                         for j in pit.permutation])
-    return pit.mean_db - float(baseline), pit
+    return pit.mean_db - float(baseline)
 
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+# Adam's decay rates of the first and second moments, and the epsilon
+# added to the root of the second
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OptimState:
@@ -178,9 +187,6 @@ class OptimState:
     parameter's entries, in the order of the parameter dict."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -219,7 +225,7 @@ def adam_step(params, grads, state):
                                                 g.size))
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v = state.m, state.v
     m *= b1
     m += (1 - b1) * g
@@ -229,7 +235,7 @@ def adam_step(params, grads, state):
     step *= state.lr
     vhat = v / (1 - b2 ** t)
     np.sqrt(vhat, out=vhat)
-    vhat += state.eps
+    vhat += ADAM_EPS
     step /= vhat
     start = 0
     for tensor in params.values():
@@ -239,12 +245,11 @@ def adam_step(params, grads, state):
 
 
 class PlateauScheduler:
-    """Halve the learning rate after ``patience`` evaluations without
-    improvement (strictly higher metric resets the counter)."""
+    """Halve the learning rate after ``PLATEAU_PATIENCE`` evaluations
+    without improvement (strictly higher metric resets the counter)."""
 
-    def __init__(self, state, patience=3):
+    def __init__(self, state):
         self.state = state
-        self.patience = patience
         self.best = -np.inf
         self.stall = 0
 
@@ -254,10 +259,9 @@ class PlateauScheduler:
             self.stall = 0
         else:
             self.stall += 1
-            if self.stall >= self.patience:
+            if self.stall >= PLATEAU_PATIENCE:
                 self.state.lr *= 0.5
                 self.stall = 0
-        return self.state.lr
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +317,7 @@ def train_toy(model, data_fn, steps, lr=1.5e-4):
     """
     params = model.parameters()
     state = init_optim_state(params, lr=lr)
-    scheduler = PlateauScheduler(state, patience=PLATEAU_PATIENCE)
+    scheduler = PlateauScheduler(state)
     rows = []
     for step in range(steps):
         mixture, targets = data_fn(step)
@@ -330,9 +334,7 @@ def train_toy(model, data_fn, steps, lr=1.5e-4):
         grads = dict(zip(params.keys(), grads_list))
         grad_norm = clip_gradients(grads, CLIP_NORM)
         adam_step(params, grads, state)
-        baseline = np.mean([si_snr_db(mixture, targets[j])
-                            for j in pit.permutation])
-        si_snri = pit.mean_db - float(baseline)
+        si_snri = si_snr_improvement(mixture, targets, pit)
         wall_ms = (time.perf_counter() - t0) * 1e3
         rows.append(TraceRow(step, loss_value, state.lr, si_snri, wall_ms,
                              grad_norm, tape_records, (t1 - t0) * 1e3,

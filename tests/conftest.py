@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sepformer import ndkernel as nd
+
+# property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run is deterministic; each test keeps its own
+# max_examples
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)

@@ -35,6 +35,12 @@ def make_weights(spec, feat_dim, seed=0):
                                   np.random.default_rng(seed))
 
 
+def use_core(monkeypatch, variant, core):
+    """Run ``core`` in place of the variant's core."""
+    monkeypatch.setitem(attention.REGISTRY, variant,
+                        attention.REGISTRY[variant]._replace(core=core))
+
+
 def brute_force_attention(x, weights, spec):
     """Per-head, per-position loop computing softmax(q.k/sqrt(dk)) v."""
     dk = spec.d_head
@@ -90,11 +96,10 @@ def weight_rows(spec, weights, shape, rng, seed=0):
     v = np.zeros((heads, dk, batch, length))
     v[:, np.arange(n), :, np.arange(n)] = 1.0
     v = Tensor(v.reshape(heads * dk, batch * length))
-    ctx = attention._Call(spec, heads * batch, length, 1.0 / math.sqrt(dk),
+    ctx = attention._Call(spec, heads, batch, length, 1.0 / math.sqrt(dk),
                           spec.entry.prepare(spec, weights, batch, length,
                                              seed))
-    core = getattr(attention, spec.entry.core)
-    out = core(q, None if spec.entry.shares_qk else k, v, ctx)
+    out = spec.entry.core(q, None if spec.entry.shares_qk else k, v, ctx)
     return out.data.reshape(heads, dk, batch, length)[:, :n].transpose(
         0, 2, 3, 1).reshape(heads * batch, length, n)
 
@@ -443,11 +448,11 @@ class TestReformer:
 # blocked core must reproduce.
 
 def reference_longformer_head(q, k, v, ctx):
-    spec, length = ctx.spec, ctx.length
-    heads = q.shape[0] // spec.d_head
-    allowed = longformer_allowed(length, spec.window, spec.global_stride)
-    return nd.attention(q, k, v, heads, ctx.batch // heads, ctx.scale,
-                        bias=np.where(allowed, 0.0, -1e30)[None])[0]
+    spec = ctx.spec
+    allowed = longformer_allowed(ctx.length, spec.window,
+                                 spec.global_stride)
+    return nd.attention(q, k, v, ctx.heads, ctx.batch, ctx.scale,
+                        bias=np.where(allowed, 0.0, -1e30)[None])
 
 
 class TestLongformerMatchesReference:
@@ -482,8 +487,7 @@ class TestLongformerMatchesReference:
             return out.data, grads
 
         out, grads = run()
-        monkeypatch.setattr(attention, "_longformer_head",
-                            reference_longformer_head)
+        use_core(monkeypatch, "longformer", reference_longformer_head)
         want_out, want_grads = run()
         assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
         for g, ref in zip(grads, want_grads):
@@ -506,7 +510,7 @@ class TestLongformerMatchesReference:
             calls.append(len(nd._ACTIVE.tape._records) - before)
             return out
 
-        monkeypatch.setattr(attention, "_longformer_head", counting)
+        use_core(monkeypatch, "longformer", counting)
         x = Tensor(rng.standard_normal((6, 3, length)))
         with Tape():
             multi_head_dispatch(x, make_weights(spec, 6), spec)
@@ -619,8 +623,7 @@ def reference_reformer_head(q, k, v, ctx, buckets=None):
     more on the diagonal. A ``buckets`` list receives each head's
     (rounds, batch, L) bucket ids."""
     spec, length, m = ctx.spec, ctx.length, ctx.spec.bucket_chunk
-    heads, batch = attention._group_heads(q, ctx)
-    dk = spec.d_head
+    heads, batch, dk = ctx.heads, ctx.batch, spec.d_head
     outs = []
     for h in range(heads):
         qh, vh = (nd.slice_rows(t, h * dk, (h + 1) * dk) for t in (q, v))
@@ -639,16 +642,16 @@ def reference_reformer_head(q, k, v, ctx, buckets=None):
         bias = np.where(count > 0, np.log(np.maximum(count, 1.0)), -1e30)
         bias[:, np.arange(length), np.arange(length)] -= 1e5
         outs.append(nd.attention(qh, kq, vh, 1, batch, ctx.scale,
-                                 bias=bias)[0])
+                                 bias=bias))
     return outs[0] if heads == 1 else nd.concat(outs, axis=0)
 
 
 def use_reference_reformer(monkeypatch, buckets=None):
     """Run the reference core in place of the op, collecting each head's
     bucket ids in ``buckets``, head after head, when it is a list."""
-    monkeypatch.setattr(attention, "_reformer_head",
-                        lambda q, k, v, ctx: reference_reformer_head(
-                            q, k, v, ctx, buckets))
+    use_core(monkeypatch, "reformer",
+             lambda q, k, v, ctx: reference_reformer_head(q, k, v, ctx,
+                                                          buckets))
 
 
 def test_unit_keys_record_matches_finite_differences(rng):
@@ -690,12 +693,10 @@ class TestReformerMatchesReference:
 
         def recording(q, k, v, ctx):
             states.append(ctx.state)
-            return core(q, k, v, ctx)
+            return entry.core(q, k, v, ctx)
 
-        core = attention._reformer_head
         monkeypatch.setitem(attention.REGISTRY, "reformer",
-                            entry._replace(prepare=counting))
-        monkeypatch.setattr(attention, "_reformer_head", recording)
+                            entry._replace(prepare=counting, core=recording))
         spec = AttentionSpec("reformer", heads=4, d_model=8, n_buckets=4,
                              n_rounds=2, bucket_chunk=4)
         # two heads' score bytes: the four heads run as two groups
@@ -752,11 +753,11 @@ class TestReformerOpMatchesReference:
         sources = [x] + list(w.parameters().values())
         monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
                             1 if grouping == "single" else 2**40)
-        batches = []
+        groups = []
         core = attention._reformer_head
 
         def counting(q, k, v, ctx):
-            batches.append(ctx.batch)
+            groups.append((ctx.heads, ctx.batch))
             return core(q, k, v, ctx)
 
         def run():
@@ -765,10 +766,10 @@ class TestReformerOpMatchesReference:
                 grads = tape.gradient(nd.dot(out, probe), sources)
             return out.data, grads
 
-        monkeypatch.setattr(attention, "_reformer_head", counting)
+        use_core(monkeypatch, "reformer", counting)
         out, grads = run()
-        assert batches == ([batch or 1] * 4 if grouping == "single"
-                           else [4 * (batch or 1)])
+        assert groups == ([(1, batch or 1)] * 4 if grouping == "single"
+                          else [(4, batch or 1)])
         buckets = []
         use_reference_reformer(monkeypatch, buckets)
         want_out, want_grads = run()
@@ -806,7 +807,7 @@ class TestReformerOpMatchesReference:
                           active.tape._records[-1][1] == (q, v)))
             return out
 
-        monkeypatch.setattr(attention, "_reformer_head", counting)
+        use_core(monkeypatch, "reformer", counting)
         x = Tensor(rng.standard_normal((6, 3, length)))
         with nd.record_macs(), Tape():
             multi_head_dispatch(x, make_weights(spec, 6), spec,
@@ -930,21 +931,19 @@ class TestLinformerSlicesOncePerCall:
         def sliced_per_group(q, k, v, ctx):
             # the core as it was when each head group sliced both
             # projections itself
-            heads, batch = attention._group_heads(q, ctx)
-
             def project(t, proj):
                 p = nd.matmul(nd.reshape(t, (-1, ctx.length)),
                               nd.slice_rows(proj, 0, ctx.length))
                 return nd.reshape(p, (t.shape[0], -1))
 
             return nd.attention(q, project(k, w.proj_p),
-                                project(v, w.proj_f), heads, batch,
-                                ctx.scale)[0]
+                                project(v, w.proj_f), ctx.heads, ctx.batch,
+                                ctx.scale)
 
         monkeypatch.setattr(nd, "slice_rows", counting)
         got = run()
         assert sliced == [11, 11]
-        monkeypatch.setattr(attention, "_linformer_head", sliced_per_group)
+        use_core(monkeypatch, "linformer", sliced_per_group)
         want = run()
         assert len(sliced) == 2 + 2 + 4
         for g, ref in zip(got, want):
@@ -965,9 +964,8 @@ def per_head_reference(x, weights, spec, seed=0):
         flat = nd.reshape(x, (x.shape[0], batch * length))
     entry = spec.entry
     dk = spec.d_head
-    ctx = attention._Call(spec, batch, length, 1.0 / math.sqrt(dk),
+    ctx = attention._Call(spec, 1, batch, length, 1.0 / math.sqrt(dk),
                           entry.prepare(spec, weights, batch, length, seed))
-    core = getattr(attention, entry.core)
     q = nd.matmul(weights.wq, flat)
     v = nd.matmul(weights.wv, flat)
     k = None if entry.shares_qk else nd.matmul(weights.wk, flat)
@@ -975,7 +973,7 @@ def per_head_reference(x, weights, spec, seed=0):
     for i in range(spec.heads):
         qi, vi = (nd.slice_rows(t, i * dk, (i + 1) * dk) for t in (q, v))
         ki = nd.slice_rows(k, i * dk, (i + 1) * dk) if k is not None else None
-        heads.append(core(qi, ki, vi, ctx))
+        heads.append(entry.core(qi, ki, vi, ctx))
     cat = heads[0] if spec.heads == 1 else nd.concat(heads, axis=0)
     out = nd.matmul(weights.wo, cat)
     if x.data.ndim == 3:
@@ -1036,16 +1034,16 @@ class TestHeadsInBatchMatchReference:
                 grads = tape.gradient(nd.dot(out, probe), sources)
             return out.data, grads
 
-        core = getattr(attention, spec.entry.core)
-        batches = []
+        core = spec.entry.core
+        calls = []
 
         def counting(q, k, v, ctx):
-            batches.append(ctx.batch)
+            calls.append((ctx.heads, ctx.batch))
             return core(q, k, v, ctx)
 
-        monkeypatch.setattr(attention, spec.entry.core, counting)
+        use_core(monkeypatch, variant, counting)
         out, grads = run(multi_head_dispatch)
-        assert batches == [g * (batch or 1) for g in groups]
+        assert calls == [(g, batch or 1) for g in groups]
         want_out, want_grads = run(per_head_reference)
 
         assert out.shape == want_out.shape
@@ -1060,7 +1058,7 @@ class TestHeadsInBatchMatchReference:
         its output on one-hot values, d_head keys at a time: (heads, L
         keys, B, L queries), head major."""
         dk, length = ctx.spec.d_head, ctx.length
-        heads, batch = q.shape[0] // dk, q.shape[1] // length
+        heads, batch = ctx.heads, ctx.batch
         blocks = []
         for start in range(0, length, dk):
             n = min(dk, length - start)
@@ -1079,7 +1077,7 @@ class TestHeadsInBatchMatchReference:
         # same heads run one by one, within 1e-12
         spec, w, x, seed, _, groups = self.case(monkeypatch, variant,
                                                 batch, grouping)
-        core = getattr(attention, spec.entry.core)
+        core = spec.entry.core
 
         def rows(dispatch):
             read = []
@@ -1088,7 +1086,7 @@ class TestHeadsInBatchMatchReference:
                 read.append(self.read_rows(core, q, k, ctx))
                 return core(q, k, v, ctx)
 
-            monkeypatch.setattr(attention, spec.entry.core, reading)
+            use_core(monkeypatch, variant, reading)
             dispatch(x, w, spec, seed=seed)
             return read
 

@@ -165,7 +165,6 @@ class TestMaskNet:
         assert shapes["sepformer_block"] == ((f, c, nc), (f, c, nc))
         assert shapes["overlap_add"] == ((f, c, nc), (f, tp))
         assert shapes["slice_rows"] == ((ns * f, tp), (f, tp))
-        assert all(m.shape == (f, tp) for m in out.masks)
         assert all(e.shape == (64,) for e in out.estimates)
 
     @staticmethod
@@ -477,7 +476,7 @@ def test_config_validation():
 def test_enhancement_mode_single_source(rng):
     model = Sepformer(small_config(n_sources=1), seed=0)
     out = model.separate(rng.standard_normal(64))
-    assert len(out.estimates) == 1 and len(out.masks) == 1
+    assert len(out.estimates) == 1
 
 
 def parameter_digest(model):

@@ -184,6 +184,25 @@ def composite_attention(q, k, v, heads, batch, scale):
             a.reshape(a.shape[:-4] + (-1,) + a.shape[-2:]))
 
 
+def attention_map(q, k, heads, batch, scale, bias=None):
+    """The (heads*batch, Lq, Lk) softmax map of :func:`nd.attention`,
+    head major, read off its output on one-hot values dk keys at a time:
+    with key ``start + i`` of every sequence valued e_i in its head's
+    rows, output row i of a head is each query's weight on that key."""
+    rows, nq = q.shape
+    dk, lq, lk = rows // heads, nq // batch, k.shape[1] // batch
+    blocks = []
+    for start in range(0, lk, dk):
+        n = min(dk, lk - start)
+        v = np.zeros((heads, dk, batch, lk))
+        v[:, np.arange(n), :, start + np.arange(n)] = 1.0
+        out = nd.attention(q, k, Tensor(v.reshape(rows, -1)), heads, batch,
+                           scale, bias=bias)
+        blocks.append(out.data.reshape(heads, dk, batch, lq)[:, :n])
+    return np.concatenate(blocks, axis=1).transpose(0, 2, 3, 1).reshape(
+        heads * batch, lq, lk)
+
+
 def complex_step_gradients(f, arrays, step=1e-30):
     """Gradients of the real scalar ``f(*arrays)`` to each array by
     complex-step differentiation: the derivative along entry i is the
@@ -219,9 +238,9 @@ class TestAttention:
         q, k, v = self.operands(rng, heads, batch, lq, lk)
         probe = rng.standard_normal(q.shape)
         with Tape() as tape:
-            out, a = nd.attention(q, k, v, heads, batch, 0.6)
+            out = nd.attention(q, k, v, heads, batch, 0.6)
             grads = tape.gradient(nd.dot(out, Tensor(probe)), [q, k, v])
-        out, a = out.data, a.data
+        out, a = out.data, attention_map(q, k, heads, batch, 0.6)
         operands = [q.data, k.data, v.data]
         want_out, want_a = composite_attention(*operands, heads, batch, 0.6)
         want_grads = complex_step_gradients(
@@ -245,9 +264,8 @@ class TestAttention:
     def test_arena_peak_of_one_call_includes_its_score_map(self, rng):
         q, k, v = self.operands(rng, 4, 3, 5, 8)
         with nd.track_memory() as arena:
-            out, a = nd.attention(q, k, v, 4, 3, 0.5)
-        assert a.data.nbytes == 4 * 3 * 5 * 8 * 8
-        assert arena.peak == out.data.nbytes + a.data.nbytes
+            out = nd.attention(q, k, v, 4, 3, 0.5)
+        assert arena.peak == out.data.nbytes + 4 * 3 * 5 * 8 * 8
 
     # a v of other columns; no heads; no sequences
     @pytest.mark.parametrize("heads,batch,v_cols", [(2, 2, 6), (0, 2, 8),
@@ -269,7 +287,8 @@ class TestAttention:
         q, k, v = self.operands(rng, heads, batch, lq, lk)
         bias = rng.standard_normal((2, lq, lk))
         bias[0, :, 1] = -1e30
-        out, a = nd.attention(q, k, v, heads, batch, 0.6, bias=bias)
+        out = nd.attention(q, k, v, heads, batch, 0.6, bias=bias)
+        a = attention_map(q, k, heads, batch, 0.6, bias=bias)
         qd, kd, vd = (x.data.reshape(heads, self.DK, batch, -1)
                       for x in (q, k, v))
         got = out.data.reshape(heads, self.DK, batch, lq)
@@ -278,10 +297,10 @@ class TestAttention:
                 s = 0.6 * qd[h, :, b].T @ kd[h, :, b] + bias[b % 2]
                 w = np.exp(s - s.max(axis=1, keepdims=True))
                 w /= w.sum(axis=1, keepdims=True)
-                assert np.abs(a.data[h * batch + b] - w).max() <= 1e-12
+                assert np.abs(a[h * batch + b] - w).max() <= 1e-12
                 assert np.abs(got[h, :, b] - vd[h, :, b] @ w.T).max() \
                     <= 1e-12
-        assert not a.data.reshape(heads, 2, 2, lq, lk)[:, :, 0, :, 1].any()
+        assert not a.reshape(heads, 2, 2, lq, lk)[:, :, 0, :, 1].any()
 
     @pytest.mark.parametrize("shape", [(3, 3, 5), (2, 5, 3), (2, 3),
                                        (0, 3, 5)])
@@ -299,7 +318,7 @@ class TestAttention:
         s, lq, lk = logits.shape
         q = Tensor(np.zeros((self.DK, s * lq)))
         kv = Tensor(rng.standard_normal((self.DK, s * lk)))
-        return nd.attention(q, kv, kv, 1, s, 1.0, bias=logits)[1].data
+        return attention_map(q, kv, 1, s, 1.0, bias=logits)
 
     @pytest.mark.parametrize("prop", [
         "equal_scores_give_uniform_rows", "two_logit_closed_form",
@@ -319,9 +338,9 @@ class TestAttention:
             np.testing.assert_allclose(a[0, 0, 0], 1.0, atol=1e-12)
         elif prop == "rows_sum_to_one":
             # scores and a bias, four heads of three sequences
-            q, k, v = self.operands(rng, 4, 3, 6, 9)
-            a = nd.attention(q, k, v, 4, 3, 0.8,
-                             bias=rng.standard_normal((3, 6, 9)))[1].data
+            q, k, _ = self.operands(rng, 4, 3, 6, 9)
+            a = attention_map(q, k, 4, 3, 0.8,
+                              bias=rng.standard_normal((3, 6, 9)))
             np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-12)
         elif prop == "invariant_to_row_shift":
             x = rng.standard_normal((2, 4, 7))
