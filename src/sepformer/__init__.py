@@ -6,7 +6,7 @@ from .attention import (AttentionSpec, SequenceTooLongError,
                         multi_head_dispatch, positional_encoding)
 from .datagen import (MixSpec, Signal, WavFormatError, dynamic_mix,
                       speed_perturb, synth_sources, wav_read, wav_write)
-from .dualpath import InvalidChunkSizeError, chunk, overlap_add
+from .dualpath import chunk, overlap_add
 from .model import (CheckpointError, SeparationOutput, Sepformer,
                     SepformerConfig, load_checkpoint, parameter_census,
                     save_checkpoint)

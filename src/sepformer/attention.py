@@ -20,17 +20,19 @@ Variants:
 
 Each variant is one :data:`REGISTRY` entry, which the dispatch, the
 parameter list, the cost model and the dual path's seeding all read:
-adding a variant takes one entry. Its per-call state (the longformer's
-blocks, LSH rotations, the linformer's projection rows) is built once per
-:func:`multi_head_dispatch` call. Full and linformer attention are one
+adding a variant takes one entry. A :func:`multi_head_dispatch` call
+runs its variant's core once, over every head, and the core builds what
+it needs (the longformer's blocks, LSH rotations, the linformer's
+projection rows) itself. Full and linformer attention are one
 ``ndkernel.attention`` op each, and the longformer runs its band in
 blocks on the same op under a logit bias (plain attention when the band
 covers the sequence). Every core reads head-major maps and returns only
 its head-major output. The reformer core is one ``ndkernel.lsh_attention``
 op, which normalizes the keys, hashes and sorts every round and attends
 chunkwise; a sequence no longer than ``bucket_chunk`` is one chunk of its
-own length. In every core the 1/sqrt(dk) scale rides on the queries
-rather than on the score maps.
+own length. The two ops bound their own score maps on long inputs, so no
+core splits its heads. In every core the 1/sqrt(dk) scale rides on the
+queries rather than on the score maps.
 """
 
 from __future__ import annotations
@@ -156,29 +158,29 @@ def positional_encoding(length, d_model):
 
 
 # ---------------------------------------------------------------------------
-# per-head cores
+# cores
 #
 # core(q, k, v, ctx) -> out receives head-major (h*dk, S*L) maps of
 # Q/K/V (``k`` is None when the variant shares QK): rows i*dk..(i+1)*dk
-# are head i, in projection order, and the columns hold S independent
-# length-L sequences side by side; ``ctx.heads`` counts h and
-# ``ctx.batch`` counts S. The core returns only the (h*dk, S*L) output, in
-# the same order, so a group's output is a row slice of the heads' concat
-# as ``wo`` reads it. Work that mixes positions runs batched over the
-# sequences; queries are scaled by 1/sqrt(dk) before they meet a key.
+# are head i of ``ctx.spec.heads``, in projection order, and the columns
+# hold ``ctx.batch`` independent length-L sequences side by side. The core
+# returns the (h*dk, S*L) output in the same order, as ``wo`` reads it;
+# ``ctx`` also holds the attention's ``weights`` and the call's ``seed``.
+# Work that mixes positions runs batched over the sequences; queries are
+# scaled by 1/sqrt(dk) before they meet a key.
 
-_Call = namedtuple("_Call", "spec heads batch length scale state")
+_Call = namedtuple("_Call", "spec weights batch length scale seed")
 
 
 def _full_head(q, k, v, ctx):
-    return nd.attention(q, k, v, ctx.heads, ctx.batch, ctx.scale)
+    return nd.attention(q, k, v, ctx.spec.heads, ctx.batch, ctx.scale)
 
 
 _Band = namedtuple("_Band", "globals bias queries keys global_queries "
                    "picks", defaults=(None,) * 5)
 
 
-def _longformer_prepare(spec, weights, batch, length, seed):
+def _longformer_prepare(spec, batch, length):
     """Cut each of ``batch`` sequences into blocks of c = max(half, 1)
     queries, half = (w - 1) / 2, the last one padded. Block i sees the 3c
     positions from (i - 1)c and the g ``globals``, every
@@ -224,18 +226,19 @@ def _longformer_prepare(spec, weights, batch, length, seed):
 
 
 def _longformer_head(q, k, v, ctx):
-    band = ctx.state
+    heads = ctx.spec.heads
+    band = _longformer_prepare(ctx.spec, ctx.batch, ctx.length)
     if band.bias is None:
         # the band covers the sequence: every pair is allowed
-        return nd.attention(q, k, v, ctx.heads, ctx.batch, ctx.scale)
+        return nd.attention(q, k, v, heads, ctx.batch, ctx.scale)
     out = nd.attention(
         nd.gather_cols(q, band.queries), nd.gather_cols(k, band.keys),
-        nd.gather_cols(v, band.keys), ctx.heads,
+        nd.gather_cols(v, band.keys), heads,
         ctx.batch * len(band.bias), ctx.scale, bias=band.bias)
     if len(band.globals):
         # rows at global positions attend to every position
         out_g = nd.attention(nd.gather_cols(q, band.global_queries), k, v,
-                             ctx.heads, ctx.batch, ctx.scale)
+                             heads, ctx.batch, ctx.scale)
         out = nd.concat([out, out_g], axis=1)
     return nd.gather_cols(out, band.picks)
 
@@ -250,10 +253,9 @@ def _longformer_macs(spec, t):
                               else -(-t // c) * c * (3 * c + g) + g * t)
 
 
-def _linformer_prepare(spec, weights, batch, length, seed):
-    """The first ``length`` rows of both projections, sliced once per call:
-    each slice's gradient is a full-size array, summed once per call
-    rather than once per head group."""
+def _linformer_prepare(spec, weights, length):
+    """The first ``length`` rows of both projections, or
+    :class:`SequenceTooLongError` past ``max_len``."""
     if length > spec.max_len:
         raise SequenceTooLongError("sequence length %d exceeds projection "
                                    "size %d" % (length, spec.max_len))
@@ -263,7 +265,7 @@ def _linformer_prepare(spec, weights, batch, length, seed):
 
 def _linformer_head(q, k, v, ctx):
     length = ctx.length
-    proj_p, proj_f = ctx.state
+    proj_p, proj_f = _linformer_prepare(ctx.spec, ctx.weights, length)
 
     def project(x, proj):
         # each sequence's length-L rows onto the proj_len slots, which
@@ -272,10 +274,10 @@ def _linformer_head(q, k, v, ctx):
         return nd.reshape(p, (x.shape[0], -1))
 
     return nd.attention(q, project(k, proj_p), project(v, proj_f),
-                        ctx.heads, ctx.batch, ctx.scale)
+                        ctx.spec.heads, ctx.batch, ctx.scale)
 
 
-def _reformer_prepare(spec, weights, batch, length, seed):
+def _reformer_prepare(spec, batch, seed):
     """Per hash round, the (B, d_head, n_buckets / 2) rotations from each
     sequence's seed, or (1, ...) from one shared int."""
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
@@ -288,8 +290,10 @@ def _reformer_prepare(spec, weights, batch, length, seed):
 
 
 def _reformer_head(q, k, v, ctx):
-    return nd.lsh_attention(q, v, ctx.state, ctx.heads, ctx.batch,
-                            ctx.spec.bucket_chunk, ctx.scale)
+    spec = ctx.spec
+    rotations = _reformer_prepare(spec, ctx.batch, ctx.seed)
+    return nd.lsh_attention(q, v, rotations, spec.heads, ctx.batch,
+                            spec.bucket_chunk, ctx.scale)
 
 
 def _reformer_macs(spec, t):
@@ -303,35 +307,25 @@ def _reformer_macs(spec, t):
 # ---------------------------------------------------------------------------
 # registry
 
-def _nothing(*_):
-    return ()
-
-
-# One variant. ``core`` is its per-head core function. ``core_macs``
-# (spec, length) mirrors the MACs one head's core charges on one sequence.
-# ``prepare`` (spec, weights, batch, length, seed) runs once per call,
-# before the projections, and returns ``ctx.state`` (constants, or tensors
-# taken from the weights) or refuses the input; every head group's core
-# call reads it. ``extra`` (spec) yields the tensors beyond wq/wv/wo/wk.
-# ``shares_qk``: keys are the unit queries (no wk, two projections).
-# ``seeded``: prepare draws from the seed.
+# One variant. ``core`` is its core function, run once per call over
+# every head. ``core_macs`` (spec, length) mirrors the MACs one head's core
+# charges on one sequence. ``extra`` (spec) yields the tensors beyond
+# wq/wv/wo/wk. ``shares_qk``: keys are the unit queries (no wk, two
+# projections). ``seeded``: the core draws from the seed.
 Variant = namedtuple(
-    "Variant", "core core_macs prepare extra shares_qk seeded",
-    defaults=(_nothing, _nothing, False, False))
+    "Variant", "core core_macs extra shares_qk seeded",
+    defaults=(lambda spec: (), False, False))
 
 REGISTRY = {
     "full": Variant(_full_head, lambda spec, t: 2 * t * t * spec.d_head),
-    "longformer": Variant(_longformer_head, _longformer_macs,
-                          prepare=_longformer_prepare),
+    "longformer": Variant(_longformer_head, _longformer_macs),
     "linformer": Variant(
         _linformer_head, lambda spec, t: 4 * t * spec.proj_len * spec.d_head,
-        prepare=_linformer_prepare,
         extra=lambda spec: [(name, (spec.max_len, spec.proj_len),
                              uniform(spec.max_len))
                             for name in ("proj_p", "proj_f")]),
     "reformer": Variant(
-        _reformer_head, _reformer_macs, prepare=_reformer_prepare,
-        shares_qk=True, seeded=True),
+        _reformer_head, _reformer_macs, shares_qk=True, seeded=True),
 }
 VARIANTS = tuple(REGISTRY)
 
@@ -352,32 +346,20 @@ def projection_macs(spec, feat_dim, length):
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _heads_per_group(spec, batch, length):
-    """The most heads, dividing the head count, whose score maps fit
-    ``ndkernel._GROUP_SCORE_BYTES`` together (at least one). A core's maps
-    hold about core_macs / (2 d_head) float64 entries: every score is a
-    d_head-long product, and one more product of that size consumes it."""
-    per_head = 4 * batch * spec.entry.core_macs(spec, length) // spec.d_head
-    fit = nd._GROUP_SCORE_BYTES // max(1, per_head)
-    return max(h for h in range(1, spec.heads + 1)
-               if spec.heads % h == 0 and (h == 1 or h <= fit))
-
-
 def multi_head_dispatch(x, weights, spec, seed=0):
     """Project, run the variant core over the heads, recombine.
 
     ``x`` is one (F, T) map or a batch (F, B, L) of B independent length-L
     sequences, and the output has the same layout. The heads join the
     sequences in the core's batch: the projections run once over all
-    positions, one core call runs per group of heads on the group's
-    contiguous rows of the projections, (heads*dk, B*L) in projection
-    order, and the output matrix recombines the groups' concat as stored.
-    The groups are equal and hold as many heads as keep their
-    score maps under ``ndkernel._GROUP_SCORE_BYTES``. ``seed`` only matters
-    for a seeded variant (the reformer, whose LSH rotations are drawn per
-    call from it): one int shared by every sequence, or one per sequence;
-    every head of a sequence uses its rotations. Equal seeds give
-    bit-identical outputs.
+    positions, one core call runs over every head's rows of the
+    projections, (heads*dk, B*L) in projection order, and the output
+    matrix recombines the heads as stored. The attention ops bound their
+    own score maps, so a long input splits no heads here. ``seed`` only
+    matters for a seeded variant (the reformer, whose LSH rotations are
+    drawn per call from it): one int shared by every sequence, or one per
+    sequence; every head of a sequence uses its rotations. Equal seeds
+    give bit-identical outputs.
     """
     x = nd.as_tensor(x)
     batched = x.data.ndim == 3
@@ -391,27 +373,14 @@ def multi_head_dispatch(x, weights, spec, seed=0):
         raise nd.ShapeError("attention expects (F, T) or (F, B, L), got %r"
                             % (x.shape,))
     entry = spec.entry
-    heads, dk = spec.heads, spec.d_head
-    state = entry.prepare(spec, weights, batch, length, seed)
-    hg = _heads_per_group(spec, batch, length)
-    groups = heads // hg
     q, k, v = (None if w is None else nd.matmul(w, flat)
                for w in (weights.wq, None if entry.shares_qk else weights.wk,
                          weights.wv))
     del x, flat
-    ctx = _Call(spec, hg, batch, length, 1.0 / math.sqrt(dk), state)
-
-    outs = []
-    rows = dk * hg
-    for g in range(groups):
-        qkv = [t if t is None or groups == 1
-               else nd.slice_rows(t, g * rows, (g + 1) * rows)
-               for t in (q, k, v)]
-        outs.append(entry.core(*qkv, ctx))
-        del qkv
+    ctx = _Call(spec, weights, batch, length, 1.0 / math.sqrt(spec.d_head),
+                seed)
+    heads_out = entry.core(q, k, v, ctx)
     del q, k, v
-    heads_out = outs[0] if groups == 1 else nd.concat(outs, axis=0)
-    del outs
     out = nd.matmul(weights.wo, heads_out)
     if batched:
         out = nd.reshape(out, (out.shape[0], batch, length))

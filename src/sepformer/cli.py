@@ -25,13 +25,12 @@ import os
 import sys
 from dataclasses import fields
 
-from .attention import VARIANTS, AttentionSpec, FieldError, \
-    SequenceTooLongError
-from .datagen import SPEED_RANGE, MixSpec, Signal, WavFormatError, \
-    dynamic_mix, synth_sources, wav_read, wav_write
+from .attention import VARIANTS, AttentionSpec, FieldError
+from .datagen import SPEED_RANGE, MixSpec, Signal, dynamic_mix, \
+    synth_sources, wav_read, wav_write
 from .gradcheck import TOLERANCE, run_suite
-from .model import CheckpointError, Sepformer, SepformerConfig, \
-    load_checkpoint, parse_field, save_checkpoint
+from .model import Sepformer, SepformerConfig, load_checkpoint, \
+    parse_field, save_checkpoint
 from .objectives import TrainingDivergedError, has_energy, pit_loss, \
     si_snr_improvement, train_toy, write_trace
 from .profiler import bench_baseline, bench_forward, render_csv, \
@@ -388,8 +387,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ConfigError, CheckpointError, WavFormatError,
-            SequenceTooLongError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (TrainingDivergedError, FloatingPointError) as exc:

@@ -23,20 +23,14 @@ from .params import Params
 from .transformer import stack_tensors, transformer_stack
 
 __all__ = [
-    "InvalidChunkSizeError", "chunk", "overlap_add",
+    "chunk", "overlap_add",
     "SepformerBlockParams", "block_tensors", "block_params",
     "init_sepformer_block", "sepformer_block", "padded_chunk_geometry",
 ]
 
-class InvalidChunkSizeError(ValueError):
-    """Chunk size must be even (hop is exactly half the chunk)."""
-
-
 def chunk(feature_map, chunk_size):
-    """Frame an (F, T') map into (F, C, Nc) frames at 50% overlap."""
-    if chunk_size < 2 or chunk_size % 2 != 0:
-        raise InvalidChunkSizeError(
-            "chunk size must be even and >= 2, got %d" % chunk_size)
+    """Frame an (F, T') map into (F, C, Nc) frames at 50% overlap; a size
+    that is odd or below 2 raises ``ndkernel.frame``'s ``ShapeError``."""
     return nd.frame(nd.as_tensor(feature_map), chunk_size)
 
 

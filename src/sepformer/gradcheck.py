@@ -87,19 +87,21 @@ def check_gradients(build, tensors):
 # ---------------------------------------------------------------------------
 # ndkernel suite: one entry per differentiable op
 
-def _ndkernel_suite():
-    def r(rng, *shape, low=-1.0, high=1.0):
-        return Tensor(rng.uniform(low, high, size=shape))
+def _draw(rng, *shape, low=-1.0, high=1.0):
+    """A tensor of ``shape`` drawn uniformly from [low, high)."""
+    return Tensor(rng.uniform(low, high, size=shape))
 
+
+def _ndkernel_suite():
     def unary(op, *shape):
         def run(rng):
-            x = r(rng, *(shape or (3, 4)))
+            x = _draw(rng, *(shape or (3, 4)))
             return check_gradients(lambda: op(x), [x])
         return run
 
     def binary(op, sa, sb):
         def run(rng):
-            a, b = r(rng, *sa), r(rng, *sb)
+            a, b = _draw(rng, *sa), _draw(rng, *sb)
             return check_gradients(lambda: op(a, b), [a, b])
         return run
 
@@ -124,12 +126,13 @@ def _ndkernel_suite():
         "prelu": _prelu_check,
         "layer_norm": (lambda rng: (lambda x, g, b: check_gradients(
             lambda: nd.layer_norm(x, g, b), [x, g, b]))(
-                r(rng, 5, 4), r(rng, 5, low=0.5, high=1.5), r(rng, 5))),
+                _draw(rng, 5, 4), _draw(rng, 5, low=0.5, high=1.5),
+                _draw(rng, 5))),
         "conv1d": _conv1d_check,
         # 7 frames fill 16 samples; the last 3 are the zero tail
         "conv1d_transpose": (lambda rng: (lambda x, w: check_gradients(
             lambda: nd.conv1d_transpose(x, w, 2, 19), [x, w]))(
-                r(rng, 3, 7), r(rng, 3, 1, 4))),
+                _draw(rng, 3, 7), _draw(rng, 3, 1, 4))),
         "dot": binary(nd.dot, (3, 4), (3, 4)),
         "attention": _attention_op_check,
         "lsh_attention": _lsh_attention_op_check,
@@ -145,15 +148,12 @@ def _away_from_kink(pre):
 def _matmul_check(rng):
     """The bare product, the bias epilogue, and the bias-plus-rectifier
     epilogue, whose data is redrawn until it is away from the kink."""
-    def draw(*shape):
-        return Tensor(rng.uniform(-1.0, 1.0, size=shape))
-
-    a, b, bias = draw(4, 3), draw(3, 5), draw(4)
+    a, b, bias = _draw(rng, 4, 3), _draw(rng, 3, 5), _draw(rng, 4)
     worst = max(check_gradients(lambda: nd.matmul(a, b), [a, b]),
                 check_gradients(lambda: nd.matmul(a, b, bias=bias),
                                 [a, b, bias]))
     while True:
-        a, b, bias = draw(4, 3), draw(3, 5), draw(4)
+        a, b, bias = _draw(rng, 4, 3), _draw(rng, 3, 5), _draw(rng, 4)
         if _away_from_kink(a.data @ b.data + bias.data[:, None]):
             break
     return max(worst, check_gradients(
@@ -164,12 +164,9 @@ def _feed_forward_check(rng):
     """Both linears on 5 positions of 3 features through 4 hidden rows,
     the weights stored (in, out); the data is redrawn until the hidden
     pre-activations are away from the kink."""
-    def draw(*shape):
-        return Tensor(rng.uniform(-1.0, 1.0, size=shape))
-
     while True:
-        x, w1, b1, w2, b2 = draw(3, 5), draw(3, 4), draw(4), draw(4, 3), \
-            draw(3)
+        x, w1, b1, w2, b2 = (_draw(rng, *shape) for shape in
+                             ((3, 5), (3, 4), (4,), (4, 3), (3,)))
         if _away_from_kink(w1.data.T @ x.data + b1.data[:, None]):
             break
     return check_gradients(lambda: nd.feed_forward(x, w1, b1, w2, b2),
@@ -179,13 +176,10 @@ def _feed_forward_check(rng):
 def _conv1d_check(rng):
     """The bare convolution and its rectifier epilogue; as for matmul, the
     epilogue's data is redrawn until it is away from the kink."""
-    def draw(*shape):
-        return Tensor(rng.uniform(-1.0, 1.0, size=shape))
-
-    x, w = draw(16), draw(3, 1, 4)
+    x, w = _draw(rng, 16), _draw(rng, 3, 1, 4)
     worst = check_gradients(lambda: nd.conv1d(x, w, 2), [x, w])
     while True:
-        x, w = draw(9), draw(2, 1, 3)
+        x, w = _draw(rng, 9), _draw(rng, 2, 1, 3)
         if _away_from_kink(nd.conv1d(x, w, 2).data):
             break
     return max(worst, check_gradients(lambda: nd.conv1d(x, w, 2, relu=True),
@@ -196,8 +190,7 @@ def _attention_op_check(rng):
     """Two heads of three sequences, queries of length 3 against keys and
     values of length 4, bare and under a bias that shifts the scores and
     removes (-1e30) keys but never a query's last."""
-    q, k, v = (Tensor(rng.uniform(-1.0, 1.0, size=(4, 3 * n)))
-               for n in (3, 4, 4))
+    q, k, v = (_draw(rng, 4, 3 * n) for n in (3, 4, 4))
     bias = rng.uniform(-1.0, 1.0, size=(3, 3, 4))
     bias[..., :3][rng.uniform(size=(3, 3, 3)) < 0.4] = -1e30
     return max(check_gradients(
@@ -210,8 +203,7 @@ def _lsh_attention_op_check(rng):
     look-back half, a padded last chunk) under per-sequence rotations, and
     length 2, one chunk of its own, under one shared rotation."""
     def case(length, shared):
-        q, v = (Tensor(rng.uniform(-1.0, 1.0, size=(6, 2 * length)))
-                for _ in range(2))
+        q, v = (_draw(rng, 6, 2 * length) for _ in range(2))
         rotations = [rng.standard_normal((1 if shared else 2, 3, 2))
                      for _ in range(2)]
         return check_gradients(
@@ -224,7 +216,7 @@ def _prelu_check(rng):
     both signs."""
     signs = np.where(rng.uniform(size=(3, 4)) < 0.5, -1.0, 1.0)
     x = Tensor(signs * rng.uniform(0.2, 1.0, size=(3, 4)))
-    slope = Tensor(rng.uniform(0.1, 0.5, size=3))
+    slope = _draw(rng, 3, low=0.1, high=0.5)
     return check_gradients(lambda: nd.prelu(x, slope), [x, slope])
 
 
@@ -236,7 +228,7 @@ def _attention_check(variant, **spec_kwargs):
         spec = AttentionSpec(variant, heads=2, d_model=8, **spec_kwargs)
         feat, length = 6, 11
         weights = init_attention_weights(spec, feat, rng)
-        x = Tensor(rng.uniform(-1, 1, size=(feat, length)))
+        x = _draw(rng, feat, length)
         tensors = [x] + list(weights.parameters().values())
         return check_gradients(
             lambda: multi_head_dispatch(x, weights, spec, seed=7), tensors)
@@ -270,7 +262,7 @@ def tiny_config():
 def _check_transformer_layer(rng):
     spec = AttentionSpec("full", heads=2, d_model=8)
     params = init_transformer_layer(spec, 8, 12, rng)
-    x = Tensor(rng.uniform(-1, 1, size=(8, 6)))
+    x = _draw(rng, 8, 6)
     tensors = [x] + list(params.parameters().values())
     return check_gradients(lambda: transformer_layer(x, params, spec),
                            tensors)
@@ -279,30 +271,30 @@ def _check_transformer_layer(rng):
 def _check_transformer_stack(rng):
     spec = AttentionSpec("full", heads=2, d_model=6)
     params = init_transformer_stack(spec, 6, 8, 2, rng)
-    x = Tensor(rng.uniform(-1, 1, size=(6, 5)))
+    x = _draw(rng, 6, 5)
     return check_gradients(lambda: transformer_stack(x, params, spec), [x])
 
 
 def _check_chunk_roundtrip(rng):
-    x = Tensor(rng.uniform(-1, 1, size=(3, 11)))
+    x = _draw(rng, 3, 11)
     return check_gradients(lambda: overlap_add(chunk(x, 4), 11), [x])
 
 
 def _check_sepformer_block(rng):
     intra = AttentionSpec("full", heads=2, d_model=6)
     params = init_sepformer_block(intra, intra, 6, 8, 1, 1, 1, rng)
-    x = Tensor(rng.uniform(-1, 1, size=(6, 9)))
+    x = _draw(rng, 6, 9)
     return check_gradients(lambda: sepformer_block(chunk(x, 4), params), [x])
 
 
 def _check_si_snr(rng):
-    e = Tensor(rng.uniform(-1, 1, size=24))
-    t = Tensor(rng.uniform(-1, 1, size=24))
+    e = _draw(rng, 24)
+    t = _draw(rng, 24)
     return check_gradients(lambda: si_snr(e, t), [e, t])
 
 
 def _check_pit_loss(rng):
-    targets = [Tensor(rng.uniform(-1, 1, size=20)) for _ in range(2)]
+    targets = [_draw(rng, 20) for _ in range(2)]
     # estimates near their own targets keep the winning permutation stable
     est = [Tensor(t.data + 0.05 * rng.uniform(-1, 1, size=20))
            for t in targets]

@@ -27,12 +27,13 @@ one :func:`lsh_attention` op on the same head-major maps, which makes its
 unit keys, hashes and sorts every round, and reads each chunk's keys
 through overlapping views.
 
-Two ops bound their scratch on long inputs: :func:`feed_forward` runs in
-blocks of at most ``_GROUP_POSITIONS`` positions and :func:`lsh_attention`
-in blocks of chunks whose scores fit ``_GROUP_SCORE_BYTES``. Under a tape
-they fill the whole maps the record keeps for its backward; without one
-every block reuses one block's buffers, so a forward with no tape holds
-only its live maps and one block. Row slices are views.
+Three ops bound their scratch on long inputs: :func:`feed_forward` runs in
+blocks of at most ``_GROUP_POSITIONS`` positions, :func:`attention` and
+:func:`lsh_attention` in blocks of heads or chunks whose scores fit
+``_GROUP_SCORE_BYTES``. Under a tape they fill the whole maps the record
+keeps for its backward; without one every block reuses one block's
+buffers, so a forward with no tape holds only its live maps and one
+block. Row slices are views.
 
 Ops see the active instruments through one object, ``_ACTIVE``, with one
 slot each; an empty slot costs one attribute test per op:
@@ -269,10 +270,10 @@ def as_tensor(x):
 # the dual path groups whole sequences up to it and never splits one, so a
 # longer sequence runs alone.
 _GROUP_POSITIONS = 1024
-# Most score-map bytes one attention core call, or one block of chunks of
-# the LSH core, holds. The per-call counterpart of ``_GROUP_POSITIONS``,
-# chosen by a sweep of latency and peak memory over 2-16 MiB on the
-# full-size forwards.
+# Most score-map bytes one block of heads of the attention op, or one
+# block of chunks of the LSH op, holds without a tape. The counterpart of
+# ``_GROUP_POSITIONS``, chosen by a sweep of latency and peak memory over
+# 2-16 MiB on the full-size forwards.
 _GROUP_SCORE_BYTES = 4 * 2**20
 
 
@@ -390,8 +391,12 @@ def permute(x, axes):
     """Reorder the axes of ``x`` in the order ``axes``."""
     x = as_tensor(x)
     axes = tuple(axes)
+    try:
+        out = Tensor(np.transpose(x.data, axes))
+    except ValueError as exc:
+        raise ShapeError("permute cannot reorder %r by axes %r"
+                         % (x.shape, axes)) from exc
     inv = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(x.data, axes))
     _record(out, (x,), lambda g: (np.transpose(g, inv),))
     return out
 
@@ -399,16 +404,23 @@ def permute(x, axes):
 def reshape(x, shape):
     x = as_tensor(x)
     old = x.shape
-    out = Tensor(x.data.reshape(shape))
+    try:
+        out = Tensor(x.data.reshape(shape))
+    except ValueError as exc:
+        raise ShapeError("reshape cannot make %r into %r"
+                         % (old, shape)) from exc
     _record(out, (x,), lambda g: (g.reshape(old),))
     return out
 
 
 def concat(tensors, axis):
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    try:
+        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    except ValueError as exc:
+        raise ShapeError("concat cannot join %r along axis %r"
+                         % ([t.shape for t in tensors], axis)) from exc
+    offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def backward(g):
         return tuple(np.ascontiguousarray(p)
@@ -461,6 +473,10 @@ def gather_cols(x, idx):
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
     shape = x.shape
+    if x.data.ndim != 2 or idx.size and (idx.min() < 0
+                                         or idx.max() >= shape[1]):
+        raise ShapeError("gather_cols needs a 2-d map and column indices "
+                         "in range, got %r and indices %r" % (shape, idx))
     out = Tensor(np.take(x.data, idx, axis=1))
 
     def backward(g):
@@ -804,8 +820,10 @@ def attention(q, k, v, heads, batch, scale, bias=None):
     ``bias[b % P]``, and -1e30 removes a key. The scores come from BLAS on
     strided views of the maps, the row softmax runs in place on the score
     buffer, and the output is written straight into a (heads*dk, batch*Lq)
-    map. Returns the output; the (heads*batch, Lq, Lk) softmax map is
-    a tensor the record keeps for its backward.
+    map. Without a tape the heads run in blocks whose maps fit
+    ``_GROUP_SCORE_BYTES`` (at least one head) in one block's buffer;
+    under a tape one block holds them all, and its (heads*batch, Lq, Lk)
+    softmax map is a tensor the record keeps. Returns the output.
 
     One tape record, whose backward is closed form: with dA = dO V and
     dS = A * (dA - rowsum(dA * A)), dV = dO^T A, dQ = scale K dS^T and
@@ -831,19 +849,24 @@ def attention(q, k, v, heads, batch, scale, bias=None):
 
     qd, kd, vd = per_sequence(q.data, lq), per_sequence(k.data, lk), \
         per_sequence(v.data, lk)
+    step = heads if _ACTIVE.tape is not None else min(
+        heads, max(1, _GROUP_SCORE_BYTES // (8 * batch * lq * lk)))
     # the map is its own buffer (not a view), so the arena counts it
-    amap = np.empty((heads * batch, lq, lk))
-    a = amap.reshape(heads, batch, lq, lk)
-    np.matmul((qd * scale).swapaxes(2, 3), kd, out=a)
-    if bias is not None:
-        runs = a.reshape((heads, -1) + bias.shape)
-        runs += bias
-    a -= a.max(axis=-1, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
+    amap = np.empty((step * batch, lq, lk))
     y = np.empty((rows, nq))
-    np.matmul(vd, a.swapaxes(2, 3), out=per_sequence(y, lq))
+    for h0 in range(0, heads, step):
+        hs = slice(h0, min(h0 + step, heads))
+        a = amap[:(hs.stop - h0) * batch].reshape(-1, batch, lq, lk)
+        np.matmul((qd[hs] * scale).swapaxes(2, 3), kd[hs], out=a)
+        if bias is not None:
+            runs = a.reshape((len(a), -1) + bias.shape)
+            runs += bias
+        a -= a.max(axis=-1, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=-1, keepdims=True)
+        np.matmul(vd[hs], a.swapaxes(2, 3), out=per_sequence(y, lq)[hs])
     out = Tensor(y)
+    # wrapped once filled: the finite check reads every entry
     weights = Tensor(amap)
 
     def backward(g):
@@ -908,17 +931,19 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
     biased by -1e5, and the rounds are mixed per position by the softmax
     over rounds of their log-sum-exp.
 
-    The heads are laid side by side, (dk, heads*batch*L), in numpy and
-    off the tape (a view for one head). The chunks of all rounds and
+    The heads run in groups, each writing its rows of the output, of as
+    many heads as have all their chunks fit one block (at least one); a
+    group's heads are laid side by side, (dk, heads*batch*L), in numpy and
+    off the tape (a view for one head). The chunks of all its rounds and
     sequences run in blocks whose score map fits ``_GROUP_SCORE_BYTES``,
     every block in the same block-sized buffers. A block's sorted rows
     are gathered, K and V after one leading chunk, so each chunk's keys
     and values are an overlapping view; one score product serves the
     block, the masks are slice assignments and a diagonal subtract, and
     the (m, dk) outputs, not the maps, are divided by the row sums. Under
-    a tape every chunk runs in one block, whose map and gathers the record
-    keeps. The rounds are mixed once every block has run. Returns the
-    head-major output.
+    a tape one group and one block hold every head and chunk, and the
+    record keeps the map and gathers. The rounds are mixed once every
+    block has run. Returns the head-major output.
 
     One tape record with a closed-form backward: with round weights w_r
     and D = g . out per position, dO_r = w_r g, dS = A * (dO_r V^T - w_r D),
@@ -939,6 +964,28 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
         raise ShapeError("lsh_attention needs a chunk >= 1, got %d" % chunk)
     rows, width = q.shape
     dk, length = rows // heads, width // batch
+    m = min(chunk, length)
+    keys = m if m == length else 2 * m
+    chunks = len(rotations) * batch * -(-length // m)     # of one head
+    block = heads * chunks if _ACTIVE.tape is not None else max(
+        1, _GROUP_SCORE_BYTES // (8 * m * keys))
+    group = min(heads, max(1, block // chunks))
+    y = np.empty((rows, width))
+    for h0 in range(0, heads, group):
+        hr = slice(h0 * dk, (h0 + group) * dk)
+        backward = _lsh_heads(q.data[hr], v.data[hr], rotations, dk, batch,
+                              m, scale, block, y[hr])
+    out = Tensor(y)
+    _record(out, (q, v), backward, macs=2 * heads * chunks * m * keys * dk)
+    return out
+
+
+def _lsh_heads(qh, vh, rotations, dk, batch, m, scale, block, y):
+    """:func:`lsh_attention` of the group of heads whose rows are ``qh``
+    and ``vh``, into their rows ``y``; returns the op's backward under a
+    tape, where the group holds every head."""
+    rows, width = qh.shape
+    heads, length = rows // dk, width // batch
     seqs = heads * batch
     n = seqs * length
 
@@ -947,15 +994,17 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
         # for one head
         return x.reshape(heads, dk, width).transpose(1, 0, 2).reshape(dk, n)
 
-    def head_major(x):
-        # (dk, heads*batch*L) -> head-major (heads*dk, batch*L) in a buffer
-        # of its own, one copy from the (heads*batch*L, dk) rows of x.T
-        y = np.empty((rows, width))
-        y.reshape(heads, dk, width)[...] = x.T.reshape(
+    def head_major(x, into=None):
+        # (dk, heads*batch*L) -> head-major (heads*dk, batch*L) in ``into``
+        # or a buffer of its own, one copy from the (heads*batch*L, dk)
+        # rows of x.T
+        if into is None:
+            into = np.empty((rows, width))
+        into.reshape(heads, dk, width)[...] = x.T.reshape(
             heads, width, dk).transpose(0, 2, 1)
-        return y
+        return into
 
-    qd, vd = side_by_side(q.data), side_by_side(v.data)
+    qd, vd = side_by_side(qh), side_by_side(vh)
     norm = np.sqrt((qd ** 2).sum(axis=0, keepdims=True) + 1e-12)
     kd = qd / norm
     # every head of a sequence hashes with that sequence's rotation
@@ -963,7 +1012,6 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
     buckets = [hash_buckets(units, r).reshape(seqs, length) for r in rotations]
     order = np.argsort(np.stack(buckets), axis=-1, kind="stable")
     rounds = len(rotations)
-    m = min(chunk, length)
     n_chunks = -(-length // m)
     padded = n_chunks * m
     back = 0 if n_chunks == 1 else m      # look-back keys of a chunk
@@ -1018,12 +1066,11 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
                      (m * vb.strides[0],) + vb.strides, writeable=False)
         return qc, kt, vw
 
-    # blocks of chunks whose score map fits the bound, each gathered into
-    # and scored in one block's buffers; under a tape one block of every
-    # chunk, whose map and gathers the record keeps
+    # blocks of chunks, each gathered into and scored in one block's
+    # buffers; under a tape one block of every chunk, whose map and
+    # gathers the record keeps
     taped = _ACTIVE.tape is not None
-    step = total if taped else min(
-        total, max(1, _GROUP_SCORE_BYTES // (8 * m * keys)))
+    step = min(total, block)
     bufs = (np.empty((step, m, dk)), np.empty((dk, step * m + back)),
             np.empty((step * m + back, dk)))
     e = np.empty((step, m, keys))
@@ -1058,7 +1105,7 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
     ou *= w[..., None]
     for r in range(1, rounds):
         ou[0] += ou[r]
-    out = Tensor(head_major(ou[0].T))
+    head_major(ou[0].T, y)
 
     def folded(gw):
         # window gradients onto their slots: a chunk's look-back half
@@ -1082,7 +1129,7 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
         do = g.T[cols[back:]].reshape(total, m, dk)
         do *= per_slot(w)
         ds = np.matmul(do, vw.swapaxes(1, 2))
-        ds -= per_slot(w * np.einsum("ij,ij->j", g, side_by_side(out.data)))
+        ds -= per_slot(w * np.einsum("ij,ij->j", g, side_by_side(y)))
         ds *= a
         gq = np.matmul(ds, kt.swapaxes(1, 2))
         gq *= scale
@@ -1092,5 +1139,4 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
         return (head_major(summed(gq) + through_keys),
                 head_major(summed(folded(np.matmul(a.swapaxes(1, 2), do)))))
 
-    _record(out, (q, v), backward, macs=2 * total * m * keys * dk)
-    return out
+    return backward if taped else None

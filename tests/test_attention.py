@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 
@@ -96,9 +97,8 @@ def weight_rows(spec, weights, shape, rng, seed=0):
     v = np.zeros((heads, dk, batch, length))
     v[:, np.arange(n), :, np.arange(n)] = 1.0
     v = Tensor(v.reshape(heads * dk, batch * length))
-    ctx = attention._Call(spec, heads, batch, length, 1.0 / math.sqrt(dk),
-                          spec.entry.prepare(spec, weights, batch, length,
-                                             seed))
+    ctx = attention._Call(spec, weights, batch, length, 1.0 / math.sqrt(dk),
+                          seed)
     out = spec.entry.core(q, None if spec.entry.shares_qk else k, v, ctx)
     return out.data.reshape(heads, dk, batch, length)[:, :n].transpose(
         0, 2, 3, 1).reshape(heads * batch, length, n)
@@ -114,8 +114,7 @@ def reformer_buckets(spec, weights, x, seed):
         spec.heads, spec.d_head, batch, length)
     units = (q / np.sqrt((q ** 2).sum(axis=1, keepdims=True) + 1e-12)
              ).transpose(0, 2, 1, 3)                      # (heads, B, dk, L)
-    rotations = attention._reformer_prepare(spec, weights, batch, length,
-                                            seed)
+    rotations = attention._reformer_prepare(spec, batch, seed)
     return np.stack([hash_buckets(units, r) for r in rotations], axis=1)
 
 
@@ -451,7 +450,7 @@ def reference_longformer_head(q, k, v, ctx):
     spec = ctx.spec
     allowed = longformer_allowed(ctx.length, spec.window,
                                  spec.global_stride)
-    return nd.attention(q, k, v, ctx.heads, ctx.batch, ctx.scale,
+    return nd.attention(q, k, v, spec.heads, ctx.batch, ctx.scale,
                         bias=np.where(allowed, 0.0, -1e30)[None])
 
 
@@ -460,8 +459,8 @@ class TestLongformerMatchesReference:
     # of one, 5 blocks of two with a global every 4th position, 101 blocks
     # of 50 with the paper's global stride; the band covers lengths 1 and
     # 7 at window 101 (and length 1 at every window), where the core runs
-    # clamped. "single" runs one head per core call, "whole" all four
-    # heads in one
+    # clamped. Without a tape, "single" runs the attention ops one head at
+    # a time, "whole" all four heads at once; a taped run is one block
     @pytest.mark.parametrize("grouping", ["single", "whole"])
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("window,stride",
@@ -487,6 +486,8 @@ class TestLongformerMatchesReference:
             return out.data, grads
 
         out, grads = run()
+        np.testing.assert_array_equal(
+            multi_head_dispatch(x, w, spec).data, out)
         use_core(monkeypatch, "longformer", reference_longformer_head)
         want_out, want_grads = run()
         assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
@@ -497,7 +498,8 @@ class TestLongformerMatchesReference:
                              [(11, 4, 8), (11, None, 5), (3, 4, 1)])
     def test_tape_records_per_core_call(self, monkeypatch, rng, length,
                                         stride, records):
-        # window 5: length 3 is covered by the band and runs clamped
+        # window 5: length 3 is covered by the band and runs clamped; a
+        # one-byte score bound still makes one core call on the four heads
         spec = AttentionSpec("longformer", heads=4, d_model=16, window=5,
                              global_stride=stride)
         monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES", 1)
@@ -514,7 +516,7 @@ class TestLongformerMatchesReference:
         x = Tensor(rng.standard_normal((6, 3, length)))
         with Tape():
             multi_head_dispatch(x, make_weights(spec, 6), spec)
-        assert calls == [records] * 4
+        assert calls == [records]
 
 
 # ``_longformer_prepare`` built by scatter, with each removed band slot
@@ -559,7 +561,7 @@ class TestLongformerPrepare:
     def test_arrays_match_reference(self, length, window, stride, batch):
         spec = AttentionSpec("longformer", heads=4, d_model=16,
                              window=window, global_stride=stride)
-        band = attention._longformer_prepare(spec, None, batch, length, 0)
+        band = attention._longformer_prepare(spec, batch, length)
         gidx, want = reference_longformer_prepare(spec, batch, length)
         np.testing.assert_array_equal(band.globals, gidx)
         if want is None:
@@ -586,7 +588,7 @@ class TestLongformerPrepare:
         # block's global key
         spec = AttentionSpec("longformer", heads=4, d_model=16,
                              window=window, global_stride=stride)
-        band = attention._longformer_prepare(spec, None, 2, length, 0)
+        band = attention._longformer_prepare(spec, 2, length)
         copies = np.bincount(band.keys, minlength=2 * length)
         on_global = np.isin(np.arange(2 * length) % length, band.globals)
         assert copies[~on_global].max() <= 4
@@ -623,13 +625,14 @@ def reference_reformer_head(q, k, v, ctx, buckets=None):
     more on the diagonal. A ``buckets`` list receives each head's
     (rounds, batch, L) bucket ids."""
     spec, length, m = ctx.spec, ctx.length, ctx.spec.bucket_chunk
-    heads, batch, dk = ctx.heads, ctx.batch, spec.d_head
+    heads, batch, dk = spec.heads, ctx.batch, spec.d_head
+    rotations = attention._reformer_prepare(spec, batch, ctx.seed)
     outs = []
     for h in range(heads):
         qh, vh = (nd.slice_rows(t, h * dk, (h + 1) * dk) for t in (q, v))
         kq = unit_keys(qh)
         units = kq.data.reshape(dk, batch, length).transpose(1, 0, 2)
-        hashed = [hash_buckets(units, rotation) for rotation in ctx.state]
+        hashed = [hash_buckets(units, rotation) for rotation in rotations]
         if buckets is not None:
             buckets.append(np.stack(hashed))
         count = np.zeros((batch, length, length))
@@ -684,28 +687,29 @@ class TestReformerMatchesReference:
                                       reformer_buckets(spec, w, x, seed))
 
     def test_rotations_drawn_once_per_call(self, monkeypatch, rng):
-        entry = attention.REGISTRY["reformer"]
-        calls, states = [], []
-
-        def counting(spec, weights, batch, length, seed):
-            calls.append((batch, length, seed))
-            return entry.prepare(spec, weights, batch, length, seed)
-
-        def recording(q, k, v, ctx):
-            states.append(ctx.state)
-            return entry.core(q, k, v, ctx)
-
-        monkeypatch.setitem(attention.REGISTRY, "reformer",
-                            entry._replace(prepare=counting, core=recording))
+        # two heads' score bytes, under which the dispatch once ran the
+        # four heads as two groups: one core call, one draw, one op
         spec = AttentionSpec("reformer", heads=4, d_model=8, n_buckets=4,
                              n_rounds=2, bucket_chunk=4)
-        # two heads' score bytes: the four heads run as two groups
         monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
-                            2 * 4 * 2 * entry.core_macs(spec, 9) // 2)
+                            2 * 4 * 2 * spec.entry.core_macs(spec, 9) // 2)
+        prepare, op = attention._reformer_prepare, nd.lsh_attention
+        draws, ops = [], []
+
+        def drawing(spec, batch, seed):
+            draws.append((batch, seed))
+            return prepare(spec, batch, seed)
+
+        def running(q, v, rotations, *args):
+            ops.append(args[:2])
+            return op(q, v, rotations, *args)
+
+        monkeypatch.setattr(attention, "_reformer_prepare", drawing)
+        monkeypatch.setattr(nd, "lsh_attention", running)
         multi_head_dispatch(Tensor(rng.standard_normal((6, 2, 9))),
                             make_weights(spec, 6), spec, seed=[1, 2])
-        assert calls == [(2, 9, [1, 2])]
-        assert len(states) == 2 and states[0] is states[1]
+        assert draws == [(2, [1, 2])]
+        assert ops == [(4, 2)]
 
     @pytest.mark.parametrize("n_rounds", [1, 3])
     def test_tape_gradients_agree(self, monkeypatch, n_rounds):
@@ -732,8 +736,8 @@ class TestReformerMatchesReference:
 class TestReformerOpMatchesReference:
     # bucket_chunk 64: lengths 1 and 7 are one chunk of their own length,
     # 64 exactly one chunk, 65 two chunks with one real row in the second,
-    # 250 four chunks; "single" runs one head per core call, "whole" all
-    # four heads in one
+    # 250 four chunks; without a tape, "single" runs the op one head (and
+    # one chunk) at a time, "whole" all four heads at once
     @pytest.mark.parametrize("grouping", ["single", "whole"])
     @pytest.mark.parametrize("n_rounds", [1, 3])
     @pytest.mark.parametrize("batch", [None, 3])
@@ -753,11 +757,11 @@ class TestReformerOpMatchesReference:
         sources = [x] + list(w.parameters().values())
         monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
                             1 if grouping == "single" else 2**40)
-        groups = []
+        calls = []
         core = attention._reformer_head
 
         def counting(q, k, v, ctx):
-            groups.append((ctx.heads, ctx.batch))
+            calls.append((ctx.spec.heads, ctx.batch))
             return core(q, k, v, ctx)
 
         def run():
@@ -768,8 +772,9 @@ class TestReformerOpMatchesReference:
 
         use_core(monkeypatch, "reformer", counting)
         out, grads = run()
-        assert groups == ([(1, batch or 1)] * 4 if grouping == "single"
-                          else [(4, batch or 1)])
+        np.testing.assert_array_equal(
+            multi_head_dispatch(x, w, spec, seed=seed).data, out)
+        assert calls == [(4, batch or 1)] * 2
         buckets = []
         use_reference_reformer(monkeypatch, buckets)
         want_out, want_grads = run()
@@ -785,7 +790,9 @@ class TestReformerOpMatchesReference:
         np.testing.assert_array_equal(np.stack(buckets),
                                       reformer_buckets(spec, w, x, seed))
 
-    # a core call of one or two heads adds one tape record, the op's
+    # under the score bytes of one or two heads' maps the core is still
+    # one call over the four heads, adding one tape record, the op's, and
+    # charging every head's MACs
     @pytest.mark.parametrize("group", [1, 2])
     @pytest.mark.parametrize("length", [7, 65])
     def test_one_record_per_core_call_charging_core_macs(self, monkeypatch,
@@ -812,7 +819,7 @@ class TestReformerOpMatchesReference:
         with nd.record_macs(), Tape():
             multi_head_dispatch(x, make_weights(spec, 6), spec,
                                 seed=[1, 2, 3])
-        assert calls == [(1, group * 3 * core_macs, True)] * (4 // group)
+        assert calls == [(1, 4 * 3 * core_macs, True)]
 
     @pytest.mark.parametrize("length,keys", [(11, 8), (3, 3)])
     def test_arena_counts_the_held_score_map(self, rng, length, keys):
@@ -849,6 +856,35 @@ class TestReformerOpMatchesReference:
             np.testing.assert_array_equal(
                 nd.lsh_attention(q, v, rotations, 1, 2, 4, 0.5).data, want)
 
+    @pytest.mark.parametrize("group", [1, 2])
+    @pytest.mark.parametrize("length", [11, 3])
+    def test_head_groups_match_the_taped_op(self, rng, monkeypatch, length,
+                                            group):
+        # four heads of 2 sequences x 3 rounds in chunks of 4 (length 11:
+        # three chunks of 4 rows against 8 keys; length 3: one chunk of 3
+        # against 3) without a tape, in groups of 1 or 2 heads whose chunks
+        # fill one block: bit-identical to the taped op, one group of all
+        q, v = (Tensor(rng.standard_normal((4 * 5, 2 * length)))
+                for _ in range(2))
+        rotations = [rng.standard_normal((2, 5, 2)) for _ in range(3)]
+        with Tape():
+            want = nd.lsh_attention(q, v, rotations, 4, 2, 4, 0.5).data
+        m = min(4, length)
+        keys = m if m == length else 2 * m
+        chunks = 3 * 2 * -(-length // m)
+        monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
+                            group * chunks * 8 * m * keys)
+        run_heads, groups = nd._lsh_heads, []
+
+        def counting(qh, *args):
+            groups.append(len(qh) // 5)
+            return run_heads(qh, *args)
+
+        monkeypatch.setattr(nd, "_lsh_heads", counting)
+        np.testing.assert_array_equal(
+            nd.lsh_attention(q, v, rotations, 4, 2, 4, 0.5).data, want)
+        assert groups == [group] * (4 // group)
+
 
 # Reformer dispatch results pinned before the op took head-major maps and
 # its own unit keys and hashing: each config's output, the tape gradients
@@ -858,26 +894,26 @@ class TestReformerOpMatchesReference:
 PINNED_REFORMER = (pathlib.Path(__file__).parent / "data"
                    / "reformer_pinned.npz")
 PINNED_CONFIGS = {
-    # name: spec fields, input shape, seed, heads per core call
+    # name: spec fields, input shape, seed; "two_head_groups" was recorded
+    # with its four heads in two core calls of two, and a taped op runs
+    # them in one
     "single_map": (dict(heads=2, d_model=8, n_buckets=4, n_rounds=2,
-                        bucket_chunk=4), (6, 13), 11, 2),
+                        bucket_chunk=4), (6, 13), 11),
     "two_head_groups": (dict(heads=4, d_model=16, n_buckets=8, n_rounds=3,
-                             bucket_chunk=4), (6, 3, 11), [3, 8, 5], 2),
+                             bucket_chunk=4), (6, 3, 11), [3, 8, 5]),
     "one_chunk": (dict(heads=2, d_model=8, n_buckets=4, n_rounds=2,
-                       bucket_chunk=8), (6, 2, 5), 4, 2),
+                       bucket_chunk=8), (6, 2, 5), 4),
 }
 
 
-def reformer_pinned(name, monkeypatch):
-    fields, shape, seed, group = PINNED_CONFIGS[name]
+def reformer_pinned(name):
+    fields, shape, seed = PINNED_CONFIGS[name]
     spec = AttentionSpec("reformer", **fields)
     w = make_weights(spec, shape[0], seed=len(name))
     rng = np.random.default_rng(len(shape) + shape[-1])
     x = Tensor(rng.standard_normal(shape))
     probe = Tensor(rng.standard_normal((spec.d_model,) + shape[1:]))
     batch = shape[1] if len(shape) == 3 else 1
-    per_head = 4 * batch * spec.entry.core_macs(spec, shape[-1]) // spec.d_head
-    monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES", group * per_head)
     names = list(w.parameters())
     with Tape() as tape:
         out = multi_head_dispatch(x, w, spec, seed=seed)
@@ -892,9 +928,9 @@ def reformer_pinned(name, monkeypatch):
 
 class TestReformerMatchesPinned:
     @pytest.mark.parametrize("name", list(PINNED_CONFIGS))
-    def test_outputs_gradients_and_buckets(self, monkeypatch, name):
+    def test_outputs_gradients_and_buckets(self, name):
         pinned = np.load(PINNED_REFORMER)
-        got = reformer_pinned(name, monkeypatch)
+        got = reformer_pinned(name)
         assert sorted(got) == sorted(key.split("/")[1] for key in pinned
                                      if key.startswith(name + "/"))
         np.testing.assert_array_equal(got["buckets"],
@@ -906,7 +942,11 @@ class TestReformerMatchesPinned:
 
 
 class TestLinformerSlicesOncePerCall:
-    def test_two_groups_match_slicing_per_group(self, monkeypatch, rng):
+    def test_one_slice_matches_slicing_per_head(self, monkeypatch, rng):
+        # two heads' score bytes, under which the dispatch once ran the
+        # four heads as two groups, each slicing both projections: one
+        # slice of each per call, whose one gradient matches the per-head
+        # reference's sum of four
         spec = AttentionSpec("linformer", heads=4, d_model=8, proj_len=4,
                              max_len=64)
         w = make_weights(spec, 6)
@@ -923,37 +963,24 @@ class TestLinformerSlicesOncePerCall:
                 sliced.append(stop - start)
             return slice_rows(t, start, stop)
 
-        def run():
+        def run(dispatch):
             with Tape() as tape:
-                out = multi_head_dispatch(x, w, spec)
+                out = dispatch(x, w, spec)
                 return tape.gradient(nd.dot(out, probe), sources)
 
-        def sliced_per_group(q, k, v, ctx):
-            # the core as it was when each head group sliced both
-            # projections itself
-            def project(t, proj):
-                p = nd.matmul(nd.reshape(t, (-1, ctx.length)),
-                              nd.slice_rows(proj, 0, ctx.length))
-                return nd.reshape(p, (t.shape[0], -1))
-
-            return nd.attention(q, project(k, w.proj_p),
-                                project(v, w.proj_f), ctx.heads, ctx.batch,
-                                ctx.scale)
-
         monkeypatch.setattr(nd, "slice_rows", counting)
-        got = run()
+        got = run(multi_head_dispatch)
         assert sliced == [11, 11]
-        use_core(monkeypatch, "linformer", sliced_per_group)
-        want = run()
-        assert len(sliced) == 2 + 2 + 4
+        want = run(per_head_reference)
+        assert len(sliced) == 2 + 2 * 4
         for g, ref in zip(got, want):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # The dispatch as it was before the heads joined the core's batch: one
-# core call per head on its rows of Q/K/V, the head outputs concatenated
-# and then recombined. Kept as the reference the grouped dispatch must
-# reproduce.
+# core call per head on its rows of Q/K/V, under a one-head spec of the
+# same head width, the head outputs concatenated and then recombined. Kept
+# as the reference the one-call dispatch must reproduce.
 
 def per_head_reference(x, weights, spec, seed=0):
     if x.data.ndim == 2:
@@ -964,8 +991,9 @@ def per_head_reference(x, weights, spec, seed=0):
         flat = nd.reshape(x, (x.shape[0], batch * length))
     entry = spec.entry
     dk = spec.d_head
-    ctx = attention._Call(spec, 1, batch, length, 1.0 / math.sqrt(dk),
-                          entry.prepare(spec, weights, batch, length, seed))
+    one_head = dataclasses.replace(spec, heads=1, d_model=dk)
+    ctx = attention._Call(one_head, weights, batch, length,
+                          1.0 / math.sqrt(dk), seed)
     q = nd.matmul(weights.wq, flat)
     v = nd.matmul(weights.wv, flat)
     k = None if entry.shares_qk else nd.matmul(weights.wk, flat)
@@ -982,13 +1010,14 @@ def per_head_reference(x, weights, spec, seed=0):
 
 
 class TestHeadsInBatchMatchReference:
-    # four heads run as one group, as two groups of two (a bound of three
-    # heads' score bytes: groups divide the head count) or one by one;
-    # length 11 pads the reformer's last chunk and puts three longformer
+    # four heads in one core call, whose attention ops run them in one
+    # block (a default bound that fits all four heads' score maps), in
+    # blocks of three and one (a bound of three heads' score bytes, by the
+    # cost model's estimate) or one by one; the blocks run without a tape.
+    # Length 11 pads the reformer's last chunk and puts three longformer
     # global positions
     LENGTH = 11
-    GROUPS = {"whole": (None, [4]), "pairs": (3, [2, 2]),
-              "singles": (1, [1, 1, 1, 1])}
+    GROUPS = {"whole": None, "pairs": 3, "singles": 1}
 
     @staticmethod
     def spec(variant):
@@ -997,8 +1026,8 @@ class TestHeadsInBatchMatchReference:
                              n_buckets=4, n_rounds=2, bucket_chunk=4)
 
     def case(self, monkeypatch, variant, batch, grouping):
-        """The spec, weights, input, seed, output probe and expected group
-        sizes of one case, with the score bound patched to its grouping."""
+        """The spec, weights, input, seed and output probe of one case,
+        with the score bound patched to its grouping."""
         spec = self.spec(variant)
         w = make_weights(spec, 6, seed=batch or 1)
         rng = np.random.default_rng(len(variant))
@@ -1011,21 +1040,24 @@ class TestHeadsInBatchMatchReference:
         probe = Tensor(rng.standard_normal((12,) + x.shape[1:]))
         per_head = (4 * (batch or 1)
                     * spec.entry.core_macs(spec, self.LENGTH) // spec.d_head)
-        fit, groups = self.GROUPS[grouping]
+        fit = self.GROUPS[grouping]
         if fit is None:
             assert 4 * per_head <= nd._GROUP_SCORE_BYTES
         else:
             monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
                                 fit * per_head)
-        return spec, w, x, seed, probe, groups
+        return spec, w, x, seed, probe
 
     @pytest.mark.parametrize("grouping", sorted(GROUPS))
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_outputs_and_gradients(self, monkeypatch, variant, batch,
                                    grouping):
-        spec, w, x, seed, probe, groups = self.case(monkeypatch, variant,
-                                                    batch, grouping)
+        # one core call; the tape-free output, run in the bound's blocks,
+        # is bit-identical to the taped one, run in one block, and both
+        # match the per-head reference
+        spec, w, x, seed, probe = self.case(monkeypatch, variant, batch,
+                                            grouping)
         sources = [x] + list(w.parameters().values())
 
         def run(dispatch):
@@ -1038,17 +1070,20 @@ class TestHeadsInBatchMatchReference:
         calls = []
 
         def counting(q, k, v, ctx):
-            calls.append((ctx.heads, ctx.batch))
+            calls.append((ctx.spec.heads, ctx.batch))
             return core(q, k, v, ctx)
 
         use_core(monkeypatch, variant, counting)
         out, grads = run(multi_head_dispatch)
-        assert calls == [(g, batch or 1) for g in groups]
+        free = multi_head_dispatch(x, w, spec, seed=seed).data
+        assert calls == [(4, batch or 1)] * 2
+        np.testing.assert_array_equal(free, out)
         want_out, want_grads = run(per_head_reference)
 
         assert out.shape == want_out.shape
-        assert np.abs(out - want_out).max() <= \
-            1e-12 * np.abs(want_out).max()
+        for got in (out, free):
+            assert np.abs(got - want_out).max() <= \
+                1e-12 * np.abs(want_out).max()
         for g, ref in zip(grads, want_grads):
             assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -1058,7 +1093,7 @@ class TestHeadsInBatchMatchReference:
         its output on one-hot values, d_head keys at a time: (heads, L
         keys, B, L queries), head major."""
         dk, length = ctx.spec.d_head, ctx.length
-        heads, batch = ctx.heads, ctx.batch
+        heads, batch = ctx.spec.heads, ctx.batch
         blocks = []
         for start in range(0, length, dk):
             n = min(dk, length - start)
@@ -1072,11 +1107,11 @@ class TestHeadsInBatchMatchReference:
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_weight_rows(self, monkeypatch, variant, batch, grouping):
-        # every core call is also read on one-hot values: the heads of a
-        # group weigh the keys (the reformer's through its buckets) as the
-        # same heads run one by one, within 1e-12
-        spec, w, x, seed, _, groups = self.case(monkeypatch, variant,
-                                                batch, grouping)
+        # the core call is also read on one-hot values, without a tape: the
+        # heads of a block weigh the keys (the reformer's through its
+        # buckets) as the same heads run one by one, within 1e-12
+        spec, w, x, seed, _ = self.case(monkeypatch, variant, batch,
+                                        grouping)
         core = spec.entry.core
 
         def rows(dispatch):
@@ -1091,7 +1126,7 @@ class TestHeadsInBatchMatchReference:
             return read
 
         read = rows(multi_head_dispatch)
-        assert [r.shape[0] for r in read] == groups
+        assert [r.shape[0] for r in read] == [4]
         got = np.concatenate(read)
         want = np.concatenate(rows(per_head_reference))
         assert got.shape == want.shape == (
@@ -1107,6 +1142,26 @@ class TestDispatch:
         out = multi_head_dispatch(Tensor(x), w, spec).data
         np.testing.assert_allclose(out, brute_force_attention(x, w, spec),
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_core_call_on_every_head(self, monkeypatch, rng, variant):
+        # under a one-byte score bound, where the dispatch once ran each
+        # head in a core call of its own: one call on all four heads' rows,
+        # and no row slice or concat of the projections
+        spec = AttentionSpec(variant, heads=4, d_model=8, window=5,
+                             global_stride=4, proj_len=4, max_len=64,
+                             n_buckets=4, n_rounds=2, bucket_chunk=4)
+        monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES", 1)
+        calls, joins = [], []
+        use_core(monkeypatch, variant,
+                 lambda q, k, v, ctx: calls.append(q.shape) or q)
+        for name in ("slice_rows", "concat"):
+            monkeypatch.setattr(nd, name, lambda *a, name=name, **kw:
+                                joins.append(name))
+        multi_head_dispatch(Tensor(rng.standard_normal((6, 2, 11))),
+                            make_weights(spec, 6), spec, seed=[1, 2])
+        assert calls == [(8, 22)]
+        assert joins == []
 
     def test_head_dimension_split(self):
         spec = AttentionSpec("full", heads=8, d_model=256)

@@ -5,8 +5,7 @@ from sepformer import dualpath
 from sepformer import ndkernel as nd
 from sepformer.attention import (VARIANTS, AttentionSpec, derive_seed,
                                  positional_encoding)
-from sepformer.dualpath import (InvalidChunkSizeError, chunk,
-                                init_sepformer_block, overlap_add,
+from sepformer.dualpath import (chunk, init_sepformer_block, overlap_add,
                                 padded_chunk_geometry, sepformer_block)
 from sepformer.ndkernel import Tape, Tensor
 from sepformer.transformer import transformer_stack
@@ -53,7 +52,7 @@ class TestChunk:
         assert frames.shape == (3, 250, 2)
 
     def test_odd_chunk_size_rejected(self, rng):
-        with pytest.raises(InvalidChunkSizeError):
+        with pytest.raises(nd.ShapeError):
             chunk(Tensor(rng.standard_normal((3, 20))), 5)
 
     def test_frames_match_direct_slices(self, rng):

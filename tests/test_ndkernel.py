@@ -267,6 +267,25 @@ class TestAttention:
             out = nd.attention(q, k, v, 4, 3, 0.5)
         assert arena.peak == out.data.nbytes + 4 * 3 * 5 * 8 * 8
 
+    # four heads of two sequences in tape-free blocks of 1, 2 or 3 heads
+    # (3 leaves a last block of one): bit-identical to the taped op, whose
+    # one block holds every head, and holding one block's map
+    @pytest.mark.parametrize("biased", [False, True])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_head_blocks_match_the_taped_op(self, rng, monkeypatch, step,
+                                            biased):
+        heads, batch, lq, lk = 4, 2, 3, 5
+        q, k, v = self.operands(rng, heads, batch, lq, lk)
+        bias = rng.standard_normal((2, lq, lk)) if biased else None
+        with Tape():
+            want = nd.attention(q, k, v, heads, batch, 0.6, bias=bias).data
+        monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
+                            step * 8 * batch * lq * lk)
+        with nd.track_memory() as arena:
+            got = nd.attention(q, k, v, heads, batch, 0.6, bias=bias).data
+        np.testing.assert_array_equal(got, want)
+        assert arena.peak == got.nbytes + step * batch * lq * lk * 8
+
     # a v of other columns; no heads; no sequences
     @pytest.mark.parametrize("heads,batch,v_cols", [(2, 2, 6), (0, 2, 8),
                                                     (2, 0, 8)])
@@ -362,6 +381,30 @@ def test_lsh_attention_refuses_a_chunk_below_1(rng):
     with pytest.raises(nd.ShapeError, match="chunk >= 1, got 0"):
         nd.lsh_attention(q, v, [rng.standard_normal((1, 4, 2))], 1, 1, 0,
                          0.5)
+
+
+# Bad arguments to the shape ops: each raises ShapeError naming the
+# operand shapes, instead of numpy's error or a silent wrap-around
+BAD_ARGUMENTS = {
+    "concat_mismatched": (lambda x: nd.concat([x, Tensor(np.ones((2, 3)))],
+                                              axis=1), r"\(3, 4\), \(2, 3\)"),
+    "concat_empty": (lambda x: nd.concat([], axis=0), r"\[\]"),
+    "reshape_wrong_size": (lambda x: nd.reshape(x, (5,)), r"\(3, 4\)"),
+    "permute_axis_out_of_range": (lambda x: nd.permute(x, (0, 2)),
+                                  r"\(3, 4\) by axes \(0, 2\)"),
+    "permute_repeated_axis": (lambda x: nd.permute(x, (0, 0)),
+                              r"\(3, 4\) by axes \(0, 0\)"),
+    "gather_cols_past_width": (lambda x: nd.gather_cols(x, [1, 4]),
+                               r"\(3, 4\)"),
+    "gather_cols_negative": (lambda x: nd.gather_cols(x, [-1]), r"\(3, 4\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_raise_shape_error_naming_the_shapes(case):
+    op, shapes = BAD_ARGUMENTS[case]
+    with pytest.raises(nd.ShapeError, match=shapes):
+        op(Tensor(np.ones((3, 4))))
 
 
 class TestGather:
