@@ -1,8 +1,7 @@
 """Four self-attention mechanisms behind one multi-head interface.
 
-All variants consume and produce (F x T) feature maps (features on axis 0,
-positions on the last axis), or (F x B x L) batches of B independent
-length-L sequences. Queries/keys/values are produced by shared projection
+All variants consume and produce feature maps in the kernel's one layout
+(see ``ndkernel``). Queries/keys/values are produced by shared projection
 weights; a variant-specific core runs once over every head of every
 sequence, batched, and an output matrix recombines the heads.
 
@@ -160,37 +159,42 @@ def positional_encoding(length, d_model):
 # ---------------------------------------------------------------------------
 # cores
 #
-# core(q, k, v, ctx) -> out receives head-major (h*dk, S*L) maps of
-# Q/K/V (``k`` is None when the variant shares QK): rows i*dk..(i+1)*dk
-# are head i of ``ctx.spec.heads``, in projection order, and the columns
-# hold ``ctx.batch`` independent length-L sequences side by side. The core
-# returns the (h*dk, S*L) output in the same order, as ``wo`` reads it;
+# core(q, k, v, ctx) -> out receives head-major maps of Q/K/V, (h*dk, L)
+# or (h*dk, B, L) (``k`` is None when the variant shares QK): rows
+# i*dk..(i+1)*dk are head i of ``ctx.spec.heads``, in projection order.
+# The core returns its output in the same layout, as ``wo`` reads it;
 # ``ctx`` also holds the attention's ``weights`` and the call's ``seed``.
 # Work that mixes positions runs batched over the sequences; queries are
 # scaled by 1/sqrt(dk) before they meet a key.
 
-_Call = namedtuple("_Call", "spec weights batch length scale seed")
+_Call = namedtuple("_Call", "spec weights scale seed")
 
 
 def _full_head(q, k, v, ctx):
-    return nd.attention(q, k, v, ctx.spec.heads, ctx.batch, ctx.scale)
+    return nd.attention(q, k, v, ctx.spec.heads, ctx.scale)
 
 
 _Band = namedtuple("_Band", "globals bias queries keys global_queries "
                    "picks", defaults=(None,) * 5)
 
 
-def _longformer_prepare(spec, batch, length):
-    """Cut each of ``batch`` sequences into blocks of c = max(half, 1)
-    queries, half = (w - 1) / 2, the last one padded. Block i sees the 3c
-    positions from (i - 1)c and the g ``globals``, every
-    ``global_stride``-th position from 0; its ``bias`` keeps band
-    slots in range, within |t - s| <= half of an in-range query and off
-    the globals. A removed slot reads its position modulo L, a column of
-    its own sequence, so removed slots spread over the sequence rather
-    than pile onto its ends. ``picks`` takes a global's output from its
-    row against all keys. A band over the whole sequence (half >= L - 1)
-    sets just ``globals``."""
+def _longformer_prepare(spec, positions):
+    """Cut each sequence of a map whose positions are ``positions``, (L,)
+    or (B, L), into blocks of c = max(half, 1) queries, half = (w - 1) / 2,
+    the last one padded. Block i sees the 3c positions from (i - 1)c and
+    the g ``globals``, every ``global_stride``-th position from 0; its
+    ``bias`` keeps band slots in range, within |t - s| <= half of an
+    in-range query and off the globals. ``queries`` and ``keys`` index
+    the blocks' positions, (B*blocks, c) and (B*blocks, 3c + g), so their
+    gathers hold one sequence per block; ``global_queries`` indexes each
+    sequence's globals, (..., g). A removed slot reads its position
+    modulo L, a column of its own sequence, so removed slots spread over
+    the sequence rather than pile onto its ends. ``picks``, of shape
+    ``positions``, takes each position's output from its sequence's band
+    rows and global rows joined on the last axis: its band row, or a
+    global's row against all keys. A band over the whole sequence
+    (half >= L - 1) sets just ``globals``."""
+    length, batch = positions[-1], math.prod(positions[:-1])
     half = (spec.window - 1) // 2
     gidx = (np.zeros(0, dtype=np.intp) if spec.global_stride is None
             else np.arange(0, length, spec.global_stride))
@@ -215,31 +219,34 @@ def _longformer_prepare(spec, batch, length):
     np.copyto(band, 0.0, where=near & valid[:, None] & live)
     keys = np.concatenate([pos % length,
                            np.broadcast_to(gidx, (blocks, ng))], axis=1)
-    starts = np.arange(batch)[:, None] * length
-    picks = np.arange(batch)[:, None] * n + np.arange(length)
-    picks[:, gidx] = batch * n + np.arange(batch * ng).reshape(batch, ng)
+    starts = np.arange(batch)[:, None, None] * length
+    picks = np.arange(length)
+    picks[gidx] = n + np.arange(ng)
     return _Band(
         gidx, bias,
-        (starts + np.minimum(np.arange(n), length - 1)).ravel(),
-        (starts + keys.ravel()).ravel(), (starts + gidx).ravel(),
-        picks.ravel())
+        (starts + np.minimum(np.arange(n), length - 1).reshape(blocks, c)
+         ).reshape(-1, c),
+        (starts + keys).reshape(-1, keys.shape[1]),
+        (starts[:, 0] + gidx).reshape(positions[:-1] + (ng,)),
+        (np.arange(batch)[:, None] * (n + ng) + picks).reshape(positions))
 
 
 def _longformer_head(q, k, v, ctx):
-    heads = ctx.spec.heads
-    band = _longformer_prepare(ctx.spec, ctx.batch, ctx.length)
+    heads, scale = ctx.spec.heads, ctx.scale
+    band = _longformer_prepare(ctx.spec, q.shape[1:])
     if band.bias is None:
         # the band covers the sequence: every pair is allowed
-        return nd.attention(q, k, v, heads, ctx.batch, ctx.scale)
+        return nd.attention(q, k, v, heads, scale)
     out = nd.attention(
         nd.gather_cols(q, band.queries), nd.gather_cols(k, band.keys),
-        nd.gather_cols(v, band.keys), heads,
-        ctx.batch * len(band.bias), ctx.scale, bias=band.bias)
+        nd.gather_cols(v, band.keys), heads, scale, bias=band.bias)
     if len(band.globals):
-        # rows at global positions attend to every position
-        out_g = nd.attention(nd.gather_cols(q, band.global_queries), k, v,
-                             heads, ctx.batch, ctx.scale)
-        out = nd.concat([out, out_g], axis=1)
+        # rows at global positions attend to every position; a sequence's
+        # band rows and global rows join on its last axis
+        out = nd.concat([
+            nd.reshape(out, q.shape[:-1] + (-1,)),
+            nd.attention(nd.gather_cols(q, band.global_queries), k, v,
+                         heads, scale)], axis=-1)
     return nd.gather_cols(out, band.picks)
 
 
@@ -259,22 +266,21 @@ def _linformer_prepare(spec, weights, length):
     if length > spec.max_len:
         raise SequenceTooLongError("sequence length %d exceeds projection "
                                    "size %d" % (length, spec.max_len))
-    return [nd.slice_rows(p, 0, length)
+    return [nd.slice_axis(p, 0, 0, length)
             for p in (weights.proj_p, weights.proj_f)]
 
 
 def _linformer_head(q, k, v, ctx):
-    length = ctx.length
+    length = q.shape[-1]
     proj_p, proj_f = _linformer_prepare(ctx.spec, ctx.weights, length)
 
     def project(x, proj):
-        # each sequence's length-L rows onto the proj_len slots, which
-        # leaves the (h*dk, S*proj_len) map the attention op reads
+        # each sequence's length-L rows onto the proj_len slots
         p = nd.matmul(nd.reshape(x, (-1, length)), proj)
-        return nd.reshape(p, (x.shape[0], -1))
+        return nd.reshape(p, x.shape[:-1] + (-1,))
 
     return nd.attention(q, project(k, proj_p), project(v, proj_f),
-                        ctx.spec.heads, ctx.batch, ctx.scale)
+                        ctx.spec.heads, ctx.scale)
 
 
 def _reformer_prepare(spec, batch, seed):
@@ -291,9 +297,9 @@ def _reformer_prepare(spec, batch, seed):
 
 def _reformer_head(q, k, v, ctx):
     spec = ctx.spec
-    rotations = _reformer_prepare(spec, ctx.batch, ctx.seed)
-    return nd.lsh_attention(q, v, rotations, spec.heads, ctx.batch,
-                            spec.bucket_chunk, ctx.scale)
+    rotations = _reformer_prepare(spec, math.prod(q.shape[1:-1]), ctx.seed)
+    return nd.lsh_attention(q, v, rotations, spec.heads, spec.bucket_chunk,
+                            ctx.scale)
 
 
 def _reformer_macs(spec, t):
@@ -349,39 +355,22 @@ def projection_macs(spec, feat_dim, length):
 def multi_head_dispatch(x, weights, spec, seed=0):
     """Project, run the variant core over the heads, recombine.
 
-    ``x`` is one (F, T) map or a batch (F, B, L) of B independent length-L
-    sequences, and the output has the same layout. The heads join the
-    sequences in the core's batch: the projections run once over all
-    positions, one core call runs over every head's rows of the
-    projections, (heads*dk, B*L) in projection order, and the output
-    matrix recombines the heads as stored. The attention ops bound their
-    own score maps, so a long input splits no heads here. ``seed`` only
-    matters for a seeded variant (the reformer, whose LSH rotations are
-    drawn per call from it): one int shared by every sequence, or one per
-    sequence; every head of a sequence uses its rotations. Equal seeds
-    give bit-identical outputs.
+    The output has the layout of ``x``. The heads join the sequences in
+    the core's batch: the projections run once over all positions, one
+    core call runs over every head's rows of the projections, in
+    projection order, and the output matrix recombines the heads as
+    stored. The attention ops bound their own score maps, so a long input
+    splits no heads here. ``seed`` only matters for a seeded variant (the
+    reformer, whose LSH rotations are drawn per call from it): one int
+    shared by every sequence, or one per sequence; every head of a
+    sequence uses its rotations. Equal seeds give bit-identical outputs.
     """
-    x = nd.as_tensor(x)
-    batched = x.data.ndim == 3
-    if x.data.ndim == 2:
-        batch, length = 1, x.shape[1]
-        flat = x
-    elif batched:
-        batch, length = x.shape[1], x.shape[2]
-        flat = nd.reshape(x, (x.shape[0], batch * length))
-    else:
-        raise nd.ShapeError("attention expects (F, T) or (F, B, L), got %r"
-                            % (x.shape,))
     entry = spec.entry
-    q, k, v = (None if w is None else nd.matmul(w, flat)
+    q, k, v = (None if w is None else nd.matmul(w, x)
                for w in (weights.wq, None if entry.shares_qk else weights.wk,
                          weights.wv))
-    del x, flat
-    ctx = _Call(spec, weights, batch, length, 1.0 / math.sqrt(spec.d_head),
-                seed)
-    heads_out = entry.core(q, k, v, ctx)
+    del x
+    heads_out = entry.core(q, k, v, _Call(
+        spec, weights, 1.0 / math.sqrt(spec.d_head), seed))
     del q, k, v
-    out = nd.matmul(weights.wo, heads_out)
-    if batched:
-        out = nd.reshape(out, (out.shape[0], batch, length))
-    return out
+    return nd.matmul(weights.wo, heads_out)

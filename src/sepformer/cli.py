@@ -99,13 +99,17 @@ _KNOWN_KEYS = frozenset(PAPER_DEFAULTS)
 
 
 def parse_config_file(path):
-    """Flat key=value lines; blank lines and # comments allowed. A key
-    given twice is an error naming both lines."""
+    """Flat key=value lines of UTF-8; blank lines and # comments allowed.
+    A key given twice is an error naming both lines."""
     values = {}
     lines = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ConfigError("%s:%d: not UTF-8" % (path, lineno)) \
+                    from None
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")

@@ -88,7 +88,7 @@ def init_sepformer_block(intra_spec, inter_spec, feat_dim, ffw_dim,
 def _stack_over(x, stack, spec, seed, repeat, axis):
     """Run ``stack`` on every sequence of the (F, B, L) batch ``x``, one
     call per group of whole sequences."""
-    feat, batch, length = x.shape
+    batch, length = x.shape[1:]
     # only a seeded variant draws from its seed; the others share one
     seeds = seed
     if spec.entry.seeded:
@@ -96,14 +96,11 @@ def _stack_over(x, stack, spec, seed, repeat, axis):
     per_group = max(1, nd._GROUP_POSITIONS // length)
     if per_group >= batch:
         return transformer_stack(x, stack, spec, seed=seeds)
-    flat = nd.reshape(x, (feat, batch * length))
     outs = []
     for start in range(0, batch, per_group):
         stop = min(start + per_group, batch)
-        group = nd.reshape(nd.slice_cols(flat, start * length, stop * length),
-                           (feat, stop - start, length))
         outs.append(transformer_stack(
-            group, stack, spec,
+            nd.slice_axis(x, 1, start, stop), stack, spec,
             seed=seeds[start:stop] if spec.entry.seeded else seed))
     return nd.concat(outs, axis=1)
 

@@ -105,7 +105,8 @@ def _ndkernel_suite():
             return check_gradients(lambda: op(a, b), [a, b])
         return run
 
-    idx_g = np.array([3, 0, 0, 2])
+    # positions of a (3, 2, 2) map, flat, in a (2, 2) index
+    idx_g = np.array([[3, 0], [0, 2]])
 
     return {
         "matmul": _matmul_check,
@@ -114,9 +115,10 @@ def _ndkernel_suite():
         "reshape": unary(lambda x: nd.reshape(x, (2, 6))),
         "concat": binary(lambda a, b: nd.concat([a, b], axis=1),
                          (3, 2), (3, 3)),
-        "slice_rows": unary(lambda x: nd.slice_rows(x, 1, 3), 4, 3),
-        "slice_cols": unary(lambda x: nd.slice_cols(x, 1, 4), 3, 5),
-        "gather_cols": unary(lambda x: nd.gather_cols(x, idx_g)),
+        # a copy off axis 1, then a view off axis 0 of it
+        "slice_axis": unary(lambda x: nd.slice_axis(
+            nd.slice_axis(x, 1, 1, 3), 0, 1, 3), 4, 3, 5),
+        "gather_cols": unary(lambda x: nd.gather_cols(x, idx_g), 3, 2, 2),
         # 7 columns pad to 8: three windows, the last half padding
         "frame": unary(lambda x: nd.frame(x, 4), 3, 7),
         # three windows span 8 columns, trimmed to 7
@@ -190,11 +192,11 @@ def _attention_op_check(rng):
     """Two heads of three sequences, queries of length 3 against keys and
     values of length 4, bare and under a bias that shifts the scores and
     removes (-1e30) keys but never a query's last."""
-    q, k, v = (_draw(rng, 4, 3 * n) for n in (3, 4, 4))
+    q, k, v = (_draw(rng, 4, 3, n) for n in (3, 4, 4))
     bias = rng.uniform(-1.0, 1.0, size=(3, 3, 4))
     bias[..., :3][rng.uniform(size=(3, 3, 3)) < 0.4] = -1e30
     return max(check_gradients(
-        lambda: nd.attention(q, k, v, 2, 3, 0.7, bias=b), [q, k, v])
+        lambda: nd.attention(q, k, v, 2, 0.7, bias=b), [q, k, v])
         for b in (None, bias))
 
 
@@ -203,11 +205,11 @@ def _lsh_attention_op_check(rng):
     look-back half, a padded last chunk) under per-sequence rotations, and
     length 2, one chunk of its own, under one shared rotation."""
     def case(length, shared):
-        q, v = (_draw(rng, 6, 2 * length) for _ in range(2))
+        q, v = (_draw(rng, 6, 2, length) for _ in range(2))
         rotations = [rng.standard_normal((1 if shared else 2, 3, 2))
                      for _ in range(2)]
         return check_gradients(
-            lambda: nd.lsh_attention(q, v, rotations, 2, 2, 3, 0.7), [q, v])
+            lambda: nd.lsh_attention(q, v, rotations, 2, 3, 0.7), [q, v])
     return max(case(7, False), case(2, True))
 
 

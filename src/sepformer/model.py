@@ -209,7 +209,7 @@ class Sepformer(Params):
         masks = []
         for k in range(cfg.n_sources):
             mask = nd.matmul(m.mask_ffw1_weight,
-                             nd.slice_rows(expanded, k * f, (k + 1) * f),
+                             nd.slice_axis(expanded, 0, k * f, (k + 1) * f),
                              bias=m.mask_ffw1_bias, relu=True)
             mask = nd.matmul(m.mask_ffw2_weight, mask, bias=m.mask_ffw2_bias,
                              relu=True)

@@ -8,9 +8,11 @@ the output get exactly-zero gradients. A tape replays once: the replay
 drops each record once it has run it, so forward arrays go back to the
 allocator during the backward pass instead of all at its end.
 
-Convention used throughout the package: feature maps are stored with
-features on axis 0 and positions on the last axis (F x T). Ops that care
-about orientation say so in their docstring.
+One layout serves every map: axis 0 is the features, the last axis is
+the sequence, and any axis between is the batch, so (F, L) is one
+sequence and (F, B, L) is B of them. Ops read the batch off the shape,
+and each allocates its output in its final shape, so the output owns its
+buffer.
 
 Work outside the products is kept to few passes: a linear layer is one
 :func:`matmul`, whose bias and rectifier run in place on the product's
@@ -33,7 +35,7 @@ blocks of at most ``_GROUP_POSITIONS`` positions, :func:`attention` and
 ``_GROUP_SCORE_BYTES``. Under a tape they fill the whole maps the record
 keeps for its backward; without one every block reuses one block's
 buffers, so a forward with no tape holds only its live maps and one
-block. Row slices are views.
+block. Slices along axis 0 are views.
 
 Ops see the active instruments through one object, ``_ACTIVE``, with one
 slot each; an empty slot costs one attribute test per op:
@@ -48,6 +50,7 @@ Every op reports to them through one hook, :func:`_record`.
 
 from __future__ import annotations
 
+import math
 import weakref
 from contextlib import contextmanager
 
@@ -58,7 +61,7 @@ __all__ = [
     "set_debug_checks", "track_memory", "AllocationArena",
     "record_macs", "MacCounter", "DIFFERENTIABLE_OPS",
     "matmul", "feed_forward", "permute", "reshape", "concat",
-    "slice_rows", "slice_cols", "gather_cols",
+    "slice_axis", "gather_cols",
     "frame", "overlap_mean", "padded_chunk_geometry",
     "add", "mul", "prelu", "layer_norm",
     "conv1d", "conv1d_transpose", "dot", "attention", "lsh_attention",
@@ -281,7 +284,7 @@ _GROUP_SCORE_BYTES = 4 * 2**20
 # suite must cover each exactly once.
 DIFFERENTIABLE_OPS = (
     "matmul", "feed_forward", "permute", "reshape", "concat",
-    "slice_rows", "slice_cols", "gather_cols",
+    "slice_axis", "gather_cols",
     "frame", "overlap_mean",
     "add", "mul", "prelu", "layer_norm",
     "conv1d", "conv1d_transpose", "dot", "attention", "lsh_attention",
@@ -292,7 +295,8 @@ DIFFERENTIABLE_OPS = (
 # linear algebra
 
 def matmul(a, b, bias=None, relu=False):
-    """Matrix product of two rank-2 tensors, with an optional epilogue.
+    """Matrix product of a rank-2 ``a`` and a map ``b``, whose trailing
+    axes the output keeps, with an optional epilogue.
 
     ``bias`` (one entry per output row) is added and then, with ``relu``,
     the rectifier applied, both in place on the product's own buffer: a
@@ -303,19 +307,21 @@ def matmul(a, b, bias=None, relu=False):
     """
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+    if ad.ndim != 2 or bd.ndim < 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError("matmul shapes incompatible: %r x %r"
                          % (ad.shape, bd.shape))
     m, k = ad.shape
-    n = bd.shape[1]
-    y = ad @ bd
+    b2 = bd.reshape(k, -1)
+    y = np.empty((m,) + bd.shape[1:])
+    y2 = y.reshape(m, -1)
+    np.matmul(ad, b2, out=y2)
     inputs = (a, b)
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (m,):
             raise ShapeError("bias %r does not match rows of %r"
                              % (bias.shape, y.shape))
-        y += bias.data[:, None]
+        y2 += bias.data[:, None]
         inputs = (a, b, bias)
     if relu:
         np.maximum(y, 0.0, out=y)
@@ -324,20 +330,22 @@ def matmul(a, b, bias=None, relu=False):
     def backward(g):
         if relu:
             g = g * (y > 0)
+        g = g.reshape(m, -1)
+        gb = (ad.T @ g).reshape(bd.shape)
         if bias is None:
-            return g @ bd.T, ad.T @ g
-        return g @ bd.T, ad.T @ g, g.sum(axis=1)
+            return g @ b2.T, gb
+        return g @ b2.T, gb, g.sum(axis=1)
 
-    _record(out, inputs, backward, macs=m * k * n)
+    _record(out, inputs, backward, macs=m * k * b2.shape[1])
     return out
 
 
 def feed_forward(x, w1, b1, w2, b2):
     """Position-wise feed-forward network W2^T relu(W1^T x + b1) + b2 of
-    an (F, N) map.
+    a map ``x``, whose trailing axes the output keeps.
 
     The weights are stored (in, out), ``w1`` (F, H) and ``w2`` (H, F'),
-    and read through transposed views. The positions run in blocks of at
+    and read through transposed views. The N positions run in blocks of at
     most ``_GROUP_POSITIONS``: each block's hidden rows are rectified in
     place and multiplied straight into its columns of the output. Under a
     tape the blocks fill the whole (H, N) hidden map, which the record
@@ -350,17 +358,19 @@ def feed_forward(x, w1, b1, w2, b2):
     products, (F + F') * H * N.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    xd, a1, a2 = x.data, w1.data.T, w2.data.T
-    if (xd.ndim != 2 or a1.ndim != 2 or a2.ndim != 2
-            or a1.shape[1] != xd.shape[0] or a2.shape[1] != a1.shape[0]
+    a1, a2 = w1.data.T, w2.data.T
+    if (x.data.ndim < 2 or a1.ndim != 2 or a2.ndim != 2
+            or a1.shape[1] != x.shape[0] or a2.shape[1] != a1.shape[0]
             or b1.shape != a1.shape[:1] or b2.shape != a2.shape[:1]):
         raise ShapeError("feed_forward cannot take x %r, w1 %r, b1 %r, "
                          "w2 %r, b2 %r" % (x.shape, w1.shape, b1.shape,
                                            w2.shape, b2.shape))
+    xd = x.data.reshape(x.shape[0], -1)
     hid, n = a1.shape[0], xd.shape[1]
     taped = _ACTIVE.tape is not None
     step = _GROUP_POSITIONS
-    y = np.empty((a2.shape[0], n))
+    y = np.empty((a2.shape[0],) + x.shape[1:])
+    y2 = y.reshape(a2.shape[0], n)
     h = np.empty((hid, n if taped else min(n, step)))
     for start in range(0, n, step):
         stop = min(start + step, n)
@@ -368,7 +378,7 @@ def feed_forward(x, w1, b1, w2, b2):
         np.matmul(a1, xd[:, start:stop], out=hb)
         hb += b1.data[:, None]
         np.maximum(hb, 0.0, out=hb)
-        yb = y[:, start:stop]
+        yb = y2[:, start:stop]
         np.matmul(a2, hb, out=yb)
         yb += b2.data[:, None]
     out = Tensor(y)
@@ -377,10 +387,11 @@ def feed_forward(x, w1, b1, w2, b2):
 
     def backward(g):
         h = held.data
+        g = g.reshape(len(g), n)
         gh = w2.data @ g
         gh *= h > 0
-        return (w1.data @ gh, xd @ gh.T, gh.sum(axis=1), h @ g.T,
-                g.sum(axis=1))
+        return ((w1.data @ gh).reshape(x.shape), xd @ gh.T, gh.sum(axis=1),
+                h @ g.T, g.sum(axis=1))
 
     macs = (a1.shape[1] + a2.shape[0]) * hid * n
     _record(out, (x, w1, b1, w2, b2), backward, macs=macs)
@@ -430,32 +441,21 @@ def concat(tensors, axis):
     return out
 
 
-def slice_rows(x, start, stop):
-    """Slice along axis 0, as a view: the rows of a row-major map are
-    contiguous, so no bytes are copied. Gradient scatters back into
-    zeros."""
+def slice_axis(x, axis, start, stop):
+    """Positions ``start:stop`` of ``axis``: on axis 0 a view, since the
+    rows of a row-major map are contiguous, on any other axis a contiguous
+    copy. Gradient scatters back into zeros."""
     x = as_tensor(x)
     shape = x.shape
-    out = Tensor(x.data[start:stop])
+    if not 0 <= axis < len(shape):
+        raise ShapeError("slice_axis cannot slice %r on axis %r"
+                         % (shape, axis))
+    index = (slice(None),) * axis + (slice(start, stop),)
+    out = Tensor(x.data[index] if axis == 0 else x.data[index].copy())
 
     def backward(g):
         gx = np.zeros(shape)
-        gx[start:stop] = g
-        return (gx,)
-
-    _record(out, (x,), backward)
-    return out
-
-
-def slice_cols(x, start, stop):
-    """Slice along the last axis; gradient scatters back into zeros."""
-    x = as_tensor(x)
-    shape = x.shape
-    out = Tensor(np.ascontiguousarray(x.data[..., start:stop]))
-
-    def backward(g):
-        gx = np.zeros(shape)
-        gx[..., start:stop] = g
+        gx[index] = g
         return (gx,)
 
     _record(out, (x,), backward)
@@ -463,7 +463,9 @@ def slice_cols(x, start, stop):
 
 
 def gather_cols(x, idx):
-    """Select columns by index array; duplicates allowed.
+    """Select positions of ``x``, read flat over every axis after the
+    first, by an index array of any shape: (rows, *idx.shape). Duplicates
+    are allowed.
 
     Backward adds the gradient columns back in one pass per occurrence
     rank: pass r adds every column's (r+1)-th copy, whose targets are all
@@ -473,21 +475,23 @@ def gather_cols(x, idx):
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
     shape = x.shape
-    if x.data.ndim != 2 or idx.size and (idx.min() < 0
-                                         or idx.max() >= shape[1]):
-        raise ShapeError("gather_cols needs a 2-d map and column indices "
-                         "in range, got %r and indices %r" % (shape, idx))
-    out = Tensor(np.take(x.data, idx, axis=1))
+    n = math.prod(shape[1:])
+    if x.data.ndim < 2 or idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError("gather_cols cannot take %r with position "
+                         "indices %r" % (shape, idx))
+    flat = x.data.reshape(shape[0], n)
+    out = Tensor(np.take(flat, idx, axis=1))
 
     def backward(g):
-        order = np.argsort(idx, kind="stable")
-        cols = idx[order]
+        order = np.argsort(idx, axis=None, kind="stable")
+        cols = idx.ravel()[order]
         rank = np.arange(len(cols)) - np.searchsorted(cols, cols)
-        gx = np.zeros(shape)
+        g = g.reshape(len(g), -1)
+        gx = np.zeros(flat.shape)
         for r in range(rank.max(initial=-1) + 1):
             picks = rank == r
             gx[:, cols[picks]] += g[:, order[picks]]
-        return (gx,)
+        return (gx.reshape(shape),)
 
     _record(out, (x,), backward)
     return out
@@ -810,41 +814,46 @@ def dot(a, b):
 # ---------------------------------------------------------------------------
 # the attention core
 
-def attention(q, k, v, heads, batch, scale, bias=None):
-    """softmax(scale * Q^T K + bias) V of ``heads`` x ``batch`` sequences.
+def _batch(heads, q, *others):
+    """B of head-major (heads*dk, [B,] L) maps that differ from ``q`` only
+    in L, or None for maps outside that layout."""
+    if (q.data.ndim in (2, 3) and heads >= 1 and not q.shape[0] % heads
+            and all(t.shape[:-1] == q.shape[:-1] for t in others)):
+        return math.prod(q.shape[1:-1])
+    return None
 
-    ``q`` is a head-major (heads*dk, batch*Lq) map: rows h*dk..(h+1)*dk
-    are head h and columns b*Lq..(b+1)*Lq are sequence b. ``k`` and ``v``
-    are (heads*dk, batch*Lk) maps in the same order. A ``bias`` is a
-    constant (P, Lq, Lk) array of logits: sequence b of every head gets
-    ``bias[b % P]``, and -1e30 removes a key. The scores come from BLAS on
-    strided views of the maps, the row softmax runs in place on the score
-    buffer, and the output is written straight into a (heads*dk, batch*Lq)
-    map. Without a tape the heads run in blocks whose maps fit
+
+def attention(q, k, v, heads, scale, bias=None):
+    """softmax(scale * Q^T K + bias) V of ``heads`` heads of every sequence.
+
+    ``q`` is a head-major (heads*dk, Lq) map of one sequence or
+    (heads*dk, B, Lq) of B: rows h*dk..(h+1)*dk are head h. ``k`` and
+    ``v`` hold Lk keys of the same sequences in the same order. A ``bias``
+    is a constant (P, Lq, Lk) array of logits: sequence b of every head
+    gets ``bias[b % P]``, and -1e30 removes a key. The scores come from
+    BLAS on strided views of the maps, the row softmax runs in place on
+    the score buffer, and the output is written straight into a map of
+    ``q``'s shape. Without a tape the heads run in blocks whose maps fit
     ``_GROUP_SCORE_BYTES`` (at least one head) in one block's buffer;
-    under a tape one block holds them all, and its (heads*batch, Lq, Lk)
+    under a tape one block holds them all, and its (heads*B, Lq, Lk)
     softmax map is a tensor the record keeps. Returns the output.
 
     One tape record, whose backward is closed form: with dA = dO V and
     dS = A * (dA - rowsum(dA * A)), dV = dO^T A, dQ = scale K dS^T and
-    dK = scale Q dS. Charges 2*heads*batch*Lq*Lk*dk MACs.
+    dK = scale Q dS. Charges 2*heads*B*Lq*Lk*dk MACs.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
-            or k.shape[0] != q.shape[0] or heads < 1 or batch < 1
-            or q.shape[0] % heads or q.shape[1] % batch or k.shape[1] % batch
-            or bias is not None
-            and (bias.shape[1:] != (q.shape[1] // batch, k.shape[1] // batch)
-                 or not len(bias) or batch % len(bias))):
-        raise ShapeError("attention of %d heads x %d sequences cannot take "
-                         "q %r, k %r, v %r, bias %r"
-                         % (heads, batch, q.shape, k.shape, v.shape,
-                            getattr(bias, "shape", None)))
-    rows, nq = q.shape
-    dk, lq, lk = rows // heads, nq // batch, k.shape[1] // batch
+    batch = _batch(heads, q, k, v)
+    rows, lq, lk = q.shape[0], q.shape[-1], k.shape[-1]
+    if batch is None or k.shape != v.shape or bias is not None and (
+            bias.shape[1:] != (lq, lk) or not len(bias) or batch % len(bias)):
+        raise ShapeError("attention of %d heads cannot take q %r, k %r, "
+                         "v %r, bias %r" % (heads, q.shape, k.shape, v.shape,
+                                            getattr(bias, "shape", None)))
+    dk = rows // heads
 
     def per_sequence(x, length):
-        # (heads*dk, batch*length) -> the (heads, batch, dk, length) view
+        # (heads*dk, [batch,] length) -> the (heads, batch, dk, length) view
         return x.reshape(heads, dk, batch, length).transpose(0, 2, 1, 3)
 
     qd, kd, vd = per_sequence(q.data, lq), per_sequence(k.data, lk), \
@@ -853,7 +862,7 @@ def attention(q, k, v, heads, batch, scale, bias=None):
         heads, max(1, _GROUP_SCORE_BYTES // (8 * batch * lq * lk)))
     # the map is its own buffer (not a view), so the arena counts it
     amap = np.empty((step * batch, lq, lk))
-    y = np.empty((rows, nq))
+    y = np.empty(q.shape)
     for h0 in range(0, heads, step):
         hs = slice(h0, min(h0 + step, heads))
         a = amap[:(hs.stop - h0) * batch].reshape(-1, batch, lq, lk)
@@ -874,15 +883,15 @@ def attention(q, k, v, heads, batch, scale, bias=None):
         # record holds it
         a = weights.data.reshape(heads, batch, lq, lk)
         gd = per_sequence(g, lq)                          # dO^T
-        gv = np.empty((rows, batch * lk))
+        gv = np.empty(v.shape)
         np.matmul(gd, a, out=per_sequence(gv, lk))
         ds = np.matmul(gd.swapaxes(2, 3), vd)             # dA
         ds -= (ds * a).sum(axis=-1, keepdims=True)
         ds *= a
-        gq = np.empty((rows, nq))
+        gq = np.empty(q.shape)
         np.matmul(kd, ds.swapaxes(2, 3), out=per_sequence(gq, lq))
         gq *= scale
-        gk = np.empty((rows, batch * lk))
+        gk = np.empty(k.shape)
         np.matmul(qd, ds, out=per_sequence(gk, lk))
         gk *= scale
         return gq, gk, gv
@@ -916,13 +925,13 @@ def hash_buckets(vectors, rotation):
     return np.where(top >= -low, up, half + down)
 
 
-def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
-    """Chunked shared-QK LSH attention of ``heads`` x ``batch`` sequences.
+def lsh_attention(q, v, rotations, heads, chunk, scale):
+    """Chunked shared-QK LSH attention of ``heads`` heads of every sequence.
 
-    ``q`` and ``v`` are head-major (heads*dk, batch*L) maps, as in
-    :func:`attention`; the keys are the unit queries, q / sqrt(sum(q^2) +
-    1e-12) per column. ``rotations`` holds one (batch or 1, dk,
-    n_buckets / 2) array per round, shared by a sequence's heads: each
+    ``q`` and ``v`` are head-major maps of one or B sequences of length L,
+    as in :func:`attention`; the keys are the unit queries, q /
+    sqrt(sum(q^2) + 1e-12) per column. ``rotations`` holds one (B or 1,
+    dk, n_buckets / 2) array per round, shared by a sequence's heads: each
     round hashes the keys (:func:`hash_buckets`), sorts every sequence
     stably by bucket and cuts it into ``chunk``-wide chunks whose queries
     (times ``scale``) attend to their own chunk and the one before; a
@@ -933,7 +942,7 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
 
     The heads run in groups, each writing its rows of the output, of as
     many heads as have all their chunks fit one block (at least one); a
-    group's heads are laid side by side, (dk, heads*batch*L), in numpy and
+    group's heads are laid side by side, (dk, heads*B*L), in numpy and
     off the tape (a view for one head). The chunks of all its rounds and
     sequences run in blocks whose score map fits ``_GROUP_SCORE_BYTES``,
     every block in the same block-sized buffers. A block's sorted rows
@@ -943,34 +952,33 @@ def lsh_attention(q, v, rotations, heads, batch, chunk, scale):
     the (m, dk) outputs, not the maps, are divided by the row sums. Under
     a tape one group and one block hold every head and chunk, and the
     record keeps the map and gathers. The rounds are mixed once every
-    block has run. Returns the head-major output.
+    block has run. Returns the head-major output, of ``q``'s shape.
 
     One tape record with a closed-form backward: with round weights w_r
     and D = g . out per position, dO_r = w_r g, dS = A * (dO_r V^T - w_r D),
     dV = A^T dO_r, dQ = scale dS K and dK = dS^T (scale Q), folded off the
     chunk views and unsorted; the unit keys add dK / |q| - q (q . dK) / |q|^3
-    to dQ. Charges 2*rounds*heads*batch*chunks*m*keys*dk MACs.
+    to dQ. Charges 2*rounds*heads*B*chunks*m*keys*dk MACs.
     """
     q, v = as_tensor(q), as_tensor(v)
-    if (q.data.ndim != 2 or q.shape != v.shape or heads < 1 or batch < 1
-            or q.shape[0] % heads or q.shape[1] % batch or not len(rotations)
+    batch = _batch(heads, q)
+    rows, length = q.shape[0], q.shape[-1]
+    if (batch is None or q.shape != v.shape or not len(rotations)
             or any(np.ndim(r) != 3 or len(r) not in (1, batch)
-                   or r.shape[1] != q.shape[0] // heads for r in rotations)):
-        raise ShapeError("lsh_attention of %d heads x %d sequences cannot "
-                         "take q %r, v %r, rotations %r"
-                         % (heads, batch, q.shape, v.shape,
-                            [np.shape(r) for r in rotations]))
+                   or r.shape[1] != rows // heads for r in rotations)):
+        raise ShapeError("lsh_attention of %d heads cannot take q %r, v %r, "
+                         "rotations %r" % (heads, q.shape, v.shape,
+                                           [np.shape(r) for r in rotations]))
     if chunk < 1:
         raise ShapeError("lsh_attention needs a chunk >= 1, got %d" % chunk)
-    rows, width = q.shape
-    dk, length = rows // heads, width // batch
+    dk = rows // heads
     m = min(chunk, length)
     keys = m if m == length else 2 * m
     chunks = len(rotations) * batch * -(-length // m)     # of one head
     block = heads * chunks if _ACTIVE.tape is not None else max(
         1, _GROUP_SCORE_BYTES // (8 * m * keys))
     group = min(heads, max(1, block // chunks))
-    y = np.empty((rows, width))
+    y = np.empty(q.shape)
     for h0 in range(0, heads, group):
         hr = slice(h0 * dk, (h0 + group) * dk)
         backward = _lsh_heads(q.data[hr], v.data[hr], rotations, dk, batch,
@@ -984,22 +992,22 @@ def _lsh_heads(qh, vh, rotations, dk, batch, m, scale, block, y):
     """:func:`lsh_attention` of the group of heads whose rows are ``qh``
     and ``vh``, into their rows ``y``; returns the op's backward under a
     tape, where the group holds every head."""
-    rows, width = qh.shape
-    heads, length = rows // dk, width // batch
+    heads, length = len(qh) // dk, qh.shape[-1]
+    width = batch * length
     seqs = heads * batch
     n = seqs * length
 
     def side_by_side(x):
-        # head-major (heads*dk, batch*L) -> (dk, heads*batch*L), a view
+        # head-major (heads*dk, [batch,] L) -> (dk, heads*batch*L), a view
         # for one head
         return x.reshape(heads, dk, width).transpose(1, 0, 2).reshape(dk, n)
 
     def head_major(x, into=None):
-        # (dk, heads*batch*L) -> head-major (heads*dk, batch*L) in ``into``
-        # or a buffer of its own, one copy from the (heads*batch*L, dk)
-        # rows of x.T
+        # (dk, heads*batch*L) -> head-major, of qh's shape, in ``into`` or
+        # a buffer of its own, one copy from the (heads*batch*L, dk) rows
+        # of x.T
         if into is None:
-            into = np.empty((rows, width))
+            into = np.empty(qh.shape)
         into.reshape(heads, dk, width)[...] = x.T.reshape(
             heads, width, dk).transpose(0, 2, 1)
         return into

@@ -12,8 +12,8 @@ layer plus an outer residual around the whole stack,
 
     stack(z) = layers(z + e) + z.
 
-No final normalization after the stack, no dropout. Layer and stack also
-take an (F, B, L) batch of B independent length-L sequences, the form the
+No final normalization after the stack, no dropout. Layer and stack run
+on one sequence or on a batch of them, in the kernel's layout, as the
 dual path feeds them. The feed-forward is one ``ndkernel.feed_forward``
 op and one tape record: both linears with their biases and the ReLU,
 run over blocks of positions, so without a tape a long map never holds
@@ -74,8 +74,8 @@ def _layer_seed(spec, seed, index):
 
 
 def transformer_layer(z, params, spec, seed=0):
-    """One encoder layer on an (F, T) map or on an (F, B, L) batch of B
-    independent length-L sequences; features normalized per position.
+    """One encoder layer on a map of one or more sequences; features
+    normalized per position.
 
     Norms, projections, feed-forward and residuals run once over all
     positions; only the attention cores see sequence boundaries. ``seed``
@@ -90,29 +90,23 @@ def transformer_layer(z, params, spec, seed=0):
         spec, seed=seed)
     h = nd.add(mid, z)
     del mid
-    ln2 = nd.layer_norm(h, params.ln2_gain, params.ln2_bias)
-    if ln2.data.ndim == 3:
-        ln2 = nd.reshape(ln2, (ln2.shape[0], -1))        # (F, B*L)
-    ffw = nd.feed_forward(ln2, params.ffw_w1, params.ffw_b1, params.ffw_w2,
+    ffw = nd.feed_forward(nd.layer_norm(h, params.ln2_gain, params.ln2_bias),
+                          params.ffw_w1, params.ffw_b1, params.ffw_w2,
                           params.ffw_b2)
-    del ln2
-    if ffw.shape != z.shape:
-        ffw = nd.reshape(ffw, z.shape)
     return nd.add(ffw, h)
 
 
 def transformer_stack(z, params, spec, seed=0):
     """K layers with a single position-table injection and outer residual.
 
-    ``z`` is one (F, T) map or an (F, B, L) batch of B independent
-    length-L sequences, each given positions 0..L-1. ``seed`` is an int or
+    Each sequence of ``z`` is given positions 0..L-1. ``seed`` is an int or
     one per sequence; under a seeded variant layer i of a sequence with
     seed s uses ``derive_seed(s, i)``, and every other variant ignores it.
     """
     z = nd.as_tensor(z)
     table = positional_encoding(z.shape[-1], z.shape[0]).data.T
-    if z.data.ndim == 3:
-        table = table[:, None, :]
+    # (F, L) with a unit axis for each batch axis, broadcast to z's shape
+    table = np.expand_dims(table, tuple(range(1, z.data.ndim - 1)))
     x = nd.add(z, Tensor(np.broadcast_to(table, z.shape)))
     del table
     for i, layer in enumerate(params.children):

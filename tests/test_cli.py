@@ -93,6 +93,18 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-toy", "bench"])
+    def test_config_not_utf8_names_file_and_line(self, tmp_path, capsys,
+                                                 command):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"filters = 8\r\n# caf\xff\nstride = 2\n")
+        out = tmp_path / "x.out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "%s:2: not UTF-8" % path in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_flag_overrides_file_overrides_default(self, tmp_path):
         values = dict(TOY_DEFAULTS)
         values.update(parse_config_file(tiny_cfg_file(tmp_path, seed=9)))

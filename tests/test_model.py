@@ -154,7 +154,7 @@ class TestMaskNet:
         watch(model, "encode")
         for name in ("chunk", "sepformer_block", "overlap_add"):
             watch(model_module, name)
-        watch(nd, "slice_rows")
+        watch(nd, "slice_axis")
         out = model.separate(rng.standard_normal(64))
         f, ns = cfg.n_filters, cfg.n_sources
         tp = encoded_length(cfg, 64)
@@ -164,7 +164,7 @@ class TestMaskNet:
         assert shapes["chunk"] == ((f, tp), (f, c, nc))
         assert shapes["sepformer_block"] == ((f, c, nc), (f, c, nc))
         assert shapes["overlap_add"] == ((f, c, nc), (f, tp))
-        assert shapes["slice_rows"] == ((ns * f, tp), (f, tp))
+        assert shapes["slice_axis"] == ((ns * f, tp), (f, tp))
         assert all(e.shape == (64,) for e in out.estimates)
 
     @staticmethod
@@ -180,16 +180,13 @@ class TestMaskNet:
         processed = sepformer_block(chunk(hbar, cfg.chunk_size), model.block,
                                     seed=derive_seed(model.seed, 101))
         activated = nd.prelu(processed, m.prelu_slope)
-        _, c, n_chunks = activated.shape
-        expanded = nd.matmul(m.output_linear_weight,
-                             nd.reshape(activated, (f, c * n_chunks)),
-                             bias=m.output_linear_bias)
-        expanded = overlap_add(nd.reshape(expanded, (ns * f, c, n_chunks)),
+        expanded = overlap_add(nd.matmul(m.output_linear_weight, activated,
+                                         bias=m.output_linear_bias),
                                latent.shape[1])
         masks = []
         for k in range(ns):
             mask = nd.matmul(m.mask_ffw1_weight,
-                             nd.slice_rows(expanded, k * f, (k + 1) * f),
+                             nd.slice_axis(expanded, 0, k * f, (k + 1) * f),
                              bias=m.mask_ffw1_bias, relu=True)
             masks.append(nd.matmul(m.mask_ffw2_weight, mask,
                                    bias=m.mask_ffw2_bias, relu=True))

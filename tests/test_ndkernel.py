@@ -115,29 +115,47 @@ class TestFeedForward:
         ((3, 6), (3, 5), (4,), (5, 2), (2,)),      # b1
         ((3, 6), (3, 5), (5,), (4, 2), (2,)),      # w2 rows != hidden
         ((3, 6), (3, 5), (5,), (5, 2), (3,)),      # b2
-        ((3, 2, 3), (3, 5), (5,), (5, 2), (2,)),   # x not (F, N)
+        ((3,), (3, 5), (5,), (5, 2), (2,)),        # x not a map
     ])
     def test_mismatched_operands_name_every_shape(self, shapes):
         with pytest.raises(nd.ShapeError, match=re.escape(repr(shapes[3]))):
             nd.feed_forward(*(Tensor(np.zeros(s)) for s in shapes))
 
 
-class TestSliceRows:
+class TestSliceAxis:
     def test_slice_is_a_view_of_its_source(self, rng):
         x = Tensor(rng.standard_normal((5, 4)))
-        out = nd.slice_rows(x, 1, 3)
+        out = nd.slice_axis(x, 0, 1, 3)
         assert np.shares_memory(out.data, x.data)
         np.testing.assert_array_equal(out.data, x.data[1:3])
 
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_other_axes_give_a_contiguous_copy(self, rng, axis):
+        # (F, 1, L) sliced on axis 1 would be contiguous as a view too
+        for shape in ((5, 4, 3), (5, 1, 3)):
+            x = Tensor(rng.standard_normal(shape))
+            out = nd.slice_axis(x, axis, 0, 1)
+            assert out.data.flags.c_contiguous
+            assert not np.shares_memory(out.data, x.data)
+            np.testing.assert_array_equal(
+                out.data, x.data[(slice(None),) * axis + (slice(0, 1),)])
+
     def test_gradient_scatters_into_zeros(self, rng):
-        x = Tensor(rng.standard_normal((5, 4)))
-        g = rng.standard_normal((2, 4))
-        with Tape() as tape:
-            s = nd.dot(nd.slice_rows(x, 1, 3), Tensor(g))
-            (gx,) = tape.gradient(s, [x])
-        want = np.zeros((5, 4))
-        want[1:3] = g
-        np.testing.assert_array_equal(gx, want)
+        for axis in (0, 1):
+            x = Tensor(rng.standard_normal((5, 4)))
+            index = (slice(None),) * axis + (slice(1, 3),)
+            g = rng.standard_normal(x.data[index].shape)
+            with Tape() as tape:
+                s = nd.dot(nd.slice_axis(x, axis, 1, 3), Tensor(g))
+                (gx,) = tape.gradient(s, [x])
+            want = np.zeros((5, 4))
+            want[index] = g
+            np.testing.assert_array_equal(gx, want)
+
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_axis_outside_the_map_is_refused(self, axis):
+        with pytest.raises(nd.ShapeError, match=r"\(5, 4\) on axis %d" % axis):
+            nd.slice_axis(Tensor(np.zeros((5, 4))), axis, 0, 1)
 
 
 class TestDot:
@@ -184,20 +202,20 @@ def composite_attention(q, k, v, heads, batch, scale):
             a.reshape(a.shape[:-4] + (-1,) + a.shape[-2:]))
 
 
-def attention_map(q, k, heads, batch, scale, bias=None):
+def attention_map(q, k, heads, scale, bias=None):
     """The (heads*batch, Lq, Lk) softmax map of :func:`nd.attention`,
     head major, read off its output on one-hot values dk keys at a time:
     with key ``start + i`` of every sequence valued e_i in its head's
     rows, output row i of a head is each query's weight on that key."""
-    rows, nq = q.shape
-    dk, lq, lk = rows // heads, nq // batch, k.shape[1] // batch
+    rows, lq, lk = q.shape[0], q.shape[-1], k.shape[-1]
+    dk, batch = rows // heads, q.data[0].size // lq
     blocks = []
     for start in range(0, lk, dk):
         n = min(dk, lk - start)
         v = np.zeros((heads, dk, batch, lk))
         v[:, np.arange(n), :, start + np.arange(n)] = 1.0
-        out = nd.attention(q, k, Tensor(v.reshape(rows, -1)), heads, batch,
-                           scale, bias=bias)
+        out = nd.attention(q, k, Tensor(v.reshape(k.shape)), heads, scale,
+                           bias=bias)
         blocks.append(out.data.reshape(heads, dk, batch, lq)[:, :n])
     return np.concatenate(blocks, axis=1).transpose(0, 2, 3, 1).reshape(
         heads * batch, lq, lk)
@@ -227,44 +245,49 @@ class TestAttention:
     DK = 3
 
     def operands(self, rng, heads, batch, lq, lk):
-        rows = heads * self.DK
-        return [Tensor(rng.standard_normal((rows, batch * n)))
+        """Head-major q, k, v of ``batch`` sequences: (rows, L) for one,
+        (rows, batch, L) for more."""
+        lead = (heads * self.DK,) + ((batch,) if batch > 1 else ())
+        return [Tensor(rng.standard_normal(lead + (n,)))
                 for n in (lq, lk, lk)]
 
     @pytest.mark.parametrize("lq,lk", [(6, 6), (5, 8)])
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("heads", [1, 4])
     def test_matches_composite_reference(self, rng, heads, batch, lq, lk):
+        # the reference reads the sequences side by side, (rows, batch*L)
         q, k, v = self.operands(rng, heads, batch, lq, lk)
         probe = rng.standard_normal(q.shape)
         with Tape() as tape:
-            out = nd.attention(q, k, v, heads, batch, 0.6)
+            out = nd.attention(q, k, v, heads, 0.6)
             grads = tape.gradient(nd.dot(out, Tensor(probe)), [q, k, v])
-        out, a = out.data, attention_map(q, k, heads, batch, 0.6)
-        operands = [q.data, k.data, v.data]
+        out, a = out.data, attention_map(q, k, heads, 0.6)
+        operands = [x.data.reshape(len(x.data), -1) for x in (q, k, v)]
         want_out, want_a = composite_attention(*operands, heads, batch, 0.6)
         want_grads = complex_step_gradients(
             lambda *qkv: (composite_attention(*qkv, heads, batch, 0.6)[0]
-                          * probe).sum(axis=(-2, -1)), operands)
+                          * probe.reshape(want_out.shape)).sum(
+                              axis=(-2, -1)), operands)
         assert out.shape == q.shape
         assert a.shape == (heads * batch, lq, lk)
-        assert np.abs(out - want_out).max() <= \
+        assert np.abs(out.reshape(want_out.shape) - want_out).max() <= \
             1e-12 * np.abs(want_out).max()
         assert np.abs(a - want_a).max() <= 1e-12
         for g, ref in zip(grads, want_grads):
-            assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
+            assert np.abs(g.reshape(ref.shape) - ref).max() <= \
+                1e-9 * np.abs(ref).max()
 
     def test_one_tape_record_and_its_macs(self, rng):
         q, k, v = self.operands(rng, 4, 3, 5, 8)
         with nd.record_macs() as macs, Tape() as tape:
-            nd.attention(q, k, v, 4, 3, 0.5)
+            nd.attention(q, k, v, 4, 0.5)
             assert len(tape._records) == 1
         assert macs.total == 2 * 4 * 3 * 5 * 8 * self.DK
 
     def test_arena_peak_of_one_call_includes_its_score_map(self, rng):
         q, k, v = self.operands(rng, 4, 3, 5, 8)
         with nd.track_memory() as arena:
-            out = nd.attention(q, k, v, 4, 3, 0.5)
+            out = nd.attention(q, k, v, 4, 0.5)
         assert arena.peak == out.data.nbytes + 4 * 3 * 5 * 8 * 8
 
     # four heads of two sequences in tape-free blocks of 1, 2 or 3 heads
@@ -278,26 +301,39 @@ class TestAttention:
         q, k, v = self.operands(rng, heads, batch, lq, lk)
         bias = rng.standard_normal((2, lq, lk)) if biased else None
         with Tape():
-            want = nd.attention(q, k, v, heads, batch, 0.6, bias=bias).data
+            want = nd.attention(q, k, v, heads, 0.6, bias=bias).data
         monkeypatch.setattr(nd, "_GROUP_SCORE_BYTES",
                             step * 8 * batch * lq * lk)
         with nd.track_memory() as arena:
-            got = nd.attention(q, k, v, heads, batch, 0.6, bias=bias).data
+            got = nd.attention(q, k, v, heads, 0.6, bias=bias).data
         np.testing.assert_array_equal(got, want)
         assert arena.peak == got.nbytes + step * batch * lq * lk * 8
 
-    # a v of other columns; no heads; no sequences
+    # q and k hold 2 sequences of 4: a v of 6 keys; no heads; a v of no
+    # sequences
     @pytest.mark.parametrize("heads,batch,v_cols", [(2, 2, 6), (0, 2, 8),
                                                     (2, 0, 8)])
     def test_mismatched_operands_name_every_shape(self, rng, heads, batch,
                                                   v_cols):
         q, k, _ = self.operands(rng, 2, 2, 4, 4)
         with pytest.raises(nd.ShapeError,
-                           match=r"%d heads x %d sequences .*\(6, 8\).*"
-                                 r"\(6, 8\).*\(6, %d\)"
-                                 % (heads, batch, v_cols)):
-            nd.attention(q, k, Tensor(np.zeros((6, v_cols))), heads, batch,
+                           match=r"%d heads .*\(6, 2, 4\).*\(6, 2, 4\).*"
+                                 r"\(6, %d, %d\)" % (heads, batch, v_cols)):
+            nd.attention(q, k, Tensor(np.zeros((6, batch, v_cols))), heads,
                          1.0)
+
+    # rank-4 maps; k of other sequences than q, for either op
+    @pytest.mark.parametrize("case", ["rank_four", "batch_mismatch"])
+    def test_maps_outside_the_layout_are_refused(self, rng, case):
+        if case == "rank_four":
+            q = k = Tensor(rng.standard_normal((6, 2, 2, 4)))
+        else:
+            q, k = (Tensor(rng.standard_normal((6, b, 4))) for b in (2, 3))
+        with pytest.raises(nd.ShapeError, match=re.escape(repr(k.shape))):
+            nd.attention(q, k, k, 2, 1.0)
+        rotations = [np.zeros((1, 3, 2))]
+        with pytest.raises(nd.ShapeError, match=re.escape(repr(k.shape))):
+            nd.lsh_attention(q, k, rotations, 2, 4, 1.0)
 
     def test_bias_is_added_to_every_run_of_sequences(self, rng):
         # four sequences in runs of two: sequence b gets bias[b % 2], and
@@ -306,8 +342,8 @@ class TestAttention:
         q, k, v = self.operands(rng, heads, batch, lq, lk)
         bias = rng.standard_normal((2, lq, lk))
         bias[0, :, 1] = -1e30
-        out = nd.attention(q, k, v, heads, batch, 0.6, bias=bias)
-        a = attention_map(q, k, heads, batch, 0.6, bias=bias)
+        out = nd.attention(q, k, v, heads, 0.6, bias=bias)
+        a = attention_map(q, k, heads, 0.6, bias=bias)
         qd, kd, vd = (x.data.reshape(heads, self.DK, batch, -1)
                       for x in (q, k, v))
         got = out.data.reshape(heads, self.DK, batch, lq)
@@ -329,15 +365,15 @@ class TestAttention:
         q, k, v = self.operands(rng, 2, 4, 3, 5)
         with pytest.raises(nd.ShapeError,
                            match=re.escape("bias %r" % (shape,))):
-            nd.attention(q, k, v, 2, 4, 1.0, bias=np.zeros(shape))
+            nd.attention(q, k, v, 2, 1.0, bias=np.zeros(shape))
 
     def softmax_map(self, rng, logits):
         """The map of one head over the (sequences, Lq, Lk) ``logits``,
         given as the bias: zero queries make every score exactly 0."""
         s, lq, lk = logits.shape
-        q = Tensor(np.zeros((self.DK, s * lq)))
-        kv = Tensor(rng.standard_normal((self.DK, s * lk)))
-        return attention_map(q, kv, 1, s, 1.0, bias=logits)
+        q = Tensor(np.zeros((self.DK, s, lq)))
+        kv = Tensor(rng.standard_normal((self.DK, s, lk)))
+        return attention_map(q, kv, 1, 1.0, bias=logits)
 
     @pytest.mark.parametrize("prop", [
         "equal_scores_give_uniform_rows", "two_logit_closed_form",
@@ -358,7 +394,7 @@ class TestAttention:
         elif prop == "rows_sum_to_one":
             # scores and a bias, four heads of three sequences
             q, k, _ = self.operands(rng, 4, 3, 6, 9)
-            a = attention_map(q, k, 4, 3, 0.8,
+            a = attention_map(q, k, 4, 0.8,
                               bias=rng.standard_normal((3, 6, 9)))
             np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-12)
         elif prop == "invariant_to_row_shift":
@@ -376,11 +412,117 @@ class TestAttention:
                                           e / e.sum(axis=-1, keepdims=True))
 
 
+# The batch rides in the map's shape: a (rows, B, L) call gives the bytes
+# of the same data run flat, (rows, B*L), where the op mixes no positions,
+# or as B single sequences, (rows, L), where it does; outputs and tape
+# gradients, taped and tape-free.
+
+def outputs_and_gradients(op, arrays, probe):
+    """``op``'s output on tensors of ``arrays`` and, with a ``probe`` (of
+    the output's size), the tape gradients of every one for the probe;
+    without a probe the op runs tape-free."""
+    tensors = [Tensor(a) for a in arrays]
+    if probe is None:
+        return [op(*tensors).data]
+    with Tape() as tape:
+        out = op(*tensors)
+        grads = tape.gradient(nd.dot(out, Tensor(probe.reshape(out.shape))),
+                              tensors)
+    return [out.data] + grads
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.size == w.size and g.tobytes() == w.tobytes()
+
+
+class TestBatchedLayout:
+    B, L = 3, 7
+
+    def flat(self, x):
+        return x.reshape(len(x), -1)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("op", ["matmul", "feed_forward", "gather_cols"])
+    def test_equals_the_flat_call(self, rng, op, taped):
+        x = rng.standard_normal((4, self.B, self.L))
+        if op == "matmul":
+            weights = [rng.standard_normal((5, 4)), rng.standard_normal(5)]
+            run = lambda x, a, bias: nd.matmul(a, x, bias=bias, relu=True)
+        elif op == "feed_forward":
+            weights = [rng.standard_normal(s) for s in ((4, 6), (6,), (6, 2),
+                                                        (2,))]
+            run = nd.feed_forward
+        else:
+            weights = []
+            idx = rng.integers(0, self.B * self.L, (2, 5, 4))
+            run = lambda x: nd.gather_cols(x, idx)
+        shape = ({"matmul": (5,) + x.shape[1:], "gather_cols": (4, 2, 5, 4)}
+                 .get(op, (2,) + x.shape[1:]))
+        probe = rng.standard_normal(shape) if taped else None
+        got = outputs_and_gradients(run, [x] + weights, probe)
+        assert got[0].shape == shape
+        assert_same_bytes(got, outputs_and_gradients(
+            run, [self.flat(x)] + weights, probe))
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("op", ["attention", "biased_attention",
+                                    "lsh_attention"])
+    def test_equals_single_sequences(self, rng, op, taped):
+        # two heads of d_head 3; the attention's keys are longer than its
+        # queries, the LSH op's chunks of 3 leave a look-back and padding
+        lk = self.L if op == "lsh_attention" else 9
+        q = rng.standard_normal((6, self.B, self.L))
+        kv = [rng.standard_normal((6, self.B, lk)) for _ in range(2)]
+        bias = rng.standard_normal((self.B, self.L, lk))
+        rotations = [rng.standard_normal((self.B, 3, 2)) for _ in range(2)]
+
+        def run(b):
+            # sequence b alone, or every sequence for None
+            seq = slice(None) if b is None else b
+            if op == "lsh_attention":
+                rots = [r[seq] if b is None else r[b:b + 1]
+                        for r in rotations]
+                return (lambda q, v: nd.lsh_attention(q, v, rots, 2, 3, 0.6),
+                        [q[:, seq], kv[1][:, seq]])
+            p = None if op == "attention" else \
+                bias if b is None else bias[b:b + 1]
+            return (lambda q, k, v: nd.attention(q, k, v, 2, 0.6, bias=p),
+                    [q[:, seq]] + [x[:, seq] for x in kv])
+
+        probe = rng.standard_normal(q.shape) if taped else None
+        got = outputs_and_gradients(*run(None), probe)
+        assert got[0].shape == q.shape
+        singles = [outputs_and_gradients(*run(b), None if probe is None
+                                         else probe[:, b])
+                   for b in range(self.B)]
+        assert_same_bytes(got, [np.stack(parts, axis=1)
+                                for parts in zip(*singles)])
+
+    @pytest.mark.parametrize("op", ["matmul", "feed_forward"])
+    def test_batched_output_owns_its_buffer(self, rng, op):
+        # operands made before the arena add nothing; the (rows, B, L)
+        # output is a tensor of its own, not a view of a flat buffer
+        x = Tensor(rng.standard_normal((4, self.B, self.L)))
+        if op == "matmul":
+            weights = [Tensor(rng.standard_normal((5, 4)))]
+            run = lambda x, a: nd.matmul(a, x)
+        else:
+            weights = [Tensor(rng.standard_normal(s))
+                       for s in ((4, 6), (6,), (6, 2), (2,))]
+            run = nd.feed_forward
+        with nd.track_memory() as arena:
+            out = run(x, *weights)
+            assert out.data.base is None
+            assert arena.current == out.data.nbytes == \
+                8 * len(out.data) * self.B * self.L
+
+
 def test_lsh_attention_refuses_a_chunk_below_1(rng):
     q, v = (Tensor(rng.standard_normal((4, 6))) for _ in range(2))
     with pytest.raises(nd.ShapeError, match="chunk >= 1, got 0"):
-        nd.lsh_attention(q, v, [rng.standard_normal((1, 4, 2))], 1, 1, 0,
-                         0.5)
+        nd.lsh_attention(q, v, [rng.standard_normal((1, 4, 2))], 1, 0, 0.5)
 
 
 # Bad arguments to the shape ops: each raises ShapeError naming the
@@ -702,9 +844,9 @@ class TestInstruments:
         # bytes; a slice of one made inside it keeps its owner's count
         weight = Tensor(np.zeros((1000, 8)))
         with nd.track_memory() as arena:
-            rows = nd.slice_rows(weight, 0, 250)
+            rows = nd.slice_axis(weight, 0, 0, 250)
             assert arena.current == 0
-            rows = nd.slice_rows(Tensor(np.zeros((1000, 8))), 0, 250)
+            rows = nd.slice_axis(Tensor(np.zeros((1000, 8))), 0, 0, 250)
             assert arena.current == 64_000
             del rows
         assert arena.current == 0 and arena.peak == 64_000

@@ -1,13 +1,15 @@
 """The package holds only what runs: every public name, every defaulted
-parameter and every dataclass field in ``src/sepformer`` has a use in the
-package or in the benchmark harness, not in the tests alone.
+parameter, every dataclass field and every namedtuple field in
+``src/sepformer`` has a use in the package or in the benchmark harness,
+not in the tests alone.
 
 A call reaches the definition that its own module names, directly or
 through its imports; a call of a method on an object, whose type the
 analysis does not know, reaches every public method of that name. A
 defaulted parameter is used when a live call passes it. A defaulted field
-is set when a live call passes it or live code assigns it, and any field
-is read when live code reads it as an attribute.
+is set when a live call passes it or live code assigns it, and any field,
+of a dataclass or of a namedtuple, is read when live code reads it as an
+attribute.
 
 The package twin of ``test_every_op_but_the_probe_runs_in_the_package``,
 which does the same for the kernel's ops.
@@ -262,9 +264,25 @@ def _fields(live):
                 and isinstance(item.target, ast.Name)]
 
 
+def _namedtuples(live):
+    """(class, field names) for each namedtuple the package defines at
+    module level, ``Name = namedtuple("Name", fields, ...)``."""
+    for _, node, in_src, _ in live:
+        value = getattr(node, "value", None)
+        if in_src and isinstance(node, ast.Assign) \
+                and isinstance(value, ast.Call) \
+                and getattr(value.func, "id", None) == "namedtuple":
+            names = value.args[1]
+            yield node.targets[0].id, (
+                names.value.replace(",", " ").split()
+                if isinstance(names, ast.Constant)
+                else [elt.value for elt in names.elts])
+
+
 def _unused_fields(live, calls):
-    """Defaulted fields that no live call passes and no live code assigns,
-    and fields that no live code reads as an attribute."""
+    """Defaulted dataclass fields that no live call passes and no live code
+    assigns, and dataclass or namedtuple fields that no live code reads as
+    an attribute."""
     attrs = {ast.Load: set(), ast.Store: set()}
     for _, node, *_ in live:
         for sub in ast.walk(node):
@@ -280,6 +298,9 @@ def _unused_fields(live, calls):
                 out.append("%s.%s (never set)" % (cls, name))
             if name not in attrs[ast.Load]:
                 out.append("%s.%s (never read)" % (cls, name))
+    out += ["%s.%s (never read)" % (cls, name)
+            for cls, names in _namedtuples(live) for name in names
+            if name not in attrs[ast.Load]]
     return out
 
 
@@ -299,6 +320,15 @@ def test_every_public_name_and_default_is_used_by_the_package():
     unused, unpassed, fields, _, _ = _findings()
     unpassed = [p for p in unpassed if p not in ALLOWED_UNPASSED]
     assert unused + unpassed + fields == []
+
+
+def test_the_namedtuples_are_found():
+    # the field check above sees every namedtuple the package defines
+    live, _, _ = _live()
+    found = dict(_namedtuples(live))
+    assert sorted(found) == ["Variant", "_Band", "_Call"]
+    assert found["Variant"] == ["core", "core_macs", "extra", "shares_qk",
+                                "seeded"]
 
 
 def test_the_allowed_names_are_still_defined_and_unused():

@@ -7,7 +7,7 @@ from sepformer import ndkernel as nd
 from sepformer import transformer
 from sepformer.attention import AttentionSpec, positional_encoding
 from sepformer.gradcheck import check_gradients
-from sepformer.ndkernel import Tensor
+from sepformer.ndkernel import Tape, Tensor
 from sepformer.transformer import (init_transformer_layer,
                                    init_transformer_stack,
                                    transformer_layer, transformer_stack)
@@ -97,6 +97,20 @@ class TestLayer:
         transformer_layer(Tensor(rng.standard_normal(shape)), params, spec)
         assert alive == {"ln2": False}
 
+    def test_batch_records_ten_ops_and_no_reshape(self, spec, rng):
+        # on an (F, B, L) batch the layer records what it records on one
+        # sequence: the batch rides in the maps' shape
+        params = init_transformer_layer(spec, 8, 12,
+                                        np.random.default_rng(6))
+        with Tape() as tape:
+            transformer_layer(Tensor(rng.standard_normal((8, 3, 5))),
+                              params, spec)
+            ops = [backward.__qualname__.split(".")[0]
+                   for _, _, backward in tape._records]
+        assert ops == ["layer_norm", "matmul", "matmul", "matmul",
+                       "attention", "matmul", "add", "layer_norm",
+                       "feed_forward", "add"]
+
     def test_gradient_through_full_layer(self, spec):
         rng = np.random.default_rng(3)
         params = init_transformer_layer(spec, 8, 12, rng)
@@ -112,10 +126,15 @@ class TestStack:
         params = init_transformer_stack(spec, 8, 12, 3,
                                         np.random.default_rng(0))
         zero_params(params)
+        table = positional_encoding(5, 8).data.T
         z = rng.standard_normal((8, 5))
         out = transformer_stack(Tensor(z), params, spec)
-        table = positional_encoding(5, 8).data.T
         np.testing.assert_array_equal(out.data, (z + table) + z)
+        # each sequence of a batch gets positions 0..L-1
+        z = rng.standard_normal((8, 3, 5))
+        out = transformer_stack(Tensor(z), params, spec)
+        np.testing.assert_array_equal(out.data,
+                                      (z + table[:, None]) + z)
 
     @pytest.mark.parametrize("depth", [1, 4, 8])
     def test_output_shape_preserved(self, spec, rng, depth):
